@@ -7,17 +7,21 @@ Scenario schema (version 1), JSON with the following top-level keys:
     mode        "below_threshold" | "above_threshold" | "hamiltonian_audit"
     resonator   section mapping to ResonatorConfig; detuning may be given
                 as "detuning" (rad/s) or "detuning_over_kappa"; pump power
-                as "pump_power" (W) or "pump_power_over_threshold"
+                as "pump_power" (W) or "pump_power_over_threshold" (one
+                of each pair, never both)
     state       (above threshold) {"kind": "roll" | "bright_soliton" |
                 "dark_soliton", "K": int?, "horizon": float?, "step": float?}
     outputs     list of products: spectrum, envelope, flux_table,
-                quadrature_spectrum, number_difference, stability, audit
+                total_power (below threshold); quadrature_spectrum,
+                number_difference, stability (above threshold); audit
     modes       sidemode indices l for per-mode spectra (default [1])
-    pairs       pair indices for quadrature spectra (default [1])
+    pairs       pair indices for quadrature spectra (default: the realized
+                roll order for a roll state, [1] otherwise)
     l_max       envelope/flux-table half-range (default 100)
     audit_K     Hamiltonian-audit truncation (default 3)
     seed        integer (default 0)
-    sweep       optional {"path": "<resonator key>", "values": [...]}
+    sweep       optional {"path": "<resonator key>", "values": [...]};
+                not valid in hamiltonian_audit mode
 
 Every product writes one CSV plus a metadata record in report.json; all
 output frequencies are in units of kappa, powers in watts.  Runs are
@@ -43,7 +47,8 @@ SCHEMA_VERSION = 1
 
 MODES = ("below_threshold", "above_threshold", "hamiltonian_audit")
 PRODUCTS_BY_MODE = {
-    "below_threshold": {"spectrum", "envelope", "flux_table"},
+    "below_threshold": {"spectrum", "envelope", "flux_table",
+                        "total_power"},
     "above_threshold": {"quadrature_spectrum", "number_difference",
                         "stability"},
     "hamiltonian_audit": {"audit"},
@@ -91,11 +96,19 @@ def validate_scenario(raw: dict) -> None:
     if sweep is not None:
         if not isinstance(sweep, dict) or "path" not in sweep or "values" not in sweep:
             raise ScenarioError("field 'sweep': expected {path, values}")
+        if mode == "hamiltonian_audit":
+            raise ScenarioError("field 'sweep': sweeps a resonator key, and "
+                                "mode 'hamiltonian_audit' has no resonator")
 
 
 def build_config(res: dict) -> tuple[units.ResonatorConfig, units.LossBudget]:
     """Resolve the resonator section, including kappa-relative fields."""
     res = dict(res)
+    for rel, abs_ in (("detuning_over_kappa", "detuning"),
+                      ("pump_power_over_threshold", "pump_power")):
+        if rel in res and abs_ in res:
+            raise ScenarioError(f"field 'resonator': give either {rel!r} or "
+                                f"{abs_!r}, not both")
     topology = units.Topology(res.pop("topology", "add-through"))
     sigma_rel = res.pop("detuning_over_kappa", None)
     p_rel = res.pop("pump_power_over_threshold", None)
@@ -130,15 +143,12 @@ def build_config(res: dict) -> tuple[units.ResonatorConfig, units.LossBudget]:
     return config, units.derive_loss_budget(config)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write(outdir: Path, name: str, text: str, products: list,
            t0: float, **extra) -> None:
-    path = outdir / name
-    path.write_text(text)
-    products.append({"file": name, "sha256": _sha256(path),
+    """Write one product file; `seconds` runs from `t0`, its own start."""
+    data = text.encode()
+    (outdir / name).write_bytes(data)
+    products.append({"file": name, "sha256": hashlib.sha256(data).hexdigest(),
                      "seconds": round(time.perf_counter() - t0, 6), **extra})
 
 
@@ -194,13 +204,25 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
         config, budget = build_config(scenario["resonator"])
         report["derived"] = derived_quantities(config, budget)
 
-    state = None
     if mode == "below_threshold" and outputs:
         flat = ss.solve_flat_state(units.modal_params(config, budget))
+    if {"quadrature_spectrum", "stability"} & set(outputs):
+        t0 = time.perf_counter()
+        state = ss.rotate_to_symmetric(
+            _solve_state(scenario, config, budget, seed))
+        report["state"] = {
+            "pattern": state.pattern.value,
+            "roll_order": state.roll_order,
+            "residual_norm": state.residual_norm,
+            "K": state.K,
+            "photon_number": state.photon_number,
+            "seconds": round(time.perf_counter() - t0, 6),
+        }
     for product in outputs:
         t0 = time.perf_counter()
         if product == "spectrum":
             for l in scenario.get("modes", [1]):
+                t0 = time.perf_counter()
                 series = spontaneous.spontaneous_spectrum(l, flat)
                 shape = spontaneous.classify_lineshape(l, flat)
                 _write(outdir, f"spectrum_l{l}.csv",
@@ -221,6 +243,13 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
             _write(outdir, "flux_table.csv",
                    spontaneous.flux_table_csv(ls, flat), products, t0,
                    product=product)
+        elif product == "total_power":
+            closed, discrete = spontaneous.total_spontaneous_power(
+                config.pump_power, config, budget)
+            _write(outdir, "total_power.csv",
+                   "closed_form_watts,discrete_sum_watts\n"
+                   f"{closed:.12e},{discrete:.12e}\n", products, t0,
+                   product=product)
         elif product == "number_difference":
             grid = squeezing.default_omega_grid()
             series = squeezing.photon_number_difference_spectrum(
@@ -228,38 +257,30 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
             _write(outdir, "number_difference.csv",
                    spontaneous.spectrum_csv(series), products, t0,
                    product=product)
-        elif product in ("quadrature_spectrum", "stability"):
-            if state is None:
-                state = _solve_state(scenario, config, budget, seed)
-                state = ss.rotate_to_symmetric(state)
-                report["state"] = {
-                    "pattern": state.pattern.value,
-                    "roll_order": state.roll_order,
-                    "residual_norm": state.residual_norm,
-                    "K": state.K,
-                    "photon_number": state.photon_number,
-                }
-            if product == "stability":
-                jac = linearization.build_modal_jacobian(state)
-                eig = linearization.stability_spectrum(jac.J_a)
-                lines = ["re_over_kappa,im_over_kappa"]
-                kappa = state.params.kappa
-                lines += [f"{e.real / kappa:.12e},{e.imag / kappa:.12e}"
-                          for e in eig]
-                _write(outdir, "stability.csv", "\n".join(lines) + "\n",
-                       products, t0, product=product,
-                       stable=linearization.is_stable(jac.J_a, kappa))
-            else:
-                angle = scenario.get("angle", {})
-                for l in scenario.get("pairs", [1]):
-                    opt = squeezing.optimize_quadrature_angle(
-                        state, l,
-                        half_width=angle.get("half_width", np.pi / 4),
-                        objective=angle.get("objective", "band_integral"))
-                    _write(outdir, f"quadrature_l{l}.csv",
-                           squeezing.spectrum_csv(opt.spectrum), products,
-                           t0, product=product,
-                           **squeezing.optimum_report(opt))
+        elif product == "stability":
+            jac = linearization.build_modal_jacobian(state)
+            eig = linearization.stability_spectrum(jac.J_a)
+            lines = ["re_over_kappa,im_over_kappa"]
+            kappa = state.params.kappa
+            lines += [f"{e.real / kappa:.12e},{e.imag / kappa:.12e}"
+                      for e in eig]
+            _write(outdir, "stability.csv", "\n".join(lines) + "\n",
+                   products, t0, product=product,
+                   stable=linearization.is_stable(jac.J_a, kappa))
+        elif product == "quadrature_spectrum":
+            angle = scenario.get("angle", {})
+            default = ([state.roll_order]
+                       if state.pattern is ss.PatternKind.ROLL else [1])
+            for l in scenario.get("pairs", default):
+                t0 = time.perf_counter()
+                opt = squeezing.optimize_quadrature_angle(
+                    state, l,
+                    half_width=angle.get("half_width", np.pi / 4),
+                    objective=angle.get("objective", "band_integral"))
+                _write(outdir, f"quadrature_l{l}.csv",
+                       squeezing.spectrum_csv(opt.spectrum), products,
+                       t0, product=product,
+                       **squeezing.optimum_report(opt))
         elif product == "audit":
             K = scenario.get("audit_K", 3)
             mset = hamiltonian_audit.enumerate_monomials(K)
@@ -317,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("scenario")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="advisory worker count (recorded, compute is "
-                            "deterministic either way)")
 
     p_val = sub.add_parser("validate", help="parse and check a scenario file")
     p_val.add_argument("scenario")

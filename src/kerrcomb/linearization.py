@@ -15,7 +15,7 @@ sidemode pairs, each pair pre-rotated into its natural phase frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,16 +36,14 @@ class BlockJacobian:
     """Linear fluctuation flow around a stationary state.
 
     R, S and J_a always refer to the modal (annihilation-operator) flow.
-    U_plus/U_minus/J_q are filled by the quadrature builder only; pair row
-    i of J_q (0-based) corresponds to mode pair l = i + 1.
+    J_q and pair_rotation are filled by the quadrature builder only; pair
+    row i of J_q (0-based) corresponds to mode pair l = i + 1.
     """
 
     K: int
     R: np.ndarray
     S: np.ndarray
     J_a: np.ndarray
-    U_plus: np.ndarray | None = None
-    U_minus: np.ndarray | None = None
     J_q: np.ndarray | None = None
     pair_rotation: np.ndarray | None = None   # Phi_l applied per pair, l=1..K
 
@@ -120,7 +118,7 @@ def build_quadrature_jacobian(state: CombState) -> BlockJacobian:
     so a downstream quadrature angle phi is measured from the pair's
     natural frame.
     """
-    _gate(state)
+    modal = build_modal_jacobian(state)
     a = state.amplitudes
     K = state.K
     asym = float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
@@ -128,7 +126,7 @@ def build_quadrature_jacobian(state: CombState) -> BlockJacobian:
         raise ValueError(
             f"pair quadratures need a reflection-symmetric state; "
             f"asymmetry {asym:.2e} (use rotate_to_symmetric first)")
-    R, S = _modal.build_RS(a, state.params)
+    R, S = modal.R, modal.S
     # rows/cols of R, S are indexed by mode number l - K
     lp = np.arange(1, K + 1)
     A = R[np.ix_(K + lp, K + lp)] - R[np.ix_(K + lp, K - lp)]
@@ -141,9 +139,7 @@ def build_quadrature_jacobian(state: CombState) -> BlockJacobian:
     U_minus = A - B.conj()
     J_q = np.block([[U_plus.real, -U_plus.imag],
                     [U_minus.imag, U_minus.real]])
-    J_a = np.block([[R, S], [S.conj(), R.conj()]])
-    return BlockJacobian(K=K, R=R, S=S, J_a=J_a, U_plus=U_plus,
-                         U_minus=U_minus, J_q=J_q, pair_rotation=phis)
+    return replace(modal, J_q=J_q, pair_rotation=phis)
 
 
 def three_mode_rates(state: CombState,
@@ -175,16 +171,3 @@ def three_mode_rates(state: CombState,
     kappa_p = g0 * (I[K + L] + I[K] * math.cos(delta))
     return float(kappa_a), float(kappa_p)
 
-
-def matrix_csv(M: np.ndarray, name: str) -> str:
-    """Row-major dump with interleaved Re/Im columns for external checks."""
-    M = np.atleast_2d(M)
-    header = f"# {name}: {M.shape[0]}x{M.shape[1]}, columns re_0,im_0,re_1,im_1,..."
-    lines = [header]
-    for row in M:
-        cells = []
-        for v in row:
-            cells.append(f"{v.real:.12e}")
-            cells.append(f"{complex(v).imag:.12e}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

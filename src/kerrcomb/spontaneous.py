@@ -338,11 +338,9 @@ def pair_statistics(r: float, n_max: int) -> tuple[np.ndarray, float]:
 
 def spectrum_csv(series: SpectrumSeries) -> str:
     lines = [f"{series.x_label},S"]
+    # a complex value formats as "<re>+<im>j", each part to 12 digits
     for x, v in zip(series.x, series.values):
-        if np.iscomplexobj(series.values):
-            lines.append(f"{x:.12e},{v.real:.12e}{v.imag:+.12e}j")
-        else:
-            lines.append(f"{x:.12e},{v:.12e}")
+        lines.append(f"{x:.12e},{v:.12e}")
     return "\n".join(lines) + "\n"
 
 

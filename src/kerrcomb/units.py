@@ -161,12 +161,6 @@ def Q_from_kappa(kappa: float, omega_L: float) -> float:
     return omega_L / (2.0 * kappa)
 
 
-def effective_area_estimate(pump_wavelength: float, n_g: float, radius: float) -> float:
-    """Spherical-WGM effective area (m^2); an upper-bound estimate, advisory
-    only and never used in spectra."""
-    return (pump_wavelength / n_g) ** (7.0 / 6.0) * radius ** (5.0 / 6.0)
-
-
 # operations ------------------------------------------------------------
 
 def derive_loss_budget(config: ResonatorConfig) -> LossBudget:

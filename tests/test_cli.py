@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from kerrcomb import cli
+from kerrcomb import steady_state as ss
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 
 RESONATOR = {
     "pump_wavelength": 1550e-9,
@@ -100,6 +106,30 @@ class TestValidate:
         assert report["errors"]
         assert "finesse" in report["errors"][0]["message"]
 
+    def test_audit_sweep_rejected(self, tmp_path, capsys):
+        raw = {"schema": 1, "mode": "hamiltonian_audit", "outputs": ["audit"],
+               "sweep": {"path": "audit_K", "values": [1, 2]}}
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        assert "'sweep'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rel, abs_", [
+        ("pump_power_over_threshold", "pump_power"),
+        ("detuning_over_kappa", "detuning")])
+    def test_relative_and_absolute_key_conflict(self, tmp_path, rel, abs_):
+        raw = below_scenario(outputs=["flux_table"], l_max=2)
+        raw["resonator"].pop(abs_)
+        raw["resonator"][rel] = 0.5
+        raw["sweep"] = {"path": abs_, "values": [1e-6, 2e-6]}
+        path = write_scenario(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        for sub in report["sub_runs"]:
+            assert sub["errors"][0]["type"] == "ScenarioError"
+            assert rel in sub["errors"][0]["message"]
+            assert abs_ in sub["errors"][0]["message"]
+
 
 class TestBelowThresholdRun:
     def test_products_and_report(self, tmp_path):
@@ -111,8 +141,8 @@ class TestBelowThresholdRun:
         assert files == {"spectrum_l1.csv", "spectrum_l25.csv",
                          "envelope.csv", "flux_table.csv"}
         for p in report["products"]:
-            assert (out / p["file"]).exists()
-            assert len(p["sha256"]) == 64
+            data = (out / p["file"]).read_bytes()
+            assert p["sha256"] == hashlib.sha256(data).hexdigest()
             assert p["seconds"] >= 0.0
         assert report["derived"]["rho"] == pytest.approx(0.8, rel=1e-12)
         assert report["errors"] == []
@@ -177,6 +207,27 @@ class TestAboveThresholdRun:
                     if p["product"] == "quadrature_spectrum")
         assert "delta_Phi" in quad and "flags" in quad
 
+    def test_pairs_default_to_pair_one(self, tmp_path):
+        raw = flat_above_scenario(outputs=["quadrature_spectrum"])
+        del raw["pairs"]
+        out = tmp_path / "out"
+        assert cli.run_scenario(raw, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [p["file"] for p in report["products"]] == ["quadrature_l1.csv"]
+
+    def test_pairs_default_to_roll_order(self, tmp_path, monkeypatch):
+        # the flat state relabelled as an order-2 roll: stationary and
+        # symmetric, so the pair pipeline runs at flat-state cost
+        solve = cli._solve_state
+        monkeypatch.setattr(cli, "_solve_state", lambda *a: dataclasses.replace(
+            solve(*a), pattern=ss.PatternKind.ROLL, roll_order=2))
+        raw = flat_above_scenario(outputs=["quadrature_spectrum"])
+        del raw["pairs"]
+        out = tmp_path / "out"
+        assert cli.run_scenario(raw, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [p["file"] for p in report["products"]] == ["quadrature_l2.csv"]
+
     def test_sweep_aggregates_sub_runs(self, tmp_path):
         raw = flat_above_scenario(outputs=["stability"])
         raw["sweep"] = {"path": "pump_power", "values": [1e-6, 2e-6]}
@@ -202,6 +253,32 @@ class TestAuditRun:
         assert rec["ordered_count"] == 85
         assert rec["expected"] == 85
         assert (out / "audit_monomials.txt").exists()
+
+
+class TestShippedScenarios:
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_loads(self, path):
+        cli.load_scenario(path)
+
+    @pytest.mark.parametrize("name", ["below_threshold_caf2",
+                                      "pump_power_sweep", "hamiltonian_audit"])
+    def test_runs_clean(self, tmp_path, name):
+        scenario = cli.load_scenario(SCENARIOS / f"{name}.json")
+        assert cli.run_scenario(scenario, tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        for run in report.get("sub_runs", [report]):
+            assert run["errors"] == []
+
+    def test_total_power_closed_form_matches_sum(self, tmp_path):
+        scenario = cli.load_scenario(SCENARIOS / "below_threshold_caf2.json")
+        assert "total_power" in scenario["outputs"]
+        scenario["outputs"] = ["total_power"]
+        assert cli.run_scenario(scenario, tmp_path) == 0
+        header, row = (tmp_path / "total_power.csv").read_text().splitlines()
+        assert header == "closed_form_watts,discrete_sum_watts"
+        closed, discrete = map(float, row.split(","))
+        assert closed == pytest.approx(discrete, rel=2e-3)
 
 
 class TestReportCommand:

@@ -238,13 +238,3 @@ class TestStability:
         blk = lin.build_modal_jacobian(state)
         assert not lin.is_stable(blk.J_a, branches.params.kappa)
 
-
-class TestMatrixCsv:
-    def test_roundtrip_digits(self):
-        M = np.array([[1.0 + 2.0j, -3.123456789012345e-7]])
-        text = lin.matrix_csv(M, "demo")
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("# demo: 1x2")
-        vals = [float(v) for v in lines[1].split(",")]
-        assert vals == pytest.approx([1.0, 2.0, -3.123456789012345e-7, 0.0],
-                                     rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,14 @@ class TestCsv:
         assert lines[0] == "omega/kappa,S"
         mantissa = lines[1].split(",")[1].split("e")[0]
         assert len(mantissa.replace("-", "").replace(".", "")) >= 12
+        # complex series: "<re>+<im>j", both parts to 12 digits
+        c = sp.pair_correlation(1, flat_ls, np.array([-1.0, 0.0, 2.0]))
+        rows = sp.spectrum_csv(c).strip().split("\n")[1:]
+        part = r"-?\d\.\d{12}e[+-]\d{2}"
+        for row, want in zip(rows, c.values):
+            cell = row.split(",")[1]
+            assert re.fullmatch(rf"{part}[+-]{part[2:]}j", cell), cell
+            assert complex(cell) == pytest.approx(want, rel=1e-11)
 
     def test_flux_table(self, flat_ls):
         text = sp.flux_table_csv(np.arange(-3, 4), flat_ls)
