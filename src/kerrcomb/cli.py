@@ -10,7 +10,8 @@ Scenario schema (version 1), JSON with the following top-level keys:
                 as "pump_power" (W) or "pump_power_over_threshold" (one
                 of each pair, never both)
     state       (above threshold) {"kind": "roll" | "bright_soliton" |
-                "dark_soliton", "K": int?, "horizon": float?, "step": float?}
+                "dark_soliton" | "flat", "K", "horizon", "step",
+                "target_order"}; unset keys take find_steady_state's defaults
     outputs     list of products: spectrum, envelope, flux_table,
                 total_power (below threshold); quadrature_spectrum,
                 number_difference, stability (above threshold); audit
@@ -53,6 +54,9 @@ PRODUCTS_BY_MODE = {
                         "stability"},
     "hamiltonian_audit": {"audit"},
 }
+STATE_KEYS = {"kind", "K", "horizon", "step", "target_order"}
+RESONATOR_REQUIRED = ("pump_wavelength", "main_radius", "group_index",
+                      "intrinsic_Q", "through_Q")
 
 
 class ScenarioError(ValueError):
@@ -92,6 +96,10 @@ def validate_scenario(raw: dict) -> None:
                 f"{mode!r} (allowed: {sorted(allowed)})")
     if mode != "hamiltonian_audit" and "resonator" not in raw:
         raise ScenarioError("field 'resonator': required for this mode")
+    state = raw.get("state", {})
+    if not isinstance(state, dict) or set(state) - STATE_KEYS:
+        raise ScenarioError(f"field 'state': expected an object with keys "
+                            f"among {sorted(STATE_KEYS)}, got {state!r}")
     sweep = raw.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict) or "path" not in sweep or "values" not in sweep:
@@ -109,16 +117,15 @@ def build_config(res: dict) -> tuple[units.ResonatorConfig, units.LossBudget]:
         if rel in res and abs_ in res:
             raise ScenarioError(f"field 'resonator': give either {rel!r} or "
                                 f"{abs_!r}, not both")
-    topology = units.Topology(res.pop("topology", "add-through"))
+    missing = [key for key in RESONATOR_REQUIRED if key not in res]
+    if missing:
+        raise ScenarioError(f"field 'resonator': missing required keys "
+                            f"{missing}")
     sigma_rel = res.pop("detuning_over_kappa", None)
     p_rel = res.pop("pump_power_over_threshold", None)
-    base = dict(
-        pump_wavelength=res.pop("pump_wavelength"),
-        main_radius=res.pop("main_radius"),
-        group_index=res.pop("group_index"),
-        intrinsic_Q=res.pop("intrinsic_Q"),
-        through_Q=res.pop("through_Q"),
-        topology=topology,
+    base = {key: res.pop(key) for key in RESONATOR_REQUIRED}
+    base.update(
+        topology=units.Topology(res.pop("topology", "add-through")),
         drop_Q=res.pop("drop_Q", None),
         gamma=res.pop("gamma", None),
         g0=res.pop("g0", None),
@@ -133,14 +140,14 @@ def build_config(res: dict) -> tuple[units.ResonatorConfig, units.LossBudget]:
         config = units.ResonatorConfig(**base)
     except units.ConfigurationError as exc:
         raise ScenarioError(f"field 'resonator': {exc}") from exc
+    # the loss budget depends on neither pump power nor detuning
     budget = units.derive_loss_budget(config)
     if sigma_rel is not None:
         base["detuning"] = sigma_rel * budget.kappa
     if p_rel is not None:
         base["pump_power"] = p_rel * units.threshold_pump_power(
             budget, config.nonlinear_gain(), config.omega_L, base["detuning"])
-    config = units.ResonatorConfig(**base)
-    return config, units.derive_loss_budget(config)
+    return units.ResonatorConfig(**base), budget
 
 
 def _write(outdir: Path, name: str, text: str, products: list,
@@ -179,14 +186,8 @@ def derived_quantities(config: units.ResonatorConfig,
 
 def _solve_state(scenario: dict, config: units.ResonatorConfig,
                  budget: units.LossBudget, seed: int) -> ss.CombState:
-    spec = scenario.get("state", {})
-    params = units.modal_params(config, budget)
-    state = ss.find_steady_state(
-        params, kind=spec.get("kind", "roll"), K=spec.get("K"),
-        seed=seed, horizon=spec.get("horizon", 3000.0),
-        step=spec.get("step", 1e-2),
-        target_order=spec.get("target_order"))
-    return state
+    return ss.find_steady_state(units.modal_params(config, budget),
+                                seed=seed, **scenario.get("state", {}))
 
 
 def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
@@ -206,6 +207,8 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
 
     if mode == "below_threshold" and outputs:
         flat = ss.solve_flat_state(units.modal_params(config, budget))
+        l_max = scenario.get("l_max", 100)
+        ls = np.arange(-l_max, l_max + 1)
     if {"quadrature_spectrum", "stability"} & set(outputs):
         t0 = time.perf_counter()
         state = ss.rotate_to_symmetric(
@@ -231,21 +234,16 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
                        peak_frequencies_over_kappa=[
                            w / flat.params.kappa for w in shape.peak_frequencies])
         elif product == "envelope":
-            l_max = scenario.get("l_max", 100)
-            ls = np.arange(-l_max, l_max + 1)
             _, peaks = spontaneous.spectrum_envelope(ls, flat)
             _write(outdir, "envelope.csv",
                    spontaneous.envelope_csv(ls, flat), products, t0,
                    product=product, peak_modes=list(peaks))
         elif product == "flux_table":
-            l_max = scenario.get("l_max", 100)
-            ls = np.arange(-l_max, l_max + 1)
             _write(outdir, "flux_table.csv",
                    spontaneous.flux_table_csv(ls, flat), products, t0,
                    product=product)
         elif product == "total_power":
-            closed, discrete = spontaneous.total_spontaneous_power(
-                config.pump_power, config, budget)
+            closed, discrete = spontaneous.total_spontaneous_power(config)
             _write(outdir, "total_power.csv",
                    "closed_form_watts,discrete_sum_watts\n"
                    f"{closed:.12e},{discrete:.12e}\n", products, t0,
@@ -258,15 +256,14 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
                    spontaneous.spectrum_csv(series), products, t0,
                    product=product)
         elif product == "stability":
-            jac = linearization.build_modal_jacobian(state)
-            eig = linearization.stability_spectrum(jac.J_a)
-            lines = ["re_over_kappa,im_over_kappa"]
+            eig = linearization.stability_spectrum(
+                linearization.build_modal_jacobian(state).J_a)
             kappa = state.params.kappa
-            lines += [f"{e.real / kappa:.12e},{e.imag / kappa:.12e}"
-                      for e in eig]
+            lines = ["re_over_kappa,im_over_kappa"] + [
+                f"{e.real / kappa:.12e},{e.imag / kappa:.12e}" for e in eig]
             _write(outdir, "stability.csv", "\n".join(lines) + "\n",
                    products, t0, product=product,
-                   stable=linearization.is_stable(jac.J_a, kappa))
+                   stable=linearization.is_stable(eig, kappa))
         elif product == "quadrature_spectrum":
             angle = scenario.get("angle", {})
             default = ([state.roll_order]
@@ -346,14 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("run_dir")
 
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        try:
-            load_scenario(args.scenario)
-        except ScenarioError as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return 1
-        print("ok")
-        return 0
     if args.command == "report":
         path = Path(args.run_dir) / "report.json"
         if not path.exists():
@@ -367,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1
+    if args.command == "validate":
+        print("ok")
+        return 0
     outdir = Path(args.out) if args.out else Path(
         scenario.get("name", "run") + "_out")
     return run_scenario(scenario, outdir, args.seed)

@@ -11,20 +11,20 @@ difference n_{+l} - n_{-l}.
 Counting convention: the closed-form totals count *ordered* quadruples
 (the pair-sum histogram identity sum_s c_s^2 with c_s = (2K+1) - |s|);
 operator terms are stored canonically as sorted index multisets with the
-ordered multiplicity kept as an exact rational coefficient.  This is the
-unique convention reproducing the K = 1 total of 19.
+ordered multiplicity kept as an integer count.  This is the unique
+convention reproducing the K = 1 total of 19.
 
-Everything here is exact integer/rational arithmetic — no floating point
-and no computer-algebra dependency, since only normally-ordered bosonic
-products of fixed degree arise.
+Everything here is exact integer arithmetic — no floating point and no
+computer-algebra dependency, since only normally-ordered bosonic products
+of fixed degree arise and every coefficient is a count.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 #: Hard cap for symbolic work; counts grow cubically in K.
 K_MAX = 6
@@ -41,13 +41,13 @@ class Monomial:
     """Normal-ordered quartic term a+_{n} a+_{q} a_{m} a_{p} (canonical).
 
     `creators` and `annihilators` are sorted index tuples; `coefficient`
-    is the exact ordered-quadruple multiplicity (in units of the common
+    is the ordered-quadruple multiplicity (in units of the common
     prefactor -hbar g0 / 2, which is irrelevant to every audit here).
     """
 
     creators: tuple[int, int]
     annihilators: tuple[int, int]
-    coefficient: Fraction
+    coefficient: int
 
     @property
     def tag(self) -> Tag:
@@ -74,12 +74,12 @@ class MonomialSet:
     @property
     def ordered_count(self) -> int:
         """Total ordered-quadruple count (the paper-formula quantity)."""
-        return int(sum(m.coefficient for m in self.monomials))
+        return sum(m.coefficient for m in self.monomials)
 
     def counts_by_tag(self) -> dict[Tag, int]:
         out = {tag: 0 for tag in Tag}
         for m in self.monomials:
-            out[m.tag] += int(m.coefficient)
+            out[m.tag] += m.coefficient
         return out
 
     def dump(self) -> str:
@@ -104,18 +104,22 @@ def _check_K(K: int) -> None:
         raise ValueError(f"K must be in 0..{K_MAX} for symbolic work")
 
 
-def enumerate_monomials(K: int) -> MonomialSet:
-    """All momentum-conserving quartic couplings on modes -K..K."""
-    _check_K(K)
-    acc: dict[tuple[tuple[int, int], tuple[int, int]], Fraction] = {}
+def _quadruples(K: int) -> Iterator[tuple[int, int, int, int]]:
+    """Ordered index quadruples (n, q, m, p) on -K..K with n + q = m + p."""
     span = range(-K, K + 1)
     for n in span:
         for q in span:
             for m in span:
                 p = n + q - m
                 if -K <= p <= K:
-                    key = (tuple(sorted((n, q))), tuple(sorted((m, p))))
-                    acc[key] = acc.get(key, Fraction(0)) + 1
+                    yield n, q, m, p
+
+
+def enumerate_monomials(K: int) -> MonomialSet:
+    """All momentum-conserving quartic couplings on modes -K..K."""
+    _check_K(K)
+    acc = Counter((tuple(sorted((n, q))), tuple(sorted((m, p))))
+                  for n, q, m, p in _quadruples(K))
     monos = tuple(Monomial(c, a, coeff)
                   for (c, a), coeff in sorted(acc.items()))
     return MonomialSet(K, monos)
@@ -126,18 +130,8 @@ def enumerate_monomials(K: int) -> MonomialSet:
 # ---------------------------------------------------------------------------
 
 # A generic normal-ordered term: (creator index tuple, annihilator index
-# tuple), both sorted, mapping to an exact coefficient.
-TermDict = dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]
-
-
-def _add(terms: TermDict, creators: tuple[int, ...],
-         annihilators: tuple[int, ...], coeff: Fraction) -> None:
-    key = (tuple(sorted(creators)), tuple(sorted(annihilators)))
-    total = terms.get(key, Fraction(0)) + coeff
-    if total:
-        terms[key] = total
-    else:
-        terms.pop(key, None)
+# tuple), both sorted, mapping to an integer coefficient.
+TermDict = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
 
 
 def annihilator_commutator(l: int, K: int) -> TermDict:
@@ -147,21 +141,12 @@ def annihilator_commutator(l: int, K: int) -> TermDict:
     Result terms keep the annihilator pair ordered — the convention under
     which the distinct-term count obeys the closed form.
     """
-    out: TermDict = {}
-    span = range(-K, K + 1)
-    one = Fraction(1)
-    for n in span:
-        for q in span:
-            for m in span:
-                p = n + q - m
-                if not -K <= p <= K:
-                    continue
-                if l == n:
-                    key = ((q,), (m, p))
-                    out[key] = out.get(key, Fraction(0)) + one
-                if l == q:
-                    key = ((n,), (m, p))
-                    out[key] = out.get(key, Fraction(0)) + one
+    out: TermDict = Counter()
+    for n, q, m, p in _quadruples(K):
+        if l == n:
+            out[((q,), (m, p))] += 1
+        if l == q:
+            out[((n,), (m, p))] += 1
     return out
 
 
@@ -187,28 +172,21 @@ def number_difference_commutators(K: int, l: int) -> dict[str, bool]:
     commutator with the pair difference is (mu_{+l} - mu_{-l}) M and the
     part vanishes iff that weight is zero for every monomial of the part.
     """
-    _check_K(K)
-    if not 1 <= l <= K:
-        raise ValueError("pair index l must satisfy 1 <= l <= K")
-    mset = enumerate_monomials(K)
-    result = {tag.value: True for tag in Tag}
-    for mono in mset.monomials:
-        weight = (mono.creators.count(l) - mono.annihilators.count(l)
-                  - mono.creators.count(-l) + mono.annihilators.count(-l))
-        if weight != 0:
-            result[mono.tag.value] = False
-    return result
+    return {part: not terms for part, terms
+            in number_difference_commutator_terms(K, l).items()}
 
 
 def number_difference_commutator_terms(K: int, l: int) -> dict[str, TermDict]:
-    """The surviving monomials of [n_delta, H_part], per part (exact)."""
+    """The surviving monomials of [n_delta, H_part], per part (exact):
+    each distinct monomial with weight mu_{+l} - mu_{-l} != 0, scaled by it."""
     _check_K(K)
-    mset = enumerate_monomials(K)
+    if not 1 <= l <= K:
+        raise ValueError("pair index l must satisfy 1 <= l <= K")
     out: dict[str, TermDict] = {tag.value: {} for tag in Tag}
-    for mono in mset.monomials:
+    for mono in enumerate_monomials(K).monomials:
         weight = (mono.creators.count(l) - mono.annihilators.count(l)
                   - mono.creators.count(-l) + mono.annihilators.count(-l))
         if weight:
-            _add(out[mono.tag.value], mono.creators, mono.annihilators,
-                 weight * mono.coefficient)
+            out[mono.tag.value][mono.creators, mono.annihilators] = (
+                weight * mono.coefficient)
     return out

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _modal
-from .steady_state import CombState, PatternKind
+from .steady_state import (SYMMETRY_TOL, CombState, PatternKind,
+                           reflection_asymmetry)
 
 #: Residual gate: states with larger dimensionless residual are refused.
 RESIDUAL_GATE = 1e-8
@@ -76,8 +77,9 @@ def stability_spectrum(J_a: np.ndarray) -> np.ndarray:
     return eig[np.argsort(-eig.real)]
 
 
-def is_stable(J_a: np.ndarray, kappa: float) -> bool:
-    return float(stability_spectrum(J_a)[0].real) <= STABILITY_TOL * kappa
+def is_stable(eig: np.ndarray, kappa: float) -> bool:
+    """Whether a stability spectrum has max Re(eig) <= STABILITY_TOL kappa."""
+    return float(np.max(eig.real)) <= STABILITY_TOL * kappa
 
 
 def pair_phases(state: CombState) -> list[PairPhase]:
@@ -119,10 +121,9 @@ def build_quadrature_jacobian(state: CombState) -> BlockJacobian:
     natural frame.
     """
     modal = build_modal_jacobian(state)
-    a = state.amplitudes
     K = state.K
-    asym = float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
-    if asym > 1e-6:
+    asym = reflection_asymmetry(state.amplitudes)
+    if asym > SYMMETRY_TOL:
         raise ValueError(
             f"pair quadratures need a reflection-symmetric state; "
             f"asymmetry {asym:.2e} (use rotate_to_symmetric first)")

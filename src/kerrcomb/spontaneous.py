@@ -24,7 +24,7 @@ from scipy.constants import hbar
 from scipy.integrate import quad
 
 from .steady_state import FlatStateBranches
-from .units import LossBudget, ResonatorConfig
+from .units import ResonatorConfig, derive_loss_budget
 
 #: Default spectral window (units of kappa) and sampling.
 OMEGA_WINDOW = 20.0
@@ -47,14 +47,6 @@ class LineShapeKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SidebandShift:
-    """Effective frequency offset xi_l = sigma - zeta2 l^2/2 + 2 g0 |A0|^2."""
-
-    l: int
-    xi_l: float
-
-
-@dataclass(frozen=True)
 class LineShape:
     kind: LineShapeKind
     peak_frequencies: tuple[float, ...]      # rad/s, {0} or {-w_m, +w_m}
@@ -70,33 +62,20 @@ class SpectrumSeries:
     x_label: str = "omega/kappa"
 
 
-def _pump_amplitude(flat: FlatStateBranches, branch: str = "lower") -> complex:
+def _shifts(l: int, flat: FlatStateBranches,
+            branch: str) -> tuple[complex, float, float]:
+    """(A0, g = g0 |A0|^2, xi_l = sigma - zeta2 l^2/2 + 2g) of sidemode l."""
     if branch not in ("lower", "middle", "upper"):
         raise ValueError(f"unknown flat branch {branch!r}")
-    return getattr(flat, branch)
+    p = flat.params
+    A0 = getattr(flat, branch)
+    g = p.g0 * abs(A0) ** 2
+    return A0, g, p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
 
 
 def kerr_shift(flat: FlatStateBranches, branch: str = "lower") -> float:
     """Cross-phase gain g = g0 |A0|^2 (rad/s)."""
-    A0 = _pump_amplitude(flat, branch)
-    return flat.params.g0 * abs(A0) ** 2
-
-
-def sideband_shift(l: int, flat: FlatStateBranches, branch: str = "lower") -> SidebandShift:
-    p = flat.params
-    xi = p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * kerr_shift(flat, branch)
-    return SidebandShift(l=l, xi_l=xi)
-
-
-def _check_below_threshold(flat: FlatStateBranches, l: int, branch: str) -> None:
-    p = flat.params
-    g = kerr_shift(flat, branch)
-    xi = sideband_shift(l, flat, branch).xi_l
-    margin = p.kappa**2 - g**2 + xi**2
-    if g >= p.kappa and margin <= 1e-12 * p.kappa**2:
-        raise NearThresholdError(
-            f"mode l={l}: g = g0|A0|^2 reaches kappa with xi_l = 0; the "
-            "linearized spectrum diverges at threshold")
+    return _shifts(0, flat, branch)[1]
 
 
 def default_omega_grid(l: int, flat: FlatStateBranches,
@@ -118,12 +97,14 @@ def spontaneous_spectrum(l: int, flat: FlatStateBranches,
     S_l(omega) = 4 rho kappa^2 g^2 /
                  ([kappa^2 - g^2 + xi_l^2 - omega^2]^2 + 4 kappa^2 omega^2)
     """
-    _check_below_threshold(flat, l, branch)
     p = flat.params
+    _, g, xi = _shifts(l, flat, branch)
+    if g >= p.kappa and p.kappa**2 - g**2 + xi**2 <= 1e-12 * p.kappa**2:
+        raise NearThresholdError(
+            f"mode l={l}: g = g0|A0|^2 reaches kappa with xi_l = 0; the "
+            "linearized spectrum diverges at threshold")
     if omega_grid is None:
         omega_grid = default_omega_grid(l, flat, branch)
-    g = kerr_shift(flat, branch)
-    xi = sideband_shift(l, flat, branch).xi_l
     w = omega_grid * p.kappa
     denom = (p.kappa**2 - g**2 + xi**2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
     values = 4.0 * p.rho * p.kappa**2 * g**2 / denom
@@ -139,8 +120,7 @@ def classify_lineshape(l: int, flat: FlatStateBranches,
     omega_m = +/- sqrt(xi_l^2 - kappa^2 - g^2).
     """
     p = flat.params
-    g = kerr_shift(flat, branch)
-    xi = sideband_shift(l, flat, branch).xi_l
+    _, g, xi = _shifts(l, flat, branch)
     excess = xi**2 - p.kappa**2 - g**2
     if excess <= 0.0:
         peak = 4.0 * p.rho * p.kappa**2 * g**2 / (p.kappa**2 - g**2 + xi**2) ** 2
@@ -160,9 +140,8 @@ def spectrum_envelope(l_range: np.ndarray, flat: FlatStateBranches,
     l_range = np.asarray(l_range, dtype=int)
     values = np.array([classify_lineshape(int(l), flat, branch).peak_value
                        for l in l_range])
-    p = flat.params
-    g = kerr_shift(flat, branch)
-    radicand = 2.0 * (p.sigma + 2.0 * g) / p.zeta2
+    # xi_0 = sigma + 2g
+    radicand = 2.0 * _shifts(0, flat, branch)[2] / flat.params.zeta2
     if radicand > 0.0:
         l_peak = math.sqrt(radicand)
         peaks = (-int(round(l_peak)), int(round(l_peak)))
@@ -182,8 +161,7 @@ def sidemode_flux(l: int, flat: FlatStateBranches,
     but unphysical divergence of both closed forms.
     """
     p = flat.params
-    g = kerr_shift(flat, branch)
-    xi = sideband_shift(l, flat, branch).xi_l
+    _, g, xi = _shifts(l, flat, branch)
     margin = p.kappa**2 + xi**2 - g**2
     if abs(margin) <= boundary_rtol * p.kappa**2:
         raise RegimeBoundaryError(
@@ -202,16 +180,18 @@ def sidemode_flux(l: int, flat: FlatStateBranches,
     return R, hbar * p.omega_L * R, regime
 
 
-def very_weak_flux(l: int, pump_power: float, config: ResonatorConfig,
-                   budget: LossBudget, sigma: float | None = None) -> tuple[float, float]:
+def very_weak_flux(l: int | np.ndarray,
+                   config: ResonatorConfig) -> tuple[float | np.ndarray, float]:
     """Sidemode photon flux in the very-weak-pumping limit, with R_max.
 
     R(l) = R_max / ([1 + (sigma/kappa)^2]^2 [1 + (sigma - zeta2 l^2/2)^2/kappa^2]),
-    R_max = 4 rho g0^2 kappa_t^2 / kappa^5 * (P / hbar omega_L)^2.
+    R_max = 4 rho g0^2 kappa_t^2 / kappa^5 * (P / hbar omega_L)^2,
+    at the config's pump power P and detuning sigma; `l` may be an array.
     """
     g0 = config.nonlinear_gain()
     zeta2 = config.dispersion_zeta2()
-    s = config.detuning if sigma is None else sigma
+    budget = derive_loss_budget(config)
+    pump_power, s = config.pump_power, config.detuning
     kappa, kappa_t, rho = budget.kappa, budget.kappa_t, budget.rho
     flux_sq = (pump_power / (hbar * config.omega_L)) ** 2
     n_flat = 2.0 * kappa_t * pump_power / (hbar * config.omega_L * (kappa**2 + s**2))
@@ -225,13 +205,11 @@ def very_weak_flux(l: int, pump_power: float, config: ResonatorConfig,
     return R_max / (bracket0**2 * bracket_l), R_max
 
 
-def total_spontaneous_power(pump_power: float, config: ResonatorConfig,
-                            budget: LossBudget, sigma: float | None = None,
-                            l_max: int | None = None) -> tuple[float, float]:
+def total_spontaneous_power(config: ResonatorConfig) -> tuple[float, float]:
     """Total spontaneously emitted power (W) in the very-weak regime.
 
     Returns the closed-form continuous approximation and, for validation,
-    the discrete sum of hbar*omega_L*R(l) over |l| <= l_max.
+    the discrete sum of hbar*omega_L*R(l) far past the envelope's peak.
 
     P_total = hbar omega_L R_max pi sqrt(kappa/|zeta2|)
               * [1 + (sigma/kappa)^2]^(-9/4)
@@ -248,22 +226,18 @@ def total_spontaneous_power(pump_power: float, config: ResonatorConfig,
         raise ZeroDivisionError(
             "zeta2 = 0 gives an unphysical divergence of the total "
             "spontaneous power (every mode would emit equally)")
-    s = config.detuning if sigma is None else sigma
-    kappa = budget.kappa
-    _, R_max = very_weak_flux(0, pump_power, config, budget, sigma=s)
+    s = config.detuning
+    kappa = derive_loss_budget(config).kappa
+    # cover the envelope far past its peak scale sqrt(2|s|+..)/zeta2
+    l_scale = math.sqrt(max(2.0 * abs(s), kappa) / abs(zeta2))
+    l_max = max(10 * int(math.ceil(l_scale)), 200)
+    fluxes, R_max = very_weak_flux(np.arange(-l_max, l_max + 1), config)
     a = float(np.sign(zeta2)) * s / kappa
     one_plus = 1.0 + a**2
     closed = (hbar * config.omega_L * R_max * math.pi
               * math.sqrt(kappa / abs(zeta2))
               * one_plus ** (-2.25)
               * math.sqrt(1.0 + a / math.sqrt(one_plus)))
-    if l_max is None:
-        # cover the envelope far past its peak scale sqrt(2|s|+..)/zeta2
-        l_scale = math.sqrt(max(2.0 * abs(s), kappa) / abs(zeta2))
-        l_max = max(10 * int(math.ceil(l_scale)), 200)
-    ls = np.arange(-l_max, l_max + 1)
-    fluxes = R_max / ((one_plus**2)
-                      * (1.0 + ((s - 0.5 * zeta2 * ls**2) / kappa) ** 2))
     discrete = float(hbar * config.omega_L * fluxes.sum())
     return closed, discrete
 
@@ -275,19 +249,16 @@ def flux_parseval_oracle(l: int, flat: FlatStateBranches,
     Independent check of the weak-regime closed-form flux.
     """
     p = flat.params
-    g = kerr_shift(flat, branch)
-    xi = sideband_shift(l, flat, branch).xi_l
+    _, g, xi = _shifts(l, flat, branch)
 
     def integrand(w: float) -> float:
         denom = (p.kappa**2 - g**2 + xi**2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
         return 4.0 * p.rho * p.kappa**2 * g**2 / denom
 
-    points = []
-    if xi**2 > p.kappa**2 + g**2:
-        w_m = math.sqrt(xi**2 - p.kappa**2 - g**2)
-        points = [-w_m, w_m]
+    # the lineshape maxima (0 or +/- omega_m) are the breakpoints
     total, _ = quad(integrand, -200.0 * p.kappa, 200.0 * p.kappa,
-                    points=points or None, limit=400)
+                    points=classify_lineshape(l, flat, branch).peak_frequencies,
+                    limit=400)
     return total / (2.0 * math.pi)
 
 
@@ -301,11 +272,9 @@ def pair_correlation(l: int, flat: FlatStateBranches,
     S_l = i g0 A0^2 and D_l = [kappa^2 - g^2 + xi_l^2 - omega^2] - 2 i kappa omega.
     """
     p = flat.params
-    A0 = _pump_amplitude(flat, branch)
+    A0, g, xi = _shifts(l, flat, branch)
     if omega_grid is None:
         omega_grid = default_omega_grid(l, flat, branch)
-    g = kerr_shift(flat, branch)
-    xi = sideband_shift(l, flat, branch).xi_l
     w = omega_grid * p.kappa
     R_l = -(p.kappa - 1j * (p.sigma - 0.5 * p.zeta2 * l**2)) + 2j * g
     S_l = 1j * p.g0 * A0**2
@@ -346,11 +315,10 @@ def spectrum_csv(series: SpectrumSeries) -> str:
 
 def envelope_csv(l_range: np.ndarray, flat: FlatStateBranches,
                  branch: str = "lower") -> str:
-    series, _ = spectrum_envelope(l_range, flat, branch)
     lines = ["l,S_env,kind"]
-    for l, v in zip(series.x, series.values):
-        kind = classify_lineshape(int(l), flat, branch).kind.value
-        lines.append(f"{int(l)},{v:.12e},{kind}")
+    for l in np.asarray(l_range, dtype=int):
+        shape = classify_lineshape(int(l), flat, branch)
+        lines.append(f"{int(l)},{shape.peak_value:.12e},{shape.kind.value}")
     return "\n".join(lines) + "\n"
 
 

@@ -92,18 +92,24 @@ def input_correlation(K: int) -> np.ndarray:
 
 def output_correlation(J_q: np.ndarray, rho: float, kappa: float,
                        omega: float) -> np.ndarray:
-    """Output correlation matrix C_out at angular frequency omega (rad/s)."""
+    """Output correlation matrix C_out at angular frequency omega (rad/s).
+
+    J_q is real, so (J_q - i w I)^-1 is the complex conjugate of
+    (J_q + i w I)^-1 and one inverse serves both resolvents.
+    """
+    if np.iscomplexobj(J_q):
+        raise ValueError("J_q must be real for (J_q - i w I)^-1 = conj G_+")
     n = J_q.shape[0]
     K = n // 2
     eye = np.eye(n)
     C_in = input_correlation(K)
     try:
         G_p = np.linalg.inv(J_q + 1j * omega * eye)
-        G_m = np.linalg.inv(J_q - 1j * omega * eye)
     except np.linalg.LinAlgError as exc:
         raise ResolventError(
             f"J_q -/+ i omega is singular at omega = {omega:g} rad/s "
             "(neutral mode); skip this grid point") from exc
+    G_m = G_p.conj()
     T_p = 2.0 * kappa * rho * G_p + eye
     T_m = 2.0 * kappa * rho * G_m + eye
     return (T_p @ C_in @ T_m.T

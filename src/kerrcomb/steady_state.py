@@ -28,6 +28,8 @@ NEWTON_TOL = 1e-12
 RELAX_TOL = 1e-9
 #: Relative modal intensity below which a mode counts as unexcited.
 PATTERN_FLOOR = 1e-12
+#: Relative reflection asymmetry up to which a field counts as symmetric.
+SYMMETRY_TOL = 1e-6
 
 
 class PatternKind(enum.Enum):
@@ -289,6 +291,11 @@ def classify(amps: np.ndarray, params: ModalParams) -> tuple[PatternKind, int | 
     return PatternKind.UNCLASSIFIED, None
 
 
+def reflection_asymmetry(a: np.ndarray) -> float:
+    """max_l |A_{-l} - A_{+l}| relative to max_l |A_l|."""
+    return float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
+
+
 def rotate_to_symmetric(state: CombState) -> CombState:
     """Rotate the pattern so that A_{-l} = A_{+l} for every mode pair.
 
@@ -309,8 +316,8 @@ def rotate_to_symmetric(state: CombState) -> CombState:
     phi_m = np.angle(a[K - l0])
     theta0 = -(phi_p - phi_m) / (2.0 * l0)
     a = a * np.exp(1j * _modal.mode_numbers(K) * theta0)
-    asym = np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a))
-    if asym > 1e-6:
+    asym = reflection_asymmetry(a)
+    if asym > SYMMETRY_TOL:
         raise ValueError(
             f"state is not symmetrizable by rotation (asymmetry {asym:.2e}); "
             "quadrature analysis needs a reflection-symmetric pattern")
@@ -422,25 +429,23 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
     if K is None:
         K = default_mode_cutoff(params, kind)
     if initial is not None:
-        a0 = initial.astype(complex)
-        K = (len(a0) - 1) // 2
+        a = initial.astype(complex)
+        K = (len(a) - 1) // 2
     elif kind == "flat":
-        branches = solve_flat_state(params)
-        a, res = refine(_flat_vector(branches.lower, K), params)
-        pat, order = classify(a, params)
-        return CombState(a, params, res, pat, order, seed, converged=True)
+        a = _flat_vector(solve_flat_state(params).lower, K)
     elif kind == "roll":
-        a0 = seed_roll(params, K, seed=seed, target_order=target_order)
+        a = seed_roll(params, K, seed=seed, target_order=target_order)
     elif kind == "bright_soliton":
-        a0 = seed_bright_soliton(params, K)
+        a = seed_bright_soliton(params, K)
     elif kind == "dark_soliton":
-        a0 = seed_dark_soliton(params, K)
+        a = seed_dark_soliton(params, K)
     else:
         raise ValueError(f"unknown steady-state kind {kind!r}")
 
-    # relax only far enough to put Newton inside its capture basin; the
-    # slow modes near threshold make full split-step convergence costly
-    a, res = propagate(a0, params, horizon, step=step, stop_residual=1e-7)
+    if initial is not None or kind != "flat":
+        # relax only far enough to put Newton inside its capture basin; the
+        # slow modes near threshold make full split-step convergence costly
+        a, _ = propagate(a, params, horizon, step=step, stop_residual=1e-7)
     a, res = refine(a, params)
     pat, order = classify(a, params)
     return CombState(a, params, res, pat, order, seed, converged=True)

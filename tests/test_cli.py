@@ -106,6 +106,23 @@ class TestValidate:
         assert report["errors"]
         assert "finesse" in report["errors"][0]["message"]
 
+    def test_unknown_state_key_rejected(self, tmp_path, capsys):
+        raw = flat_above_scenario()
+        raw["state"]["horizn"] = 500
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        assert "horizn" in capsys.readouterr().err
+
+    def test_missing_resonator_key_recorded(self, tmp_path):
+        raw = below_scenario()
+        del raw["resonator"]["pump_wavelength"]
+        path = write_scenario(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        (error,) = json.loads((out / "report.json").read_text())["errors"]
+        assert error["type"] == "ScenarioError"
+        assert "pump_wavelength" in error["message"]
+
     def test_audit_sweep_rejected(self, tmp_path, capsys):
         raw = {"schema": 1, "mode": "hamiltonian_audit", "outputs": ["audit"],
                "sweep": {"path": "audit_K", "values": [1, 2]}}

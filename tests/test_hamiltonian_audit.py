@@ -69,6 +69,13 @@ class TestNumberDifference:
         assert (((-2, 0), (-1, -1)) in terms["fwm"]
                 or ((-1, -1), (-2, 0)) in terms["fwm"])
 
+    @pytest.mark.parametrize("K,l", [(2, 0), (2, 3), (2, -1), (3, 4)])
+    def test_pair_index_bounds(self, K, l):
+        with pytest.raises(ValueError):
+            ha.number_difference_commutator_terms(K, l)
+        with pytest.raises(ValueError):
+            ha.number_difference_commutators(K, l)
+
     def test_three_mode_conservation(self):
         assert ha.number_difference_commutators(1, 1)["fwm"] is True
 

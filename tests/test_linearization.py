@@ -226,7 +226,8 @@ class TestStability:
                                          bright_soliton, dark_soliton):
         for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
             blk = lin.build_modal_jacobian(state)
-            assert lin.is_stable(blk.J_a, state.params.kappa)
+            assert lin.is_stable(lin.stability_spectrum(blk.J_a),
+                                 state.params.kappa)
 
     def test_flat_above_threshold_unstable(self):
         # g > kappa with xi band crossing zero: flat state is MI-unstable
@@ -236,5 +237,6 @@ class TestStability:
         state = ss.CombState(a, branches.params,
                              ss.residual(a, branches.params))
         blk = lin.build_modal_jacobian(state)
-        assert not lin.is_stable(blk.J_a, branches.params.kappa)
+        assert not lin.is_stable(lin.stability_spectrum(blk.J_a),
+                                 branches.params.kappa)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -154,39 +155,36 @@ class TestFluxes:
         assert g < 1e-2 * vi_c_budget.kappa
         for l in (0, 5, 15):
             R_weak, _, _ = sp.sidemode_flux(l, flat)
-            R_vw, _ = sp.very_weak_flux(l, 1e-6, cfg, vi_c_budget)
+            R_vw, _ = sp.very_weak_flux(l, cfg)
             assert R_vw == pytest.approx(R_weak, rel=1e-2)
 
-    def test_rmax_magnitude_caf2(self, vi_c_budget):
+    def test_rmax_magnitude_caf2(self):
         cfg = caf2_config(pump_power=5e-6)
-        _, R_max5 = sp.very_weak_flux(0, 5e-6, cfg, vi_c_budget)
+        _, R_max5 = sp.very_weak_flux(0, cfg)
         assert 1.0 < R_max5 < 100.0  # ~10 photons/s at 5 uW
-        _, R_max1 = sp.very_weak_flux(0, 1e-6, caf2_config(pump_power=1e-6),
-                                      vi_c_budget)
+        _, R_max1 = sp.very_weak_flux(0, caf2_config(pump_power=1e-6))
         assert R_max5 == pytest.approx(25.0 * R_max1, rel=1e-12)
 
-    def test_very_weak_resonant_is_rmax(self, vi_c_budget):
+    def test_very_weak_resonant_is_rmax(self):
         cfg = caf2_config(pump_power=1e-6)
-        R, R_max = sp.very_weak_flux(0, 1e-6, cfg, vi_c_budget, sigma=0.0)
+        R, R_max = sp.very_weak_flux(0, cfg)
         assert R == pytest.approx(R_max, rel=1e-12)
 
 
 class TestTotalPower:
     def test_resonant_closed_form_vs_sum(self, vi_c_budget):
         cfg = caf2_config(pump_power=1e-6)
-        closed, discrete = sp.total_spontaneous_power(1e-6, cfg, vi_c_budget,
-                                                      sigma=0.0)
+        closed, discrete = sp.total_spontaneous_power(cfg)
         assert closed == pytest.approx(discrete, rel=2e-2)
-        _, R_max = sp.very_weak_flux(0, 1e-6, cfg, vi_c_budget, sigma=0.0)
+        _, R_max = sp.very_weak_flux(0, cfg)
         expected = (hbar * cfg.omega_L * R_max * math.pi
                     * math.sqrt(vi_c_budget.kappa / cfg.dispersion_zeta2()))
         assert closed == pytest.approx(expected, rel=1e-12)
 
-    def test_sqrt_scaling_in_dispersion(self, vi_c_budget):
-        p1, _ = sp.total_spontaneous_power(
-            1e-6, caf2_config(pump_power=1e-6), vi_c_budget, sigma=0.0)
+    def test_sqrt_scaling_in_dispersion(self):
+        p1, _ = sp.total_spontaneous_power(caf2_config(pump_power=1e-6))
         cfg4 = caf2_config(pump_power=1e-6, zeta2=4 * caf2_config().zeta2)
-        p4, _ = sp.total_spontaneous_power(1e-6, cfg4, vi_c_budget, sigma=0.0)
+        p4, _ = sp.total_spontaneous_power(cfg4)
         assert p4 == pytest.approx(p1 / 2.0, rel=1e-12)
 
     def test_detuned_tracks_discrete_sum(self, vi_c_budget):
@@ -195,7 +193,7 @@ class TestTotalPower:
         cfg = caf2_config(pump_power=1e-6)
         for s in (-3.0, -1.0, -0.5, 0.5, 1.0, 3.0):
             closed, discrete = sp.total_spontaneous_power(
-                1e-6, cfg, vi_c_budget, sigma=s * vi_c_budget.kappa)
+                dataclasses.replace(cfg, detuning=s * vi_c_budget.kappa))
             assert discrete > 0.0
             assert abs(closed / discrete - 1.0) < 2e-3
 
@@ -204,18 +202,18 @@ class TestTotalPower:
         # resonance while blue detuning lets the dispersion curve cross it
         cfg = caf2_config(pump_power=1e-6)
         blue, _ = sp.total_spontaneous_power(
-            1e-6, cfg, vi_c_budget, sigma=2.0 * vi_c_budget.kappa)
+            dataclasses.replace(cfg, detuning=2.0 * vi_c_budget.kappa))
         red, _ = sp.total_spontaneous_power(
-            1e-6, cfg, vi_c_budget, sigma=-2.0 * vi_c_budget.kappa)
+            dataclasses.replace(cfg, detuning=-2.0 * vi_c_budget.kappa))
         assert blue > 2.0 * red
 
-    def test_zero_dispersion_raises(self, vi_c_budget):
+    def test_zero_dispersion_raises(self):
         cfg = units.ResonatorConfig(
             pump_wavelength=1550e-9, main_radius=2.5e-3, group_index=1.43,
             intrinsic_Q=1e9, through_Q=0.25e9, pump_power=1e-6,
             detuning=0.0, gamma=0.001, zeta2=0.0)
         with pytest.raises(ZeroDivisionError):
-            sp.total_spontaneous_power(1e-6, cfg, vi_c_budget)
+            sp.total_spontaneous_power(cfg)
 
 
 class TestPairCorrelation:
@@ -279,6 +277,20 @@ class TestCsv:
             cell = row.split(",")[1]
             assert re.fullmatch(rf"{part}[+-]{part[2:]}j", cell), cell
             assert complex(cell) == pytest.approx(want, rel=1e-11)
+
+    def test_envelope_csv_matches_envelope_and_kinds(self):
+        # a blue-detuned map mixes single- and double-peaked modes
+        branches, branch = make_flat(0.1, 5.0, 0.01, rho=0.5)
+        ls = np.arange(-40, 41)
+        series, _ = sp.spectrum_envelope(ls, branches, branch)
+        rows = [r.split(",") for r in
+                sp.envelope_csv(ls, branches, branch).splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == ls.tolist()
+        assert [r[1] for r in rows] == [f"{v:.12e}" for v in series.values]
+        kinds = [sp.classify_lineshape(int(l), branches, branch).kind.value
+                 for l in ls]
+        assert [r[2] for r in rows] == kinds
+        assert len(set(kinds)) == 2
 
     def test_flux_table(self, flat_ls):
         text = sp.flux_table_csv(np.arange(-3, 4), flat_ls)

@@ -72,6 +72,33 @@ class TestOutputCorrelation:
         C = sq.output_correlation(J_q, 0.6, 1.0, 1.3)
         np.testing.assert_allclose(np.diag(C).real, 1.0, atol=1e-12)
 
+    @staticmethod
+    def _two_inverse_reference(J_q, rho, kappa, omega):
+        # both resolvents inverted separately, as in the defining formula
+        n = J_q.shape[0]
+        eye = np.eye(n)
+        C_in = sq.input_correlation(n // 2)
+        G_p = np.linalg.inv(J_q + 1j * omega * eye)
+        G_m = np.linalg.inv(J_q - 1j * omega * eye)
+        T_p = 2.0 * kappa * rho * G_p + eye
+        T_m = 2.0 * kappa * rho * G_m + eye
+        return (T_p @ C_in @ T_m.T
+                + 4.0 * kappa**2 * rho * (1.0 - rho) * (G_p @ C_in @ G_m.T))
+
+    @pytest.mark.parametrize("n", [2, 8, 40])
+    def test_matches_two_inverse_reference(self, n):
+        rng = np.random.default_rng(n)
+        J_q = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+        for w in (-7.0, -0.4, 0.05, 1.3, 9.0):
+            C = sq.output_correlation(J_q, 0.7, 1.5, w)
+            ref = self._two_inverse_reference(J_q, 0.7, 1.5, w)
+            np.testing.assert_allclose(C, ref, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_complex_jacobian_rejected(self):
+        with pytest.raises(ValueError, match="real"):
+            sq.output_correlation(-np.eye(4) + 0.1j * np.eye(4), 0.5, 1.0, 1.0)
+
     def test_singular_resolvent_raises(self):
         J_q = np.zeros((2, 2))
         with pytest.raises(sq.ResolventError):
