@@ -15,11 +15,11 @@ Scenario schema (version 1), JSON with the following top-level keys:
     outputs     list of products: spectrum, envelope, flux_table,
                 total_power (below threshold); quadrature_spectrum,
                 number_difference, stability (above threshold); audit
-    modes       sidemode indices l for per-mode spectra (default [1])
-    pairs       pair indices for quadrature spectra (default: the realized
-                roll order for a roll state, [1] otherwise)
-    l_max       envelope/flux-table half-range (default 100)
-    audit_K     Hamiltonian-audit truncation (default 3)
+    modes       sidemode indices l (ints) for per-mode spectra (default [1])
+    pairs       pair indices (ints) for quadrature spectra (default: the
+                realized roll order for a roll state, [1] otherwise)
+    l_max       envelope/flux-table half-range, int >= 0 (default 100)
+    audit_K     Hamiltonian-audit truncation, int (default 3)
     seed        integer (default 0)
     sweep       optional {"path": "<resonator key>", "values": [...]};
                 not valid in hamiltonian_audit mode
@@ -94,19 +94,42 @@ def validate_scenario(raw: dict) -> None:
             raise ScenarioError(
                 f"field 'outputs': product {product!r} is not valid in mode "
                 f"{mode!r} (allowed: {sorted(allowed)})")
-    if mode != "hamiltonian_audit" and "resonator" not in raw:
-        raise ScenarioError("field 'resonator': required for this mode")
     state = raw.get("state", {})
     if not isinstance(state, dict) or set(state) - STATE_KEYS:
         raise ScenarioError(f"field 'state': expected an object with keys "
                             f"among {sorted(STATE_KEYS)}, got {state!r}")
+    for key in ("modes", "pairs"):
+        if key in raw and not (isinstance(raw[key], list)
+                               and all(map(_is_int, raw[key]))):
+            raise ScenarioError(f"field {key!r}: expected a list of integers")
+    if "l_max" in raw and not (_is_int(raw["l_max"]) and raw["l_max"] >= 0):
+        raise ScenarioError("field 'l_max': expected an integer >= 0")
+    if "audit_K" in raw and not _is_int(raw["audit_K"]):
+        raise ScenarioError("field 'audit_K': expected an integer")
     sweep = raw.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict) or "path" not in sweep or "values" not in sweep:
-            raise ScenarioError("field 'sweep': expected {path, values}")
-        if mode == "hamiltonian_audit":
+    if sweep is not None and not (isinstance(sweep, dict)
+                                  and isinstance(sweep.get("path"), str)
+                                  and isinstance(sweep.get("values"), list)):
+        raise ScenarioError("field 'sweep': expected {path: <resonator key>, "
+                            "values: [...]}")
+    if mode == "hamiltonian_audit":
+        if sweep is not None:
             raise ScenarioError("field 'sweep': sweeps a resonator key, and "
                                 "mode 'hamiltonian_audit' has no resonator")
+        return
+    res = raw.get("resonator")
+    if not isinstance(res, dict):
+        raise ScenarioError("field 'resonator': required for this mode, "
+                            "as an object")
+    # resolve what run_scenario will: every sweep point, else the resonator
+    points = ([{**res, sweep["path"]: v} for v in sweep["values"]]
+              if sweep else [res])
+    for point in points:
+        build_config(point)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def build_config(res: dict) -> tuple[units.ResonatorConfig, units.LossBudget]:
@@ -136,18 +159,19 @@ def build_config(res: dict) -> tuple[units.ResonatorConfig, units.LossBudget]:
     )
     if res:
         raise ScenarioError(f"field 'resonator': unknown keys {sorted(res)}")
+    # any bad value from the file becomes a ScenarioError, at validate too
     try:
         config = units.ResonatorConfig(**base)
-    except units.ConfigurationError as exc:
+        # the loss budget depends on neither pump power nor detuning
+        budget = units.derive_loss_budget(config)
+        if sigma_rel is not None:
+            base["detuning"] = sigma_rel * budget.kappa
+        if p_rel is not None:
+            base["pump_power"] = p_rel * units.threshold_pump_power(
+                budget, config.nonlinear_gain(), config.omega_L, base["detuning"])
+        return units.ResonatorConfig(**base), budget
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"field 'resonator': {exc}") from exc
-    # the loss budget depends on neither pump power nor detuning
-    budget = units.derive_loss_budget(config)
-    if sigma_rel is not None:
-        base["detuning"] = sigma_rel * budget.kappa
-    if p_rel is not None:
-        base["pump_power"] = p_rel * units.threshold_pump_power(
-            budget, config.nonlinear_gain(), config.omega_L, base["detuning"])
-    return units.ResonatorConfig(**base), budget
 
 
 def _write(outdir: Path, name: str, text: str, products: list,
@@ -224,20 +248,22 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
     for product in outputs:
         t0 = time.perf_counter()
         if product == "spectrum":
+            kappa = flat.params.kappa
             for l in scenario.get("modes", [1]):
                 t0 = time.perf_counter()
-                series = spontaneous.spontaneous_spectrum(l, flat)
                 shape = spontaneous.classify_lineshape(l, flat)
+                series = spontaneous.spontaneous_spectrum(
+                    l, flat, spontaneous.default_omega_grid(shape, kappa))
                 _write(outdir, f"spectrum_l{l}.csv",
                        spontaneous.spectrum_csv(series), products, t0,
                        product=product, l=l, lineshape=shape.kind.value,
                        peak_frequencies_over_kappa=[
-                           w / flat.params.kappa for w in shape.peak_frequencies])
+                           w / kappa for w in shape.peak_frequencies])
         elif product == "envelope":
-            _, peaks = spontaneous.spectrum_envelope(ls, flat)
             _write(outdir, "envelope.csv",
                    spontaneous.envelope_csv(ls, flat), products, t0,
-                   product=product, peak_modes=list(peaks))
+                   product=product,
+                   peak_modes=list(spontaneous.envelope_peaks(flat)))
         elif product == "flux_table":
             _write(outdir, "flux_table.csv",
                    spontaneous.flux_table_csv(ls, flat), products, t0,
@@ -303,7 +329,6 @@ def run_scenario(scenario: dict, outdir: Path, seed: int | None = None) -> int:
             sub["resonator"] = dict(sub["resonator"])
             sub["resonator"][sweep["path"]] = value
             subdir = outdir / f"sweep_{i:02d}"
-            subdir.mkdir(exist_ok=True)
             code = run_scenario(sub, subdir, seed)
             status = status or code
             sub_report = json.loads((subdir / "report.json").read_text())

@@ -143,14 +143,14 @@ def build_quadrature_jacobian(state: CombState) -> BlockJacobian:
     return replace(modal, J_q=J_q, pair_rotation=phis)
 
 
-def three_mode_rates(state: CombState,
-                     floor: float = AMPLITUDE_FLOOR) -> tuple[float, float]:
+def three_mode_rates(state: CombState) -> tuple[float, float]:
     """Exact amplitude/phase relaxation rates of a three-mode comb.
 
     For a roll whose only excited modes are 0 and +/-L,
         kappa_a = -g0 |A_0|^2 sin(2 phi_0 - 2 Phi_L),
         kappa_p =  g0 (|A_L|^2 + |A_0|^2 cos(2 phi_0 - 2 Phi_L)),
-    with phi_0 the pump-mode phase and Phi_L the pair phase.
+    with phi_0 the pump-mode phase and Phi_L the pair phase.  A mode with
+    more than 1e-10 of the peak intensity counts as excited.
     """
     _gate(state)
     if state.pattern is not PatternKind.ROLL or state.roll_order is None:
@@ -158,12 +158,12 @@ def three_mode_rates(state: CombState,
     a = state.amplitudes
     K, L = state.K, state.roll_order
     I = np.abs(a) ** 2
-    excited = np.flatnonzero(I > floor * I.max()) - K
+    excited = np.flatnonzero(I > 1e-10 * I.max()) - K
     if not set(excited.tolist()) <= {-L, 0, L}:
         raise ValueError(
-            f"state excites modes {sorted(excited.tolist())} above the "
-            f"floor; the exact rates hold only for the three-mode comb "
-            f"{{-{L}, 0, {L}}} (truncate at K < 2L or raise the floor)")
+            f"state excites modes {sorted(excited.tolist())} above 1e-10 "
+            f"of the peak; the exact rates hold only for the three-mode comb "
+            f"{{-{L}, 0, {L}}} (truncate at K < 2L)")
     g0 = state.params.g0
     phi0 = float(np.angle(a[K]))
     Phi_L = 0.5 * (np.angle(a[K + L]) + np.angle(a[K - L]))

@@ -62,57 +62,48 @@ class SpectrumSeries:
     x_label: str = "omega/kappa"
 
 
-def _shifts(l: int, flat: FlatStateBranches,
-            branch: str) -> tuple[complex, float, float]:
-    """(A0, g = g0 |A0|^2, xi_l = sigma - zeta2 l^2/2 + 2g) of sidemode l."""
-    if branch not in ("lower", "middle", "upper"):
-        raise ValueError(f"unknown flat branch {branch!r}")
+def _shifts(l: int, flat: FlatStateBranches) -> tuple[complex, float, float]:
+    """(A0, g = g0 |A0|^2, xi_l = sigma - zeta2 l^2/2 + 2g) of sidemode l,
+    on the lower flat branch (the state a pump ramp from zero reaches)."""
     p = flat.params
-    A0 = getattr(flat, branch)
+    A0 = flat.lower
     g = p.g0 * abs(A0) ** 2
     return A0, g, p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
 
 
-def kerr_shift(flat: FlatStateBranches, branch: str = "lower") -> float:
+def kerr_shift(flat: FlatStateBranches) -> float:
     """Cross-phase gain g = g0 |A0|^2 (rad/s)."""
-    return _shifts(0, flat, branch)[1]
+    return _shifts(0, flat)[1]
 
 
-def default_omega_grid(l: int, flat: FlatStateBranches,
-                       branch: str = "lower") -> np.ndarray:
+def default_omega_grid(shape: LineShape, kappa: float) -> np.ndarray:
     """Symmetric omega/kappa grid, widened to cover double-peaked maxima."""
-    window = OMEGA_WINDOW
-    shape = classify_lineshape(l, flat, branch)
-    if shape.kind is LineShapeKind.DOUBLE_PEAKED:
-        w_m = shape.peak_frequencies[-1] / flat.params.kappa
-        window = max(window, w_m + 10.0)
+    window = max(OMEGA_WINDOW, shape.peak_frequencies[-1] / kappa + 10.0)
     return np.linspace(-window, window, OMEGA_POINTS)
 
 
 def spontaneous_spectrum(l: int, flat: FlatStateBranches,
-                         omega_grid: np.ndarray | None = None,
-                         branch: str = "lower") -> SpectrumSeries:
+                         omega_grid: np.ndarray | None = None) -> SpectrumSeries:
     """Output photon-flux spectral density of sidemode l (dimensionless).
 
     S_l(omega) = 4 rho kappa^2 g^2 /
                  ([kappa^2 - g^2 + xi_l^2 - omega^2]^2 + 4 kappa^2 omega^2)
     """
     p = flat.params
-    _, g, xi = _shifts(l, flat, branch)
+    _, g, xi = _shifts(l, flat)
     if g >= p.kappa and p.kappa**2 - g**2 + xi**2 <= 1e-12 * p.kappa**2:
         raise NearThresholdError(
             f"mode l={l}: g = g0|A0|^2 reaches kappa with xi_l = 0; the "
             "linearized spectrum diverges at threshold")
     if omega_grid is None:
-        omega_grid = default_omega_grid(l, flat, branch)
+        omega_grid = default_omega_grid(classify_lineshape(l, flat), p.kappa)
     w = omega_grid * p.kappa
     denom = (p.kappa**2 - g**2 + xi**2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
     values = 4.0 * p.rho * p.kappa**2 * g**2 / denom
     return SpectrumSeries(np.asarray(omega_grid, dtype=float), values)
 
 
-def classify_lineshape(l: int, flat: FlatStateBranches,
-                       branch: str = "lower") -> LineShape:
+def classify_lineshape(l: int, flat: FlatStateBranches) -> LineShape:
     """Single- vs double-peaked spectrum of sidemode l.
 
     The spectrum is single-peaked (maximum at omega = 0) iff
@@ -120,7 +111,7 @@ def classify_lineshape(l: int, flat: FlatStateBranches,
     omega_m = +/- sqrt(xi_l^2 - kappa^2 - g^2).
     """
     p = flat.params
-    _, g, xi = _shifts(l, flat, branch)
+    _, g, xi = _shifts(l, flat)
     excess = xi**2 - p.kappa**2 - g**2
     if excess <= 0.0:
         peak = 4.0 * p.rho * p.kappa**2 * g**2 / (p.kappa**2 - g**2 + xi**2) ** 2
@@ -130,28 +121,31 @@ def classify_lineshape(l: int, flat: FlatStateBranches,
     return LineShape(LineShapeKind.DOUBLE_PEAKED, (-w_m, w_m), peak)
 
 
-def spectrum_envelope(l_range: np.ndarray, flat: FlatStateBranches,
-                      branch: str = "lower") -> tuple[SpectrumSeries, tuple[int, ...]]:
-    """Peak spectral density versus mode number, and its maximizing modes.
+def envelope_peaks(flat: FlatStateBranches) -> tuple[int, ...]:
+    """Modes maximizing the spectral envelope.
 
     The envelope has two maxima near l = +/- sqrt(2(sigma + 2g)/zeta2)
     when that radicand is positive, otherwise a single maximum at l = 0.
     """
-    l_range = np.asarray(l_range, dtype=int)
-    values = np.array([classify_lineshape(int(l), flat, branch).peak_value
-                       for l in l_range])
     # xi_0 = sigma + 2g
-    radicand = 2.0 * _shifts(0, flat, branch)[2] / flat.params.zeta2
-    if radicand > 0.0:
-        l_peak = math.sqrt(radicand)
-        peaks = (-int(round(l_peak)), int(round(l_peak)))
-    else:
-        peaks = (0,)
-    return SpectrumSeries(l_range.astype(float), values, x_label="l"), peaks
+    radicand = 2.0 * _shifts(0, flat)[2] / flat.params.zeta2
+    if radicand <= 0.0:
+        return (0,)
+    l_peak = int(round(math.sqrt(radicand)))
+    return (-l_peak, l_peak)
+
+
+def spectrum_envelope(l_range: np.ndarray,
+                      flat: FlatStateBranches) -> tuple[SpectrumSeries, tuple[int, ...]]:
+    """Peak spectral density versus mode number, and its maximizing modes."""
+    l_range = np.asarray(l_range, dtype=int)
+    values = np.array([classify_lineshape(int(l), flat).peak_value
+                       for l in l_range])
+    return (SpectrumSeries(l_range.astype(float), values, x_label="l"),
+            envelope_peaks(flat))
 
 
 def sidemode_flux(l: int, flat: FlatStateBranches,
-                  branch: str = "lower",
                   boundary_rtol: float = 1e-9) -> tuple[float, float, str]:
     """Integrated photon flux of sidemode l and the matching output power.
 
@@ -161,7 +155,7 @@ def sidemode_flux(l: int, flat: FlatStateBranches,
     but unphysical divergence of both closed forms.
     """
     p = flat.params
-    _, g, xi = _shifts(l, flat, branch)
+    _, g, xi = _shifts(l, flat)
     margin = p.kappa**2 + xi**2 - g**2
     if abs(margin) <= boundary_rtol * p.kappa**2:
         raise RegimeBoundaryError(
@@ -242,14 +236,13 @@ def total_spontaneous_power(config: ResonatorConfig) -> tuple[float, float]:
     return closed, discrete
 
 
-def flux_parseval_oracle(l: int, flat: FlatStateBranches,
-                         branch: str = "lower") -> float:
+def flux_parseval_oracle(l: int, flat: FlatStateBranches) -> float:
     """(1/2pi) integral of S_l over omega, by adaptive quadrature.
 
     Independent check of the weak-regime closed-form flux.
     """
     p = flat.params
-    _, g, xi = _shifts(l, flat, branch)
+    _, g, xi = _shifts(l, flat)
 
     def integrand(w: float) -> float:
         denom = (p.kappa**2 - g**2 + xi**2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
@@ -257,14 +250,13 @@ def flux_parseval_oracle(l: int, flat: FlatStateBranches,
 
     # the lineshape maxima (0 or +/- omega_m) are the breakpoints
     total, _ = quad(integrand, -200.0 * p.kappa, 200.0 * p.kappa,
-                    points=classify_lineshape(l, flat, branch).peak_frequencies,
+                    points=classify_lineshape(l, flat).peak_frequencies,
                     limit=400)
     return total / (2.0 * math.pi)
 
 
 def pair_correlation(l: int, flat: FlatStateBranches,
-                     omega_grid: np.ndarray | None = None,
-                     branch: str = "lower") -> SpectrumSeries:
+                     omega_grid: np.ndarray | None = None) -> SpectrumSeries:
     """Output correlation spectrum <a_{+l} a_{-l}> (complex, dimensionless).
 
     C(omega) = -rho * 2 kappa S_l / |D_l|^2 * [D_l^* + 2 kappa (R_l^* - i omega)]
@@ -272,9 +264,9 @@ def pair_correlation(l: int, flat: FlatStateBranches,
     S_l = i g0 A0^2 and D_l = [kappa^2 - g^2 + xi_l^2 - omega^2] - 2 i kappa omega.
     """
     p = flat.params
-    A0, g, xi = _shifts(l, flat, branch)
+    A0, g, xi = _shifts(l, flat)
     if omega_grid is None:
-        omega_grid = default_omega_grid(l, flat, branch)
+        omega_grid = default_omega_grid(classify_lineshape(l, flat), p.kappa)
     w = omega_grid * p.kappa
     R_l = -(p.kappa - 1j * (p.sigma - 0.5 * p.zeta2 * l**2)) + 2j * g
     S_l = 1j * p.g0 * A0**2
@@ -313,19 +305,17 @@ def spectrum_csv(series: SpectrumSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def envelope_csv(l_range: np.ndarray, flat: FlatStateBranches,
-                 branch: str = "lower") -> str:
+def envelope_csv(l_range: np.ndarray, flat: FlatStateBranches) -> str:
     lines = ["l,S_env,kind"]
     for l in np.asarray(l_range, dtype=int):
-        shape = classify_lineshape(int(l), flat, branch)
+        shape = classify_lineshape(int(l), flat)
         lines.append(f"{int(l)},{shape.peak_value:.12e},{shape.kind.value}")
     return "\n".join(lines) + "\n"
 
 
-def flux_table_csv(l_range: np.ndarray, flat: FlatStateBranches,
-                   branch: str = "lower") -> str:
+def flux_table_csv(l_range: np.ndarray, flat: FlatStateBranches) -> str:
     lines = ["l,R_out,P_out_watts,regime"]
     for l in l_range:
-        R, P, regime = sidemode_flux(int(l), flat, branch)
+        R, P, regime = sidemode_flux(int(l), flat)
         lines.append(f"{int(l)},{R:.12e},{P:.12e},{regime}")
     return "\n".join(lines) + "\n"

@@ -180,10 +180,11 @@ def analytic_three_mode_spectra(kappa_a: float, kappa_p: float, rho: float,
 
 
 def _band_objective(blocks: PairSpectralBlocks, phi: float,
-                    band: tuple[float, float], objective: str) -> float:
+                    objective: str) -> float:
+    """`objective` of S_phi over the band 0.1 <= |omega|/kappa <= 10."""
     spec = quadrature_spectrum(blocks, phi)
     w = np.abs(spec.series.x)
-    sel = (w >= band[0]) & (w <= band[1]) & np.isfinite(spec.series.values)
+    sel = (w >= 0.1) & (w <= 10.0) & np.isfinite(spec.series.values)
     values = spec.series.values[sel]
     if objective == "min":
         return float(values.min())
@@ -194,22 +195,19 @@ def _band_objective(blocks: PairSpectralBlocks, phi: float,
 
 def optimize_quadrature_angle(state: CombState, l: int,
                               omega_grid: np.ndarray | None = None,
-                              band: tuple[float, float] = (0.1, 10.0),
                               half_width: float = math.pi / 4,
-                              n_scan: int = 121,
-                              tol: float = 1e-5,
                               objective: str = "band_integral") -> AngleOptimum:
     """Angle minimizing a squeezing objective of the pair spectrum.
 
     J_q is built in the pair's natural frame, so the scanned angle is the
-    residual offset delta-Phi around the pair phase Phi_l; the scan
-    covers [-half_width, +half_width] and is refined by golden-section
-    search to `tol` radians.  `objective` is either "band_integral"
-    (integral of S over the band, good for near-Lorentzian dips) or "min"
-    (deepest point of S in the band, robust when anti-squeezing at low
-    frequency dominates the integral, as for soliton pairs).  Band,
-    window and objective are configurable because "best squeezing" is a
-    modeling choice, not a law.
+    residual offset delta-Phi around the pair phase Phi_l; a scan of 121
+    angles covers [-half_width, +half_width] and is refined by
+    golden-section search to 1e-5 rad.  `objective` is either
+    "band_integral" (integral of S over 0.1 <= |omega|/kappa <= 10, good
+    for near-Lorentzian dips) or "min" (deepest point of S in that band,
+    robust when anti-squeezing at low frequency dominates the integral,
+    as for soliton pairs).  Window and objective are scenario keys
+    because "best squeezing" is a modeling choice, not a law.
     """
     if objective not in ("band_integral", "min"):
         raise ValueError("objective must be 'band_integral' or 'min'")
@@ -220,8 +218,8 @@ def optimize_quadrature_angle(state: CombState, l: int,
     blocks = pair_spectral_blocks(jac.J_q, p.rho, p.kappa, omega_grid, l)
     Phi_l = float(jac.pair_rotation[l - 1])
 
-    phis = np.linspace(-half_width, half_width, n_scan)
-    objs = np.array([_band_objective(blocks, ph, band, objective)
+    phis = np.linspace(-half_width, half_width, 121)
+    objs = np.array([_band_objective(blocks, ph, objective)
                      for ph in phis])
     spread = objs.max() - objs.min()
     if spread <= 1e-12 * max(abs(objs.max()), 1.0):
@@ -234,23 +232,23 @@ def optimize_quadrature_angle(state: CombState, l: int,
     multi = len(minima) > 1
 
     lo = phis[max(k0 - 1, 0)]
-    hi = phis[min(k0 + 1, n_scan - 1)]
+    hi = phis[min(k0 + 1, len(phis) - 1)]
     inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_gold * (hi - lo)
     x2 = lo + inv_gold * (hi - lo)
-    f1 = _band_objective(blocks, x1, band, objective)
-    f2 = _band_objective(blocks, x2, band, objective)
-    while hi - lo > tol:
+    f1 = _band_objective(blocks, x1, objective)
+    f2 = _band_objective(blocks, x2, objective)
+    while hi - lo > 1e-5:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_gold * (hi - lo)
-            f1 = _band_objective(blocks, x1, band, objective)
+            f1 = _band_objective(blocks, x1, objective)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_gold * (hi - lo)
-            f2 = _band_objective(blocks, x2, band, objective)
+            f2 = _band_objective(blocks, x2, objective)
     delta = 0.5 * (lo + hi)
-    obj = _band_objective(blocks, delta, band, objective)
+    obj = _band_objective(blocks, delta, objective)
     best = quadrature_spectrum(blocks, delta)
     return AngleOptimum(l, Phi_l, float(delta), obj, best,
                         multi_minimum=multi)

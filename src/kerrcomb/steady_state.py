@@ -24,8 +24,8 @@ from .units import ModalParams, NoRollOrderError, predicted_roll_order
 
 #: Relative Newton residual (|F| / (kappa |A|)) accepted as stationary.
 NEWTON_TOL = 1e-12
-#: Relative flow norm at which split-step relaxation is considered settled.
-RELAX_TOL = 1e-9
+#: Relative flow norm at which split-step relaxation hands off to Newton.
+RELAX_TOL = 1e-7
 #: Relative modal intensity below which a mode counts as unexcited.
 PATTERN_FLOOR = 1e-12
 #: Relative reflection asymmetry up to which a field counts as symmetric.
@@ -98,7 +98,6 @@ class CombState:
     residual_norm: float                     # max|dA/dt| / (kappa ||A||)
     pattern: PatternKind = PatternKind.UNCLASSIFIED
     roll_order: int | None = None
-    seed: int | None = None
     converged: bool = False
 
     @property
@@ -216,7 +215,7 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
 # Newton refinement
 # ---------------------------------------------------------------------------
 
-def refine(amps: np.ndarray, params: ModalParams, tol: float = NEWTON_TOL,
+def refine(amps: np.ndarray, params: ModalParams,
            max_iter: int = 60) -> tuple[np.ndarray, float]:
     """Polish a near-stationary field by damped Newton iteration.
 
@@ -238,7 +237,7 @@ def refine(amps: np.ndarray, params: ModalParams, tol: float = NEWTON_TOL,
                 raise RefinementError(
                     "Newton iteration stalled outside its convergence basin",
                     best, best_res)
-        if res <= tol:
+        if res <= NEWTON_TOL:
             return a, res
         R, S = _modal.build_RS(a, params)
         J = _modal.real_jacobian(R, S)
@@ -249,10 +248,10 @@ def refine(amps: np.ndarray, params: ModalParams, tol: float = NEWTON_TOL,
         if not np.isfinite(a).all():
             raise RefinementError("Newton step produced non-finite amplitudes",
                                   best, best_res)
-    if best_res <= tol:
+    if best_res <= NEWTON_TOL:
         return best, best_res
     raise RefinementError(
-        f"Newton did not reach tolerance {tol:g} in {max_iter} iterations",
+        f"Newton did not reach tolerance {NEWTON_TOL:g} in {max_iter} iterations",
         best, best_res)
 
 
@@ -335,20 +334,19 @@ def _flat_vector(branch_amp: complex, K: int) -> np.ndarray:
 
 
 def seed_roll(params: ModalParams, K: int, seed: int = 0,
-              noise: float = 1e-6,
               target_order: int | None = None) -> np.ndarray:
-    """Flat lower branch plus deterministic broadband noise.
+    """Flat lower branch plus deterministic broadband noise (1e-6 relative).
 
     With `target_order` set, a small coherent modulation at that order is
     added on top of the noise.  Several roll orders inside the instability
     band are stable attractors; which one a run settles on depends on the
-    initial condition, and this is the knob that selects it.
+    initial condition: the noise `seed` and `target_order` select it.
     """
     branches = solve_flat_state(params)
     a = _flat_vector(branches.lower, K)
     rng = np.random.default_rng(seed)
     scale = max(abs(branches.lower), 1.0)
-    a += noise * scale * (rng.standard_normal(2 * K + 1)
+    a += 1e-6 * scale * (rng.standard_normal(2 * K + 1)
                           + 1j * rng.standard_normal(2 * K + 1))
     if target_order is not None:
         if not 1 <= target_order <= K:
@@ -358,8 +356,7 @@ def seed_roll(params: ModalParams, K: int, seed: int = 0,
     return a
 
 
-def seed_bright_soliton(params: ModalParams, K: int,
-                        n_theta: int | None = None) -> np.ndarray:
+def seed_bright_soliton(params: ModalParams, K: int) -> np.ndarray:
     """Analytic sech pulse on the lower flat background (zeta2 > 0)."""
     if params.zeta2 <= 0:
         raise ValueError("bright solitons require anomalous dispersion (zeta2 > 0)")
@@ -372,7 +369,7 @@ def seed_bright_soliton(params: ModalParams, K: int,
     cos_phi = np.clip(np.sqrt(8.0 * alpha) / (np.pi * np.sqrt(F2)), -1.0, 1.0)
     phi0 = np.arccos(cos_phi)
     width = np.sqrt(alpha * 2.0 * kappa / params.zeta2)
-    n = n_theta or _fft_size(K)
+    n = _fft_size(K)
     theta = np.linspace(-np.pi, np.pi, n, endpoint=False)
     psi = (np.sqrt(2.0 * alpha) * np.exp(1j * phi0) / np.cosh(width * theta))
     field = branches.lower + np.sqrt(kappa / g0) * psi
@@ -383,18 +380,16 @@ def seed_bright_soliton(params: ModalParams, K: int,
     return spec[idx].astype(complex)
 
 
-def seed_dark_soliton(params: ModalParams, K: int,
-                      n_theta: int | None = None,
-                      dip_width: float = 0.15) -> np.ndarray:
-    """Localized dip on the upper flat branch (zeta2 < 0)."""
+def seed_dark_soliton(params: ModalParams, K: int) -> np.ndarray:
+    """Localized dip, 0.15 rad wide, on the upper flat branch (zeta2 < 0)."""
     if params.zeta2 >= 0:
         raise ValueError("dark solitons require normal dispersion (zeta2 < 0)")
     branches = solve_flat_state(params)
     upper = branches.upper
-    n = n_theta or _fft_size(K)
+    n = _fft_size(K)
     theta = np.linspace(-np.pi, np.pi, n, endpoint=False)
     # tanh-kink pair: field passes near zero at theta = 0 and recovers
-    profile = np.tanh(theta / dip_width) ** 2
+    profile = np.tanh(theta / 0.15) ** 2
     low = branches.lower if branches.bistable else 0.0
     field = low + (upper - low) * profile
     spec = np.fft.fft(field) / n
@@ -445,7 +440,7 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
     if initial is not None or kind != "flat":
         # relax only far enough to put Newton inside its capture basin; the
         # slow modes near threshold make full split-step convergence costly
-        a, _ = propagate(a, params, horizon, step=step, stop_residual=1e-7)
+        a, _ = propagate(a, params, horizon, step=step)
     a, res = refine(a, params)
     pat, order = classify(a, params)
-    return CombState(a, params, res, pat, order, seed, converged=True)
+    return CombState(a, params, res, pat, order, converged=True)

@@ -100,7 +100,6 @@ class LossBudget:
     kappa_d: float
     kappa: float
     rho: float
-    fsr: float
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,6 @@ class ModalParams:
     g0: float
     A_in: float         # photons^(1/2) s^(-1/2)
     rho: float
-    topology: Topology = Topology.ADD_THROUGH
     omega_L: float | None = None   # pump carrier (rad/s), for flux->watts
 
 
@@ -177,13 +175,11 @@ def derive_loss_budget(config: ResonatorConfig) -> LossBudget:
         kappa = kappa_t + kappa_i
         rho = kappa_t / kappa
     return LossBudget(kappa_t=kappa_t, kappa_i=kappa_i, kappa_d=kappa_d,
-                      kappa=kappa, rho=rho, fsr=config.fsr)
+                      kappa=kappa, rho=rho)
 
 
 def pump_photon_flux(P: float, omega_L: float) -> float:
     """Drive amplitude A_in = sqrt(P / hbar omega_L), in s^(-1/2)."""
-    if P < 0:
-        raise ValueError("pump power must be nonnegative")
     return math.sqrt(P / (HBAR * omega_L))
 
 
@@ -242,17 +238,10 @@ def normalize(config: ResonatorConfig, budget: LossBudget) -> NormalizedParams:
                             g0_over_kappa=g0 / kappa)
 
 
-def modal_params(config: ResonatorConfig, budget: LossBudget | None = None,
-                 pump_power: float | None = None,
-                 sigma: float | None = None) -> ModalParams:
-    """Bundle the modal-equation parameters, optionally overriding P or sigma."""
-    if budget is None:
-        budget = derive_loss_budget(config)
-    P = config.pump_power if pump_power is None else pump_power
-    s = config.detuning if sigma is None else sigma
+def modal_params(config: ResonatorConfig, budget: LossBudget) -> ModalParams:
+    """Bundle the modal-equation parameters at the config's P and sigma."""
     return ModalParams(kappa=budget.kappa, kappa_t=budget.kappa_t,
-                       sigma=s, zeta2=config.dispersion_zeta2(),
+                       sigma=config.detuning, zeta2=config.dispersion_zeta2(),
                        g0=config.nonlinear_gain(),
-                       A_in=pump_photon_flux(P, config.omega_L),
-                       rho=budget.rho, topology=config.topology,
-                       omega_L=config.omega_L)
+                       A_in=pump_photon_flux(config.pump_power, config.omega_L),
+                       rho=budget.rho, omega_L=config.omega_L)

@@ -67,8 +67,8 @@ def vi_c_budget():
 @pytest.fixture(scope="session")
 def roll20(vi_c_budget):
     """Roll(20) at P = 2.5 mW, sigma = -kappa (initial-condition selected)."""
-    cfg = caf2_config(pump_power=2.5e-3)
-    params = units.modal_params(cfg, vi_c_budget, sigma=-vi_c_budget.kappa)
+    cfg = caf2_config(pump_power=2.5e-3, detuning=-vi_c_budget.kappa)
+    params = units.modal_params(cfg, vi_c_budget)
     return _timed(lambda: ss.find_steady_state(
         params, kind="roll", seed=0, target_order=20))
 
@@ -79,8 +79,9 @@ def three_mode(vi_c_budget):
     cfg = caf2_config()
     p_th = units.threshold_pump_power(
         vi_c_budget, cfg.nonlinear_gain(), cfg.omega_L, -vi_c_budget.kappa)
-    params = units.modal_params(cfg, vi_c_budget, pump_power=1.01 * p_th,
-                                sigma=-vi_c_budget.kappa)
+    params = units.modal_params(
+        caf2_config(pump_power=1.01 * p_th, detuning=-vi_c_budget.kappa),
+        vi_c_budget)
     state, secs = _timed(lambda: ss.find_steady_state(
         params, kind="roll", seed=0, K=20, horizon=8000.0))
     return ss.rotate_to_symmetric(state), secs
@@ -88,8 +89,8 @@ def three_mode(vi_c_budget):
 
 @pytest.fixture(scope="session")
 def bright_soliton(vi_c_budget):
-    cfg = caf2_config(pump_power=4e-3)
-    params = units.modal_params(cfg, vi_c_budget, sigma=-2.0 * vi_c_budget.kappa)
+    cfg = caf2_config(pump_power=4e-3, detuning=-2.0 * vi_c_budget.kappa)
+    params = units.modal_params(cfg, vi_c_budget)
     state, secs = _timed(lambda: ss.find_steady_state(
         params, kind="bright_soliton", horizon=500.0))
     return ss.rotate_to_symmetric(state), secs
@@ -97,8 +98,9 @@ def bright_soliton(vi_c_budget):
 
 @pytest.fixture(scope="session")
 def dark_soliton(vi_c_budget):
-    cfg = caf2_config(pump_power=5.3e-3, zeta2=-TWO_PI * 2.9e3)
-    params = units.modal_params(cfg, vi_c_budget, sigma=-2.5 * vi_c_budget.kappa)
+    cfg = caf2_config(pump_power=5.3e-3, zeta2=-TWO_PI * 2.9e3,
+                      detuning=-2.5 * vi_c_budget.kappa)
+    params = units.modal_params(cfg, vi_c_budget)
     state, secs = _timed(lambda: ss.find_steady_state(
         params, kind="dark_soliton", horizon=500.0))
     return ss.rotate_to_symmetric(state), secs

@@ -57,16 +57,16 @@ def test_02_roll_order_prediction_and_realized_pattern(roll20, vi_c_budget):
 
 def test_03_envelope_peak_positions():
     ls = np.arange(-100, 101)
-    high_blue, name_a = make_flat(0.1, 5.0, 0.01, rho=0.5)
-    _, peaks_a = sp.spectrum_envelope(ls, high_blue, name_a)
+    high_blue, _ = make_flat(0.1, 5.0, 0.01, rho=0.5)
+    _, peaks_a = sp.spectrum_envelope(ls, high_blue)
     assert peaks_a == (-32, 32)
-    half_blue, name_b = make_flat(0.1, 0.5, 0.01, rho=0.5)
-    _, peaks_b = sp.spectrum_envelope(ls, half_blue, name_b)
+    half_blue, _ = make_flat(0.1, 0.5, 0.01, rho=0.5)
+    _, peaks_b = sp.spectrum_envelope(ls, half_blue)
     assert peaks_b == (-12, 12)
-    red, name_d = make_flat(0.1, -5.0, 0.01, rho=0.5)
-    _, peaks_d = sp.spectrum_envelope(ls, red, name_d)
+    red, _ = make_flat(0.1, -5.0, 0.01, rho=0.5)
+    _, peaks_d = sp.spectrum_envelope(ls, red)
     assert peaks_d == (0,)
-    assert all(sp.classify_lineshape(l, red, name_d).kind
+    assert all(sp.classify_lineshape(l, red).kind
                is sp.LineShapeKind.DOUBLE_PEAKED for l in ls)
 
 
@@ -75,11 +75,11 @@ def test_04_lineshape_classification_and_peak_positions():
     p = flat.params
     g = p.g0 * abs(getattr(flat, branch)) ** 2
     for l in (1, -1):
-        assert sp.classify_lineshape(l, flat, branch).kind \
+        assert sp.classify_lineshape(l, flat).kind \
             is sp.LineShapeKind.SINGLE_PEAKED
     positions = {}
     for l in (25, -25, 50, -50):
-        shape = sp.classify_lineshape(l, flat, branch)
+        shape = sp.classify_lineshape(l, flat)
         assert shape.kind is sp.LineShapeKind.DOUBLE_PEAKED
         xi = p.sigma - p.zeta2 * l**2 / 2.0 + 2.0 * g
         w_m = math.sqrt(xi**2 - p.kappa**2 - g**2)
@@ -87,7 +87,7 @@ def test_04_lineshape_classification_and_peak_positions():
         positions[abs(l)] = w_m
         # the closed-form position must coincide with a fine-grid argmax
         grid = np.linspace(0.0, 2.0 * w_m / p.kappa, 20001)
-        s = sp.spontaneous_spectrum(l, flat, grid, branch)
+        s = sp.spontaneous_spectrum(l, flat, grid)
         dw = grid[1] - grid[0]
         assert grid[np.argmax(s.values)] == pytest.approx(
             w_m / p.kappa, abs=2 * dw)
@@ -103,10 +103,10 @@ def test_05_parseval_oracle_randomized_weak_regime():
         zeta2 = float(rng.uniform(0.004, 0.02))
         rho = float(rng.uniform(0.3, 0.9))
         l = int(rng.integers(0, 41))
-        flat, branch = make_flat(g, sigma, zeta2, rho=rho)
-        R, _, regime = sp.sidemode_flux(l, flat, branch)
+        flat, _ = make_flat(g, sigma, zeta2, rho=rho)
+        R, _, regime = sp.sidemode_flux(l, flat)
         assert regime == "weak"
-        assert sp.flux_parseval_oracle(l, flat, branch) == pytest.approx(
+        assert sp.flux_parseval_oracle(l, flat) == pytest.approx(
             R, rel=1e-3)
     assert time.perf_counter() - t0 < 10.0
 
@@ -135,7 +135,7 @@ def test_07_matrix_analytic_equivalence_and_power_sweep(three_mode,
     # quadrature; the band integral trades the low-frequency dip away
     opt = sq.optimize_quadrature_angle(state, L, omega_grid=grid,
                                        objective="min")
-    kappa_a, kappa_p = lin.three_mode_rates(state, floor=1e-10)
+    kappa_a, kappa_p = lin.three_mode_rates(state)
     S_a, _ = sq.analytic_three_mode_spectra(kappa_a, kappa_p, p.rho, grid,
                                             kappa=p.kappa)
     sel = np.abs(grid) <= 6.0
@@ -150,8 +150,9 @@ def test_07_matrix_analytic_equivalence_and_power_sweep(three_mode,
                                       cfg.omega_L, -vi_c_budget.kappa)
     # seed selects among coexisting roll attractors; 2.5 P_th needs seed 1
     for mult, seed in ((1.1, 0), (1.5, 0), (2.0, 0), (2.5, 1), (3.0, 0)):
-        params = units.modal_params(cfg, vi_c_budget, pump_power=mult * p_th,
-                                    sigma=-vi_c_budget.kappa)
+        params = units.modal_params(
+            caf2_config(pump_power=mult * p_th, detuning=-vi_c_budget.kappa),
+            vi_c_budget)
         roll = ss.rotate_to_symmetric(
             ss.find_steady_state(params, kind="roll", seed=seed))
         o = sq.optimize_quadrature_angle(
@@ -191,8 +192,8 @@ def test_08_flat_state_pair_block_reduction():
                       [-1j * p.g0 * A0.conjugate() ** 2, -p.kappa - 1j * xi]])
         for w in (0.0, 0.5 * p.kappa, 2.0 * p.kappa):
             det = np.linalg.det(1j * w * np.eye(2) - M)
-            s_l = sp.spontaneous_spectrum(l, flat, np.array([w / p.kappa]),
-                                          branch).values[0]
+            s_l = sp.spontaneous_spectrum(
+                l, flat, np.array([w / p.kappa])).values[0]
             assert s_l * abs(det) ** 2 == pytest.approx(
                 4.0 * p.rho * p.kappa**2 * g**2, rel=1e-10)
 

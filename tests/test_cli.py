@@ -9,10 +9,41 @@ from pathlib import Path
 
 import pytest
 
-from kerrcomb import cli
+from kerrcomb import cli, spontaneous
 from kerrcomb import steady_state as ss
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
+
+#: sha256 of every product of the closed-form shipped scenarios at seed 0;
+#: a change that alters any of these bytes changes a published result.
+PRODUCT_SHA256 = {
+    "below_threshold_caf2": {
+        "envelope.csv": "871a53f5115dd2989c3b78372d079f88"
+                        "eddb434f964e4460b125ec48a2bc2868",
+        "flux_table.csv": "796698d9b6fe11ca3f42aa0d73c94e3a"
+                          "a5e6a9385e26f1676fc2a2b59dae16f5",
+        "spectrum_l1.csv": "d31e7713b4c893dabb338f39f56cda81"
+                           "bc7f26ed5eeac55dc0faa75c34dc6194",
+        "spectrum_l12.csv": "2c1bc06e46f3932d4c4dae9f725b0381"
+                            "490fd9f0cedb3d53e4d8aff960ab91c3",
+        "spectrum_l25.csv": "7d7e04be2443345c19ad2d354d2624b1"
+                            "74b1e0ad2c81c6d87df4dcaa60d76ec2",
+        "total_power.csv": "a03d995ce9ed0f3962adb3756cd6274a"
+                           "c6da6b508a5780a075a8f0806272107c",
+    },
+    "pump_power_sweep": {
+        "sweep_00/flux_table.csv": "5c4deb3488c0240357e4806327893b42"
+                                   "f15a46a3104977cfe372a40c372587dc",
+        "sweep_01/flux_table.csv": "ffb0def0836e18f81ac5bbc2a2d6a070"
+                                   "c22778a10a53d761694a36cbc0af1cee",
+        "sweep_02/flux_table.csv": "36886919285edce3fd755eebb8588458"
+                                   "1133708920c72bf58cbd8f08e9e03730",
+    },
+    "hamiltonian_audit": {
+        "audit_monomials.txt": "8dab1fc93f5f9d076e13ab13ed96d37a"
+                               "86b96698bda875938f90da3396784ba8",
+    },
+}
 
 RESONATOR = {
     "pump_wavelength": 1550e-9,
@@ -99,9 +130,8 @@ class TestValidate:
     def test_unknown_resonator_key_fails_at_run(self, tmp_path):
         raw = below_scenario()
         raw["resonator"]["finesse"] = 1e4
-        path = write_scenario(tmp_path, raw)
         out = tmp_path / "out"
-        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        assert cli.run_scenario(raw, out) == 1
         report = json.loads((out / "report.json").read_text())
         assert report["errors"]
         assert "finesse" in report["errors"][0]["message"]
@@ -116,9 +146,8 @@ class TestValidate:
     def test_missing_resonator_key_recorded(self, tmp_path):
         raw = below_scenario()
         del raw["resonator"]["pump_wavelength"]
-        path = write_scenario(tmp_path, raw)
         out = tmp_path / "out"
-        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        assert cli.run_scenario(raw, out) == 1
         (error,) = json.loads((out / "report.json").read_text())["errors"]
         assert error["type"] == "ScenarioError"
         assert "pump_wavelength" in error["message"]
@@ -138,14 +167,55 @@ class TestValidate:
         raw["resonator"].pop(abs_)
         raw["resonator"][rel] = 0.5
         raw["sweep"] = {"path": abs_, "values": [1e-6, 2e-6]}
-        path = write_scenario(tmp_path, raw)
         out = tmp_path / "out"
-        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        assert cli.run_scenario(raw, out) == 1
         report = json.loads((out / "report.json").read_text())
         for sub in report["sub_runs"]:
             assert sub["errors"][0]["type"] == "ScenarioError"
             assert rel in sub["errors"][0]["message"]
             assert abs_ in sub["errors"][0]["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("finesse", 1e4),                       # unknown
+        ("pump_wavelength", None),              # required, removed
+        ("pump_power_over_threshold", 0.5)])    # clashes with pump_power
+    def test_resonator_rejected_at_validate(self, tmp_path, capsys, key,
+                                            value):
+        raw = below_scenario()
+        raw["resonator"][key] = value
+        if value is None:
+            del raw["resonator"][key]
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_resonator_value_type_rejected_at_validate(self, tmp_path,
+                                                       capsys):
+        raw = below_scenario()
+        raw["resonator"]["intrinsic_Q"] = "1e9"
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        assert "field 'resonator'" in capsys.readouterr().err
+
+    def test_sweep_point_rejected_at_validate(self, tmp_path, capsys):
+        # each sweep value is resolved: the absolute key clashes with the
+        # relative one only once the sweep substitutes it
+        raw = below_scenario()
+        raw["resonator"].pop("detuning")
+        raw["resonator"]["detuning_over_kappa"] = 0.5
+        raw["sweep"] = {"path": "detuning", "values": [0.0]}
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        assert "detuning_over_kappa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("modes", ["a"]), ("modes", [1.5]), ("modes", [True]), ("pairs", 1),
+        ("l_max", "5"), ("l_max", -1), ("audit_K", "3"),
+        ("sweep", {"path": "pump_power", "values": 5})])
+    def test_field_types_rejected(self, tmp_path, capsys, key, value):
+        path = write_scenario(tmp_path, below_scenario(**{key: value}))
+        assert cli.main(["validate", str(path)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
 
 
 class TestBelowThresholdRun:
@@ -192,6 +262,15 @@ class TestBelowThresholdRun:
         for p1, p2 in zip(r1["products"], r2["products"]):
             assert p1["sha256"] == p2["sha256"]
             assert (out1 / p1["file"]).read_bytes() == (out2 / p2["file"]).read_bytes()
+
+    def test_classifies_each_mode_once(self, tmp_path, monkeypatch):
+        calls = []
+        classify = spontaneous.classify_lineshape
+        monkeypatch.setattr(spontaneous, "classify_lineshape",
+                            lambda *a: calls.append(a[0]) or classify(*a))
+        raw = below_scenario(outputs=["spectrum", "envelope"])
+        assert cli.run_scenario(raw, tmp_path) == 0
+        assert sorted(calls) == sorted([1, 25] + list(range(-60, 61)))
 
     def test_relative_pump_and_detuning(self, tmp_path):
         raw = below_scenario(outputs=["spectrum"], modes=[1])
@@ -286,6 +365,11 @@ class TestShippedScenarios:
         report = json.loads((tmp_path / "report.json").read_text())
         for run in report.get("sub_runs", [report]):
             assert run["errors"] == []
+        digests = {p.relative_to(tmp_path).as_posix():
+                   hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.rglob("*")
+                   if p.is_file() and p.name != "report.json"}
+        assert digests == PRODUCT_SHA256[name]
 
     def test_total_power_closed_form_matches_sum(self, tmp_path):
         scenario = cli.load_scenario(SCENARIOS / "below_threshold_caf2.json")

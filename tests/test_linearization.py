@@ -213,7 +213,7 @@ class TestThreeModeRates:
 
     def test_near_threshold_rates(self, three_mode):
         state, _ = three_mode
-        kappa_a, kappa_p = lin.three_mode_rates(state, floor=1e-10)
+        kappa_a, kappa_p = lin.three_mode_rates(state)
         p = state.params
         # just above threshold the amplitude decay rate locks to kappa and
         # the phase rate collapses toward zero (free-running comb phase)

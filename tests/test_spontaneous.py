@@ -99,9 +99,8 @@ class TestLineshapeClassification:
 
 class TestEnvelope:
     def test_two_maxima_blue_detuned(self):
-        branches, branch = make_flat(0.1, 5.0, 0.01, rho=0.5)
-        series, peaks = sp.spectrum_envelope(np.arange(-100, 101), branches,
-                                             branch)
+        branches, _ = make_flat(0.1, 5.0, 0.01, rho=0.5)
+        series, peaks = sp.spectrum_envelope(np.arange(-100, 101), branches)
         assert peaks == (-32, 32)
         l_star = abs(int(series.x[np.argmax(series.values)]))
         assert l_star == 32
@@ -112,12 +111,11 @@ class TestEnvelope:
         assert abs(int(series.x[np.argmax(series.values)])) == 12
 
     def test_single_maximum_red_detuned(self):
-        branches, branch = make_flat(0.1, -5.0, 0.01, rho=0.5)
-        series, peaks = sp.spectrum_envelope(np.arange(-100, 101), branches,
-                                             branch)
+        branches, _ = make_flat(0.1, -5.0, 0.01, rho=0.5)
+        series, peaks = sp.spectrum_envelope(np.arange(-100, 101), branches)
         assert peaks == (0,)
         for l in range(-100, 101):
-            assert sp.classify_lineshape(l, branches, branch).kind \
+            assert sp.classify_lineshape(l, branches).kind \
                 is sp.LineShapeKind.DOUBLE_PEAKED
 
 
@@ -134,15 +132,16 @@ class TestFluxes:
         # choose sigma = -2g so xi = 0 and g = kappa exactly; the cubic has
         # a double root there, limiting the root accuracy to ~sqrt(eps)
         g = 1.0
-        branches, branch = make_flat(g, -2.0 * g, 0.01, rho=0.5)
+        branches, _ = make_flat(g, -2.0 * g, 0.01, rho=0.5)
         with pytest.raises(sp.RegimeBoundaryError):
-            sp.sidemode_flux(0, branches, branch, boundary_rtol=1e-6)
+            sp.sidemode_flux(0, branches, boundary_rtol=1e-6)
 
     def test_strong_regime_tag(self):
-        # g slightly above kappa with xi ~ 0 puts l=0 in the strong regime
-        g = 1.2
-        branches, branch = make_flat(g, -2.0 * g, 0.01, rho=0.5)
-        R, _, regime = sp.sidemode_flux(0, branches, branch)
+        # g = 1.2 kappa on the lower (only) branch at sigma = 0 with
+        # xi_22 = 2g - zeta2 22^2/2 = -0.02 kappa: g^2 > kappa^2 + xi^2
+        branches, branch = make_flat(1.2, 0.0, 0.01, rho=0.5)
+        assert branch == "lower"
+        R, _, regime = sp.sidemode_flux(22, branches)
         assert regime == "strong"
         assert R > 0
 
@@ -280,14 +279,14 @@ class TestCsv:
 
     def test_envelope_csv_matches_envelope_and_kinds(self):
         # a blue-detuned map mixes single- and double-peaked modes
-        branches, branch = make_flat(0.1, 5.0, 0.01, rho=0.5)
+        branches, _ = make_flat(0.1, 5.0, 0.01, rho=0.5)
         ls = np.arange(-40, 41)
-        series, _ = sp.spectrum_envelope(ls, branches, branch)
+        series, _ = sp.spectrum_envelope(ls, branches)
         rows = [r.split(",") for r in
-                sp.envelope_csv(ls, branches, branch).splitlines()[1:]]
+                sp.envelope_csv(ls, branches).splitlines()[1:]]
         assert [int(r[0]) for r in rows] == ls.tolist()
         assert [r[1] for r in rows] == [f"{v:.12e}" for v in series.values]
-        kinds = [sp.classify_lineshape(int(l), branches, branch).kind.value
+        kinds = [sp.classify_lineshape(int(l), branches).kind.value
                  for l in ls]
         assert [r[2] for r in rows] == kinds
         assert len(set(kinds)) == 2

@@ -44,8 +44,9 @@ class TestFlatBranches:
         g0 = cfg.nonlinear_gain()
         p_th = units.threshold_pump_power(vi_c_budget, g0, cfg.omega_L,
                                           -vi_c_budget.kappa)
-        params = units.modal_params(cfg, vi_c_budget, pump_power=p_th,
-                                    sigma=-vi_c_budget.kappa)
+        params = units.modal_params(
+            caf2_config(pump_power=p_th, detuning=-vi_c_budget.kappa),
+            vi_c_budget)
         branches = ss.solve_flat_state(params)
         n_th = vi_c_budget.kappa / g0
         assert any(math.isclose(N, n_th, rel_tol=1e-6)
@@ -253,8 +254,8 @@ class TestSeeds:
             ss.seed_dark_soliton(params, K=16)
 
     def test_default_cutoff_scales_with_roll_order(self, vi_c_budget):
-        cfg = caf2_config()
-        params = units.modal_params(cfg, vi_c_budget, sigma=-vi_c_budget.kappa)
+        cfg = caf2_config(detuning=-vi_c_budget.kappa)
+        params = units.modal_params(cfg, vi_c_budget)
         L = units.predicted_roll_order(params.sigma, params.kappa, params.zeta2)
         assert ss.default_mode_cutoff(params, "roll") == max(4 * L, 64)
         assert ss.default_mode_cutoff(params, "bright_soliton") == 128
