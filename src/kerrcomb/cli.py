@@ -11,7 +11,12 @@ Scenario schema (version 1), JSON with the following top-level keys:
                 of each pair, never both)
     state       (above threshold) {"kind": "roll" | "bright_soliton" |
                 "dark_soliton" | "flat", "K", "horizon", "step",
-                "target_order"}; unset keys take find_steady_state's defaults
+                "target_order"}; K and target_order ints >= 1, horizon
+                and step positive numbers (units of 1/kappa); unset keys
+                take find_steady_state's defaults
+    angle       (above threshold) {"half_width": positive number (rad,
+                default pi/4), "objective": "band_integral" | "min"
+                (default "band_integral")}: the quadrature-angle search
     outputs     list of products: spectrum, envelope, flux_table,
                 total_power (below threshold); quadrature_spectrum,
                 number_difference, stability (above threshold); audit
@@ -34,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -55,6 +61,8 @@ PRODUCTS_BY_MODE = {
     "hamiltonian_audit": {"audit"},
 }
 STATE_KEYS = {"kind", "K", "horizon", "step", "target_order"}
+STATE_KINDS = ("flat", "roll", "bright_soliton", "dark_soliton")
+ANGLE_KEYS = {"half_width", "objective"}
 RESONATOR_REQUIRED = ("pump_wavelength", "main_radius", "group_index",
                       "intrinsic_Q", "through_Q")
 
@@ -98,6 +106,29 @@ def validate_scenario(raw: dict) -> None:
     if not isinstance(state, dict) or set(state) - STATE_KEYS:
         raise ScenarioError(f"field 'state': expected an object with keys "
                             f"among {sorted(STATE_KEYS)}, got {state!r}")
+    if "kind" in state and state["kind"] not in STATE_KINDS:
+        raise ScenarioError(f"field 'state': 'kind' must be one of "
+                            f"{STATE_KINDS}, got {state['kind']!r}")
+    for key in ("K", "target_order"):
+        if key in state and not (_is_int(state[key]) and state[key] >= 1):
+            raise ScenarioError(f"field 'state': {key!r} must be an integer "
+                                f">= 1, got {state[key]!r}")
+    for key in ("horizon", "step"):
+        if key in state and not _is_positive(state[key]):
+            raise ScenarioError(f"field 'state': {key!r} must be a positive "
+                                f"finite number, got {state[key]!r}")
+    angle = raw.get("angle", {})
+    if not isinstance(angle, dict) or set(angle) - ANGLE_KEYS:
+        raise ScenarioError(f"field 'angle': expected an object with keys "
+                            f"among {sorted(ANGLE_KEYS)}, got {angle!r}")
+    if "half_width" in angle and not _is_positive(angle["half_width"]):
+        raise ScenarioError("field 'angle': 'half_width' must be a positive "
+                            f"number, got {angle['half_width']!r}")
+    if ("objective" in angle
+            and angle["objective"] not in squeezing.OBJECTIVES):
+        raise ScenarioError(f"field 'angle': 'objective' must be one of "
+                            f"{squeezing.OBJECTIVES}, "
+                            f"got {angle['objective']!r}")
     for key in ("modes", "pairs"):
         if key in raw and not (isinstance(raw[key], list)
                                and all(map(_is_int, raw[key]))):
@@ -130,6 +161,13 @@ def validate_scenario(raw: dict) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive(value) -> bool:
+    """A finite number > 0 (bool is not a number here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return value > 0 and (isinstance(value, int) or math.isfinite(value))
 
 
 def build_config(res: dict) -> tuple[units.ResonatorConfig, units.LossBudget]:

@@ -217,6 +217,27 @@ class TestValidate:
         assert cli.main(["validate", str(path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("state", "kind", "breather"), ("state", "K", "6"),
+        ("state", "K", 0), ("state", "target_order", 2.0),
+        ("state", "horizon", -1.0), ("state", "step", "1e-2"),
+        ("state", "horizon", True),
+        ("angle", "half_width", "x"), ("angle", "half_width", 0.0),
+        ("angle", "objective", "deepest"), ("angle", "band", 0.5)])
+    def test_state_and_angle_values_rejected(self, tmp_path, capsys, section,
+                                             key, value):
+        raw = flat_above_scenario(angle={"objective": "min"})
+        raw[section][key] = value
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"field '{section}'" in err and key in err
+
+    def test_angle_must_be_an_object(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, flat_above_scenario(angle=[1.0]))
+        assert cli.main(["validate", str(path)]) == 1
+        assert "field 'angle'" in capsys.readouterr().err
+
 
 class TestBelowThresholdRun:
     def test_products_and_report(self, tmp_path):

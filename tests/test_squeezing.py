@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from kerrcomb import linearization as lin
 from kerrcomb import squeezing as sq
@@ -103,6 +104,101 @@ class TestOutputCorrelation:
         J_q = np.zeros((2, 2))
         with pytest.raises(sq.ResolventError):
             sq.output_correlation(J_q, 0.5, 1.0, 0.0)
+
+
+def _pair_entries(C, l):
+    """(c11, c22, c12 + c21) of pair l from a full C_out."""
+    K, i = C.shape[0] // 2, l - 1
+    return np.array([C[i, i], C[K + i, K + i], C[i, K + i] + C[K + i, i]])
+
+
+def _block_entries(blocks):
+    return np.stack([blocks.c11, blocks.c22, blocks.c12_plus_c21], axis=1)
+
+
+def _rotated_normal_Jq(slowest, kappa=1.0, seed=0):
+    """Real 8x8 J_q = kappa Q B Q^T: B normal with eigenvalue `slowest`
+    (units of kappa) and seven others at Re <= -0.5 kappa, Q orthogonal."""
+    B = block_diag(slowest, [[-1.0, 2.0], [-2.0, -1.0]],
+                   [[-0.5, 1.0], [-1.0, -0.5]], -2.0, -3.0, -1.5)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
+    return kappa * (Q @ B @ Q.T)
+
+
+class TestPairSpectralBlocks:
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 20),
+           rho=st.floats(1e-3, 1.0), kappa=st.floats(0.1, 10.0),
+           margin=st.floats(0.05, 0.95), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_oracle(self, seed, m, rho, kappa, margin, data):
+        # J_q = -kappa I + Omega S with S symmetric: uniform loss plus a
+        # quadratic Hamiltonian, the form build_quadrature_jacobian gives.
+        # S(w) = S(-w) needs it; a generic real J_q breaks that symmetry.
+        rng = np.random.default_rng(seed)
+        n = 2 * m
+        zero, eye = np.zeros((m, m)), np.eye(m)
+        S = rng.standard_normal((n, n))
+        H = np.block([[zero, eye], [-eye, zero]]) @ (S + S.T)
+        top = float(np.max(np.linalg.eigvals(H).real))
+        assume(top > 1e-6 * np.max(np.abs(H)))
+        J_q = -kappa * np.eye(n) + (1.0 - margin) * kappa / top * H
+        l = data.draw(st.integers(1, m), label="l")
+        ws = np.array(data.draw(st.lists(st.floats(1e-3, 20.0), min_size=1,
+                                         max_size=4), label="omegas"))
+        grid = np.concatenate([ws, -ws])
+        blocks = sq.pair_spectral_blocks(J_q, rho, kappa, grid, l)
+        got = _block_entries(blocks)
+        for k, w in enumerate(grid):
+            ref = _pair_entries(
+                sq.output_correlation(J_q, rho, kappa, w * kappa), l)
+            np.testing.assert_allclose(got[k], ref, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(ref)))
+        diag = got[:, :2]
+        assert np.all(diag.real >= 0.0)
+        assert np.all(np.abs(diag.imag) <= 1e-12 * np.abs(diag))
+        half = len(ws)
+        np.testing.assert_allclose(got[half:], got[:half], rtol=1e-10,
+                                   atol=1e-10 * np.max(np.abs(got)))
+        # C_out = (1 - rho) C_in + rho C_out(rho = 1): S_phi >= 1 - rho
+        for phi in (0.0, 0.7, 1.9):
+            s = sq.quadrature_spectrum(blocks, phi).series.values
+            assert np.all(s >= 1.0 - rho - 1e-9 * np.max(np.abs(got)))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_neutral_frequency_is_nan(self, exact):
+        if exact:
+            # a zero column: J_q e_j = 0 holds exactly
+            rng = np.random.default_rng(0)
+            J_q = rng.standard_normal((8, 8)) - 3.0 * np.eye(8)
+            J_q[:, 5] = 0.0
+        else:
+            # zero eigenvalue up to rounding; the dense inverse does not
+            # raise here and returns huge finite numbers
+            J_q = _rotated_normal_Jq(0.0)
+        # 0.0 is the first point of the second frequency block
+        grid = np.linspace(-3.0, 3.0, 2 * sq.OMEGA_BLOCK + 1)
+        assert grid[sq.OMEGA_BLOCK] == 0.0
+        got = _block_entries(sq.pair_spectral_blocks(J_q, 0.6, 1.0, grid, 2))
+        assert np.all(np.isnan(got[sq.OMEGA_BLOCK]))
+        others = np.delete(got, sq.OMEGA_BLOCK, axis=0)
+        assert np.all(np.isfinite(others))
+        for k in (0, sq.OMEGA_BLOCK - 1, sq.OMEGA_BLOCK + 1, len(grid) - 1):
+            ref = _pair_entries(
+                sq.output_correlation(J_q, 0.6, 1.0, grid[k]), 2)
+            np.testing.assert_allclose(got[k], ref, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(ref)))
+
+    def test_slow_stable_mode_is_not_neutral(self):
+        kappa = 2.0
+        J_q = _rotated_normal_Jq(-1e-3, kappa)
+        blocks = sq.pair_spectral_blocks(J_q, 0.6, kappa,
+                                         sq.default_omega_grid(), 1)
+        assert np.all(np.isfinite(_block_entries(blocks)))
+
+    def test_complex_jacobian_rejected(self):
+        with pytest.raises(ValueError, match="real"):
+            sq.pair_spectral_blocks(-np.eye(4) + 0.1j * np.eye(4), 0.5, 1.0,
+                                    np.array([1.0]), 1)
 
 
 class TestQuadratureSpectrum:
