@@ -12,8 +12,10 @@ Scenario schema (version 1), JSON with the following top-level keys:
     state       (above threshold) {"kind": "roll" | "bright_soliton" |
                 "dark_soliton" | "flat", "K", "horizon", "step",
                 "target_order"}; K and target_order ints >= 1, horizon
-                and step positive numbers (units of 1/kappa); unset keys
-                take find_steady_state's defaults
+                and step positive numbers (units of 1/kappa); horizon
+                caps the split-step relaxation, which hands off to Newton
+                once its residual plateaus; unset keys take
+                find_steady_state's defaults
     angle       (above threshold) {"half_width": positive number (rad,
                 default pi/4), "objective": "band_integral" | "min"
                 (default "band_integral")}: the quadrature-angle search

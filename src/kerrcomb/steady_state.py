@@ -9,7 +9,10 @@ pump and on the cold-cavity grid) obey
 
 This module finds roots of that flow: the homogeneous (flat) branches in
 closed form, and patterned states (rolls, bright/dark solitons) by
-split-step relaxation followed by Newton refinement.
+split-step relaxation followed by Newton refinement.  Relaxation runs in
+short chunks and hands off to Newton as soon as its residual plateaus on
+a field whose Newton root is of the requested kind, so the relaxation
+horizon is a cap rather than the cost of every solve.
 """
 
 from __future__ import annotations
@@ -26,6 +29,15 @@ from .units import ModalParams, NoRollOrderError, predicted_roll_order
 NEWTON_TOL = 1e-12
 #: Relative flow norm at which split-step relaxation hands off to Newton.
 RELAX_TOL = 1e-7
+#: Relaxation time between plateau checks, in units of 1/kappa.
+RELAX_CHUNK = 2.0
+#: Chunk-to-chunk residual ratio, and its inverse, bounding a plateau.
+PLATEAU_RATIO = 1.1
+#: Consecutive in-band chunk-to-chunk ratios that make a plateau.
+PLATEAU_CHUNKS = 5
+#: Multiple of the energy bound at which a relaxed field counts as runaway;
+#: a damped flow never exceeds the bound itself.
+RUNAWAY_FACTOR = 10.0
 #: Relative modal intensity below which a mode counts as unexcited.
 PATTERN_FLOOR = 1e-12
 #: Relative reflection asymmetry up to which a field counts as symmetric.
@@ -131,12 +143,12 @@ def solve_flat_state(params: ModalParams) -> FlatStateBranches:
 
 
 def residual(amps: np.ndarray, params: ModalParams) -> float:
-    """Dimensionless flow norm max_l |dA_l/dt| / (kappa ||A||)."""
+    """Dimensionless flow norm max_l |dA_l/dt| / (|kappa| ||A||)."""
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         return np.inf
     F = _modal.vector_field(amps, params)
-    return float(np.max(np.abs(F))) / (params.kappa * norm)
+    return float(np.max(np.abs(F))) / (abs(params.kappa) * norm)
 
 
 def field_on_circle(amps: np.ndarray, n_theta: int = 512) -> tuple[np.ndarray, np.ndarray]:
@@ -160,21 +172,38 @@ def _fft_size(K: int) -> int:
     return n
 
 
+def _runaway_limit(amps: np.ndarray, params: ModalParams) -> float:
+    """Norm past which a field relaxed from `amps` counts as diverged.
+
+    A damped flow obeys the energy bound ||A(t)|| <= max(||A(0)||,
+    |sqrt(2 kappa_t) A_in| / kappa): the Kerr term conserves the norm and
+    the linear part pulls it toward the drive level.  The split-step
+    scheme keeps the bound too (its linear half-steps are exact and its
+    Kerr step only rotates phases and drops out-of-band power), so only
+    an amplifying flow can cross a multiple of it.
+    """
+    pump = np.sqrt(2.0 * params.kappa_t) * params.A_in
+    return RUNAWAY_FACTOR * max(float(np.linalg.norm(amps)),
+                                abs(pump) / abs(params.kappa))
+
+
 def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
               step: float = 1e-3, stop_residual: float = RELAX_TOL,
               check_every: int = 200) -> tuple[np.ndarray, float]:
     """Relax the modal flow by Strang-split integration.
 
-    `horizon` and `step` are in units of 1/kappa.  The linear + drive
+    `horizon` and `step` are in units of 1/|kappa|.  The linear + drive
     half-step is exact in mode space (the driven mode gets the exact
     affine update); the Kerr step is an exact phase rotation in angle
     space on an alias-free padded grid.  Returns the final amplitudes and
     their dimensionless residual; stops early once `stop_residual` is met.
+    Raises DivergenceError once the field leaves the energy bound of
+    `amps` by RUNAWAY_FACTOR.
     """
     K = (len(amps) - 1) // 2
     n = _fft_size(K)
     idx = _modal.mode_numbers(K) % n
-    dt = step / params.kappa
+    dt = step / abs(params.kappa)
 
     lam = _modal.linear_rates(params, K)
     half = np.exp(lam * dt / 2.0)
@@ -186,7 +215,7 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
     spec = np.zeros(n, dtype=complex)
     n_steps = max(1, int(round(horizon / step)))
     res = residual(a, params)
-    scale = float(np.max(np.abs(a))) + abs(pump) / params.kappa
+    limit = _runaway_limit(a, params)
 
     for i in range(n_steps):
         a *= half
@@ -198,7 +227,7 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
         a = spec_out[idx]
         a *= half
         a[K] += pump_half
-        if not np.isfinite(a).all() or np.max(np.abs(a)) > 1e6 * scale:
+        if not np.linalg.norm(a) <= limit:       # also catches inf and nan
             raise DivergenceError(
                 f"field diverged after {i + 1} steps (dt = {step}/kappa)", a)
         if (i + 1) % check_every == 0:
@@ -409,6 +438,44 @@ def default_mode_cutoff(params: ModalParams, kind: str) -> int:
     return max(4 * L, 64)
 
 
+def _relaxed_fields(a: np.ndarray, params: ModalParams, horizon: float,
+                    step: float):
+    """Yield (field, final) pairs along a chunked split-step relaxation.
+
+    Chunks of RELAX_CHUNK together take the round(horizon/step) steps of a
+    single propagate call.  Once the last PLATEAU_CHUNKS chunk-to-chunk
+    residual ratios all lie in [1/PLATEAU_RATIO, PLATEAU_RATIO], the field
+    is yielded as a Newton trial; resuming the generator rejects it, and
+    the chunks to wait before the next trial double (1, 2, 4, ...).  The
+    field at the horizon, or where the residual meets RELAX_TOL, comes
+    last with final=True.  The runaway limit is fixed by the seed, so an
+    amplifying flow cannot move it chunk by chunk.
+    """
+    limit = _runaway_limit(a, params)
+    per_chunk = max(1, int(round(RELAX_CHUNK / step)))
+    total = left = max(1, int(round(horizon / step)))
+    recent: list[float] = []
+    chunks, next_trial, wait = 0, 0, 1
+    while left:
+        m = min(per_chunk, left)
+        a, res = propagate(a, params, m * step, step=step)
+        left -= m
+        chunks += 1
+        if not np.linalg.norm(a) <= limit:
+            raise DivergenceError(
+                f"field left {RUNAWAY_FACTOR:g} times its energy bound after "
+                f"{total - left} steps (dt = {step}/kappa)", a)
+        if res < RELAX_TOL:
+            break
+        recent = (recent + [res])[-(PLATEAU_CHUNKS + 1):]
+        if (left and chunks >= next_trial and len(recent) > PLATEAU_CHUNKS
+                and all(1.0 / PLATEAU_RATIO <= r / q <= PLATEAU_RATIO
+                        for q, r in zip(recent, recent[1:]))):
+            yield a, False
+            next_trial, wait = chunks + wait, 2 * wait
+    yield a, True
+
+
 def find_steady_state(params: ModalParams, kind: str = "roll",
                       K: int | None = None, seed: int = 0,
                       horizon: float = 3000.0, step: float = 1e-2,
@@ -417,8 +484,15 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
     """Relax from a pattern-appropriate seed, then Newton-polish.
 
     `kind` selects the seed: "flat" (no relaxation needed), "roll",
-    "bright_soliton", or "dark_soliton".  Returns a classified CombState
-    whose residual meets NEWTON_TOL, or raises RefinementError /
+    "bright_soliton", or "dark_soliton"; `initial` replaces the seed.
+    Split-step relaxation runs in chunks of RELAX_CHUNK / kappa.  Once
+    the residual plateaus, a Newton trial starts from the current field;
+    the trial is accepted if Newton converges and the root classifies as
+    `kind`, and otherwise relaxation resumes (see `_relaxed_fields`).
+    `horizon` (units of 1/kappa) is thus a cap: with no accepted trial the
+    field at the horizon is refined, exactly as one propagate call over
+    the whole horizon followed by `refine`.  Returns a classified
+    CombState whose residual meets NEWTON_TOL, or raises RefinementError /
     DivergenceError.
     """
     if K is None:
@@ -436,11 +510,19 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
         a = seed_dark_soliton(params, K)
     else:
         raise ValueError(f"unknown steady-state kind {kind!r}")
+    want = PatternKind(kind)
 
-    if initial is not None or kind != "flat":
-        # relax only far enough to put Newton inside its capture basin; the
-        # slow modes near threshold make full split-step convergence costly
-        a, _ = propagate(a, params, horizon, step=step)
-    a, res = refine(a, params)
-    pat, order = classify(a, params)
-    return CombState(a, params, res, pat, order, converged=True)
+    if initial is None and kind == "flat":
+        fields = [(a, True)]
+    else:
+        fields = _relaxed_fields(a, params, horizon, step)
+    for field, final in fields:
+        try:
+            a, res = refine(field, params)
+        except RefinementError:
+            if final:
+                raise
+            continue
+        pat, order = classify(a, params)
+        if final or pat is want:
+            return CombState(a, params, res, pat, order, converged=True)

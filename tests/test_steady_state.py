@@ -13,7 +13,7 @@ from scipy.constants import hbar
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import caf2_config, make_flat
+from conftest import TWO_PI, caf2_config, make_flat
 
 
 def _params(g_over, sigma_over, zeta2_over, rho=0.5):
@@ -210,6 +210,106 @@ class TestPatterns:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             ss.find_steady_state(_params(0.3, 0.0, 0.01), kind="cnoidal")
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Log the relaxation time of each propagate call and the pattern each
+    refine call converges to (None when it raises)."""
+    log = {"relaxed": 0.0, "trials": []}
+    propagate, refine = ss.propagate, ss.refine
+
+    def counted_propagate(amps, params, horizon, **kwargs):
+        log["relaxed"] += horizon
+        return propagate(amps, params, horizon, **kwargs)
+
+    def counted_refine(amps, params, **kwargs):
+        try:
+            a, res = refine(amps, params, **kwargs)
+        except ss.RefinementError:
+            log["trials"].append(None)
+            raise
+        log["trials"].append(ss.classify(a, params)[0])
+        return a, res
+
+    monkeypatch.setattr(ss, "propagate", counted_propagate)
+    monkeypatch.setattr(ss, "refine", counted_refine)
+    return log
+
+
+class TestHandoff:
+    """Chunked relaxation with Newton trials once the residual plateaus."""
+
+    @staticmethod
+    def _small_roll():
+        # roll(7) at K = 16: Newton trials on the early plateau reach the
+        # flat root, and the roll forms at t ~ 90/kappa
+        return _params(1.2, -1.0, 0.05), 16
+
+    @pytest.mark.parametrize("horizon, trials", [(8.0, 1), (40.0, 3)])
+    def test_no_handoff_is_propagate_then_refine(self, solver_calls, horizon,
+                                                 trials):
+        # 8/kappa is too short to plateau; by 40/kappa two trials have
+        # converged to the flat root and been rejected
+        params, K = self._small_roll()
+        state = ss.find_steady_state(params, kind="roll", K=K, horizon=horizon)
+        assert solver_calls["trials"] == [ss.PatternKind.FLAT] * trials
+        relaxed, _ = ss.propagate(ss.seed_roll(params, K), params, horizon,
+                                  step=1e-2)
+        a, res = ss.refine(relaxed, params)
+        np.testing.assert_array_equal(state.amplitudes, a)
+        assert state.residual_norm == res
+        assert state.pattern is ss.PatternKind.FLAT
+
+    def test_small_roll_matches_full_horizon(self, solver_calls):
+        params, K = self._small_roll()
+        horizon = 200.0
+        state = ss.find_steady_state(params, kind="roll", K=K, horizon=horizon)
+        assert solver_calls["relaxed"] < horizon
+        relaxed, _ = ss.propagate(ss.seed_roll(params, K), params, horizon,
+                                  step=1e-2)
+        full, _ = ss.refine(relaxed, params)
+        assert (state.pattern, state.roll_order) == ss.classify(full, params)
+        assert state.pattern is ss.PatternKind.ROLL
+        I_full = np.abs(full) ** 2
+        np.testing.assert_allclose(state.intensities, I_full, rtol=0.0,
+                                   atol=1e-9 * I_full.max())
+
+    @pytest.mark.parametrize("kind, pump, zeta2, sigma", [
+        ("bright_soliton", 4e-3, TWO_PI * 2.9e3, -2.0),
+        ("dark_soliton", 5.3e-3, -TWO_PI * 2.9e3, -2.5)])
+    def test_solitons_hand_off_early(self, solver_calls, vi_c_budget, kind,
+                                     pump, zeta2, sigma):
+        cfg = caf2_config(pump_power=pump, zeta2=zeta2,
+                          detuning=sigma * vi_c_budget.kappa)
+        state = ss.find_steady_state(units.modal_params(cfg, vi_c_budget),
+                                     kind=kind, horizon=500.0)
+        assert state.pattern is ss.PatternKind(kind)
+        assert solver_calls["relaxed"] < 100.0
+
+    def test_roll_rejects_flat_trial(self, solver_calls, vi_c_budget):
+        cfg = caf2_config()
+        p_th = units.threshold_pump_power(vi_c_budget, cfg.nonlinear_gain(),
+                                          cfg.omega_L, -vi_c_budget.kappa)
+        cfg = caf2_config(pump_power=1.1 * p_th, detuning=-vi_c_budget.kappa)
+        state = ss.find_steady_state(units.modal_params(cfg, vi_c_budget),
+                                     kind="roll")
+        assert state.pattern is ss.PatternKind.ROLL
+        assert ss.PatternKind.FLAT in solver_calls["trials"][:-1]
+        assert solver_calls["trials"][-1] is ss.PatternKind.ROLL
+
+    def test_runaway_caught_before_horizon(self, solver_calls):
+        # the amplifying flow grows like e^t (~7x per chunk) until Kerr
+        # spreading out of the K = 2 band saturates it near 70x its seed
+        # norm; a limit re-based on each chunk start would follow it up and
+        # never fire
+        params = units.ModalParams(kappa=-1.0, kappa_t=0.5, sigma=0.0,
+                                   zeta2=0.0, g0=1e-3, A_in=1.0, rho=0.5)
+        with pytest.raises(ss.DivergenceError) as exc:
+            ss.find_steady_state(params, K=2, horizon=3000.0,
+                                 initial=np.ones(5, dtype=complex))
+        assert solver_calls["relaxed"] <= 2.0 * ss.RELAX_CHUNK
+        assert np.isfinite(exc.value.last_amps).all()
 
 
 class TestSymmetrization:
