@@ -35,6 +35,9 @@ RELAX_CHUNK = 2.0
 PLATEAU_RATIO = 1.1
 #: Consecutive in-band chunk-to-chunk ratios that make a plateau.
 PLATEAU_CHUNKS = 5
+#: Most chunks between two Newton trials on a plateau; at K = 72 a
+#: rejected trial costs about as much as 3 to 25 chunks of relaxation.
+MAX_TRIAL_WAIT = 32
 #: Multiple of the energy bound at which a relaxed field counts as runaway;
 #: a damped flow never exceeds the bound itself.
 RUNAWAY_FACTOR = 10.0
@@ -199,6 +202,11 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
     their dimensionless residual; stops early once `stop_residual` is met.
     Raises DivergenceError once the field leaves the energy bound of
     `amps` by RUNAWAY_FACTOR.
+
+    The field stays on the padded grid between steps; the linear factor is
+    zero outside the 2K+1 modes, which drops the out-of-band power.  The
+    grid size is a power of two, so scaling only the forward transform by
+    1/n rounds exactly like a scaled inverse transform multiplied by n.
     """
     K = (len(amps) - 1) // 2
     n = _fft_size(K)
@@ -206,38 +214,42 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
     dt = step / abs(params.kappa)
 
     lam = _modal.linear_rates(params, K)
-    half = np.exp(lam * dt / 2.0)
+    half = np.zeros(n, dtype=complex)
+    half[idx] = np.exp(lam * dt / 2.0)
     pump = np.sqrt(2.0 * params.kappa_t) * params.A_in
-    lam0 = lam[K]
-    pump_half = pump * (half[K] - 1.0) / lam0
+    pump_half = pump * (half[0] - 1.0) / lam[K]
+    kerr = 1j * params.g0 * dt
+    limit2 = _runaway_limit(amps, params) ** 2
 
-    a = amps.astype(complex).copy()
     spec = np.zeros(n, dtype=complex)
+    spec[idx] = amps
+    intensity = np.empty(n)
+    phase = np.empty(n, dtype=complex)
     n_steps = max(1, int(round(horizon / step)))
-    res = residual(a, params)
-    limit = _runaway_limit(a, params)
+    res = residual(amps, params)
 
     for i in range(n_steps):
-        a *= half
-        a[K] += pump_half
-        spec[idx] = a
-        field = np.fft.ifft(spec) * n
-        field *= np.exp(1j * params.g0 * dt * np.abs(field) ** 2)
-        spec_out = np.fft.fft(field) / n
-        a = spec_out[idx]
-        a *= half
-        a[K] += pump_half
-        if not np.linalg.norm(a) <= limit:       # also catches inf and nan
+        spec *= half
+        spec[0] += pump_half
+        field = np.fft.ifft(spec, norm="forward")
+        np.abs(field, out=intensity)
+        np.square(intensity, out=intensity)
+        np.multiply(kerr, intensity, out=phase)
+        field *= np.exp(phase, out=phase)
+        spec = np.fft.fft(field, norm="forward")
+        spec *= half
+        spec[0] += pump_half
+        if not np.vdot(spec, spec).real <= limit2:   # also catches inf, nan
             raise DivergenceError(
-                f"field diverged after {i + 1} steps (dt = {step}/kappa)", a)
+                f"field diverged after {i + 1} steps (dt = {step}/kappa)",
+                spec[idx])
         if (i + 1) % check_every == 0:
-            res = residual(a, params)
+            res = residual(spec[idx], params)
             if res < stop_residual:
                 break
-        spec[idx] = 0.0
     else:
-        res = residual(a, params)
-    return a, res
+        res = residual(spec[idx], params)
+    return spec[idx], res
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +458,10 @@ def _relaxed_fields(a: np.ndarray, params: ModalParams, horizon: float,
     single propagate call.  Once the last PLATEAU_CHUNKS chunk-to-chunk
     residual ratios all lie in [1/PLATEAU_RATIO, PLATEAU_RATIO], the field
     is yielded as a Newton trial; resuming the generator rejects it, and
-    the chunks to wait before the next trial double (1, 2, 4, ...).  The
+    the chunks to wait before the next trial double (1, 2, 4, ...) up to
+    MAX_TRIAL_WAIT.  The cap ties the cost of a solve to the time its
+    pattern takes to form: a roll whose order settles late is tried within
+    MAX_TRIAL_WAIT chunks of settling, not up to twice as late.  The
     field at the horizon, or where the residual meets RELAX_TOL, comes
     last with final=True.  The runaway limit is fixed by the seed, so an
     amplifying flow cannot move it chunk by chunk.
@@ -472,7 +487,7 @@ def _relaxed_fields(a: np.ndarray, params: ModalParams, horizon: float,
                 and all(1.0 / PLATEAU_RATIO <= r / q <= PLATEAU_RATIO
                         for q, r in zip(recent, recent[1:]))):
             yield a, False
-            next_trial, wait = chunks + wait, 2 * wait
+            next_trial, wait = chunks + wait, min(2 * wait, MAX_TRIAL_WAIT)
     yield a, True
 
 

@@ -275,6 +275,19 @@ class TestHandoff:
         np.testing.assert_allclose(state.intensities, I_full, rtol=0.0,
                                    atol=1e-9 * I_full.max())
 
+    def test_trial_wait_is_capped(self, solver_calls):
+        # every trial is rejected here; once the roll has formed (t ~ 90)
+        # the residual sits on its floor and trials come every
+        # MAX_TRIAL_WAIT chunks, where an uncapped doubling would wait
+        # 64, 128 and 256 chunks
+        params, K = self._small_roll()
+        times = [solver_calls["relaxed"] for _ in ss._relaxed_fields(
+            ss.seed_roll(params, K), params, 600.0, 1e-2)]
+        gaps = np.diff([t for t in times[:-1] if t > 200.0])
+        assert len(gaps) >= 4
+        np.testing.assert_array_equal(gaps,
+                                      ss.MAX_TRIAL_WAIT * ss.RELAX_CHUNK)
+
     @pytest.mark.parametrize("kind, pump, zeta2, sigma", [
         ("bright_soliton", 4e-3, TWO_PI * 2.9e3, -2.0),
         ("dark_soliton", 5.3e-3, -TWO_PI * 2.9e3, -2.5)])
