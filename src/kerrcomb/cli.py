@@ -18,7 +18,10 @@ Scenario schema (version 1), JSON with the following top-level keys:
                 find_steady_state's defaults
     angle       (above threshold) {"half_width": positive number (rad,
                 default pi/4), "objective": "band_integral" | "min"
-                (default "band_integral")}: the quadrature-angle search
+                (default "band_integral")}: the window and objective of
+                the quadrature angle, which is solved in closed form;
+                rho scales the spectra exactly, C_out(rho) = C_in +
+                rho (C_out(1) - C_in), so it does not move the angle
     outputs     list of products: spectrum, envelope, flux_table,
                 total_power (below threshold); quadrature_spectrum,
                 number_difference, stability (above threshold); audit

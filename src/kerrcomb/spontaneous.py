@@ -6,8 +6,7 @@ symmetric pairs (+l, -l).  All quantities here follow in closed form from
 the flat intracavity amplitude A0: the output photon-flux spectral
 density per sidemode, its lineshape, the spectral envelope across modes,
 integrated photon fluxes in the weak/strong/very-weak pumping regimes,
-the total emitted power, the pair correlation spectrum, and the photon
-pair-number statistics of the resulting two-mode squeezed vacuum.
+the total emitted power and the pair correlation spectrum.
 
 Spectra are dimensionless and sampled on an omega/kappa grid; conversion
 to SI output power is left to the callers (P = hbar * omega_L * R).
@@ -69,11 +68,6 @@ def _shifts(l: int, flat: FlatStateBranches) -> tuple[complex, float, float]:
     A0 = flat.lower
     g = p.g0 * abs(A0) ** 2
     return A0, g, p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
-
-
-def kerr_shift(flat: FlatStateBranches) -> float:
-    """Cross-phase gain g = g0 |A0|^2 (rad/s)."""
-    return _shifts(0, flat)[1]
 
 
 def default_omega_grid(shape: LineShape, kappa: float) -> np.ndarray:
@@ -274,23 +268,6 @@ def pair_correlation(l: int, flat: FlatStateBranches,
     C = -p.rho * (2.0 * p.kappa * S_l / np.abs(D) ** 2) * (
         np.conj(D) + 2.0 * p.kappa * (np.conj(R_l) - 1j * w))
     return SpectrumSeries(np.asarray(omega_grid, dtype=float), C)
-
-
-def pair_statistics(r: float, n_max: int) -> tuple[np.ndarray, float]:
-    """Photon pair-number distribution of a two-mode squeezed vacuum.
-
-    P(n) = tanh(r)^(2n) / cosh(r)^2 for the state sum_n c_n |n, n>.
-    Returns probabilities for n = 0..n_max plus the geometric tail mass.
-    """
-    if r < 0:
-        raise ValueError("squeezing parameter r must be nonnegative")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    n = np.arange(n_max + 1)
-    t2 = math.tanh(r) ** 2
-    probs = t2**n / math.cosh(r) ** 2
-    tail = t2 ** (n_max + 1)  # geometric remainder: sum_{n>n_max} P(n)
-    return probs, float(tail)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ matrix at analysis frequency omega is
                + 4 k^2 r (1 - r) (J_q + i w I)^-1 C_in [(J_q - i w I)^-1]^T
 
 with r = rho the escape efficiency, k = kappa the total half-linewidth
-and C_in the frequency-independent vacuum correlation matrix.  Quadrature
-spectra at arbitrary angle follow from the diagonal blocks of C_out and
-are normalized so that shot noise is 1.
+and C_in the frequency-independent vacuum correlation matrix.  Expanded,
+the r^2 terms cancel and C_out is linear in rho:
+C_out(rho) = C_in + rho (C_out(1) - C_in).  Quadrature spectra at
+arbitrary angle follow from the diagonal blocks of C_out and are
+normalized so that shot noise is 1.
 
 A pair l needs only rows r in {l - 1, K + l - 1} of (J_q + i w I)^-1.
 `pair_spectral_blocks` factors J_q = Q T Q^H once (complex Schur) and
@@ -21,6 +23,10 @@ O(n^2) per frequency, against about 40 n^3 per frequency for the full
 C_out of `output_correlation`, which stays as the dense reference the
 tests compare against.  A frequency sits on a neutral mode, and its
 entries are NaN, when min_j |T_jj + i w| <= n eps max(max|T|, kappa).
+
+The spectrum at angle phi is S_phi = a + b cos 2phi + c sin 2phi with
+a = (C11 + C22)/2, b = (C11 - C22)/2 and c = (C12 + C21)/2, so the
+squeezing-optimal angle is solved in closed form (`solve_quadrature_angle`).
 """
 
 from __future__ import annotations
@@ -73,8 +79,7 @@ class AngleOptimum:
     delta_Phi: float
     objective: float
     spectrum: QuadratureSpectrum
-    multi_minimum: bool = False
-    degenerate: bool = False
+    degenerate: bool
 
 
 def default_omega_grid(n: int = 1024, w_max: float = 10.0) -> np.ndarray:
@@ -150,13 +155,14 @@ def pair_spectral_blocks(J_q: np.ndarray, rho: float, kappa: float,
     J_q = Q T Q^H is factored once (complex Schur); per frequency, row r
     is g_r = x^T Q^H with x^T (T + i w kappa) = Q[r, :], a triangular
     solve, and G_- = conj G_+ because J_q is real.  With t_r = 2 kappa
-    rho g_r + e_r the entries are C[r, s] = t_r C_in conj(t_s)^T +
-    4 kappa^2 rho (1 - rho) g_r C_in conj(g_s)^T; C12 and C21 are
-    computed apart, so `quadrature_spectrum`'s imaginary-residue check
-    still sees them.  Cost: O(n^3) once plus O(n^2) per frequency, swept
-    in blocks of OMEGA_BLOCK frequencies, against about 40 n^3 per
-    frequency for `output_correlation`, the dense reference.  A frequency
-    is neutral, and reported as NaN, when min_j |T_jj + i w kappa| <=
+    g_r + e_r the rho = 1 entries are C[r, s] = t_r C_in conj(t_s)^T, and
+    C_out(rho) = C_in + rho (C_out(1) - C_in) scales them exactly to rho.
+    C12 and C21 are summed only after the solve, so their imaginary
+    residue still reaches the IMAG_TOL checks.  Cost:
+    O(n^3) once plus O(n^2) per frequency, swept in blocks of OMEGA_BLOCK
+    frequencies, against about 40 n^3 per frequency for
+    `output_correlation`, the dense reference.  A frequency is neutral,
+    and reported as NaN, when min_j |T_jj + i w kappa| <=
     n eps max(max|T|, kappa).
     """
     if np.iscomplexobj(J_q):
@@ -171,7 +177,6 @@ def pair_spectral_blocks(J_q: np.ndarray, rho: float, kappa: float,
     diag = np.diag(T)
     Qh = Q.conj().T
     tol = n * np.finfo(float).eps * max(float(np.max(np.abs(T))), kappa)
-    noise = 4.0 * kappa**2 * rho * (1.0 - rho)
     omega_grid = np.asarray(omega_grid, dtype=float)
     C = np.full((len(omega_grid), 2, 2), np.nan, dtype=complex)
     for start in range(0, len(omega_grid), OMEGA_BLOCK):
@@ -182,13 +187,24 @@ def pair_spectral_blocks(J_q: np.ndarray, rho: float, kappa: float,
         X = np.empty_like(rhs)
         for j in range(n):                     # forward substitution
             X[j] = (rhs[j] - Tt[j, :j] @ X[:j]) / (diag[j] + shift)
-        g = (X.T @ Qh).reshape(-1, 2, n)
-        t = 2.0 * kappa * rho * g
+        t = 2.0 * kappa * (X.T @ Qh).reshape(-1, 2, n)
         t[:, [0, 1], rows] += 1.0
-        C[start:start + OMEGA_BLOCK][regular] = (
-            _vacuum_gram(t) + noise * _vacuum_gram(g))
-    return PairSpectralBlocks(l, omega_grid, C[:, 0, 0], C[:, 1, 1],
-                              C[:, 0, 1] + C[:, 1, 0])
+        C[start:start + OMEGA_BLOCK][regular] = _vacuum_gram(t)
+    # C_in is 1 on the diagonal and i, -i off it, so C12 + C21 has no C_in
+    return PairSpectralBlocks(l, omega_grid, 1.0 + rho * (C[:, 0, 0] - 1.0),
+                              1.0 + rho * (C[:, 1, 1] - 1.0),
+                              rho * (C[:, 0, 1] + C[:, 1, 0]))
+
+
+def _real(values: np.ndarray) -> np.ndarray:
+    """Real part of `values` once the finite entries' imaginary residue is
+    within IMAG_TOL."""
+    finite = values[np.isfinite(values)]
+    residue = float(np.max(np.abs(finite.imag))) if finite.size else 0.0
+    if residue > IMAG_TOL:
+        raise FloatingPointError(
+            f"quadrature spectrum has imaginary residue {residue:.2e}")
+    return values.real
 
 
 def quadrature_spectrum(blocks: PairSpectralBlocks, phi: float) -> QuadratureSpectrum:
@@ -198,12 +214,7 @@ def quadrature_spectrum(blocks: PairSpectralBlocks, phi: float) -> QuadratureSpe
     """
     c, s = math.cos(phi), math.sin(phi)
     values = blocks.c11 * c**2 + blocks.c22 * s**2 + blocks.c12_plus_c21 * c * s
-    finite = values[np.isfinite(values)]
-    residue = float(np.max(np.abs(finite.imag))) if finite.size else 0.0
-    if residue > IMAG_TOL:
-        raise FloatingPointError(
-            f"quadrature spectrum has imaginary residue {residue:.2e}")
-    series = SpectrumSeries(blocks.omega_over_kappa, values.real)
+    series = SpectrumSeries(blocks.omega_over_kappa, _real(values))
     return QuadratureSpectrum(blocks.l, phi, series)
 
 
@@ -227,18 +238,38 @@ def analytic_three_mode_spectra(kappa_a: float, kappa_p: float, rho: float,
     return SpectrumSeries(x, S_a), SpectrumSeries(x, S_p)
 
 
-def _band_objective(blocks: PairSpectralBlocks, phi: float,
-                    objective: str) -> float:
-    """`objective` of S_phi over the band 0.1 <= |omega|/kappa <= 10."""
-    spec = quadrature_spectrum(blocks, phi)
-    w = np.abs(spec.series.x)
-    sel = (w >= 0.1) & (w <= 10.0) & np.isfinite(spec.series.values)
-    values = spec.series.values[sel]
-    if objective == "min":
-        return float(values.min())
-    # a symmetric grid makes |omega| non-monotonic; sort before integrating
-    order = np.argsort(w[sel])
-    return float(np.trapezoid(values[order], w[sel][order]))
+def solve_quadrature_angle(blocks: PairSpectralBlocks, half_width: float,
+                           objective: str) -> tuple[float, float, bool]:
+    """(delta_Phi, objective value, degenerate) minimizing `objective` of
+    S_phi over the band 0.1 <= |omega|/kappa <= 10 for |phi| <= half_width.
+
+    S_phi = a + b cos 2phi + c sin 2phi is minimal at 2phi = atan2(-c, -b).
+    "band_integral" integrates a, b and c over the band (trapezoid rule on
+    sorted |omega|) and takes that angle of the integrals; "min" takes it
+    per frequency and keeps the frequency with the lowest value.  Over a
+    window that misses the minimum, the sinusoid is lowest at the edge
+    nearer to it, which is where np.clip puts phi in (-pi/2, pi/2].  The
+    objective is degenerate, and delta_Phi = 0, when its angle-dependent
+    amplitude sqrt(b^2 + c^2) is at most 1e-12 max(|objective|, 1).
+    C11, C22 and C12 + C21 pass the IMAG_TOL check once, which bounds the
+    imaginary residue of S_phi at every angle.
+    """
+    w = np.abs(blocks.omega_over_kappa)
+    c11, c22, cross = _real(np.stack([blocks.c11, blocks.c22,
+                                      blocks.c12_plus_c21]))
+    sel = (w >= 0.1) & (w <= 10.0) & np.isfinite(c11 + c22 + cross)
+    a, b, c = (c11 + c22)[sel] / 2, (c11 - c22)[sel] / 2, cross[sel] / 2
+    if objective == "band_integral":
+        # a symmetric grid makes |omega| non-monotonic; sort before integrating
+        order = np.argsort(w[sel])
+        a, b, c = (np.atleast_1d(np.trapezoid(v[order], w[sel][order]))
+                   for v in (a, b, c))
+    phi = np.clip(0.5 * np.arctan2(-c, -b), -half_width, half_width)
+    values = a + b * np.cos(2.0 * phi) + c * np.sin(2.0 * phi)
+    k = int(np.argmin(values))
+    if np.max(np.hypot(b, c)) <= 1e-12 * max(abs(values[k]), 1.0):
+        return 0.0, float(np.min(a + b)), True
+    return float(phi[k]), float(values[k]), False
 
 
 def optimize_quadrature_angle(state: CombState, l: int,
@@ -247,15 +278,15 @@ def optimize_quadrature_angle(state: CombState, l: int,
                               objective: str = "band_integral") -> AngleOptimum:
     """Angle minimizing a squeezing objective of the pair spectrum.
 
-    J_q is built in the pair's natural frame, so the scanned angle is the
-    residual offset delta-Phi around the pair phase Phi_l; a scan of 121
-    angles covers [-half_width, +half_width] and is refined by
-    golden-section search to 1e-5 rad.  `objective` is either
-    "band_integral" (integral of S over 0.1 <= |omega|/kappa <= 10, good
-    for near-Lorentzian dips) or "min" (deepest point of S in that band,
-    robust when anti-squeezing at low frequency dominates the integral,
-    as for soliton pairs).  Window and objective are scenario keys
-    because "best squeezing" is a modeling choice, not a law.
+    J_q is built in the pair's natural frame, so the solved angle is the
+    residual offset delta-Phi around the pair phase Phi_l, within
+    [-half_width, +half_width]; `solve_quadrature_angle` finds it in
+    closed form.  `objective` is either "band_integral" (integral of S
+    over 0.1 <= |omega|/kappa <= 10, good for near-Lorentzian dips) or
+    "min" (deepest point of S in that band, robust when anti-squeezing at
+    low frequency dominates the integral, as for soliton pairs).  Window
+    and objective are scenario keys because "best squeezing" is a
+    modeling choice, not a law.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -264,42 +295,10 @@ def optimize_quadrature_angle(state: CombState, l: int,
     if omega_grid is None:
         omega_grid = default_omega_grid()
     blocks = pair_spectral_blocks(jac.J_q, p.rho, p.kappa, omega_grid, l)
-    Phi_l = float(jac.pair_rotation[l - 1])
-
-    phis = np.linspace(-half_width, half_width, 121)
-    objs = np.array([_band_objective(blocks, ph, objective)
-                     for ph in phis])
-    spread = objs.max() - objs.min()
-    if spread <= 1e-12 * max(abs(objs.max()), 1.0):
-        best = quadrature_spectrum(blocks, 0.0)
-        return AngleOptimum(l, Phi_l, 0.0, float(objs[0]), best,
-                            degenerate=True)
-    k0 = int(np.argmin(objs))
-    interior = objs[1:-1]
-    minima = np.flatnonzero((interior < objs[:-2]) & (interior <= objs[2:])) + 1
-    multi = len(minima) > 1
-
-    lo = phis[max(k0 - 1, 0)]
-    hi = phis[min(k0 + 1, len(phis) - 1)]
-    inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_gold * (hi - lo)
-    x2 = lo + inv_gold * (hi - lo)
-    f1 = _band_objective(blocks, x1, objective)
-    f2 = _band_objective(blocks, x2, objective)
-    while hi - lo > 1e-5:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_gold * (hi - lo)
-            f1 = _band_objective(blocks, x1, objective)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_gold * (hi - lo)
-            f2 = _band_objective(blocks, x2, objective)
-    delta = 0.5 * (lo + hi)
-    obj = _band_objective(blocks, delta, objective)
-    best = quadrature_spectrum(blocks, delta)
-    return AngleOptimum(l, Phi_l, float(delta), obj, best,
-                        multi_minimum=multi)
+    delta, obj, degenerate = solve_quadrature_angle(blocks, half_width,
+                                                    objective)
+    return AngleOptimum(l, float(jac.pair_rotation[l - 1]), delta, obj,
+                        quadrature_spectrum(blocks, delta), degenerate)
 
 
 def spectrum_csv(spec: QuadratureSpectrum) -> str:
@@ -316,6 +315,5 @@ def optimum_report(opt: AngleOptimum) -> dict:
         "Phi_l": opt.Phi_l,
         "delta_Phi": opt.delta_Phi,
         "objective": opt.objective,
-        "flags": {"multi_minimum": opt.multi_minimum,
-                  "degenerate": opt.degenerate},
+        "flags": {"degenerate": opt.degenerate},
     }

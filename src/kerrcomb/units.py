@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
@@ -134,29 +134,15 @@ def g0_from_gamma(gamma: float, radius: float, n_g: float, omega_L: float) -> fl
     return gamma * v_g**2 * HBAR * omega_L / (2.0 * math.pi * radius)
 
 
-def gamma_from_g0(g0: float, radius: float, n_g: float, omega_L: float) -> float:
-    v_g = C_LIGHT / n_g
-    return g0 * 2.0 * math.pi * radius / (v_g**2 * HBAR * omega_L)
-
-
 def zeta2_from_beta2(beta2: float, n_g: float, fsr: float) -> float:
     """beta2 = -zeta2 / (v_g * fsr^2), inverted."""
     v_g = C_LIGHT / n_g
     return -beta2 * v_g * fsr**2
 
 
-def beta2_from_zeta2(zeta2: float, n_g: float, fsr: float) -> float:
-    v_g = C_LIGHT / n_g
-    return -zeta2 / (v_g * fsr**2)
-
-
 def kappa_from_Q(Q: float, omega_L: float) -> float:
     """Half-linewidth from a quality factor (full linewidth = omega/Q)."""
     return omega_L / (2.0 * Q)
-
-
-def Q_from_kappa(kappa: float, omega_L: float) -> float:
-    return omega_L / (2.0 * kappa)
 
 
 # operations ------------------------------------------------------------

@@ -150,7 +150,7 @@ class TestFluxes:
         params = units.modal_params(cfg, vi_c_budget)
         from kerrcomb.steady_state import solve_flat_state
         flat = solve_flat_state(params)
-        g = sp.kerr_shift(flat)
+        g = flat.params.g0 * abs(flat.lower) ** 2
         assert g < 1e-2 * vi_c_budget.kappa
         for l in (0, 5, 15):
             R_weak, _, _ = sp.sidemode_flux(l, flat)
@@ -238,26 +238,6 @@ class TestPairCorrelation:
         for l, expected in golden.items():
             C = sp.pair_correlation(l, flat_ls, grid).values
             np.testing.assert_allclose(C, expected, rtol=1e-9)
-
-
-class TestPairStatistics:
-    def test_vacuum(self):
-        probs, tail = sp.pair_statistics(0.0, 5)
-        assert probs[0] == 1.0
-        assert np.all(probs[1:] == 0.0)
-        assert tail == 0.0
-
-    @given(st.floats(0.0, 3.0))
-    @settings(max_examples=40, deadline=None)
-    def test_normalization(self, r):
-        probs, tail = sp.pair_statistics(r, 400)
-        assert probs.sum() + tail == pytest.approx(1.0, abs=1e-9)
-
-    def test_mean_pair_number(self):
-        probs, _ = sp.pair_statistics(0.5, 2000)
-        mean = float(np.sum(np.arange(len(probs)) * probs))
-        assert mean == pytest.approx(math.sinh(0.5) ** 2, rel=1e-10)
-        assert mean == pytest.approx(0.27155, abs=5e-5)
 
 
 class TestCsv:

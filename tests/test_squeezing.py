@@ -116,6 +116,38 @@ def _block_entries(blocks):
     return np.stack([blocks.c11, blocks.c22, blocks.c12_plus_c21], axis=1)
 
 
+def _hamiltonian_Jq(seed, m, kappa, margin):
+    """Random real 2m x 2m J_q = -kappa I + Omega S with S symmetric.
+
+    Uniform loss plus a quadratic Hamiltonian, the form
+    build_quadrature_jacobian gives, scaled so that its slowest mode decays
+    at margin * kappa.  S(w) = S(-w) needs that form; a generic real J_q
+    breaks the symmetry.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2 * m
+    zero, eye = np.zeros((m, m)), np.eye(m)
+    S = rng.standard_normal((n, n))
+    H = np.block([[zero, eye], [-eye, zero]]) @ (S + S.T)
+    top = float(np.max(np.linalg.eigvals(H).real))
+    assume(top > 1e-6 * np.max(np.abs(H)))
+    return -kappa * np.eye(n) + (1.0 - margin) * kappa / top * H
+
+
+def _band_objective(blocks, phi, objective):
+    """`objective` of S_phi over the band 0.1 <= |omega|/kappa <= 10,
+    evaluated through `quadrature_spectrum`: the oracle of the closed-form
+    angle solve."""
+    spec = sq.quadrature_spectrum(blocks, phi)
+    w = np.abs(spec.series.x)
+    sel = (w >= 0.1) & (w <= 10.0) & np.isfinite(spec.series.values)
+    values = spec.series.values[sel]
+    if objective == "min":
+        return float(values.min())
+    order = np.argsort(w[sel])
+    return float(np.trapezoid(values[order], w[sel][order]))
+
+
 def _rotated_normal_Jq(slowest, kappa=1.0, seed=0):
     """Real 8x8 J_q = kappa Q B Q^T: B normal with eigenvalue `slowest`
     (units of kappa) and seven others at Re <= -0.5 kappa, Q orthogonal."""
@@ -131,17 +163,7 @@ class TestPairSpectralBlocks:
            margin=st.floats(0.05, 0.95), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_dense_oracle(self, seed, m, rho, kappa, margin, data):
-        # J_q = -kappa I + Omega S with S symmetric: uniform loss plus a
-        # quadratic Hamiltonian, the form build_quadrature_jacobian gives.
-        # S(w) = S(-w) needs it; a generic real J_q breaks that symmetry.
-        rng = np.random.default_rng(seed)
-        n = 2 * m
-        zero, eye = np.zeros((m, m)), np.eye(m)
-        S = rng.standard_normal((n, n))
-        H = np.block([[zero, eye], [-eye, zero]]) @ (S + S.T)
-        top = float(np.max(np.linalg.eigvals(H).real))
-        assume(top > 1e-6 * np.max(np.abs(H)))
-        J_q = -kappa * np.eye(n) + (1.0 - margin) * kappa / top * H
+        J_q = _hamiltonian_Jq(seed, m, kappa, margin)
         l = data.draw(st.integers(1, m), label="l")
         ws = np.array(data.draw(st.lists(st.floats(1e-3, 20.0), min_size=1,
                                          max_size=4), label="omegas"))
@@ -298,6 +320,31 @@ class TestAnalyticThreeMode:
 
 
 class TestAngleOptimization:
+    @pytest.mark.parametrize("objective", sq.OBJECTIVES)
+    @pytest.mark.parametrize("half_width",
+                             [math.pi / 8, math.pi / 4, math.pi / 2],
+                             ids=["pi/8", "pi/4", "pi/2"])
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6),
+           rho=st.floats(1e-3, 1.0), kappa=st.floats(0.1, 10.0),
+           margin=st.floats(0.05, 0.95), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_closed_form_beats_dense_angle_grid(self, objective, half_width,
+                                                seed, m, rho, kappa, margin,
+                                                data):
+        J_q = _hamiltonian_Jq(seed, m, kappa, margin)
+        l = data.draw(st.integers(1, m), label="l")
+        blocks = sq.pair_spectral_blocks(J_q, rho, kappa,
+                                         sq.default_omega_grid(128), l)
+        delta, obj, degenerate = sq.solve_quadrature_angle(
+            blocks, half_width, objective)
+        assert type(degenerate) is bool
+        assert abs(delta) <= half_width
+        assert obj == pytest.approx(_band_objective(blocks, delta, objective),
+                                    rel=1e-12, abs=1e-12)
+        scan = min(_band_objective(blocks, phi, objective)
+                   for phi in np.linspace(-half_width, half_width, 2001))
+        assert obj <= scan + 1e-12 * abs(scan)
+
     def test_local_optimality_certificate(self, three_mode):
         state, _ = three_mode
         opt = sq.optimize_quadrature_angle(
@@ -308,10 +355,10 @@ class TestAngleOptimization:
         blocks = sq.pair_spectral_blocks(
             jac.J_q, p.rho, p.kappa, sq.default_omega_grid(256),
             state.roll_order)
-        f0 = sq._band_objective(blocks, opt.delta_Phi, "band_integral")
+        f0 = _band_objective(blocks, opt.delta_Phi, "band_integral")
         for d in (-eps, eps):
-            assert sq._band_objective(blocks, opt.delta_Phi + d,
-                                      "band_integral") >= f0
+            assert _band_objective(blocks, opt.delta_Phi + d,
+                                   "band_integral") >= f0
 
     def test_near_threshold_angle_is_amplitude_quadrature(self, three_mode):
         # in the pair frame the squeezed quadrature sits at delta-Phi ~ 0
@@ -333,7 +380,7 @@ class TestAngleOptimization:
         state = ss.CombState(a, params, ss.residual(a, params))
         opt = sq.optimize_quadrature_angle(
             state, 1, omega_grid=sq.default_omega_grid(128))
-        assert opt.degenerate
+        assert opt.degenerate is True
         assert opt.delta_Phi == 0.0
 
     def test_invalid_objective(self, three_mode):
@@ -356,4 +403,5 @@ class TestCsv:
             state, state.roll_order, omega_grid=sq.default_omega_grid(128))
         rep = sq.optimum_report(opt)
         assert set(rep) == {"l", "Phi_l", "delta_Phi", "objective", "flags"}
+        assert rep["flags"] == {"degenerate": False}
         assert rep["l"] == state.roll_order

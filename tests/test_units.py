@@ -37,34 +37,19 @@ class TestNonlinearGain:
         g0 = caf2_config().nonlinear_gain()
         assert g0 / TWO_PI * 1e6 == pytest.approx(57.2, rel=5e-3)
 
-    @given(st.floats(1e-5, 1e-1), st.floats(1e-4, 1e-2), st.floats(1.2, 3.0))
-    def test_gamma_roundtrip(self, gamma, radius, n_g):
-        omega = TWO_PI * 193e12
-        g0 = units.g0_from_gamma(gamma, radius, n_g, omega)
-        assert units.gamma_from_g0(g0, radius, n_g, omega) == pytest.approx(
-            gamma, rel=1e-12)
-
 
 class TestDispersion:
     def test_caf2_zeta2_matches_beta2(self):
         cfg = caf2_config()
-        beta2 = units.beta2_from_zeta2(cfg.zeta2, cfg.group_index, cfg.fsr)
-        assert beta2 == pytest.approx(-12.4e-27, rel=2e-2)
-
-    @given(st.floats(-1e-25, -1e-28), st.floats(1.2, 3.0))
-    def test_beta2_roundtrip(self, beta2, n_g):
-        fsr = TWO_PI * 10e9
-        zeta2 = units.zeta2_from_beta2(beta2, n_g, fsr)
-        assert units.beta2_from_zeta2(zeta2, n_g, fsr) == pytest.approx(
-            beta2, rel=1e-12)
+        zeta2 = units.zeta2_from_beta2(-12.4e-27, cfg.group_index, cfg.fsr)
+        assert zeta2 == pytest.approx(cfg.zeta2, rel=2e-2)
 
 
 class TestQConversions:
     @given(st.floats(1e6, 1e12))
-    def test_q_roundtrip(self, Q):
+    def test_kappa_from_q(self, Q):
         omega = TWO_PI * 193e12
-        assert units.Q_from_kappa(units.kappa_from_Q(Q, omega),
-                                  omega) == pytest.approx(Q, rel=1e-12)
+        assert units.kappa_from_Q(Q, omega) == omega / (2.0 * Q)
 
 
 class TestPumpThresholds:
