@@ -9,13 +9,11 @@ add-through and add-drop coupling topologies.
 from .units import (
     LossBudget,
     ModalParams,
-    NormalizedParams,
     ResonatorConfig,
     Topology,
     derive_loss_budget,
     min_pump_power,
     modal_params,
-    normalize,
     predicted_roll_order,
     threshold_pump_power,
 )
@@ -28,9 +26,9 @@ from .steady_state import (
 )
 
 __all__ = [
-    "LossBudget", "ModalParams", "NormalizedParams", "ResonatorConfig",
-    "Topology", "derive_loss_budget", "min_pump_power", "modal_params",
-    "normalize", "predicted_roll_order", "threshold_pump_power",
+    "LossBudget", "ModalParams", "ResonatorConfig", "Topology",
+    "derive_loss_budget", "min_pump_power", "modal_params",
+    "predicted_roll_order", "threshold_pump_power",
     "CombState", "FlatStateBranches", "PatternKind", "find_steady_state",
     "solve_flat_state",
 ]

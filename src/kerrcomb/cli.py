@@ -230,7 +230,7 @@ def derived_quantities(config: units.ResonatorConfig,
                        budget: units.LossBudget) -> dict:
     g0 = config.nonlinear_gain()
     zeta2 = config.dispersion_zeta2()
-    p_min, n_min = units.min_pump_power(budget, g0, config.omega_L)
+    p_min = units.min_pump_power(budget, g0, config.omega_L)
     p_th = units.threshold_pump_power(budget, g0, config.omega_L,
                                       config.detuning)
     try:
@@ -296,7 +296,7 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
                 t0 = time.perf_counter()
                 shape = spontaneous.classify_lineshape(l, flat)
                 series = spontaneous.spontaneous_spectrum(
-                    l, flat, spontaneous.default_omega_grid(shape, kappa))
+                    l, flat, spontaneous.lineshape_omega_grid(shape, kappa))
                 _write(outdir, f"spectrum_l{l}.csv",
                        spontaneous.spectrum_csv(series), products, t0,
                        product=product, l=l, lineshape=shape.kind.value,

@@ -20,13 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _modal
-from .steady_state import (SYMMETRY_TOL, CombState, PatternKind,
-                           reflection_asymmetry)
+from .steady_state import (PATTERN_FLOOR, SYMMETRY_TOL, CombState,
+                           PatternKind, reflection_asymmetry)
 
 #: Residual gate: states with larger dimensionless residual are refused.
 RESIDUAL_GATE = 1e-8
-#: Relative modal intensity below which a pair phase is undefined.
-AMPLITUDE_FLOOR = 1e-12
 #: A state is reported stable when max Re(eig J_a) <= this multiple of kappa
 #: (neutral translation modes of patterned states sit at ~0).
 STABILITY_TOL = 1e-6
@@ -85,12 +83,12 @@ def is_stable(eig: np.ndarray, kappa: float) -> bool:
 def pair_phases(state: CombState) -> list[PairPhase]:
     """Half-sum phase Phi_l = (arg A_l + arg A_{-l})/2 for l = 1..K.
 
-    Pairs whose intensity sits below the amplitude floor carry no
+    Pairs whose intensity sits below PATTERN_FLOOR carry no
     meaningful phase and are flagged undefined (Phi_l reported as 0).
     """
     a = state.amplitudes
     K = state.K
-    floor = AMPLITUDE_FLOOR * float(np.max(np.abs(a) ** 2))
+    floor = PATTERN_FLOOR * float(np.max(np.abs(a) ** 2))
     out = []
     for l in range(1, K + 1):
         ap, am = a[K + l], a[K - l]

@@ -5,8 +5,8 @@ average, yet vacuum fluctuations are parametrically scattered into
 symmetric pairs (+l, -l).  All quantities here follow in closed form from
 the flat intracavity amplitude A0: the output photon-flux spectral
 density per sidemode, its lineshape, the spectral envelope across modes,
-integrated photon fluxes in the weak/strong/very-weak pumping regimes,
-the total emitted power and the pair correlation spectrum.
+integrated photon fluxes in the weak/strong/very-weak pumping regimes
+and the total emitted power.
 
 Spectra are dimensionless and sampled on an omega/kappa grid; conversion
 to SI output power is left to the callers (P = hbar * omega_L * R).
@@ -70,8 +70,9 @@ def _shifts(l: int, flat: FlatStateBranches) -> tuple[complex, float, float]:
     return A0, g, p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
 
 
-def default_omega_grid(shape: LineShape, kappa: float) -> np.ndarray:
-    """Symmetric omega/kappa grid, widened to cover double-peaked maxima."""
+def lineshape_omega_grid(shape: LineShape, kappa: float) -> np.ndarray:
+    """Per-mode lineshape window: a symmetric omega/kappa grid, widened to
+    cover the maxima of a double-peaked lineshape."""
     window = max(OMEGA_WINDOW, shape.peak_frequencies[-1] / kappa + 10.0)
     return np.linspace(-window, window, OMEGA_POINTS)
 
@@ -90,7 +91,7 @@ def spontaneous_spectrum(l: int, flat: FlatStateBranches,
             f"mode l={l}: g = g0|A0|^2 reaches kappa with xi_l = 0; the "
             "linearized spectrum diverges at threshold")
     if omega_grid is None:
-        omega_grid = default_omega_grid(classify_lineshape(l, flat), p.kappa)
+        omega_grid = lineshape_omega_grid(classify_lineshape(l, flat), p.kappa)
     w = omega_grid * p.kappa
     denom = (p.kappa**2 - g**2 + xi**2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
     values = 4.0 * p.rho * p.kappa**2 * g**2 / denom
@@ -249,34 +250,12 @@ def flux_parseval_oracle(l: int, flat: FlatStateBranches) -> float:
     return total / (2.0 * math.pi)
 
 
-def pair_correlation(l: int, flat: FlatStateBranches,
-                     omega_grid: np.ndarray | None = None) -> SpectrumSeries:
-    """Output correlation spectrum <a_{+l} a_{-l}> (complex, dimensionless).
-
-    C(omega) = -rho * 2 kappa S_l / |D_l|^2 * [D_l^* + 2 kappa (R_l^* - i omega)]
-    with R_l = -[kappa - i(sigma - zeta2 l^2/2)] + 2 i g0 |A0|^2,
-    S_l = i g0 A0^2 and D_l = [kappa^2 - g^2 + xi_l^2 - omega^2] - 2 i kappa omega.
-    """
-    p = flat.params
-    A0, g, xi = _shifts(l, flat)
-    if omega_grid is None:
-        omega_grid = default_omega_grid(classify_lineshape(l, flat), p.kappa)
-    w = omega_grid * p.kappa
-    R_l = -(p.kappa - 1j * (p.sigma - 0.5 * p.zeta2 * l**2)) + 2j * g
-    S_l = 1j * p.g0 * A0**2
-    D = (p.kappa**2 - g**2 + xi**2 - w**2) - 2j * p.kappa * w
-    C = -p.rho * (2.0 * p.kappa * S_l / np.abs(D) ** 2) * (
-        np.conj(D) + 2.0 * p.kappa * (np.conj(R_l) - 1j * w))
-    return SpectrumSeries(np.asarray(omega_grid, dtype=float), C)
-
-
 # ---------------------------------------------------------------------------
 # CSV emitters
 # ---------------------------------------------------------------------------
 
 def spectrum_csv(series: SpectrumSeries) -> str:
     lines = [f"{series.x_label},S"]
-    # a complex value formats as "<re>+<im>j", each part to 12 digits
     for x, v in zip(series.x, series.values):
         lines.append(f"{x:.12e},{v:.12e}")
     return "\n".join(lines) + "\n"

@@ -113,7 +113,6 @@ class CombState:
     residual_norm: float                     # max|dA/dt| / (kappa ||A||)
     pattern: PatternKind = PatternKind.UNCLASSIFIED
     roll_order: int | None = None
-    converged: bool = False
 
     @property
     def K(self) -> int:
@@ -191,17 +190,16 @@ def _runaway_limit(amps: np.ndarray, params: ModalParams) -> float:
 
 
 def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
-              step: float = 1e-3, stop_residual: float = RELAX_TOL,
-              check_every: int = 200) -> tuple[np.ndarray, float]:
+              step: float = 1e-3) -> tuple[np.ndarray, float]:
     """Relax the modal flow by Strang-split integration.
 
     `horizon` and `step` are in units of 1/|kappa|.  The linear + drive
     half-step is exact in mode space (the driven mode gets the exact
     affine update); the Kerr step is an exact phase rotation in angle
-    space on an alias-free padded grid.  Returns the final amplitudes and
-    their dimensionless residual; stops early once `stop_residual` is met.
-    Raises DivergenceError once the field leaves the energy bound of
-    `amps` by RUNAWAY_FACTOR.
+    space on an alias-free padded grid.  Takes exactly round(horizon/step)
+    steps, with no early stop, and returns the final amplitudes and their
+    dimensionless residual.  Raises DivergenceError once the field leaves
+    the energy bound of `amps` by RUNAWAY_FACTOR.
 
     The field stays on the padded grid between steps; the linear factor is
     zero outside the 2K+1 modes, which drops the out-of-band power.  The
@@ -226,7 +224,6 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
     intensity = np.empty(n)
     phase = np.empty(n, dtype=complex)
     n_steps = max(1, int(round(horizon / step)))
-    res = residual(amps, params)
 
     for i in range(n_steps):
         spec *= half
@@ -243,13 +240,7 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
             raise DivergenceError(
                 f"field diverged after {i + 1} steps (dt = {step}/kappa)",
                 spec[idx])
-        if (i + 1) % check_every == 0:
-            res = residual(spec[idx], params)
-            if res < stop_residual:
-                break
-    else:
-        res = residual(spec[idx], params)
-    return spec[idx], res
+    return spec[idx], residual(spec[idx], params)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +260,7 @@ def refine(amps: np.ndarray, params: ModalParams,
     worse_streak = 0
     for _ in range(max_iter):
         F = _modal.vector_field(a, params)
-        res = float(np.max(np.abs(F))) / (params.kappa * np.linalg.norm(a))
+        res = residual(a, params)
         if res < best_res:
             best, best_res, worse_streak = a.copy(), res, 0
         else:
@@ -462,8 +453,9 @@ def _relaxed_fields(a: np.ndarray, params: ModalParams, horizon: float,
     MAX_TRIAL_WAIT.  The cap ties the cost of a solve to the time its
     pattern takes to form: a roll whose order settles late is tried within
     MAX_TRIAL_WAIT chunks of settling, not up to twice as late.  The
-    field at the horizon, or where the residual meets RELAX_TOL, comes
-    last with final=True.  The runaway limit is fixed by the seed, so an
+    field at the horizon, or at the first chunk whose residual meets
+    RELAX_TOL (the only early stop of a relaxation), comes last with
+    final=True.  The runaway limit is fixed by the seed, so an
     amplifying flow cannot move it chunk by chunk.
     """
     limit = _runaway_limit(a, params)
@@ -540,4 +532,4 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
             continue
         pat, order = classify(a, params)
         if final or pat is want:
-            return CombState(a, params, res, pat, order, converged=True)
+            return CombState(a, params, res, pat, order)

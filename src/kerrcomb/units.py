@@ -1,4 +1,4 @@
-"""Physical parameter model and SI <-> normalized conversions.
+"""Physical parameter model and SI <-> modal-parameter conversions.
 
 All rates are stored internally as half-linewidths kappa (rad/s); full
 linewidths 2*kappa only appear at I/O boundaries.  The detuning sigma is
@@ -103,16 +103,6 @@ class LossBudget:
 
 
 @dataclass(frozen=True)
-class NormalizedParams:
-    """Dimensionless LLE parameters."""
-
-    alpha: float        # -sigma/kappa
-    beta: float         # -zeta2/kappa
-    F: float            # pump amplitude, F = 1 at the absolute minimum power
-    g0_over_kappa: float
-
-
-@dataclass(frozen=True)
 class ModalParams:
     """Everything the modal equations need, in rad/s and sqrt(photon) units."""
 
@@ -169,9 +159,8 @@ def pump_photon_flux(P: float, omega_L: float) -> float:
     return math.sqrt(P / (HBAR * omega_L))
 
 
-def min_pump_power(budget: LossBudget, g0: float, omega_L: float) -> tuple[float, float]:
-    """Absolute minimum pump power (W) for comb generation and the matching
-    minimal intracavity photon number kappa/g0.
+def min_pump_power(budget: LossBudget, g0: float, omega_L: float) -> float:
+    """Absolute minimum pump power (W) for comb generation.
 
     P_min = hbar*omega_L * (2 kappa)^3 / (8 g0 * 2 kappa_t).
     """
@@ -179,15 +168,13 @@ def min_pump_power(budget: LossBudget, g0: float, omega_L: float) -> tuple[float
         raise ValueError("g0 must be positive")
     d_tot = 2.0 * budget.kappa
     d_ext = 2.0 * budget.kappa_t
-    p_min = HBAR * omega_L * d_tot**3 / (8.0 * g0 * d_ext)
-    n_min = budget.kappa / g0
-    return p_min, n_min
+    return HBAR * omega_L * d_tot**3 / (8.0 * g0 * d_ext)
 
 
 def threshold_pump_power(budget: LossBudget, g0: float, omega_L: float,
                          sigma: float) -> float:
     """P_th = P_min * [1 + (1 + sigma/kappa)^2]."""
-    p_min, _ = min_pump_power(budget, g0, omega_L)
+    p_min = min_pump_power(budget, g0, omega_L)
     return p_min * (1.0 + (1.0 + sigma / budget.kappa) ** 2)
 
 
@@ -207,21 +194,6 @@ def predicted_roll_order(sigma: float, kappa: float, zeta2: float) -> int:
             "no modulational-instability roll order: 2(sigma+2kappa)/zeta2 < 0")
     x = math.sqrt(radicand)
     return int(math.floor(x + 0.5))
-
-
-def normalize(config: ResonatorConfig, budget: LossBudget) -> NormalizedParams:
-    """Dimensionless LLE parameters (alpha, beta, F, g0/kappa)."""
-    g0 = config.nonlinear_gain()
-    zeta2 = config.dispersion_zeta2()
-    kappa = budget.kappa
-    d_tot = 2.0 * kappa
-    d_ext = 2.0 * budget.kappa_t
-    F = math.sqrt(8.0 * g0 * d_ext / d_tot**3) * pump_photon_flux(
-        config.pump_power, config.omega_L)
-    return NormalizedParams(alpha=-config.detuning / kappa,
-                            beta=-zeta2 / kappa,
-                            F=F,
-                            g0_over_kappa=g0 / kappa)
 
 
 def modal_params(config: ResonatorConfig, budget: LossBudget) -> ModalParams:

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -215,31 +214,6 @@ class TestTotalPower:
             sp.total_spontaneous_power(cfg)
 
 
-class TestPairCorrelation:
-    def test_zero_cases(self, flat_ls):
-        params = units.ModalParams(kappa=1.0, kappa_t=0.5, sigma=0.3,
-                                   zeta2=0.01, g0=1e-3, A_in=0.0, rho=0.5)
-        from kerrcomb.steady_state import solve_flat_state
-        empty = solve_flat_state(params)
-        c = sp.pair_correlation(2, empty, np.linspace(-5, 5, 21))
-        assert np.all(c.values == 0.0)
-
-    def test_golden_values(self, flat_ls):
-        # frozen regression values on the reference lineshape parameters
-        grid = np.array([0.0, 1.0, 2.0])
-        golden = {
-            1: [-5.157591580566e-02 - 4.509545384965e-02j,
-                -4.738555249242e-02 - 1.202471261123e-02j,
-                -2.076561183315e-02 + 4.037731761535e-03j],
-            25: [+1.393897940540e-02 + 4.210004027034e-03j,
-                 +1.481274712973e-02 + 6.390198561739e-03j,
-                 +1.258452999937e-02 + 1.596381186638e-02j],
-        }
-        for l, expected in golden.items():
-            C = sp.pair_correlation(l, flat_ls, grid).values
-            np.testing.assert_allclose(C, expected, rtol=1e-9)
-
-
 class TestCsv:
     def test_spectrum_csv_digits(self, flat_ls):
         s = sp.spontaneous_spectrum(1, flat_ls, np.array([0.0, 1.0]))
@@ -248,14 +222,6 @@ class TestCsv:
         assert lines[0] == "omega/kappa,S"
         mantissa = lines[1].split(",")[1].split("e")[0]
         assert len(mantissa.replace("-", "").replace(".", "")) >= 12
-        # complex series: "<re>+<im>j", both parts to 12 digits
-        c = sp.pair_correlation(1, flat_ls, np.array([-1.0, 0.0, 2.0]))
-        rows = sp.spectrum_csv(c).strip().split("\n")[1:]
-        part = r"-?\d\.\d{12}e[+-]\d{2}"
-        for row, want in zip(rows, c.values):
-            cell = row.split(",")[1]
-            assert re.fullmatch(rf"{part}[+-]{part[2:]}j", cell), cell
-            assert complex(cell) == pytest.approx(want, rel=1e-11)
 
     def test_envelope_csv_matches_envelope_and_kinds(self):
         # a blue-detuned map mixes single- and double-peaked modes

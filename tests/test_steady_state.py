@@ -108,8 +108,7 @@ class TestPropagate:
                                    zeta2=0.01, g0=0.0, A_in=2.0, rho=0.5)
         a0 = np.zeros(9, dtype=complex)
         t_end = 3.0
-        a, _ = ss.propagate(a0, params, horizon=t_end, step=1e-3,
-                            stop_residual=0.0)
+        a, _ = ss.propagate(a0, params, horizon=t_end, step=1e-3)
         A_ss = math.sqrt(2.0 * params.kappa_t) * params.A_in / params.kappa
         expected = A_ss * (1.0 - math.exp(-t_end))
         assert a[4] == pytest.approx(expected, rel=1e-9)
@@ -123,8 +122,7 @@ class TestPropagate:
         rng = np.random.default_rng(7)
         a += 1e-3 * abs(branches.lower) * (
             rng.standard_normal(33) + 1j * rng.standard_normal(33))
-        out, res = ss.propagate(a, p, horizon=100.0, step=1e-3,
-                                stop_residual=1e-10)
+        out, res = ss.propagate(a, p, horizon=100.0, step=1e-3)
         # residual floors at the O(dt^2) splitting bias, not at zero
         assert res < 1e-7
         assert abs(out[16]) ** 2 == pytest.approx(
@@ -158,6 +156,15 @@ class TestRefine:
         with pytest.raises(ss.RefinementError) as exc:
             ss.refine(a, params, max_iter=8)
         assert exc.value.best_residual > 0
+
+    def test_residual_is_sign_free_for_negative_kappa(self):
+        # with kappa < 0 the field's residual must still be the positive
+        # norm residual() reports, so the input is not taken as a root
+        params = units.ModalParams(kappa=-1.0, kappa_t=0.5, sigma=0.0,
+                                   zeta2=0.0, g0=1e-3, A_in=1.0, rho=0.5)
+        out, res = ss.refine(np.ones(5), params)
+        assert res == ss.residual(out, params)
+        assert res <= ss.NEWTON_TOL
 
 
 class TestPatterns:

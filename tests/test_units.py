@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import kerrcomb
 from kerrcomb import units
 from conftest import caf2_config
 
@@ -56,17 +57,16 @@ class TestPumpThresholds:
     def test_min_power(self):
         cfg = caf2_config()
         budget = units.derive_loss_budget(cfg)
-        p_min, n_min = units.min_pump_power(budget, cfg.nonlinear_gain(),
-                                            cfg.omega_L)
+        p_min = units.min_pump_power(budget, cfg.nonlinear_gain(),
+                                     cfg.omega_L)
         assert p_min == pytest.approx(2.06e-3, rel=1e-2)
-        assert n_min == pytest.approx(budget.kappa / cfg.nonlinear_gain())
 
     def test_threshold_minimized_at_sigma_minus_kappa(self):
         cfg = caf2_config()
         budget = units.derive_loss_budget(cfg)
         g0 = cfg.nonlinear_gain()
         p_at = lambda s: units.threshold_pump_power(budget, g0, cfg.omega_L, s)
-        p_min, _ = units.min_pump_power(budget, g0, cfg.omega_L)
+        p_min = units.min_pump_power(budget, g0, cfg.omega_L)
         assert p_at(-budget.kappa) == pytest.approx(p_min, rel=1e-12)
         for s in (-2.0, -0.5, 0.0, 1.0):
             assert p_at(s * budget.kappa) > p_min
@@ -99,24 +99,6 @@ class TestRollOrder:
         assert units.predicted_roll_order(-1.875, 1.0, 1.0) == 1
 
 
-class TestNormalization:
-    def test_flat_pump_is_unity_at_min_power(self):
-        cfg = caf2_config()
-        budget = units.derive_loss_budget(cfg)
-        p_min, _ = units.min_pump_power(budget, cfg.nonlinear_gain(),
-                                        cfg.omega_L)
-        norm = units.normalize(caf2_config(pump_power=p_min), budget)
-        # F^2 = 1 exactly at the absolute minimum comb-generation power
-        assert norm.F**2 == pytest.approx(1.0, rel=1e-12)
-
-    def test_signs(self):
-        cfg = caf2_config(detuning=-1.0)
-        budget = units.derive_loss_budget(cfg)
-        norm = units.normalize(cfg, budget)
-        assert norm.alpha == pytest.approx(1.0 / budget.kappa)
-        assert norm.beta < 0  # anomalous dispersion
-
-
 class TestConfigValidation:
     def test_exactly_one_gain_spec(self):
         with pytest.raises(units.ConfigurationError):
@@ -131,3 +113,8 @@ class TestConfigValidation:
                 pump_wavelength=1550e-9, main_radius=2.5e-3, group_index=1.43,
                 intrinsic_Q=1e9, through_Q=1e9, drop_Q=1e9, pump_power=0.0,
                 detuning=0.0, gamma=0.001, zeta2=1e4)
+
+
+def test_package_exports_resolve():
+    for name in kerrcomb.__all__:
+        assert hasattr(kerrcomb, name), name
