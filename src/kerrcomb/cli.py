@@ -26,10 +26,10 @@ Scenario schema (version 1), JSON with the following top-level keys:
                 total_power (below threshold); quadrature_spectrum,
                 number_difference, stability (above threshold); audit
     modes       sidemode indices l (ints) for per-mode spectra (default [1])
-    pairs       pair indices (ints) for quadrature spectra (default: the
-                realized roll order for a roll state, [1] otherwise)
+    pairs       pair indices (ints >= 1) for quadrature spectra (default:
+                the realized roll order for a roll state, [1] otherwise)
     l_max       envelope/flux-table half-range, int >= 0 (default 100)
-    audit_K     Hamiltonian-audit truncation, int (default 3)
+    audit_K     Hamiltonian-audit truncation, int in 0..6 (default 3)
     seed        integer (default 0)
     sweep       optional {"path": "<resonator key>", "values": [...]};
                 not valid in hamiltonian_audit mode
@@ -138,10 +138,15 @@ def validate_scenario(raw: dict) -> None:
         if key in raw and not (isinstance(raw[key], list)
                                and all(map(_is_int, raw[key]))):
             raise ScenarioError(f"field {key!r}: expected a list of integers")
+    if "pairs" in raw and min(raw["pairs"], default=1) < 1:
+        raise ScenarioError("field 'pairs': pair indices must be >= 1")
     if "l_max" in raw and not (_is_int(raw["l_max"]) and raw["l_max"] >= 0):
         raise ScenarioError("field 'l_max': expected an integer >= 0")
-    if "audit_K" in raw and not _is_int(raw["audit_K"]):
-        raise ScenarioError("field 'audit_K': expected an integer")
+    if "audit_K" in raw and not (
+            _is_int(raw["audit_K"])
+            and 0 <= raw["audit_K"] <= hamiltonian_audit.K_MAX):
+        raise ScenarioError("field 'audit_K': expected an integer in "
+                            f"0..{hamiltonian_audit.K_MAX}")
     sweep = raw.get("sweep")
     if sweep is not None and not (isinstance(sweep, dict)
                                   and isinstance(sweep.get("path"), str)
@@ -313,14 +318,13 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
                    product=product)
         elif product == "total_power":
             closed, discrete = spontaneous.total_spontaneous_power(config)
-            _write(outdir, "total_power.csv",
-                   "closed_form_watts,discrete_sum_watts\n"
-                   f"{closed:.12e},{discrete:.12e}\n", products, t0,
+            text = spontaneous.csv_text(
+                "closed_form_watts,discrete_sum_watts", [[closed], [discrete]])
+            _write(outdir, "total_power.csv", text, products, t0,
                    product=product)
         elif product == "number_difference":
-            grid = squeezing.default_omega_grid()
             series = squeezing.photon_number_difference_spectrum(
-                budget.rho, budget.kappa, grid)
+                budget.rho, budget.kappa, spontaneous.default_omega_grid())
             _write(outdir, "number_difference.csv",
                    spontaneous.spectrum_csv(series), products, t0,
                    product=product)
@@ -328,11 +332,10 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
             eig = linearization.stability_spectrum(
                 linearization.build_modal_jacobian(state).J_a)
             kappa = state.params.kappa
-            lines = ["re_over_kappa,im_over_kappa"] + [
-                f"{e.real / kappa:.12e},{e.imag / kappa:.12e}" for e in eig]
-            _write(outdir, "stability.csv", "\n".join(lines) + "\n",
-                   products, t0, product=product,
-                   stable=linearization.is_stable(eig, kappa))
+            text = spontaneous.csv_text("re_over_kappa,im_over_kappa",
+                                        [eig.real / kappa, eig.imag / kappa])
+            _write(outdir, "stability.csv", text, products, t0,
+                   product=product, stable=linearization.is_stable(eig, kappa))
         elif product == "quadrature_spectrum":
             angle = scenario.get("angle", {})
             default = ([state.roll_order]

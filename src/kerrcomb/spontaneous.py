@@ -8,8 +8,10 @@ density per sidemode, its lineshape, the spectral envelope across modes,
 integrated photon fluxes in the weak/strong/very-weak pumping regimes
 and the total emitted power.
 
-Spectra are dimensionless and sampled on an omega/kappa grid; conversion
-to SI output power is left to the callers (P = hbar * omega_L * R).
+Spectra are dimensionless and sampled on an omega/kappa grid
+(`default_omega_grid`); conversion to SI output power is left to the
+callers (P = hbar * omega_L * R).  Every CSV product of the package, here
+and above threshold, is written by `csv_text`.
 """
 
 from __future__ import annotations
@@ -54,27 +56,45 @@ class LineShape:
 
 @dataclass(frozen=True)
 class SpectrumSeries:
-    """Samples of a spectral density over a dimensionless abscissa."""
+    """Samples of a spectral density over omega/kappa."""
 
     x: np.ndarray
     values: np.ndarray
-    x_label: str = "omega/kappa"
 
 
-def _shifts(l: int, flat: FlatStateBranches) -> tuple[complex, float, float]:
-    """(A0, g = g0 |A0|^2, xi_l = sigma - zeta2 l^2/2 + 2g) of sidemode l,
-    on the lower flat branch (the state a pump ramp from zero reaches)."""
+def csv_text(header: str, columns: list, comment: str | None = None) -> str:
+    """One product file: an optional "# comment" line, the header, then a
+    row per sample.  Integer columns print as %d, text as %s and real
+    columns as %.12e, all rows through one format string."""
+    columns = [np.asarray(c) for c in columns]
+    spec = {"i": "%d", "u": "%d", "U": "%s", "O": "%s"}
+    row = ",".join(spec.get(c.dtype.kind, "%.12e") for c in columns) + "\n"
+    cells = [v for r in zip(*(c.tolist() for c in columns)) for v in r]
+    head = "" if comment is None else f"# {comment}\n"
+    return head + header + "\n" + row * len(columns[0]) % tuple(cells)
+
+
+def default_omega_grid(n: int = 1024, w_max: float = 10.0) -> np.ndarray:
+    """Symmetric omega/kappa grid of n points on [-w_max, w_max], without
+    the points within 1e-3 of 0."""
+    grid = np.linspace(-w_max, w_max, n)
+    return grid[np.abs(grid) >= 1e-3]
+
+
+def _shifts(l: int, flat: FlatStateBranches) -> tuple[float, float]:
+    """(g = g0 |A0|^2, xi_l = sigma - zeta2 l^2/2 + 2g) of sidemode l, on
+    the lower flat branch (the state a pump ramp from zero reaches)."""
     p = flat.params
-    A0 = flat.lower
-    g = p.g0 * abs(A0) ** 2
-    return A0, g, p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
+    g = p.g0 * abs(flat.lower) ** 2
+    return g, p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
 
 
 def lineshape_omega_grid(shape: LineShape, kappa: float) -> np.ndarray:
     """Per-mode lineshape window: a symmetric omega/kappa grid, widened to
-    cover the maxima of a double-peaked lineshape."""
+    cover the maxima of a double-peaked lineshape.  OMEGA_POINTS - 1 is
+    odd, so no point lies near 0 and `default_omega_grid` drops none."""
     window = max(OMEGA_WINDOW, shape.peak_frequencies[-1] / kappa + 10.0)
-    return np.linspace(-window, window, OMEGA_POINTS)
+    return default_omega_grid(OMEGA_POINTS, window)
 
 
 def spontaneous_spectrum(l: int, flat: FlatStateBranches,
@@ -85,7 +105,7 @@ def spontaneous_spectrum(l: int, flat: FlatStateBranches,
                  ([kappa^2 - g^2 + xi_l^2 - omega^2]^2 + 4 kappa^2 omega^2)
     """
     p = flat.params
-    _, g, xi = _shifts(l, flat)
+    g, xi = _shifts(l, flat)
     if g >= p.kappa and p.kappa**2 - g**2 + xi**2 <= 1e-12 * p.kappa**2:
         raise NearThresholdError(
             f"mode l={l}: g = g0|A0|^2 reaches kappa with xi_l = 0; the "
@@ -106,7 +126,7 @@ def classify_lineshape(l: int, flat: FlatStateBranches) -> LineShape:
     omega_m = +/- sqrt(xi_l^2 - kappa^2 - g^2).
     """
     p = flat.params
-    _, g, xi = _shifts(l, flat)
+    g, xi = _shifts(l, flat)
     excess = xi**2 - p.kappa**2 - g**2
     if excess <= 0.0:
         peak = 4.0 * p.rho * p.kappa**2 * g**2 / (p.kappa**2 - g**2 + xi**2) ** 2
@@ -123,21 +143,11 @@ def envelope_peaks(flat: FlatStateBranches) -> tuple[int, ...]:
     when that radicand is positive, otherwise a single maximum at l = 0.
     """
     # xi_0 = sigma + 2g
-    radicand = 2.0 * _shifts(0, flat)[2] / flat.params.zeta2
+    radicand = 2.0 * _shifts(0, flat)[1] / flat.params.zeta2
     if radicand <= 0.0:
         return (0,)
     l_peak = int(round(math.sqrt(radicand)))
     return (-l_peak, l_peak)
-
-
-def spectrum_envelope(l_range: np.ndarray,
-                      flat: FlatStateBranches) -> tuple[SpectrumSeries, tuple[int, ...]]:
-    """Peak spectral density versus mode number, and its maximizing modes."""
-    l_range = np.asarray(l_range, dtype=int)
-    values = np.array([classify_lineshape(int(l), flat).peak_value
-                       for l in l_range])
-    return (SpectrumSeries(l_range.astype(float), values, x_label="l"),
-            envelope_peaks(flat))
 
 
 def sidemode_flux(l: int, flat: FlatStateBranches,
@@ -150,7 +160,7 @@ def sidemode_flux(l: int, flat: FlatStateBranches,
     but unphysical divergence of both closed forms.
     """
     p = flat.params
-    _, g, xi = _shifts(l, flat)
+    g, xi = _shifts(l, flat)
     margin = p.kappa**2 + xi**2 - g**2
     if abs(margin) <= boundary_rtol * p.kappa**2:
         raise RegimeBoundaryError(
@@ -237,7 +247,7 @@ def flux_parseval_oracle(l: int, flat: FlatStateBranches) -> float:
     Independent check of the weak-regime closed-form flux.
     """
     p = flat.params
-    _, g, xi = _shifts(l, flat)
+    g, xi = _shifts(l, flat)
 
     def integrand(w: float) -> float:
         denom = (p.kappa**2 - g**2 + xi**2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
@@ -255,23 +265,18 @@ def flux_parseval_oracle(l: int, flat: FlatStateBranches) -> float:
 # ---------------------------------------------------------------------------
 
 def spectrum_csv(series: SpectrumSeries) -> str:
-    lines = [f"{series.x_label},S"]
-    for x, v in zip(series.x, series.values):
-        lines.append(f"{x:.12e},{v:.12e}")
-    return "\n".join(lines) + "\n"
+    return csv_text("omega/kappa,S", [series.x, series.values])
 
 
 def envelope_csv(l_range: np.ndarray, flat: FlatStateBranches) -> str:
-    lines = ["l,S_env,kind"]
-    for l in np.asarray(l_range, dtype=int):
-        shape = classify_lineshape(int(l), flat)
-        lines.append(f"{int(l)},{shape.peak_value:.12e},{shape.kind.value}")
-    return "\n".join(lines) + "\n"
+    """Envelope (peak spectral density) and lineshape kind per mode."""
+    ls = np.asarray(l_range, dtype=int)
+    shapes = [classify_lineshape(int(l), flat) for l in ls]
+    return csv_text("l,S_env,kind", [ls, [s.peak_value for s in shapes],
+                                     [s.kind.value for s in shapes]])
 
 
 def flux_table_csv(l_range: np.ndarray, flat: FlatStateBranches) -> str:
-    lines = ["l,R_out,P_out_watts,regime"]
-    for l in l_range:
-        R, P, regime = sidemode_flux(int(l), flat)
-        lines.append(f"{int(l)},{R:.12e},{P:.12e},{regime}")
-    return "\n".join(lines) + "\n"
+    ls = np.asarray(l_range, dtype=int)
+    R, P, regime = zip(*(sidemode_flux(int(l), flat) for l in ls))
+    return csv_text("l,R_out,P_out_watts,regime", [ls, R, P, regime])

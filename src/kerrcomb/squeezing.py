@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import rsf2csf, schur
 
 from .linearization import build_quadrature_jacobian
-from .spontaneous import SpectrumSeries
+from .spontaneous import SpectrumSeries, csv_text, default_omega_grid
 from .steady_state import CombState
 
 #: Imaginary residue tolerated on (and stripped from) real spectra.
@@ -80,13 +80,6 @@ class AngleOptimum:
     objective: float
     spectrum: QuadratureSpectrum
     degenerate: bool
-
-
-def default_omega_grid(n: int = 1024, w_max: float = 10.0) -> np.ndarray:
-    """Symmetric omega/kappa grid that never contains exactly 0."""
-    grid = np.linspace(-w_max, w_max, n)
-    grid = grid[np.abs(grid) >= 1e-3]
-    return grid
 
 
 def photon_number_difference_spectrum(rho: float, kappa: float,
@@ -302,11 +295,9 @@ def optimize_quadrature_angle(state: CombState, l: int,
 
 
 def spectrum_csv(spec: QuadratureSpectrum) -> str:
-    lines = [f"# pair l={spec.l}, phi={spec.phi:.6f} rad (pair frame)",
-             "omega_over_kappa,S"]
-    for x, v in zip(spec.series.x, spec.series.values):
-        lines.append(f"{x:.12e},{v:.12e}")
-    return "\n".join(lines) + "\n"
+    return csv_text("omega_over_kappa,S", [spec.series.x, spec.series.values],
+                    comment=f"pair l={spec.l}, phi={spec.phi:.6f} rad "
+                            "(pair frame)")
 
 
 def optimum_report(opt: AngleOptimum) -> dict:

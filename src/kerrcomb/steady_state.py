@@ -94,12 +94,6 @@ class FlatStateBranches:
         return self.amplitudes[-1]
 
     @property
-    def middle(self) -> complex:
-        if len(self.amplitudes) != 3:
-            raise ValueError("middle branch only exists in the bistable regime")
-        return self.amplitudes[1]
-
-    @property
     def bistable(self) -> bool:
         return len(self.photon_numbers) == 3
 
@@ -388,6 +382,17 @@ def seed_roll(params: ModalParams, K: int, seed: int = 0,
     return a
 
 
+def _seed_modes(field_at, K: int) -> np.ndarray:
+    """Modal amplitudes -K..K of the field `field_at(theta)`, sampled on
+    the padded grid theta in [-pi, pi)."""
+    n = _fft_size(K)
+    theta = np.linspace(-np.pi, np.pi, n, endpoint=False)
+    spec = np.fft.fft(field_at(theta)) / n
+    # undo the theta offset: grid starts at -pi, not 0
+    spec *= np.exp(-1j * np.fft.fftfreq(n, d=1.0 / n) * np.pi)
+    return spec[_modal.mode_numbers(K) % n].astype(complex)
+
+
 def seed_bright_soliton(params: ModalParams, K: int) -> np.ndarray:
     """Analytic sech pulse on the lower flat background (zeta2 > 0)."""
     if params.zeta2 <= 0:
@@ -401,15 +406,9 @@ def seed_bright_soliton(params: ModalParams, K: int) -> np.ndarray:
     cos_phi = np.clip(np.sqrt(8.0 * alpha) / (np.pi * np.sqrt(F2)), -1.0, 1.0)
     phi0 = np.arccos(cos_phi)
     width = np.sqrt(alpha * 2.0 * kappa / params.zeta2)
-    n = _fft_size(K)
-    theta = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    psi = (np.sqrt(2.0 * alpha) * np.exp(1j * phi0) / np.cosh(width * theta))
-    field = branches.lower + np.sqrt(kappa / g0) * psi
-    spec = np.fft.fft(field) / n
-    # undo the theta offset: grid starts at -pi, not 0
-    spec *= np.exp(-1j * np.fft.fftfreq(n, d=1.0 / n) * np.pi)
-    idx = _modal.mode_numbers(K) % n
-    return spec[idx].astype(complex)
+    psi = np.sqrt(2.0 * alpha) * np.exp(1j * phi0)
+    return _seed_modes(lambda theta: branches.lower + np.sqrt(kappa / g0)
+                       * (psi / np.cosh(width * theta)), K)
 
 
 def seed_dark_soliton(params: ModalParams, K: int) -> np.ndarray:
@@ -418,16 +417,10 @@ def seed_dark_soliton(params: ModalParams, K: int) -> np.ndarray:
         raise ValueError("dark solitons require normal dispersion (zeta2 < 0)")
     branches = solve_flat_state(params)
     upper = branches.upper
-    n = _fft_size(K)
-    theta = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    # tanh-kink pair: field passes near zero at theta = 0 and recovers
-    profile = np.tanh(theta / 0.15) ** 2
     low = branches.lower if branches.bistable else 0.0
-    field = low + (upper - low) * profile
-    spec = np.fft.fft(field) / n
-    spec *= np.exp(-1j * np.fft.fftfreq(n, d=1.0 / n) * np.pi)
-    idx = _modal.mode_numbers(K) % n
-    return spec[idx].astype(complex)
+    # tanh-kink pair: field passes near zero at theta = 0 and recovers
+    return _seed_modes(lambda theta: low + (upper - low)
+                       * np.tanh(theta / 0.15) ** 2, K)
 
 
 def default_mode_cutoff(params: ModalParams, kind: str) -> int:

@@ -32,8 +32,8 @@ def make_flat(g_over_kappa: float, sigma_over_kappa: float,
               kappa: float = 1.0, g0: float = 1e-3):
     """Flat state engineered to have g0|A0|^2 = g_over_kappa * kappa.
 
-    Returns (branches, branch_name) where branch_name selects the root
-    with the requested photon number.
+    Returns (branches, A0) where A0 is the root amplitude with the
+    requested photon number.
     """
     N = g_over_kappa * kappa / g0
     sigma = sigma_over_kappa * kappa
@@ -45,11 +45,9 @@ def make_flat(g_over_kappa: float, sigma_over_kappa: float,
         zeta2=zeta2_over_kappa * kappa, g0=g0, A_in=A_in, rho=rho,
         omega_L=1.2153e15)
     branches = ss.solve_flat_state(params)
-    names = ("lower", "middle", "upper") if branches.bistable else ("lower", "upper")
-    for name in names:
-        if math.isclose(abs(getattr(branches, name)) ** 2, N,
-                        rel_tol=1e-6):
-            return branches, name
+    for A0 in branches.amplitudes:
+        if math.isclose(abs(A0) ** 2, N, rel_tol=1e-6):
+            return branches, A0
     raise AssertionError(f"no branch matches N = {N}")
 
 

@@ -58,22 +58,19 @@ def test_02_roll_order_prediction_and_realized_pattern(roll20, vi_c_budget):
 def test_03_envelope_peak_positions():
     ls = np.arange(-100, 101)
     high_blue, _ = make_flat(0.1, 5.0, 0.01, rho=0.5)
-    _, peaks_a = sp.spectrum_envelope(ls, high_blue)
-    assert peaks_a == (-32, 32)
+    assert sp.envelope_peaks(high_blue) == (-32, 32)
     half_blue, _ = make_flat(0.1, 0.5, 0.01, rho=0.5)
-    _, peaks_b = sp.spectrum_envelope(ls, half_blue)
-    assert peaks_b == (-12, 12)
+    assert sp.envelope_peaks(half_blue) == (-12, 12)
     red, _ = make_flat(0.1, -5.0, 0.01, rho=0.5)
-    _, peaks_d = sp.spectrum_envelope(ls, red)
-    assert peaks_d == (0,)
+    assert sp.envelope_peaks(red) == (0,)
     assert all(sp.classify_lineshape(l, red).kind
                is sp.LineShapeKind.DOUBLE_PEAKED for l in ls)
 
 
 def test_04_lineshape_classification_and_peak_positions():
-    flat, branch = make_flat(0.1, 0.5, 0.01, rho=0.5)
+    flat, A0 = make_flat(0.1, 0.5, 0.01, rho=0.5)
     p = flat.params
-    g = p.g0 * abs(getattr(flat, branch)) ** 2
+    g = p.g0 * abs(A0) ** 2
     for l in (1, -1):
         assert sp.classify_lineshape(l, flat).kind \
             is sp.LineShapeKind.SINGLE_PEAKED
@@ -163,9 +160,8 @@ def test_07_matrix_analytic_equivalence_and_power_sweep(three_mode,
 
 
 def test_08_flat_state_pair_block_reduction():
-    flat, branch = make_flat(0.35, -0.9, 0.012, rho=0.6)
+    flat, A0 = make_flat(0.35, -0.9, 0.012, rho=0.6)
     p = flat.params
-    A0 = getattr(flat, branch)
     g = p.g0 * abs(A0) ** 2
     K = 10
     a = np.zeros(2 * K + 1, dtype=complex)
@@ -200,9 +196,9 @@ def test_08_flat_state_pair_block_reduction():
 
 def test_09_jacobian_finite_difference_oracle(roll20, bright_soliton,
                                               dark_soliton):
-    flat, branch = make_flat(0.4, -0.8, 0.015)
+    flat, A0 = make_flat(0.4, -0.8, 0.015)
     a_flat = np.zeros(17, dtype=complex)
-    a_flat[8] = getattr(flat, branch)
+    a_flat[8] = A0
     fields = [(a_flat, flat.params)]
     for state, _ in (roll20, bright_soliton, dark_soliton):
         fields.append((state.amplitudes, state.params))

@@ -7,9 +7,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kerrcomb import cli, spontaneous
+from kerrcomb import cli, linearization, spontaneous, squeezing
 from kerrcomb import steady_state as ss
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
@@ -211,7 +212,8 @@ class TestValidate:
     @pytest.mark.parametrize("key, value", [
         ("modes", ["a"]), ("modes", [1.5]), ("modes", [True]), ("pairs", 1),
         ("l_max", "5"), ("l_max", -1), ("audit_K", "3"),
-        ("sweep", {"path": "pump_power", "values": 5})])
+        ("sweep", {"path": "pump_power", "values": 5}),
+        ("audit_K", 9), ("audit_K", -1), ("pairs", [0])])
     def test_field_types_rejected(self, tmp_path, capsys, key, value):
         path = write_scenario(tmp_path, below_scenario(**{key: value}))
         assert cli.main(["validate", str(path)]) == 1
@@ -324,6 +326,37 @@ class TestAboveThresholdRun:
                     if p["product"] == "quadrature_spectrum")
         assert "delta_Phi" in quad and "flags" in quad
 
+    def test_product_bytes(self, tmp_path, monkeypatch):
+        # the formats no shipped-scenario hash pins: eigenvalues and pair
+        # blocks are fixed, so no byte depends on BLAS or LAPACK
+        kappa = cli.build_config(RESONATOR)[1].kappa
+        monkeypatch.setattr(linearization, "stability_spectrum", lambda J_a:
+                            kappa * np.array([-0.5 + 2.0j, -1.0 - 0.25j]))
+        grid = np.array([-2.0, -0.5, 0.25, 1.0])
+        monkeypatch.setattr(squeezing, "pair_spectral_blocks",
+                            lambda J_q, rho, kappa, omega_grid, l:
+                            squeezing.PairSpectralBlocks(
+                                l, grid, np.array([0.5, 0.75, 0.5, 0.625]),
+                                np.array([1.5, 1.25, 2.0, 1.125]),
+                                np.array([0.25, -0.5, 0.125, 0.375])))
+        out = tmp_path / "out"
+        assert cli.run_scenario(flat_above_scenario(), out) == 0
+        assert (out / "quadrature_l1.csv").read_text() == (
+            "# pair l=1, phi=-0.092674 rad (pair frame)\n"
+            "omega_over_kappa,S\n"
+            "-2.000000000000e+00,4.855278396516e-01\n"
+            "-5.000000000000e-01,8.003540870290e-01\n"
+            "2.500000000000e-01,5.013278263586e-01\n"
+            "1.000000000000e+00,5.947278529445e-01\n")
+        assert (out / "stability.csv").read_text() == (
+            "re_over_kappa,im_over_kappa\n"
+            "-5.000000000000e-01,2.000000000000e+00\n"
+            "-1.000000000000e+00,-2.500000000000e-01\n")
+        body = (out / "number_difference.csv").read_bytes()
+        assert body.startswith(b"omega/kappa,S\n-1.000000000000e+01,")
+        assert hashlib.sha256(body).hexdigest() == (
+            "7334e296f81050f06aefd9cb3d760ac130879d9c80375dee4ac09524b2c7f729")
+
     def test_pairs_default_to_pair_one(self, tmp_path):
         raw = flat_above_scenario(outputs=["quadrature_spectrum"])
         del raw["pairs"]
@@ -416,3 +449,13 @@ class TestReportCommand:
     def test_missing_report(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path)]) == 1
         assert "no report.json" in capsys.readouterr().err
+
+
+def test_benchmark_entry_points_resolve():
+    # the benchmark calls these names outside its tracer; tier-1 never runs
+    # the workload that reaches default_omega_grid
+    assert len(squeezing.default_omega_grid(128)) == 128
+    for module, name in ((squeezing, "optimize_quadrature_angle"),
+                         (linearization, "build_quadrature_jacobian"),
+                         (cli, "load_scenario"), (cli, "run_scenario")):
+        assert callable(getattr(module, name, None)), name

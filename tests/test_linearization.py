@@ -18,9 +18,9 @@ from conftest import make_flat
 
 
 def _flat_state(g_over, sigma_over, zeta2_over, K=6, rho=0.5):
-    branches, name = make_flat(g_over, sigma_over, zeta2_over, rho=rho)
+    branches, A0 = make_flat(g_over, sigma_over, zeta2_over, rho=rho)
     a = np.zeros(2 * K + 1, dtype=complex)
-    a[K] = getattr(branches, name)
+    a[K] = A0
     return ss.CombState(a, branches.params,
                         ss.residual(a, branches.params), ss.PatternKind.FLAT)
 
@@ -231,9 +231,9 @@ class TestStability:
 
     def test_flat_above_threshold_unstable(self):
         # g > kappa with xi band crossing zero: flat state is MI-unstable
-        branches, name = make_flat(1.5, -3.0, 0.02)
+        branches, A0 = make_flat(1.5, -3.0, 0.02)
         a = np.zeros(81, dtype=complex)
-        a[40] = getattr(branches, name)
+        a[40] = A0
         state = ss.CombState(a, branches.params,
                              ss.residual(a, branches.params))
         blk = lin.build_modal_jacobian(state)

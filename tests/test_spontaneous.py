@@ -18,8 +18,8 @@ FIG_LINESHAPE = dict(g_over_kappa=0.1, sigma_over_kappa=0.5,
 
 @pytest.fixture(scope="module")
 def flat_ls():
-    branches, branch = make_flat(**FIG_LINESHAPE)
-    assert branch == "lower"
+    branches, A0 = make_flat(**FIG_LINESHAPE)
+    assert A0 == branches.lower
     return branches
 
 
@@ -90,29 +90,31 @@ class TestLineshapeClassification:
                     shape.peak_frequencies[-1] / kappa, abs=2 * dw)
 
     def test_envelope_touches_peaks(self, flat_ls):
-        series, _ = sp.spectrum_envelope(np.arange(-60, 61), flat_ls)
-        for l, env in zip(series.x.astype(int), series.values):
+        for l in range(-60, 61):
+            env = sp.classify_lineshape(l, flat_ls).peak_value
             s = sp.spontaneous_spectrum(l, flat_ls)
             assert env >= s.values.max() - 1e-12
+
+
+def envelope_argmax(flat, l_max=100):
+    """|l| of the largest envelope value, peak spectral density per mode."""
+    ls = range(-l_max, l_max + 1)
+    return abs(max(ls, key=lambda l: sp.classify_lineshape(l, flat).peak_value))
 
 
 class TestEnvelope:
     def test_two_maxima_blue_detuned(self):
         branches, _ = make_flat(0.1, 5.0, 0.01, rho=0.5)
-        series, peaks = sp.spectrum_envelope(np.arange(-100, 101), branches)
-        assert peaks == (-32, 32)
-        l_star = abs(int(series.x[np.argmax(series.values)]))
-        assert l_star == 32
+        assert sp.envelope_peaks(branches) == (-32, 32)
+        assert envelope_argmax(branches) == 32
 
     def test_two_maxima_half_kappa(self, flat_ls):
-        series, peaks = sp.spectrum_envelope(np.arange(-100, 101), flat_ls)
-        assert peaks == (-12, 12)
-        assert abs(int(series.x[np.argmax(series.values)])) == 12
+        assert sp.envelope_peaks(flat_ls) == (-12, 12)
+        assert envelope_argmax(flat_ls) == 12
 
     def test_single_maximum_red_detuned(self):
         branches, _ = make_flat(0.1, -5.0, 0.01, rho=0.5)
-        series, peaks = sp.spectrum_envelope(np.arange(-100, 101), branches)
-        assert peaks == (0,)
+        assert sp.envelope_peaks(branches) == (0,)
         for l in range(-100, 101):
             assert sp.classify_lineshape(l, branches).kind \
                 is sp.LineShapeKind.DOUBLE_PEAKED
@@ -138,8 +140,8 @@ class TestFluxes:
     def test_strong_regime_tag(self):
         # g = 1.2 kappa on the lower (only) branch at sigma = 0 with
         # xi_22 = 2g - zeta2 22^2/2 = -0.02 kappa: g^2 > kappa^2 + xi^2
-        branches, branch = make_flat(1.2, 0.0, 0.01, rho=0.5)
-        assert branch == "lower"
+        branches, A0 = make_flat(1.2, 0.0, 0.01, rho=0.5)
+        assert A0 == branches.lower
         R, _, regime = sp.sidemode_flux(22, branches)
         assert regime == "strong"
         assert R > 0
@@ -227,13 +229,12 @@ class TestCsv:
         # a blue-detuned map mixes single- and double-peaked modes
         branches, _ = make_flat(0.1, 5.0, 0.01, rho=0.5)
         ls = np.arange(-40, 41)
-        series, _ = sp.spectrum_envelope(ls, branches)
+        shapes = [sp.classify_lineshape(int(l), branches) for l in ls]
         rows = [r.split(",") for r in
                 sp.envelope_csv(ls, branches).splitlines()[1:]]
         assert [int(r[0]) for r in rows] == ls.tolist()
-        assert [r[1] for r in rows] == [f"{v:.12e}" for v in series.values]
-        kinds = [sp.classify_lineshape(int(l), branches).kind.value
-                 for l in ls]
+        assert [r[1] for r in rows] == [f"{s.peak_value:.12e}" for s in shapes]
+        kinds = [s.kind.value for s in shapes]
         assert [r[2] for r in rows] == kinds
         assert len(set(kinds)) == 2
 

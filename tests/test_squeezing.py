@@ -226,10 +226,10 @@ class TestPairSpectralBlocks:
 class TestQuadratureSpectrum:
     @pytest.fixture
     def flat_blocks(self):
-        branches, name = make_flat(0.5, -1.2, 0.015)
+        branches, A0 = make_flat(0.5, -1.2, 0.015)
         K = 4
         a = np.zeros(2 * K + 1, dtype=complex)
-        a[K] = getattr(branches, name)
+        a[K] = A0
         state = ss.CombState(a, branches.params,
                              ss.residual(a, branches.params))
         jac = lin.build_quadrature_jacobian(state)
@@ -250,10 +250,10 @@ class TestQuadratureSpectrum:
     def test_high_frequency_shot_noise(self, flat_blocks):
         # far outside the cavity line the output is plain vacuum
         grid = np.array([200.0, 500.0])
-        branches, name = make_flat(0.5, -1.2, 0.015)
+        branches, A0 = make_flat(0.5, -1.2, 0.015)
         K = 4
         a = np.zeros(2 * K + 1, dtype=complex)
-        a[K] = getattr(branches, name)
+        a[K] = A0
         state = ss.CombState(a, branches.params,
                              ss.residual(a, branches.params))
         jac = lin.build_quadrature_jacobian(state)

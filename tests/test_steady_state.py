@@ -58,13 +58,8 @@ class TestFlatBranches:
         assert branches.bistable
         N = branches.photon_numbers
         assert N[0] < N[1] < N[2]
-        assert abs(branches.middle) ** 2 == pytest.approx(N[1], rel=1e-9)
-
-    def test_middle_raises_when_monostable(self):
-        branches, _ = make_flat(0.1, 0.0, 0.01)
-        assert not branches.bistable
-        with pytest.raises(ValueError):
-            branches.middle
+        assert abs(branches.amplitudes[1]) ** 2 == pytest.approx(N[1],
+                                                                rel=1e-9)
 
     @given(g=st.floats(0.01, 2.0), s=st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -78,9 +73,9 @@ class TestFlatBranches:
             assert abs(A) ** 2 == pytest.approx(N, rel=1e-9)
 
     def test_flat_root_is_stationary(self):
-        branches, name = make_flat(0.5, -1.0, 0.01)
+        branches, A0 = make_flat(0.5, -1.0, 0.01)
         a = np.zeros(41, dtype=complex)
-        a[20] = getattr(branches, name)
+        a[20] = A0
         assert ss.residual(a, branches.params) < 1e-12
 
 
