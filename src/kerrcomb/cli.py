@@ -25,9 +25,11 @@ Scenario schema (version 1), JSON with the following top-level keys:
     outputs     list of products: spectrum, envelope, flux_table,
                 total_power (below threshold); quadrature_spectrum,
                 number_difference, stability (above threshold); audit
-    modes       sidemode indices l (ints) for per-mode spectra (default [1])
-    pairs       pair indices (ints >= 1) for quadrature spectra (default:
-                the realized roll order for a roll state, [1] otherwise)
+    modes       distinct sidemode indices l (ints) for per-mode spectra
+                (default [1])
+    pairs       distinct pair indices (ints >= 1, and <= state.K when the
+                state gives K) for quadrature spectra (default: the
+                realized roll order for a roll state, [1] otherwise)
     l_max       envelope/flux-table half-range, int >= 0 (default 100)
     audit_K     Hamiltonian-audit truncation, int in 0..6 (default 3)
     seed        integer (default 0)
@@ -138,8 +140,14 @@ def validate_scenario(raw: dict) -> None:
         if key in raw and not (isinstance(raw[key], list)
                                and all(map(_is_int, raw[key]))):
             raise ScenarioError(f"field {key!r}: expected a list of integers")
-    if "pairs" in raw and min(raw["pairs"], default=1) < 1:
+        if key in raw and len(set(raw[key])) < len(raw[key]):
+            raise ScenarioError(f"field {key!r}: an index is repeated")
+    pairs = raw.get("pairs", [])
+    if min(pairs, default=1) < 1:
         raise ScenarioError("field 'pairs': pair indices must be >= 1")
+    if "K" in state and max(pairs, default=1) > state["K"]:
+        raise ScenarioError("field 'pairs': pair indices must be <= the "
+                            f"state's K = {state['K']}")
     if "l_max" in raw and not (_is_int(raw["l_max"]) and raw["l_max"] >= 0):
         raise ScenarioError("field 'l_max': expected an integer >= 0")
     if "audit_K" in raw and not (

@@ -213,9 +213,11 @@ class TestValidate:
         ("modes", ["a"]), ("modes", [1.5]), ("modes", [True]), ("pairs", 1),
         ("l_max", "5"), ("l_max", -1), ("audit_K", "3"),
         ("sweep", {"path": "pump_power", "values": 5}),
-        ("audit_K", 9), ("audit_K", -1), ("pairs", [0])])
+        ("audit_K", 9), ("audit_K", -1), ("pairs", [0]), ("pairs", [7]),
+        ("modes", [1, 1]), ("pairs", [1, 1])])
     def test_field_types_rejected(self, tmp_path, capsys, key, value):
-        path = write_scenario(tmp_path, below_scenario(**{key: value}))
+        # the flat scenario's state has K = 6, which bounds the pairs
+        path = write_scenario(tmp_path, flat_above_scenario(**{key: value}))
         assert cli.main(["validate", str(path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 

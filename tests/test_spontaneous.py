@@ -16,6 +16,16 @@ FIG_LINESHAPE = dict(g_over_kappa=0.1, sigma_over_kappa=0.5,
                      zeta2_over_kappa=0.01, rho=0.5)
 
 
+def reference_csv(header, columns, comment=None):
+    """The per-value % formatting that `csv_text` must reproduce."""
+    columns = [np.asarray(c) for c in columns]
+    spec = {"i": "%d", "u": "%d", "U": "%s", "O": "%s"}
+    row = ",".join(spec.get(c.dtype.kind, "%.12e") for c in columns) + "\n"
+    cells = [v for r in zip(*(c.tolist() for c in columns)) for v in r]
+    head = "" if comment is None else f"# {comment}\n"
+    return head + header + "\n" + row * len(columns[0]) % tuple(cells)
+
+
 @pytest.fixture(scope="module")
 def flat_ls():
     branches, A0 = make_flat(**FIG_LINESHAPE)
@@ -224,6 +234,53 @@ class TestCsv:
         assert lines[0] == "omega/kappa,S"
         mantissa = lines[1].split(",")[1].split("e")[0]
         assert len(mantissa.replace("-", "").replace(".", "")) >= 12
+        assert lines[1:] == ["%.12e,%.12e" % r for r in zip(s.x, s.values)]
+
+    # st.floats draws +-0, +-inf, nan and subnormals as well; the double
+    # nearest a 14-digit decimal ending in 5 sits on a rounding tie of the
+    # 13-digit mantissa, and 9.9999999999995e+k rounds up into e+(k+1)
+    @given(st.lists(st.one_of(
+        st.floats(width=64, allow_subnormal=True),
+        st.builds(lambda m, k: float(f"{m}5e{k}"),
+                  st.integers(10**12, 10**13 - 1), st.integers(-292, 259)),
+        st.builds(lambda d, k: float(f"9.999999999999{d}e{k}"),
+                  st.integers(0, 9), st.integers(-300, 299))), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_real_column_matches_reference(self, values):
+        column = np.array(values, dtype=float)
+        assert sp.csv_text("x", [column]) == reference_csv("x", [column])
+
+    def test_real_column_edge_cases(self):
+        powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        near_ties = [float(f"{m}5e{k}") for k in range(-292, 260, 3)
+                     for m in (1234567890123, 4999999999999, 9999999999999)]
+        carries = [float(f"9.99999999999{d}e{k}") for k in range(-300, 300)
+                   for d in (49, 5, 51)]
+        ties = [0.5, 1.25, 2.5e-1, 1234567890123.5, 2.0**-40, 0.0, 5e-324]
+        x = np.concatenate([powers, np.nextafter(powers, 0.0),
+                            np.nextafter(powers, np.inf), near_ties,
+                            carries, ties, [np.inf, np.nan]])
+        x = np.concatenate([x, -x])
+        assert sp.csv_text("x", [x]) == reference_csv("x", [x])
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_mixed_columns_match_reference(self, n):
+        rng = np.random.default_rng(n)
+        objects = np.empty(n, dtype=object)
+        objects[:] = [None, 1.5, "a", (1, 2), 3][:n]
+        columns = [np.arange(n) - 2, rng.normal(size=n) * 1e-5,
+                   np.arange(n, dtype=np.uint8), [7.25, -0.0, 1e300, 3, 4][:n],
+                   rng.normal(size=n).astype(np.float32),
+                   ["weak", "strong", "\u00e9", "x", "y"][:n], objects]
+        for comment in (None, "pair l=1"):
+            assert (sp.csv_text("a,b,c,d,e,f,g", columns, comment)
+                    == reference_csv("a,b,c,d,e,f,g", columns, comment))
+
+    def test_unformattable_cells_raise(self):
+        with pytest.raises(TypeError):
+            sp.csv_text("z", [np.array([1.0 + 2.0j])])
+        with pytest.raises(ValueError):
+            sp.csv_text("s", [["a\0b"]])
 
     def test_envelope_csv_matches_envelope_and_kinds(self):
         # a blue-detuned map mixes single- and double-peaked modes
