@@ -1,5 +1,6 @@
 """Low-level modal algebra shared by the steady-state solver and the
-fluctuation-Jacobian builder.
+fluctuation-Jacobian builder, including the one matrix of the linearized
+flow, `real_jacobian` (Newton's steps and `stability_spectrum`).
 
 Amplitude vectors are complex arrays of length 2K+1 in natural mode order
 l = -K..K (index l + K).  All sums over interacting modes are exact
@@ -74,3 +75,13 @@ def real_jacobian(R: np.ndarray, S: np.ndarray) -> np.ndarray:
     a = R + S
     b = R - S
     return np.block([[a.real, -b.imag], [a.imag, b.real]])
+
+
+def stability_spectrum(R: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the linearized flow, sorted by descending real part.
+
+    `real_jacobian` is similar to the block [[R, S], [S*, R*]] on (dA, dA*)
+    under (dA, dA*) -> (Re dA, Im dA), so the two share their eigenvalues.
+    """
+    eig = np.linalg.eigvals(real_jacobian(R, S))
+    return eig[np.argsort(-eig.real)]

@@ -27,8 +27,8 @@ Scenario schema (version 1), JSON with the following top-level keys:
                 number_difference, stability (above threshold); audit
     modes       distinct sidemode indices l (ints) for per-mode spectra
                 (default [1])
-    pairs       distinct pair indices (ints >= 1, and <= state.K when the
-                state gives K) for quadrature spectra (default: the
+    pairs       distinct pair indices (ints >= 1, <= state.K or else the
+                default mode cutoff) for quadrature spectra (default: the
                 realized roll order for a roll state, [1] otherwise)
     l_max       envelope/flux-table half-range, int >= 0 (default 100)
     audit_K     Hamiltonian-audit truncation, int in 0..6 (default 3)
@@ -174,7 +174,16 @@ def validate_scenario(raw: dict) -> None:
     points = ([{**res, sweep["path"]: v} for v in sweep["values"]]
               if sweep else [res])
     for point in points:
-        build_config(point)
+        config, budget = build_config(point)
+        if mode == "above_threshold" and "K" not in state:
+            try:
+                K = ss.default_mode_cutoff(units.modal_params(config, budget),
+                                           state.get("kind", "roll"))
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise ScenarioError(f"field 'resonator': {exc}") from exc
+            if max(pairs, default=1) > K:
+                raise ScenarioError("field 'pairs': pair indices must be <= "
+                                    f"the default mode cutoff K = {K}")
 
 
 def _is_int(value) -> bool:
@@ -337,23 +346,20 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
                    spontaneous.spectrum_csv(series), products, t0,
                    product=product)
         elif product == "stability":
-            eig = linearization.stability_spectrum(
-                linearization.build_modal_jacobian(state).J_a)
+            blk = linearization.build_modal_jacobian(state)
+            eig = linearization.stability_spectrum(blk.R, blk.S)
             kappa = state.params.kappa
             text = spontaneous.csv_text("re_over_kappa,im_over_kappa",
                                         [eig.real / kappa, eig.imag / kappa])
             _write(outdir, "stability.csv", text, products, t0,
                    product=product, stable=linearization.is_stable(eig, kappa))
         elif product == "quadrature_spectrum":
-            angle = scenario.get("angle", {})
             default = ([state.roll_order]
                        if state.pattern is ss.PatternKind.ROLL else [1])
             for l in scenario.get("pairs", default):
                 t0 = time.perf_counter()
                 opt = squeezing.optimize_quadrature_angle(
-                    state, l,
-                    half_width=angle.get("half_width", np.pi / 4),
-                    objective=angle.get("objective", "band_integral"))
+                    state, l, **scenario.get("angle", {}))
                 _write(outdir, f"quadrature_l{l}.csv",
                        squeezing.spectrum_csv(opt.spectrum), products,
                        t0, product=product,

@@ -5,11 +5,10 @@ Fluctuations delta-a_l around a stationary field obey
     d(delta a_l)/dt = sum_p R_lp delta a_p + S_lp delta a_p^dagger + noise,
 
 with R and S determined by the stationary amplitudes.  This module builds
-the complex block Jacobian J_a = [[R, S], [S*, R*]] governing that flow,
-its eigenvalue (stability) spectrum, and — for reflection-symmetric
-states — the real 2K x 2K quadrature Jacobian J_q acting on the
-difference coordinates D_l = delta a_{+l} - delta a_{-l} of the K
-sidemode pairs, each pair pre-rotated into its natural phase frame.
+R and S, re-exports their stability spectrum from `_modal` (the matrix
+Newton uses), and — for reflection-symmetric states — the real 2K x 2K
+quadrature Jacobian J_q acting on the differences D_l = delta a_{+l} -
+delta a_{-l} of the K sidemode pairs, each in its natural phase frame.
 """
 
 from __future__ import annotations
@@ -20,13 +19,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _modal
+from ._modal import stability_spectrum
 from .steady_state import (PATTERN_FLOOR, SYMMETRY_TOL, CombState,
                            PatternKind, reflection_asymmetry)
 
 #: Residual gate: states with larger dimensionless residual are refused.
 RESIDUAL_GATE = 1e-8
-#: A state is reported stable when max Re(eig J_a) <= this multiple of kappa
-#: (neutral translation modes of patterned states sit at ~0).
+#: A state is reported stable when max Re(stability_spectrum) <= this multiple
+#: of kappa (neutral translation modes of patterned states sit at ~0).
 STABILITY_TOL = 1e-6
 
 
@@ -34,7 +34,7 @@ STABILITY_TOL = 1e-6
 class BlockJacobian:
     """Linear fluctuation flow around a stationary state.
 
-    R, S and J_a always refer to the modal (annihilation-operator) flow.
+    R and S always refer to the modal (annihilation-operator) flow.
     J_q and pair_rotation are filled by the quadrature builder only; pair
     row i of J_q (0-based) corresponds to mode pair l = i + 1.
     """
@@ -42,16 +42,8 @@ class BlockJacobian:
     K: int
     R: np.ndarray
     S: np.ndarray
-    J_a: np.ndarray
     J_q: np.ndarray | None = None
     pair_rotation: np.ndarray | None = None   # Phi_l applied per pair, l=1..K
-
-
-@dataclass(frozen=True)
-class PairPhase:
-    l: int
-    Phi_l: float          # (phi_l + phi_{-l})/2, reduced to (-pi, pi]
-    defined: bool = True
 
 
 def _gate(state: CombState) -> None:
@@ -62,17 +54,10 @@ def _gate(state: CombState) -> None:
 
 
 def build_modal_jacobian(state: CombState) -> BlockJacobian:
-    """R, S and the composite block Jacobian J_a = [[R, S], [S*, R*]]."""
+    """R and S of the fluctuation flow around a gated state."""
     _gate(state)
     R, S = _modal.build_RS(state.amplitudes, state.params)
-    J_a = np.block([[R, S], [S.conj(), R.conj()]])
-    return BlockJacobian(K=state.K, R=R, S=S, J_a=J_a)
-
-
-def stability_spectrum(J_a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the modal flow, sorted by descending real part."""
-    eig = np.linalg.eigvals(J_a)
-    return eig[np.argsort(-eig.real)]
+    return BlockJacobian(K=state.K, R=R, S=S)
 
 
 def is_stable(eig: np.ndarray, kappa: float) -> bool:
@@ -80,27 +65,25 @@ def is_stable(eig: np.ndarray, kappa: float) -> bool:
     return float(np.max(eig.real)) <= STABILITY_TOL * kappa
 
 
-def pair_phases(state: CombState) -> list[PairPhase]:
-    """Half-sum phase Phi_l = (arg A_l + arg A_{-l})/2 for l = 1..K.
+def pair_phases(state: CombState) -> np.ndarray:
+    """Half-sum phases Phi_l = (arg A_l + arg A_{-l})/2 in (-pi, pi].
 
-    Pairs whose intensity sits below PATTERN_FLOOR carry no
-    meaningful phase and are flagged undefined (Phi_l reported as 0).
+    Entry l - 1 is pair l.  A pair with a mode at or below PATTERN_FLOOR of
+    the peak intensity carries no meaningful phase and gets Phi_l = 0.
     """
     a = state.amplitudes
     K = state.K
     floor = PATTERN_FLOOR * float(np.max(np.abs(a) ** 2))
-    out = []
+    phis = np.zeros(K)
     for l in range(1, K + 1):
         ap, am = a[K + l], a[K - l]
         if abs(ap) ** 2 <= floor or abs(am) ** 2 <= floor:
-            out.append(PairPhase(l, 0.0, defined=False))
             continue
-        phi = 0.5 * (np.angle(ap) + np.angle(am))
-        phi = math.remainder(phi, 2.0 * math.pi)
+        phi = math.remainder(0.5 * (np.angle(ap) + np.angle(am)), 2 * math.pi)
         if phi <= -math.pi:
             phi += 2.0 * math.pi
-        out.append(PairPhase(l, float(phi)))
-    return out
+        phis[l - 1] = phi
+    return phis
 
 
 def build_quadrature_jacobian(state: CombState) -> BlockJacobian:
@@ -130,7 +113,7 @@ def build_quadrature_jacobian(state: CombState) -> BlockJacobian:
     lp = np.arange(1, K + 1)
     A = R[np.ix_(K + lp, K + lp)] - R[np.ix_(K + lp, K - lp)]
     B = S[np.ix_(K + lp, K + lp)] - S[np.ix_(K + lp, K - lp)]
-    phis = np.array([p.Phi_l for p in pair_phases(state)])
+    phis = pair_phases(state)
     rot = np.exp(1j * phis)
     A = A * (rot[None, :] / rot[:, None])          # e^{i(Phi_p - Phi_l)}
     B = B / (rot[None, :] * rot[:, None])          # e^{-i(Phi_p + Phi_l)}

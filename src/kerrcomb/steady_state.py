@@ -243,7 +243,7 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
 
 def refine(amps: np.ndarray, params: ModalParams,
            max_iter: int = 60) -> tuple[np.ndarray, float]:
-    """Polish a near-stationary field by damped Newton iteration.
+    """Polish a near-stationary field by Newton iteration (full steps).
 
     The linear solve uses a minimum-norm least-squares step, so neutral
     directions of patterned states (e.g. roll translation) receive no
@@ -274,8 +274,6 @@ def refine(amps: np.ndarray, params: ModalParams,
         if not np.isfinite(a).all():
             raise RefinementError("Newton step produced non-finite amplitudes",
                                   best, best_res)
-    if best_res <= NEWTON_TOL:
-        return best, best_res
     raise RefinementError(
         f"Newton did not reach tolerance {NEWTON_TOL:g} in {max_iter} iterations",
         best, best_res)

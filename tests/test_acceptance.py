@@ -222,7 +222,7 @@ def test_10_all_converged_states_are_stable(roll20, three_mode,
     for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
         assert state.residual_norm <= ss.NEWTON_TOL
         blk = lin.build_modal_jacobian(state)
-        top = float(lin.stability_spectrum(blk.J_a)[0].real)
+        top = float(lin.stability_spectrum(blk.R, blk.S)[0].real)
         assert top <= 1e-6 * state.params.kappa
 
 

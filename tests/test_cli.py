@@ -237,6 +237,25 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"field '{section}'" in err and key in err
 
+    @pytest.mark.parametrize("pairs, status", [([200], 1), ([72], 0)])
+    def test_pairs_checked_against_default_cutoff(self, tmp_path, capsys,
+                                                  pairs, status):
+        # roll_squeezing gives no state K: its roll cutoff resolves to 72
+        raw = json.loads((SCENARIOS / "roll_squeezing.json").read_text())
+        raw["pairs"] = pairs
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == status
+        if status:
+            assert "K = 72" in capsys.readouterr().err
+
+    def test_cutoff_error_rejected_at_validate(self, tmp_path, capsys):
+        # zeta2 = 0 makes the predicted roll order divide by zero
+        raw = json.loads((SCENARIOS / "roll_squeezing.json").read_text())
+        raw["resonator"]["zeta2"] = 0.0
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        assert "field 'resonator'" in capsys.readouterr().err
+
     def test_angle_must_be_an_object(self, tmp_path, capsys):
         path = write_scenario(tmp_path, flat_above_scenario(angle=[1.0]))
         assert cli.main(["validate", str(path)]) == 1
@@ -332,7 +351,8 @@ class TestAboveThresholdRun:
         # the formats no shipped-scenario hash pins: eigenvalues and pair
         # blocks are fixed, so no byte depends on BLAS or LAPACK
         kappa = cli.build_config(RESONATOR)[1].kappa
-        monkeypatch.setattr(linearization, "stability_spectrum", lambda J_a:
+        monkeypatch.setattr(linearization, "stability_spectrum",
+                            lambda R, S:
                             kappa * np.array([-0.5 + 2.0j, -1.0 - 0.25j]))
         grid = np.array([-2.0, -0.5, 0.25, 1.0])
         monkeypatch.setattr(squeezing, "pair_spectral_blocks",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from kerrcomb import _modal
 from kerrcomb import linearization as lin
@@ -23,6 +24,30 @@ def _flat_state(g_over, sigma_over, zeta2_over, K=6, rho=0.5):
     a[K] = A0
     return ss.CombState(a, branches.params,
                         ss.residual(a, branches.params), ss.PatternKind.FLAT)
+
+
+def _undefined_pairs(state):
+    """Pairs l = 1..K with either mode at or below PATTERN_FLOOR of the peak
+    intensity: the pairs that carry no meaningful phase."""
+    I = np.abs(state.amplitudes) ** 2
+    low = I <= ss.PATTERN_FLOOR * I.max()
+    K = state.K
+    return low[K + 1:] | low[:K][::-1]
+
+
+def _block_spectrum(R, S):
+    """Reference: eigenvalues of the complex block [[R, S], [S*, R*]] acting
+    on (da, da*), the form in which the linearized flow is usually written."""
+    return np.linalg.eigvals(np.block([[R, S], [S.conj(), R.conj()]]))
+
+
+def _assert_same_spectrum(got, want):
+    """Eigenvalues matched one-to-one agree within 1e-10 max|lambda|."""
+    assert got.shape == want.shape
+    cost = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    scale = float(np.max(np.abs(want)))
+    assert float(cost[rows, cols].max()) <= 1e-10 * scale
 
 
 def _random_state(seed, K=5):
@@ -78,10 +103,11 @@ class TestModalJacobian:
             lin.build_modal_jacobian(state)
 
     def test_eigenvalues_in_conjugate_pairs(self, roll20):
-        # J_a commutes with the swap-conjugate symmetry, so its spectrum
-        # is closed under complex conjugation
+        # the flow is real in (Re da, Im da), so its spectrum is closed
+        # under complex conjugation
         state, _ = roll20
-        eig = lin.stability_spectrum(lin.build_modal_jacobian(state).J_a)
+        blk = lin.build_modal_jacobian(state)
+        eig = lin.stability_spectrum(blk.R, blk.S)
         tol = 1e-7 * float(np.max(np.abs(eig)))
         dist = np.min(np.abs(eig[:, None] - eig.conj()[None, :]), axis=1)
         assert float(dist.max()) < tol
@@ -92,10 +118,10 @@ class TestModalJacobian:
         a_rot = state.amplitudes * np.exp(1j * state.mode_numbers * 0.42)
         rotated = ss.CombState(a_rot, state.params, state.residual_norm,
                                state.pattern, state.roll_order)
-        e0 = np.sort(lin.stability_spectrum(
-            lin.build_modal_jacobian(state).J_a).real)
-        e1 = np.sort(lin.stability_spectrum(
-            lin.build_modal_jacobian(rotated).J_a).real)
+        b0 = lin.build_modal_jacobian(state)
+        b1 = lin.build_modal_jacobian(rotated)
+        e0 = np.sort(lin.stability_spectrum(b0.R, b0.S).real)
+        e1 = np.sort(lin.stability_spectrum(b1.R, b1.S).real)
         np.testing.assert_allclose(e0, e1, atol=1e-8)
 
 
@@ -185,18 +211,19 @@ class TestQuadratureJacobian:
         a_rot = state.amplitudes * np.exp(1j * state.mode_numbers * theta)
         rotated = ss.CombState(a_rot, state.params, state.residual_norm,
                                state.pattern, state.roll_order)
-        for p0, p1 in zip(lin.pair_phases(state), lin.pair_phases(rotated)):
-            if not p0.defined:
-                assert not p1.defined
+        undefined = _undefined_pairs(state)
+        assert np.array_equal(_undefined_pairs(rotated), undefined)
+        for u, p0, p1 in zip(undefined, lin.pair_phases(state),
+                             lin.pair_phases(rotated)):
+            if u:
                 continue
-            d = math.remainder(p1.Phi_l - p0.Phi_l, math.pi)
+            d = math.remainder(p1 - p0, math.pi)
             assert d == pytest.approx(0.0, abs=1e-9)
 
     def test_undefined_pairs_flagged(self):
         state = _flat_state(0.2, 0.0, 0.01, K=3)
-        phases = lin.pair_phases(state)
-        assert all(not p.defined for p in phases)
-        assert all(p.Phi_l == 0.0 for p in phases)
+        assert _undefined_pairs(state).all()
+        assert np.all(lin.pair_phases(state) == 0.0)
 
 
 class TestThreeModeRates:
@@ -226,8 +253,25 @@ class TestStability:
                                          bright_soliton, dark_soliton):
         for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
             blk = lin.build_modal_jacobian(state)
-            assert lin.is_stable(lin.stability_spectrum(blk.J_a),
+            assert lin.is_stable(lin.stability_spectrum(blk.R, blk.S),
                                  state.params.kappa)
+
+    def test_matches_block_oracle(self, roll20, three_mode, bright_soliton,
+                                  dark_soliton):
+        for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
+            blk = lin.build_modal_jacobian(state)
+            _assert_same_spectrum(lin.stability_spectrum(blk.R, blk.S),
+                                  _block_spectrum(blk.R, blk.S))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_block_oracle_on_random_fields(self, seed):
+        # the Jacobian is defined for any field, stationary or not
+        a, params = _random_state(seed)
+        R, S = _modal.build_RS(a, params)
+        eig = lin.stability_spectrum(R, S)
+        assert np.all(np.diff(eig.real) <= 0.0)
+        _assert_same_spectrum(eig, _block_spectrum(R, S))
 
     def test_flat_above_threshold_unstable(self):
         # g > kappa with xi band crossing zero: flat state is MI-unstable
@@ -237,6 +281,6 @@ class TestStability:
         state = ss.CombState(a, branches.params,
                              ss.residual(a, branches.params))
         blk = lin.build_modal_jacobian(state)
-        assert not lin.is_stable(lin.stability_spectrum(blk.J_a),
+        assert not lin.is_stable(lin.stability_spectrum(blk.R, blk.S),
                                  branches.params.kappa)
 
