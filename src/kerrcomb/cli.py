@@ -32,9 +32,11 @@ Scenario schema (version 1), JSON with the following top-level keys:
                 realized roll order for a roll state, [1] otherwise)
     l_max       envelope/flux-table half-range, int >= 0 (default 100)
     audit_K     Hamiltonian-audit truncation, int in 0..6 (default 3)
-    seed        integer (default 0)
+    seed        integer >= 0 (default 0)
     sweep       optional {"path": "<resonator key>", "values": [...]};
                 not valid in hamiltonian_audit mode
+
+Any other top-level key is rejected.
 
 Every product writes one CSV plus a metadata record in report.json; all
 output frequencies are in units of kappa, powers in watts.  Runs are
@@ -58,6 +60,9 @@ from . import steady_state as ss
 from . import units
 
 SCHEMA_VERSION = 1
+
+TOP_KEYS = {"schema", "name", "mode", "resonator", "state", "angle",
+            "outputs", "modes", "pairs", "l_max", "audit_K", "seed", "sweep"}
 
 MODES = ("below_threshold", "above_threshold", "hamiltonian_audit")
 PRODUCTS_BY_MODE = {
@@ -94,12 +99,22 @@ def load_scenario(path: str | Path) -> dict:
 def validate_scenario(raw: dict) -> None:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
+    unknown = sorted(set(raw) - TOP_KEYS)
+    if unknown:
+        raise ScenarioError(f"unknown top-level keys {unknown} "
+                            f"(allowed: {sorted(TOP_KEYS)})")
     if raw.get("schema") != SCHEMA_VERSION:
         raise ScenarioError(f"field 'schema': expected {SCHEMA_VERSION}, "
                             f"got {raw.get('schema')!r}")
     mode = raw.get("mode")
     if mode not in MODES:
         raise ScenarioError(f"field 'mode': expected one of {MODES}, got {mode!r}")
+    if "name" in raw and not isinstance(raw["name"], str):
+        raise ScenarioError("field 'name': expected a string, "
+                            f"got {raw['name']!r}")
+    if "seed" in raw and not (_is_int(raw["seed"]) and raw["seed"] >= 0):
+        raise ScenarioError("field 'seed': expected an integer >= 0, "
+                            f"got {raw['seed']!r}")
     outputs = raw.get("outputs", [])
     if not isinstance(outputs, list):
         raise ScenarioError("field 'outputs': expected a list")

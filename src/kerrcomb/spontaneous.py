@@ -21,11 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.integrate import quad
 
 from .steady_state import FlatStateBranches
-from .units import ResonatorConfig, derive_loss_budget
+from .units import HBAR, ResonatorConfig, derive_loss_budget
 
 #: Default spectral window (units of kappa) and sampling.
 OMEGA_WINDOW = 20.0
@@ -265,10 +263,7 @@ def sidemode_flux(l: int, flat: FlatStateBranches,
         R = p.rho * p.kappa**2 * g**2 / (
             math.sqrt(g**2 - p.kappa**2) * (g**2 - p.kappa**2 - xi**2))
         regime = "strong"
-    if p.omega_L is None:
-        raise ValueError("ModalParams.omega_L is unset; build via "
-                         "units.modal_params to convert flux to watts")
-    return R, hbar * p.omega_L * R, regime
+    return R, HBAR * p.omega_L * R, regime
 
 
 def very_weak_flux(l: int | np.ndarray,
@@ -284,8 +279,8 @@ def very_weak_flux(l: int | np.ndarray,
     budget = derive_loss_budget(config)
     pump_power, s = config.pump_power, config.detuning
     kappa, kappa_t, rho = budget.kappa, budget.kappa_t, budget.rho
-    flux_sq = (pump_power / (hbar * config.omega_L)) ** 2
-    n_flat = 2.0 * kappa_t * pump_power / (hbar * config.omega_L * (kappa**2 + s**2))
+    flux_sq = (pump_power / (HBAR * config.omega_L)) ** 2
+    n_flat = 2.0 * kappa_t * pump_power / (HBAR * config.omega_L * (kappa**2 + s**2))
     if n_flat > 1e-2 * kappa / g0:
         raise ValueError(
             "pump too strong for the very-weak expansion: "
@@ -325,31 +320,12 @@ def total_spontaneous_power(config: ResonatorConfig) -> tuple[float, float]:
     fluxes, R_max = very_weak_flux(np.arange(-l_max, l_max + 1), config)
     a = float(np.sign(zeta2)) * s / kappa
     one_plus = 1.0 + a**2
-    closed = (hbar * config.omega_L * R_max * math.pi
+    closed = (HBAR * config.omega_L * R_max * math.pi
               * math.sqrt(kappa / abs(zeta2))
               * one_plus ** (-2.25)
               * math.sqrt(1.0 + a / math.sqrt(one_plus)))
-    discrete = float(hbar * config.omega_L * fluxes.sum())
+    discrete = float(HBAR * config.omega_L * fluxes.sum())
     return closed, discrete
-
-
-def flux_parseval_oracle(l: int, flat: FlatStateBranches) -> float:
-    """(1/2pi) integral of S_l over omega, by adaptive quadrature.
-
-    Independent check of the weak-regime closed-form flux.
-    """
-    p = flat.params
-    g, xi = _shifts(l, flat)
-
-    def integrand(w: float) -> float:
-        denom = (p.kappa**2 - g**2 + xi**2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
-        return 4.0 * p.rho * p.kappa**2 * g**2 / denom
-
-    # the lineshape maxima (0 or +/- omega_m) are the breakpoints
-    total, _ = quad(integrand, -200.0 * p.kappa, 200.0 * p.kappa,
-                    points=classify_lineshape(l, flat).peak_frequencies,
-                    limit=400)
-    return total / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c as C_LIGHT, hbar as HBAR
+# exact by the 2019 SI definitions: c in m/s, h = 6.62607015e-34 J s
+C_LIGHT = 299792458.0
+HBAR = 6.62607015e-34 / (2.0 * math.pi)
 
 
 class Topology(enum.Enum):
@@ -113,7 +115,7 @@ class ModalParams:
     g0: float
     A_in: float         # photons^(1/2) s^(-1/2)
     rho: float
-    omega_L: float | None = None   # pump carrier (rad/s), for flux->watts
+    omega_L: float      # pump carrier (rad/s), for flux->watts
 
 
 # conversions -----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared fixtures: the standard CaF2 resonator and cached solver states.
+"""Shared fixtures: the standard CaF2 resonator, cached solver states and
+the Parseval oracle of the below-threshold flux.
 
 Expensive steady-state solves are session-scoped and reused across module
 and acceptance tests; each fixture also reports its wall-clock solve time
@@ -11,11 +12,14 @@ import math
 import time
 
 import pytest
+from scipy.integrate import quad
 
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
 TWO_PI = 2.0 * math.pi
+#: Pump carrier near 1550 nm (rad/s), for hand-built ModalParams.
+OMEGA_L = 1.2153e15
 
 
 def caf2_config(pump_power: float = 2.5e-3, zeta2: float = TWO_PI * 2.9e3,
@@ -43,12 +47,36 @@ def make_flat(g_over_kappa: float, sigma_over_kappa: float,
     params = units.ModalParams(
         kappa=kappa, kappa_t=kappa_t, sigma=sigma,
         zeta2=zeta2_over_kappa * kappa, g0=g0, A_in=A_in, rho=rho,
-        omega_L=1.2153e15)
+        omega_L=OMEGA_L)
     branches = ss.solve_flat_state(params)
     for A0 in branches.amplitudes:
         if math.isclose(abs(A0) ** 2, N, rel_tol=1e-6):
             return branches, A0
     raise AssertionError(f"no branch matches N = {N}")
+
+
+def flux_parseval_oracle(l: int, flat) -> float:
+    """(1/2pi) integral over omega of the sidemode-l spectral density on
+    the lower flat branch, by adaptive quadrature.
+
+    Independent check of the weak-regime closed-form flux: g = g0|A0|^2
+    and xi_l = sigma - zeta2 l^2/2 + 2g are derived here, not taken from
+    `spontaneous`.
+    """
+    p = flat.params
+    g = p.g0 * abs(flat.lower) ** 2
+    xi = p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
+
+    def integrand(w: float) -> float:
+        denom = (p.kappa**2 - g**2 + xi**2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
+        return 4.0 * p.rho * p.kappa**2 * g**2 / denom
+
+    # the lineshape maxima (0 or +/- omega_m) are the breakpoints
+    excess = xi**2 - p.kappa**2 - g**2
+    peaks = (0.0,) if excess <= 0.0 else (-math.sqrt(excess), math.sqrt(excess))
+    total, _ = quad(integrand, -200.0 * p.kappa, 200.0 * p.kappa,
+                    points=peaks, limit=400)
+    return total / (2.0 * math.pi)
 
 
 def _timed(solve):

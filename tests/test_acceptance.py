@@ -21,7 +21,7 @@ from kerrcomb import squeezing as sq
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import caf2_config, make_flat
+from conftest import caf2_config, flux_parseval_oracle, make_flat
 
 BAND = (0.1, 10.0)
 
@@ -103,7 +103,7 @@ def test_05_parseval_oracle_randomized_weak_regime():
         flat, _ = make_flat(g, sigma, zeta2, rho=rho)
         R, _, regime = sp.sidemode_flux(l, flat)
         assert regime == "weak"
-        assert sp.flux_parseval_oracle(l, flat) == pytest.approx(
+        assert flux_parseval_oracle(l, flat) == pytest.approx(
             R, rel=1e-3)
     assert time.perf_counter() - t0 < 10.0
 

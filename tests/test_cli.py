@@ -5,6 +5,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +217,9 @@ class TestValidate:
         ("l_max", "5"), ("l_max", -1), ("audit_K", "3"),
         ("sweep", {"path": "pump_power", "values": 5}),
         ("audit_K", 9), ("audit_K", -1), ("pairs", [0]), ("pairs", [7]),
-        ("modes", [1, 1]), ("pairs", [1, 1])])
+        ("modes", [1, 1]), ("pairs", [1, 1]),
+        ("seed", "abc"), ("seed", 1.5), ("seed", -1), ("seed", True),
+        ("name", 5), ("ouputs", ["stability"])])
     def test_field_types_rejected(self, tmp_path, capsys, key, value):
         # the flat scenario's state has K = 6, which bounds the pairs
         path = write_scenario(tmp_path, flat_above_scenario(**{key: value}))
@@ -481,3 +486,14 @@ def test_benchmark_entry_points_resolve():
                          (linearization, "build_quadrature_jacobian"),
                          (cli, "load_scenario"), (cli, "run_scenario")):
         assert callable(getattr(module, name, None)), name
+
+
+def test_cli_import_loads_no_scipy_constants_or_integrate():
+    # scipy enters the package only through squeezing's Schur form
+    code = "import json, sys, kerrcomb.cli; print(json.dumps(list(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = set(json.loads(out))
+    assert "scipy.linalg" in loaded
+    assert not {"scipy.constants", "scipy.integrate"} & loaded

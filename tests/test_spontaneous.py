@@ -8,7 +8,7 @@ from scipy.constants import hbar
 
 from kerrcomb import spontaneous as sp
 from kerrcomb import units
-from conftest import caf2_config, make_flat
+from conftest import OMEGA_L, caf2_config, flux_parseval_oracle, make_flat
 
 # Synthetic parameter set used in the source material's lineshape figures:
 # sigma = kappa/2, rho = 0.5, g = 0.1 kappa, zeta2 = kappa/100.
@@ -36,7 +36,8 @@ def flat_ls():
 class TestSpectrum:
     def test_zero_pump_gives_zero(self):
         params = units.ModalParams(kappa=1.0, kappa_t=0.5, sigma=0.3,
-                                   zeta2=0.01, g0=1e-3, A_in=0.0, rho=0.5)
+                                   zeta2=0.01, g0=1e-3, A_in=0.0, rho=0.5,
+                                   omega_L=OMEGA_L)
         from kerrcomb.steady_state import solve_flat_state
         flat = solve_flat_state(params)
         s = sp.spontaneous_spectrum(3, flat, np.linspace(-5, 5, 11))
@@ -135,7 +136,7 @@ class TestFluxes:
         for l in (0, 1, 5, 12, 25, 40):
             R, _, regime = sp.sidemode_flux(l, flat_ls)
             assert regime == "weak"
-            assert sp.flux_parseval_oracle(l, flat_ls) == pytest.approx(
+            assert flux_parseval_oracle(l, flat_ls) == pytest.approx(
                 R, rel=1e-3)
 
     def test_boundary_raises(self):

@@ -15,7 +15,7 @@ from kerrcomb import squeezing as sq
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import make_flat
+from conftest import OMEGA_L, make_flat
 
 
 class TestPhotonNumberDifference:
@@ -374,7 +374,8 @@ class TestAngleOptimization:
     def test_degenerate_angle_flagged(self):
         # zero Kerr: the spectrum is angle-independent, flag must be set
         params = units.ModalParams(kappa=1.0, kappa_t=0.5, sigma=0.0,
-                                   zeta2=0.02, g0=0.0, A_in=1.0, rho=0.5)
+                                   zeta2=0.02, g0=0.0, A_in=1.0, rho=0.5,
+                                   omega_L=OMEGA_L)
         a = np.zeros(7, dtype=complex)
         a[3] = math.sqrt(2.0 * params.kappa_t) * params.A_in / params.kappa
         state = ss.CombState(a, params, ss.residual(a, params))

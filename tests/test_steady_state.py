@@ -13,7 +13,7 @@ from scipy.constants import hbar
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import TWO_PI, caf2_config, make_flat
+from conftest import OMEGA_L, TWO_PI, caf2_config, make_flat
 
 
 def _params(g_over, sigma_over, zeta2_over, rho=0.5):
@@ -24,7 +24,8 @@ def _params(g_over, sigma_over, zeta2_over, rho=0.5):
 class TestFlatBranches:
     def test_zero_pump_gives_vacuum(self):
         params = units.ModalParams(kappa=1.0, kappa_t=0.5, sigma=0.0,
-                                   zeta2=0.01, g0=1e-3, A_in=0.0, rho=0.5)
+                                   zeta2=0.01, g0=1e-3, A_in=0.0, rho=0.5,
+                                   omega_L=OMEGA_L)
         branches = ss.solve_flat_state(params)
         assert branches.photon_numbers == (0.0,)
         assert branches.lower == 0.0
@@ -100,7 +101,8 @@ class TestPropagate:
     def test_linear_relaxation_analytic(self):
         # g0 -> 0, sigma = 0: A0(t) = A_ss (1 - exp(-kappa t)) from vacuum
         params = units.ModalParams(kappa=1.0, kappa_t=0.5, sigma=0.0,
-                                   zeta2=0.01, g0=0.0, A_in=2.0, rho=0.5)
+                                   zeta2=0.01, g0=0.0, A_in=2.0, rho=0.5,
+                                   omega_L=OMEGA_L)
         a0 = np.zeros(9, dtype=complex)
         t_end = 3.0
         a, _ = ss.propagate(a0, params, horizon=t_end, step=1e-3)
@@ -127,7 +129,8 @@ class TestPropagate:
     def test_divergence_raises(self):
         # a linearly amplifying flow (negative damping) exercises the guard
         params = units.ModalParams(kappa=-1.0, kappa_t=0.5, sigma=0.0,
-                                   zeta2=0.0, g0=1e-3, A_in=1.0, rho=0.5)
+                                   zeta2=0.0, g0=1e-3, A_in=1.0, rho=0.5,
+                                   omega_L=OMEGA_L)
         a0 = np.ones(5, dtype=complex)
         with pytest.raises(ss.DivergenceError) as exc:
             ss.propagate(a0, params, horizon=100.0, step=1e-2)
@@ -146,7 +149,8 @@ class TestRefine:
     def test_stall_raises_refinement_error(self):
         # start far outside the capture basin of any root
         params = units.ModalParams(kappa=1.0, kappa_t=0.5, sigma=-10.0,
-                                   zeta2=0.01, g0=1.0, A_in=100.0, rho=0.5)
+                                   zeta2=0.01, g0=1.0, A_in=100.0, rho=0.5,
+                                   omega_L=OMEGA_L)
         a = np.full(9, 1e6 + 1e6j, dtype=complex)
         with pytest.raises(ss.RefinementError) as exc:
             ss.refine(a, params, max_iter=8)
@@ -156,7 +160,8 @@ class TestRefine:
         # with kappa < 0 the field's residual must still be the positive
         # norm residual() reports, so the input is not taken as a root
         params = units.ModalParams(kappa=-1.0, kappa_t=0.5, sigma=0.0,
-                                   zeta2=0.0, g0=1e-3, A_in=1.0, rho=0.5)
+                                   zeta2=0.0, g0=1e-3, A_in=1.0, rho=0.5,
+                                   omega_L=OMEGA_L)
         out, res = ss.refine(np.ones(5), params)
         assert res == ss.residual(out, params)
         assert res <= ss.NEWTON_TOL
@@ -319,7 +324,8 @@ class TestHandoff:
         # norm; a limit re-based on each chunk start would follow it up and
         # never fire
         params = units.ModalParams(kappa=-1.0, kappa_t=0.5, sigma=0.0,
-                                   zeta2=0.0, g0=1e-3, A_in=1.0, rho=0.5)
+                                   zeta2=0.0, g0=1e-3, A_in=1.0, rho=0.5,
+                                   omega_L=OMEGA_L)
         with pytest.raises(ss.DivergenceError) as exc:
             ss.find_steady_state(params, K=2, horizon=3000.0,
                                  initial=np.ones(5, dtype=complex))

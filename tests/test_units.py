@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import scipy.constants
 from hypothesis import given, strategies as st
 
 import kerrcomb
@@ -8,6 +9,13 @@ from kerrcomb import units
 from conftest import caf2_config
 
 TWO_PI = 2.0 * math.pi
+
+
+class TestConstants:
+    def test_exact_si_values(self):
+        # the 2019 SI fixes c and h; scipy carries the same exact values
+        assert units.C_LIGHT == scipy.constants.c
+        assert units.HBAR == scipy.constants.hbar
 
 
 class TestLossBudget:
