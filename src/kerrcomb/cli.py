@@ -443,6 +443,9 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("run_dir")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.seed is not None and args.seed < 0:
+        p_run.error("argument --seed: expected an integer >= 0, "
+                    f"got {args.seed}")
     if args.command == "report":
         path = Path(args.run_dir) / "report.json"
         if not path.exists():

@@ -17,12 +17,14 @@ arbitrary angle follow from the diagonal blocks of C_out and are
 normalized so that shot noise is 1.
 
 A pair l needs only rows r in {l - 1, K + l - 1} of (J_q + i w I)^-1.
-`pair_spectral_blocks` factors J_q = Q T Q^H once (complex Schur) and
-gets each row from one triangular solve per frequency: O(n^3) once plus
-O(n^2) per frequency, against about 40 n^3 per frequency for the full
-C_out of `output_correlation`, which stays as the dense reference the
-tests compare against.  A frequency sits on a neutral mode, and its
-entries are NaN, when min_j |T_jj + i w| <= n eps max(max|T|, kappa).
+`pair_spectral_blocks` gets each row from one triangular solve per
+frequency in the complex Schur form J_q = Q T Q^H: O(n^2) per frequency,
+against about 40 n^3 per frequency for the full C_out of
+`output_correlation`, which stays as the dense reference the tests
+compare against.  The O(n^3) Schur form is computed once per distinct
+J_q and reused by every pair of that state (`_schur_form`).  A frequency
+sits on a neutral mode, and its entries are NaN, when
+min_j |T_jj + i w| <= n eps max(max|T|, kappa).
 
 The spectrum at angle phi is S_phi = a + b cos 2phi + c sin 2phi with
 a = (C11 + C22)/2, b = (C11 - C22)/2 and c = (C12 + C21)/2, so the
@@ -48,6 +50,9 @@ IMAG_TOL = 1e-10
 OMEGA_BLOCK = 128
 #: Squeezing objectives `optimize_quadrature_angle` accepts.
 OBJECTIVES = ("band_integral", "min")
+#: (key, T, Q) of the last J_q `_schur_form` factored; key is its exact
+#: dtype, shape and bytes.
+_schur_form_memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
 
 
 class ResolventError(np.linalg.LinAlgError):
@@ -139,20 +144,39 @@ def _vacuum_gram(rows: np.ndarray) -> np.ndarray:
     return w @ w.conj().swapaxes(-1, -2)
 
 
+def _schur_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, Q), J_q = Q T Q^H, of a real J_q.
+
+    Every pair of a state analyses the same J_q, so the last form is kept
+    and returned again, read-only, while the next J_q has the same dtype,
+    shape and bytes; any other matrix, or one mutated in place since, is
+    factored afresh.
+    """
+    global _schur_form_memo
+    key = (J_q.dtype, J_q.shape, J_q.tobytes())
+    memo = _schur_form_memo
+    if memo is None or memo[0] != key:
+        T, Q = rsf2csf(*schur(J_q))
+        T.flags.writeable = Q.flags.writeable = False
+        memo = _schur_form_memo = (key, T, Q)
+    return memo[1], memo[2]
+
+
 def pair_spectral_blocks(J_q: np.ndarray, rho: float, kappa: float,
                          omega_grid: np.ndarray, l: int) -> PairSpectralBlocks:
     """Diagonal pair-l entries of C_out over a dimensionless grid.
 
     Row i = l - 1 of block C11 is the q-quadrature spectrum of pair l.
     Only rows r in {i, K + i} of G_+ = (J_q + i w kappa)^-1 are needed.
-    J_q = Q T Q^H is factored once (complex Schur); per frequency, row r
+    J_q = Q T Q^H is factored once per distinct J_q (complex Schur,
+    `_schur_form`), so all pairs of a state share it; per frequency, row r
     is g_r = x^T Q^H with x^T (T + i w kappa) = Q[r, :], a triangular
     solve, and G_- = conj G_+ because J_q is real.  With t_r = 2 kappa
     g_r + e_r the rho = 1 entries are C[r, s] = t_r C_in conj(t_s)^T, and
     C_out(rho) = C_in + rho (C_out(1) - C_in) scales them exactly to rho.
     C12 and C21 are summed only after the solve, so their imaginary
-    residue still reaches the IMAG_TOL checks.  Cost:
-    O(n^3) once plus O(n^2) per frequency, swept in blocks of OMEGA_BLOCK
+    residue still reaches the IMAG_TOL checks.  Cost: O(n^3) once per
+    state plus O(n^2) per frequency, swept in blocks of OMEGA_BLOCK
     frequencies, against about 40 n^3 per frequency for
     `output_correlation`, the dense reference.  A frequency is neutral,
     and reported as NaN, when min_j |T_jj + i w kappa| <=
@@ -165,7 +189,7 @@ def pair_spectral_blocks(J_q: np.ndarray, rho: float, kappa: float,
     if not 1 <= l <= K:
         raise ValueError(f"pair index l must be in 1..{K}")
     rows = [l - 1, K + l - 1]
-    T, Q = rsf2csf(*schur(J_q))
+    T, Q = _schur_form(J_q)
     Tt = np.ascontiguousarray(T.T)       # row j holds column j of T
     diag = np.diag(T)
     Qh = Q.conj().T

@@ -226,6 +226,17 @@ class TestValidate:
         assert cli.main(["validate", str(path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make", [below_scenario, flat_above_scenario])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, make):
+        # refused before anything runs, whether or not the mode uses the seed
+        path = write_scenario(tmp_path, make())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", str(path), "--out", str(out), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: expected an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key, value", [
         ("state", "kind", "breather"), ("state", "K", "6"),
         ("state", "K", 0), ("state", "target_order", 2.0),
@@ -383,6 +394,18 @@ class TestAboveThresholdRun:
         assert body.startswith(b"omega/kappa,S\n-1.000000000000e+01,")
         assert hashlib.sha256(body).hexdigest() == (
             "7334e296f81050f06aefd9cb3d760ac130879d9c80375dee4ac09524b2c7f729")
+
+    def test_one_schur_form_per_state(self, tmp_path, monkeypatch):
+        # every pair of the state reuses one factorization of its J_q
+        calls = []
+        schur = squeezing.schur
+        monkeypatch.setattr(squeezing, "schur",
+                            lambda *a: calls.append(a[0].shape) or schur(*a))
+        monkeypatch.setattr(squeezing, "_schur_form_memo", None)
+        raw = flat_above_scenario(outputs=["quadrature_spectrum"],
+                                  pairs=[1, 2, 3])
+        assert cli.run_scenario(raw, tmp_path) == 0
+        assert calls == [(12, 12)]
 
     def test_pairs_default_to_pair_one(self, tmp_path):
         raw = flat_above_scenario(outputs=["quadrature_spectrum"])

@@ -160,9 +160,11 @@ def _rotated_normal_Jq(slowest, kappa=1.0, seed=0):
 class TestPairSpectralBlocks:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 20),
            rho=st.floats(1e-3, 1.0), kappa=st.floats(0.1, 10.0),
-           margin=st.floats(0.05, 0.95), data=st.data())
+           margin=st.floats(0.05, 0.95), other=st.integers(0, 2**32 - 1),
+           data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_matches_dense_oracle(self, seed, m, rho, kappa, margin, data):
+    def test_matches_dense_oracle(self, seed, m, rho, kappa, margin, other,
+                                  data):
         J_q = _hamiltonian_Jq(seed, m, kappa, margin)
         l = data.draw(st.integers(1, m), label="l")
         ws = np.array(data.draw(st.lists(st.floats(1e-3, 20.0), min_size=1,
@@ -185,6 +187,21 @@ class TestPairSpectralBlocks:
         for phi in (0.0, 0.7, 1.9):
             s = sq.quadrature_spectrum(blocks, phi).series.values
             assert np.all(s >= 1.0 - rho - 1e-9 * np.max(np.abs(got)))
+        # one Schur form per distinct J_q: A (after whatever the previous
+        # example left), B, A twice and A mutated in place each give the
+        # bytes of a fresh factorization
+        def entries(M):
+            return _block_entries(
+                sq.pair_spectral_blocks(M, rho, kappa, grid, l))
+
+        A = J_q.copy()
+        B = _hamiltonian_Jq(other, m, kappa, margin)
+        seen = [got, entries(B), entries(J_q), entries(J_q)]
+        J_q *= 0.5
+        seen.append(entries(J_q))
+        for M, entry in zip((A, B, A, A, 0.5 * A), seen):
+            sq._schur_form_memo = None
+            np.testing.assert_array_equal(entry, entries(M))
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_neutral_frequency_is_nan(self, exact):
