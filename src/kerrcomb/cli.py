@@ -46,6 +46,7 @@ deterministic for a given scenario + seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -86,8 +87,8 @@ class ScenarioError(ValueError):
 def load_scenario(path: str | Path) -> dict:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
@@ -189,11 +190,10 @@ def validate_scenario(raw: dict) -> None:
     points = ([{**res, sweep["path"]: v} for v in sweep["values"]]
               if sweep else [res])
     for point in points:
-        config, budget = build_config(point)
+        params = build_config(point)
         if mode == "above_threshold" and "K" not in state:
             try:
-                K = ss.default_mode_cutoff(units.modal_params(config, budget),
-                                           state.get("kind", "roll"))
+                K = ss.default_mode_cutoff(params, state.get("kind", "roll"))
             except (TypeError, ValueError, ArithmeticError) as exc:
                 raise ScenarioError(f"field 'resonator': {exc}") from exc
             if max(pairs, default=1) > K:
@@ -212,8 +212,9 @@ def _is_positive(value) -> bool:
     return value > 0 and (isinstance(value, int) or math.isfinite(value))
 
 
-def build_config(res: dict) -> tuple[units.ResonatorConfig, units.LossBudget]:
-    """Resolve the resonator section, including kappa-relative fields."""
+def build_config(res: dict) -> units.ModalParams:
+    """Resolve the resonator section, including kappa-relative fields, to
+    the modal parameters of the resolved config."""
     res = dict(res)
     for rel, abs_ in (("detuning_over_kappa", "detuning"),
                       ("pump_power_over_threshold", "pump_power")):
@@ -241,15 +242,15 @@ def build_config(res: dict) -> tuple[units.ResonatorConfig, units.LossBudget]:
         raise ScenarioError(f"field 'resonator': unknown keys {sorted(res)}")
     # any bad value from the file becomes a ScenarioError, at validate too
     try:
-        config = units.ResonatorConfig(**base)
-        # the loss budget depends on neither pump power nor detuning
-        budget = units.derive_loss_budget(config)
+        # kappa and the threshold at a given sigma depend on neither pump
+        # power nor detuning
+        params = units.modal_params(units.ResonatorConfig(**base))
         if sigma_rel is not None:
-            base["detuning"] = sigma_rel * budget.kappa
+            base["detuning"] = sigma_rel * params.kappa
         if p_rel is not None:
             base["pump_power"] = p_rel * units.threshold_pump_power(
-                budget, config.nonlinear_gain(), config.omega_L, base["detuning"])
-        return units.ResonatorConfig(**base), budget
+                dataclasses.replace(params, sigma=base["detuning"]))
+        return units.modal_params(units.ResonatorConfig(**base))
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"field 'resonator': {exc}") from exc
 
@@ -263,35 +264,29 @@ def _write(outdir: Path, name: str, text: str, products: list,
                      "seconds": round(time.perf_counter() - t0, 6), **extra})
 
 
-def derived_quantities(config: units.ResonatorConfig,
-                       budget: units.LossBudget) -> dict:
-    g0 = config.nonlinear_gain()
-    zeta2 = config.dispersion_zeta2()
-    p_min = units.min_pump_power(budget, g0, config.omega_L)
-    p_th = units.threshold_pump_power(budget, g0, config.omega_L,
-                                      config.detuning)
+def derived_quantities(p: units.ModalParams) -> dict:
+    """The report's "derived" record: rates, thresholds and roll order."""
     try:
-        L = units.predicted_roll_order(config.detuning, budget.kappa, zeta2)
+        L = units.predicted_roll_order(p.sigma, p.kappa, p.zeta2)
     except units.NoRollOrderError:
         L = None
     return {
-        "kappa_rad_s": budget.kappa,
-        "kappa_t_rad_s": budget.kappa_t,
-        "rho": budget.rho,
-        "g0_rad_s": g0,
-        "zeta2_rad_s": zeta2,
-        "P_min_watts": p_min,
-        "P_th_watts": p_th,
+        "kappa_rad_s": p.kappa,
+        "kappa_t_rad_s": p.kappa_t,
+        "rho": p.rho,
+        "g0_rad_s": p.g0,
+        "zeta2_rad_s": p.zeta2,
+        "P_min_watts": units.min_pump_power(p),
+        "P_th_watts": units.threshold_pump_power(p),
         "predicted_roll_order": L,
         "units": {"frequencies": "kappa (dimensionless in CSVs)",
                   "powers": "watts", "rates": "rad/s"},
     }
 
 
-def _solve_state(scenario: dict, config: units.ResonatorConfig,
-                 budget: units.LossBudget, seed: int) -> ss.CombState:
-    return ss.find_steady_state(units.modal_params(config, budget),
-                                seed=seed, **scenario.get("state", {}))
+def _solve_state(scenario: dict, p: units.ModalParams,
+                 seed: int) -> ss.CombState:
+    return ss.find_steady_state(p, seed=seed, **scenario.get("state", {}))
 
 
 def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
@@ -304,19 +299,19 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
     }
     products = report["products"]
 
-    config = budget = None
+    params = None
     if mode != "hamiltonian_audit":
-        config, budget = build_config(scenario["resonator"])
-        report["derived"] = derived_quantities(config, budget)
+        params = build_config(scenario["resonator"])
+        report["derived"] = derived_quantities(params)
 
     if mode == "below_threshold" and outputs:
-        flat = ss.solve_flat_state(units.modal_params(config, budget))
+        flat = ss.solve_flat_state(params)
         l_max = scenario.get("l_max", 100)
         ls = np.arange(-l_max, l_max + 1)
     if {"quadrature_spectrum", "stability"} & set(outputs):
         t0 = time.perf_counter()
         state = ss.rotate_to_symmetric(
-            _solve_state(scenario, config, budget, seed))
+            _solve_state(scenario, params, seed))
         report["state"] = {
             "pattern": state.pattern.value,
             "roll_order": state.roll_order,
@@ -349,14 +344,14 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
                    spontaneous.flux_table_csv(ls, flat), products, t0,
                    product=product)
         elif product == "total_power":
-            closed, discrete = spontaneous.total_spontaneous_power(config)
+            closed, discrete = spontaneous.total_spontaneous_power(params)
             text = spontaneous.csv_text(
                 "closed_form_watts,discrete_sum_watts", [[closed], [discrete]])
             _write(outdir, "total_power.csv", text, products, t0,
                    product=product)
         elif product == "number_difference":
             series = squeezing.photon_number_difference_spectrum(
-                budget.rho, budget.kappa, spontaneous.default_omega_grid())
+                params.rho, params.kappa, spontaneous.default_omega_grid())
             _write(outdir, "number_difference.csv",
                    spontaneous.spectrum_csv(series), products, t0,
                    product=product)
@@ -451,7 +446,11 @@ def main(argv: list[str] | None = None) -> int:
         if not path.exists():
             print(f"no report.json under {args.run_dir}", file=sys.stderr)
             return 1
-        report = json.loads(path.read_text())
+        try:
+            report = json.loads(path.read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            print(f"unreadable {path}: {exc}", file=sys.stderr)
+            return 1
         print(json.dumps(report, indent=2))
         return 0
     try:

@@ -23,11 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .steady_state import FlatStateBranches
-from .units import HBAR, ResonatorConfig, derive_loss_budget
+from .units import HBAR, ModalParams
 
 #: Default spectral window (units of kappa) and sampling.
 OMEGA_WINDOW = 20.0
 OMEGA_POINTS = 2048
+#: |m_l| <= SINGULAR_RTOL kappa^2 counts as m_l = 0.  There the flat cubic
+#: has a double root, resolved only to ~sqrt(eps) = 1.5e-8 relative, so a
+#: point exactly on m_l = 0 computes as |m_l| ~ 1e-7 kappa^2.
+SINGULAR_RTOL = 1e-6
 
 
 class NearThresholdError(FloatingPointError):
@@ -171,12 +175,20 @@ def default_omega_grid(n: int = 1024, w_max: float = 10.0) -> np.ndarray:
     return grid[np.abs(grid) >= 1e-3]
 
 
-def _shifts(l: int, flat: FlatStateBranches) -> tuple[float, float]:
-    """(g = g0 |A0|^2, xi_l = sigma - zeta2 l^2/2 + 2g) of sidemode l, on
-    the lower flat branch (the state a pump ramp from zero reaches)."""
+def _shifts(l: int, flat: FlatStateBranches,
+            error: type[Exception]) -> tuple[float, float, float]:
+    """(g = g0 |A0|^2, xi_l = sigma - zeta2 l^2/2 + 2g,
+    m_l = kappa^2 + xi_l^2 - g^2) of sidemode l, on the lower flat branch
+    (the state a pump ramp from zero reaches).  Raises `error` on m_l = 0,
+    where the omega = 0 spectrum, the lineshape peak and the flux diverge."""
     p = flat.params
     g = p.g0 * abs(flat.lower) ** 2
-    return g, p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
+    xi = p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
+    m = p.kappa**2 + xi**2 - g**2
+    if abs(m) <= SINGULAR_RTOL * p.kappa**2:
+        raise error(f"mode l={l} sits on m_l = kappa^2 + xi_l^2 - g^2 = 0, "
+                    "where linearized below-threshold theory diverges")
+    return g, xi, m
 
 
 def lineshape_omega_grid(shape: LineShape, kappa: float) -> np.ndarray:
@@ -193,13 +205,10 @@ def spontaneous_spectrum(l: int, flat: FlatStateBranches,
 
     S_l(omega) = 4 rho kappa^2 g^2 /
                  ([kappa^2 - g^2 + xi_l^2 - omega^2]^2 + 4 kappa^2 omega^2)
+    diverges at omega = 0 on m_l = 0, and there raises NearThresholdError.
     """
     p = flat.params
-    g, xi = _shifts(l, flat)
-    if g >= p.kappa and p.kappa**2 - g**2 + xi**2 <= 1e-12 * p.kappa**2:
-        raise NearThresholdError(
-            f"mode l={l}: g = g0|A0|^2 reaches kappa with xi_l = 0; the "
-            "linearized spectrum diverges at threshold")
+    g, xi, _ = _shifts(l, flat, NearThresholdError)
     if omega_grid is None:
         omega_grid = lineshape_omega_grid(classify_lineshape(l, flat), p.kappa)
     w = omega_grid * p.kappa
@@ -213,10 +222,11 @@ def classify_lineshape(l: int, flat: FlatStateBranches) -> LineShape:
 
     The spectrum is single-peaked (maximum at omega = 0) iff
     xi_l^2 <= kappa^2 + g^2; otherwise the peaks sit at
-    omega_m = +/- sqrt(xi_l^2 - kappa^2 - g^2).
+    omega_m = +/- sqrt(xi_l^2 - kappa^2 - g^2).  Raises NearThresholdError
+    on m_l = 0, where the single peak diverges.
     """
     p = flat.params
-    g, xi = _shifts(l, flat)
+    g, xi, _ = _shifts(l, flat, NearThresholdError)
     excess = xi**2 - p.kappa**2 - g**2
     if excess <= 0.0:
         peak = 4.0 * p.rho * p.kappa**2 * g**2 / (p.kappa**2 - g**2 + xi**2) ** 2
@@ -232,30 +242,25 @@ def envelope_peaks(flat: FlatStateBranches) -> tuple[int, ...]:
     The envelope has two maxima near l = +/- sqrt(2(sigma + 2g)/zeta2)
     when that radicand is positive, otherwise a single maximum at l = 0.
     """
-    # xi_0 = sigma + 2g
-    radicand = 2.0 * _shifts(0, flat)[1] / flat.params.zeta2
+    p = flat.params
+    xi_0 = p.sigma + 2.0 * p.g0 * abs(flat.lower) ** 2
+    radicand = 2.0 * xi_0 / p.zeta2
     if radicand <= 0.0:
         return (0,)
     l_peak = int(round(math.sqrt(radicand)))
     return (-l_peak, l_peak)
 
 
-def sidemode_flux(l: int, flat: FlatStateBranches,
-                  boundary_rtol: float = 1e-9) -> tuple[float, float, str]:
+def sidemode_flux(l: int, flat: FlatStateBranches) -> tuple[float, float, str]:
     """Integrated photon flux of sidemode l and the matching output power.
 
     Returns (R in photons/s, P_out in W, regime tag).  The weak-pumping
     form holds for g^2 < kappa^2 + xi_l^2 and the strong-pumping form for
     g^2 > kappa^2 + xi_l^2; the boundary itself is a removable-looking
-    but unphysical divergence of both closed forms.
+    but unphysical divergence of both closed forms: RegimeBoundaryError.
     """
     p = flat.params
-    g, xi = _shifts(l, flat)
-    margin = p.kappa**2 + xi**2 - g**2
-    if abs(margin) <= boundary_rtol * p.kappa**2:
-        raise RegimeBoundaryError(
-            f"mode l={l} sits on the regime boundary g^2 = kappa^2 + xi_l^2, "
-            "where the integrated-flux closed forms diverge unphysically")
+    g, xi, margin = _shifts(l, flat, RegimeBoundaryError)
     if margin > 0.0:
         R = p.rho * p.kappa * g**2 / margin
         regime = "weak"
@@ -267,31 +272,27 @@ def sidemode_flux(l: int, flat: FlatStateBranches,
 
 
 def very_weak_flux(l: int | np.ndarray,
-                   config: ResonatorConfig) -> tuple[float | np.ndarray, float]:
+                   p: ModalParams) -> tuple[float | np.ndarray, float]:
     """Sidemode photon flux in the very-weak-pumping limit, with R_max.
 
     R(l) = R_max / ([1 + (sigma/kappa)^2]^2 [1 + (sigma - zeta2 l^2/2)^2/kappa^2]),
-    R_max = 4 rho g0^2 kappa_t^2 / kappa^5 * (P / hbar omega_L)^2,
-    at the config's pump power P and detuning sigma; `l` may be an array.
+    R_max = 4 rho g0^2 kappa_t^2 / kappa^5 * (A_in^2)^2,
+    with A_in^2 = P / hbar omega_L the pump photon flux; `l` may be an array.
     """
-    g0 = config.nonlinear_gain()
-    zeta2 = config.dispersion_zeta2()
-    budget = derive_loss_budget(config)
-    pump_power, s = config.pump_power, config.detuning
-    kappa, kappa_t, rho = budget.kappa, budget.kappa_t, budget.rho
-    flux_sq = (pump_power / (HBAR * config.omega_L)) ** 2
-    n_flat = 2.0 * kappa_t * pump_power / (HBAR * config.omega_L * (kappa**2 + s**2))
-    if n_flat > 1e-2 * kappa / g0:
+    s, kappa = p.sigma, p.kappa
+    flux = p.A_in**2
+    n_flat = 2.0 * p.kappa_t * flux / (kappa**2 + s**2)
+    if n_flat > 1e-2 * kappa / p.g0:
         raise ValueError(
             "pump too strong for the very-weak expansion: "
-            f"g0|A0|^2/kappa ~ {g0 * n_flat / kappa:.3g} exceeds 1e-2")
-    R_max = 4.0 * rho * g0**2 * kappa_t**2 / kappa**5 * flux_sq
+            f"g0|A0|^2/kappa ~ {p.g0 * n_flat / kappa:.3g} exceeds 1e-2")
+    R_max = 4.0 * p.rho * p.g0**2 * p.kappa_t**2 / kappa**5 * flux**2
     bracket0 = 1.0 + (s / kappa) ** 2
-    bracket_l = 1.0 + ((s - 0.5 * zeta2 * l**2) / kappa) ** 2
+    bracket_l = 1.0 + ((s - 0.5 * p.zeta2 * l**2) / kappa) ** 2
     return R_max / (bracket0**2 * bracket_l), R_max
 
 
-def total_spontaneous_power(config: ResonatorConfig) -> tuple[float, float]:
+def total_spontaneous_power(p: ModalParams) -> tuple[float, float]:
     """Total spontaneously emitted power (W) in the very-weak regime.
 
     Returns the closed-form continuous approximation and, for validation,
@@ -307,24 +308,22 @@ def total_spontaneous_power(config: ResonatorConfig) -> tuple[float, float]:
     with a = sgn(zeta2) sigma/kappa (the dispersion curve only crosses the
     pump resonance when sigma and zeta2 share a sign).
     """
-    zeta2 = config.dispersion_zeta2()
+    zeta2, s, kappa = p.zeta2, p.sigma, p.kappa
     if zeta2 == 0.0:
         raise ZeroDivisionError(
             "zeta2 = 0 gives an unphysical divergence of the total "
             "spontaneous power (every mode would emit equally)")
-    s = config.detuning
-    kappa = derive_loss_budget(config).kappa
     # cover the envelope far past its peak scale sqrt(2|s|+..)/zeta2
     l_scale = math.sqrt(max(2.0 * abs(s), kappa) / abs(zeta2))
     l_max = max(10 * int(math.ceil(l_scale)), 200)
-    fluxes, R_max = very_weak_flux(np.arange(-l_max, l_max + 1), config)
+    fluxes, R_max = very_weak_flux(np.arange(-l_max, l_max + 1), p)
     a = float(np.sign(zeta2)) * s / kappa
     one_plus = 1.0 + a**2
-    closed = (HBAR * config.omega_L * R_max * math.pi
+    closed = (HBAR * p.omega_L * R_max * math.pi
               * math.sqrt(kappa / abs(zeta2))
               * one_plus ** (-2.25)
               * math.sqrt(1.0 + a / math.sqrt(one_plus)))
-    discrete = float(HBAR * config.omega_L * fluxes.sum())
+    discrete = float(HBAR * p.omega_L * fluxes.sum())
     return closed, discrete
 
 

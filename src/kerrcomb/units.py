@@ -49,6 +49,10 @@ class ResonatorConfig:
     beta2: float | None = None      # s^2/m
 
     def __post_init__(self):
+        # NaN passes every comparison below, so refuse non-finite numbers first
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.pump_wavelength <= 0 or self.main_radius <= 0:
             raise ConfigurationError("wavelength and radius must be positive")
         if self.intrinsic_Q <= 0 or self.through_Q <= 0:
@@ -113,7 +117,7 @@ class ModalParams:
     sigma: float
     zeta2: float
     g0: float
-    A_in: float         # photons^(1/2) s^(-1/2)
+    A_in: float         # sqrt(P / hbar omega_L), photons^(1/2) s^(-1/2)
     rho: float
     omega_L: float      # pump carrier (rad/s), for flux->watts
 
@@ -156,28 +160,21 @@ def derive_loss_budget(config: ResonatorConfig) -> LossBudget:
                       kappa=kappa, rho=rho)
 
 
-def pump_photon_flux(P: float, omega_L: float) -> float:
-    """Drive amplitude A_in = sqrt(P / hbar omega_L), in s^(-1/2)."""
-    return math.sqrt(P / (HBAR * omega_L))
-
-
-def min_pump_power(budget: LossBudget, g0: float, omega_L: float) -> float:
+def min_pump_power(p: ModalParams) -> float:
     """Absolute minimum pump power (W) for comb generation.
 
     P_min = hbar*omega_L * (2 kappa)^3 / (8 g0 * 2 kappa_t).
     """
-    if g0 <= 0:
+    if p.g0 <= 0:
         raise ValueError("g0 must be positive")
-    d_tot = 2.0 * budget.kappa
-    d_ext = 2.0 * budget.kappa_t
-    return HBAR * omega_L * d_tot**3 / (8.0 * g0 * d_ext)
+    d_tot = 2.0 * p.kappa
+    d_ext = 2.0 * p.kappa_t
+    return HBAR * p.omega_L * d_tot**3 / (8.0 * p.g0 * d_ext)
 
 
-def threshold_pump_power(budget: LossBudget, g0: float, omega_L: float,
-                         sigma: float) -> float:
-    """P_th = P_min * [1 + (1 + sigma/kappa)^2]."""
-    p_min = min_pump_power(budget, g0, omega_L)
-    return p_min * (1.0 + (1.0 + sigma / budget.kappa) ** 2)
+def threshold_pump_power(p: ModalParams) -> float:
+    """P_th = P_min * [1 + (1 + sigma/kappa)^2], at the detuning p.sigma."""
+    return min_pump_power(p) * (1.0 + (1.0 + p.sigma / p.kappa) ** 2)
 
 
 class NoRollOrderError(ValueError):
@@ -198,10 +195,13 @@ def predicted_roll_order(sigma: float, kappa: float, zeta2: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def modal_params(config: ResonatorConfig, budget: LossBudget) -> ModalParams:
-    """Bundle the modal-equation parameters at the config's P and sigma."""
+def modal_params(config: ResonatorConfig) -> ModalParams:
+    """The one conversion of a resonator description to the modal-equation
+    parameters (loss budget included), at the config's P and sigma."""
+    budget = derive_loss_budget(config)
     return ModalParams(kappa=budget.kappa, kappa_t=budget.kappa_t,
                        sigma=config.detuning, zeta2=config.dispersion_zeta2(),
                        g0=config.nonlinear_gain(),
-                       A_in=pump_photon_flux(config.pump_power, config.omega_L),
+                       A_in=math.sqrt(config.pump_power
+                                      / (HBAR * config.omega_L)),
                        rho=budget.rho, omega_L=config.omega_L)

@@ -94,7 +94,7 @@ def vi_c_budget():
 def roll20(vi_c_budget):
     """Roll(20) at P = 2.5 mW, sigma = -kappa (initial-condition selected)."""
     cfg = caf2_config(pump_power=2.5e-3, detuning=-vi_c_budget.kappa)
-    params = units.modal_params(cfg, vi_c_budget)
+    params = units.modal_params(cfg)
     return _timed(lambda: ss.find_steady_state(
         params, kind="roll", seed=0, target_order=20))
 
@@ -102,12 +102,10 @@ def roll20(vi_c_budget):
 @pytest.fixture(scope="session")
 def three_mode(vi_c_budget):
     """Exact three-mode comb: P = 1.01 P_th, sigma = -kappa, K < 2L."""
-    cfg = caf2_config()
     p_th = units.threshold_pump_power(
-        vi_c_budget, cfg.nonlinear_gain(), cfg.omega_L, -vi_c_budget.kappa)
+        units.modal_params(caf2_config(detuning=-vi_c_budget.kappa)))
     params = units.modal_params(
-        caf2_config(pump_power=1.01 * p_th, detuning=-vi_c_budget.kappa),
-        vi_c_budget)
+        caf2_config(pump_power=1.01 * p_th, detuning=-vi_c_budget.kappa))
     state, secs = _timed(lambda: ss.find_steady_state(
         params, kind="roll", seed=0, K=20, horizon=8000.0))
     return ss.rotate_to_symmetric(state), secs
@@ -116,7 +114,7 @@ def three_mode(vi_c_budget):
 @pytest.fixture(scope="session")
 def bright_soliton(vi_c_budget):
     cfg = caf2_config(pump_power=4e-3, detuning=-2.0 * vi_c_budget.kappa)
-    params = units.modal_params(cfg, vi_c_budget)
+    params = units.modal_params(cfg)
     state, secs = _timed(lambda: ss.find_steady_state(
         params, kind="bright_soliton", horizon=500.0))
     return ss.rotate_to_symmetric(state), secs
@@ -126,7 +124,7 @@ def bright_soliton(vi_c_budget):
 def dark_soliton(vi_c_budget):
     cfg = caf2_config(pump_power=5.3e-3, zeta2=-TWO_PI * 2.9e3,
                       detuning=-2.5 * vi_c_budget.kappa)
-    params = units.modal_params(cfg, vi_c_budget)
+    params = units.modal_params(cfg)
     state, secs = _timed(lambda: ss.find_steady_state(
         params, kind="dark_soliton", horizon=500.0))
     return ss.rotate_to_symmetric(state), secs

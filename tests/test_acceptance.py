@@ -32,13 +32,11 @@ def _min_in_band(values, grid):
 
 
 def test_01_threshold_power_value_and_runtime(vi_c_budget):
-    cfg = caf2_config()
-    g0 = cfg.nonlinear_gain()
+    params = units.modal_params(caf2_config(detuning=-vi_c_budget.kappa))
     best = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        p_th = units.threshold_pump_power(vi_c_budget, g0, cfg.omega_L,
-                                          -vi_c_budget.kappa)
+        p_th = units.threshold_pump_power(params)
         best = min(best, time.perf_counter() - t0)
     assert p_th == pytest.approx(2.06e-3, rel=1e-2)
     assert best < 1e-3
@@ -142,14 +140,12 @@ def test_07_matrix_analytic_equivalence_and_power_sweep(three_mode,
     # squeezing must persist through the sweep: min S < 1 - 0.8 rho + 0.15
     bound = 1.0 - 0.8 * p.rho + 0.15
     assert _min_in_band(opt.spectrum.series.values, grid) < bound
-    cfg = caf2_config()
-    p_th = units.threshold_pump_power(vi_c_budget, cfg.nonlinear_gain(),
-                                      cfg.omega_L, -vi_c_budget.kappa)
+    p_th = units.threshold_pump_power(
+        units.modal_params(caf2_config(detuning=-vi_c_budget.kappa)))
     # seed selects among coexisting roll attractors; 2.5 P_th needs seed 1
     for mult, seed in ((1.1, 0), (1.5, 0), (2.0, 0), (2.5, 1), (3.0, 0)):
         params = units.modal_params(
-            caf2_config(pump_power=mult * p_th, detuning=-vi_c_budget.kappa),
-            vi_c_budget)
+            caf2_config(pump_power=mult * p_th, detuning=-vi_c_budget.kappa))
         roll = ss.rotate_to_symmetric(
             ss.find_steady_state(params, kind="roll", seed=seed))
         o = sq.optimize_quadrature_angle(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -226,6 +227,32 @@ class TestValidate:
         assert cli.main(["validate", str(path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("pump_power", math.nan), ("pump_power", math.inf),
+        ("detuning", -math.inf), ("through_Q", math.inf),
+        ("detuning_over_kappa", math.nan),
+        ("pump_power_over_threshold", math.nan), ("sweep", math.nan)])
+    def test_non_finite_resonator_rejected(self, tmp_path, capsys, key,
+                                           value):
+        # json reads NaN and Infinity, and NaN passes every comparison
+        raw = below_scenario()
+        if key == "sweep":
+            raw["sweep"] = {"path": "pump_power", "values": [1e-6, value]}
+        else:
+            # a relative key replaces its absolute twin
+            raw["resonator"].pop(key.split("_over_")[0], None)
+            raw["resonator"][key] = value
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        assert "field 'resonator'" in capsys.readouterr().err
+
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(below_scenario(name="caf\u00e9"), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))
+        assert cli.main(["validate", str(path)]) == 1
+        assert "cannot read" in capsys.readouterr().err
+
     @pytest.mark.parametrize("make", [below_scenario, flat_above_scenario])
     def test_negative_seed_flag_rejected(self, tmp_path, capsys, make):
         # refused before anything runs, whether or not the mode uses the seed
@@ -366,7 +393,7 @@ class TestAboveThresholdRun:
     def test_product_bytes(self, tmp_path, monkeypatch):
         # the formats no shipped-scenario hash pins: eigenvalues and pair
         # blocks are fixed, so no byte depends on BLAS or LAPACK
-        kappa = cli.build_config(RESONATOR)[1].kappa
+        kappa = cli.build_config(RESONATOR).kappa
         monkeypatch.setattr(linearization, "stability_spectrum",
                             lambda R, S:
                             kappa * np.array([-0.5 + 2.0j, -1.0 - 0.25j]))
@@ -499,6 +526,12 @@ class TestReportCommand:
     def test_missing_report(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path)]) == 1
         assert "no report.json" in capsys.readouterr().err
+
+    def test_truncated_report(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text('{"scenario": {"name"')
+        assert cli.main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "report.json" in err and len(err.splitlines()) == 1
 
 
 def test_benchmark_entry_points_resolve():

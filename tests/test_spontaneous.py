@@ -146,7 +146,20 @@ class TestFluxes:
         g = 1.0
         branches, _ = make_flat(g, -2.0 * g, 0.01, rho=0.5)
         with pytest.raises(sp.RegimeBoundaryError):
-            sp.sidemode_flux(0, branches, boundary_rtol=1e-6)
+            sp.sidemode_flux(0, branches)
+
+    def test_singular_point_raises_everywhere(self):
+        # g = kappa, sigma = -2 kappa, l = 0 puts m_0 = kappa^2 + xi_0^2 - g^2
+        # on 0; the double root leaves m_0 ~ 5e-8 kappa^2 in floating point
+        branches, _ = make_flat(1.0, -2.0, 0.01, rho=0.5)
+        with pytest.raises(sp.NearThresholdError):
+            sp.spontaneous_spectrum(0, branches, np.array([0.0, 1.0]))
+        with pytest.raises(sp.NearThresholdError):
+            sp.classify_lineshape(0, branches)
+        with pytest.raises(sp.NearThresholdError):
+            sp.envelope_csv(np.arange(-2, 3), branches)
+        with pytest.raises(sp.RegimeBoundaryError):
+            sp.sidemode_flux(0, branches)
 
     def test_strong_regime_tag(self):
         # g = 1.2 kappa on the lower (only) branch at sigma = 0 with
@@ -159,43 +172,45 @@ class TestFluxes:
 
     def test_very_weak_matches_weak_limit(self, vi_c_budget):
         cfg = caf2_config(pump_power=1e-6)
-        params = units.modal_params(cfg, vi_c_budget)
+        params = units.modal_params(cfg)
         from kerrcomb.steady_state import solve_flat_state
         flat = solve_flat_state(params)
         g = flat.params.g0 * abs(flat.lower) ** 2
         assert g < 1e-2 * vi_c_budget.kappa
         for l in (0, 5, 15):
             R_weak, _, _ = sp.sidemode_flux(l, flat)
-            R_vw, _ = sp.very_weak_flux(l, cfg)
+            R_vw, _ = sp.very_weak_flux(l, params)
             assert R_vw == pytest.approx(R_weak, rel=1e-2)
 
     def test_rmax_magnitude_caf2(self):
-        cfg = caf2_config(pump_power=5e-6)
-        _, R_max5 = sp.very_weak_flux(0, cfg)
+        _, R_max5 = sp.very_weak_flux(
+            0, units.modal_params(caf2_config(pump_power=5e-6)))
         assert 1.0 < R_max5 < 100.0  # ~10 photons/s at 5 uW
-        _, R_max1 = sp.very_weak_flux(0, caf2_config(pump_power=1e-6))
+        _, R_max1 = sp.very_weak_flux(
+            0, units.modal_params(caf2_config(pump_power=1e-6)))
         assert R_max5 == pytest.approx(25.0 * R_max1, rel=1e-12)
 
     def test_very_weak_resonant_is_rmax(self):
-        cfg = caf2_config(pump_power=1e-6)
-        R, R_max = sp.very_weak_flux(0, cfg)
+        params = units.modal_params(caf2_config(pump_power=1e-6))
+        R, R_max = sp.very_weak_flux(0, params)
         assert R == pytest.approx(R_max, rel=1e-12)
 
 
 class TestTotalPower:
     def test_resonant_closed_form_vs_sum(self, vi_c_budget):
-        cfg = caf2_config(pump_power=1e-6)
-        closed, discrete = sp.total_spontaneous_power(cfg)
+        params = units.modal_params(caf2_config(pump_power=1e-6))
+        closed, discrete = sp.total_spontaneous_power(params)
         assert closed == pytest.approx(discrete, rel=2e-2)
-        _, R_max = sp.very_weak_flux(0, cfg)
-        expected = (hbar * cfg.omega_L * R_max * math.pi
-                    * math.sqrt(vi_c_budget.kappa / cfg.dispersion_zeta2()))
+        _, R_max = sp.very_weak_flux(0, params)
+        expected = (hbar * params.omega_L * R_max * math.pi
+                    * math.sqrt(vi_c_budget.kappa / params.zeta2))
         assert closed == pytest.approx(expected, rel=1e-12)
 
     def test_sqrt_scaling_in_dispersion(self):
-        p1, _ = sp.total_spontaneous_power(caf2_config(pump_power=1e-6))
+        p1, _ = sp.total_spontaneous_power(
+            units.modal_params(caf2_config(pump_power=1e-6)))
         cfg4 = caf2_config(pump_power=1e-6, zeta2=4 * caf2_config().zeta2)
-        p4, _ = sp.total_spontaneous_power(cfg4)
+        p4, _ = sp.total_spontaneous_power(units.modal_params(cfg4))
         assert p4 == pytest.approx(p1 / 2.0, rel=1e-12)
 
     def test_detuned_tracks_discrete_sum(self, vi_c_budget):
@@ -203,8 +218,8 @@ class TestTotalPower:
         # absolute tolerance dwarfs the values), so compare ratios
         cfg = caf2_config(pump_power=1e-6)
         for s in (-3.0, -1.0, -0.5, 0.5, 1.0, 3.0):
-            closed, discrete = sp.total_spontaneous_power(
-                dataclasses.replace(cfg, detuning=s * vi_c_budget.kappa))
+            closed, discrete = sp.total_spontaneous_power(units.modal_params(
+                dataclasses.replace(cfg, detuning=s * vi_c_budget.kappa)))
             assert discrete > 0.0
             assert abs(closed / discrete - 1.0) < 2e-3
 
@@ -212,10 +227,10 @@ class TestTotalPower:
         # with anomalous dispersion, red detuning pushes every mode off
         # resonance while blue detuning lets the dispersion curve cross it
         cfg = caf2_config(pump_power=1e-6)
-        blue, _ = sp.total_spontaneous_power(
-            dataclasses.replace(cfg, detuning=2.0 * vi_c_budget.kappa))
-        red, _ = sp.total_spontaneous_power(
-            dataclasses.replace(cfg, detuning=-2.0 * vi_c_budget.kappa))
+        blue, _ = sp.total_spontaneous_power(units.modal_params(
+            dataclasses.replace(cfg, detuning=2.0 * vi_c_budget.kappa)))
+        red, _ = sp.total_spontaneous_power(units.modal_params(
+            dataclasses.replace(cfg, detuning=-2.0 * vi_c_budget.kappa)))
         assert blue > 2.0 * red
 
     def test_zero_dispersion_raises(self):
@@ -224,7 +239,31 @@ class TestTotalPower:
             intrinsic_Q=1e9, through_Q=0.25e9, pump_power=1e-6,
             detuning=0.0, gamma=0.001, zeta2=0.0)
         with pytest.raises(ZeroDivisionError):
-            sp.total_spontaneous_power(cfg)
+            sp.total_spontaneous_power(units.modal_params(cfg))
+
+
+class TestAddDrop:
+    def test_below_threshold_scales_with_rho(self):
+        # an add-drop ring with Q_i = Q_d = 2e9 loses what an add-through
+        # ring loses at Q_i = 1e9; only the out-coupled share rho differs
+        from kerrcomb.steady_state import solve_flat_state
+        cfg = caf2_config(pump_power=1e-6, detuning=1e6)
+        through = units.modal_params(cfg)
+        drop = units.modal_params(dataclasses.replace(
+            cfg, topology=units.Topology.ADD_DROP, intrinsic_Q=2e9,
+            drop_Q=2e9))
+        assert abs(drop.kappa - through.kappa) <= math.ulp(through.kappa)
+        assert dataclasses.replace(drop, kappa=through.kappa,
+                                   rho=through.rho) == through
+        assert drop.rho == pytest.approx(0.1, rel=1e-12)
+        grid = sp.default_omega_grid()
+        for l in (0, 12, 25):
+            s_t, s_d = (sp.spontaneous_spectrum(l, solve_flat_state(p), grid)
+                        .values / p.rho for p in (through, drop))
+            np.testing.assert_allclose(s_d, s_t, rtol=1e-12, atol=0.0)
+        power_t = np.array(sp.total_spontaneous_power(through)) / through.rho
+        power_d = np.array(sp.total_spontaneous_power(drop)) / drop.rho
+        np.testing.assert_allclose(power_d, power_t, rtol=1e-12, atol=0.0)
 
 
 class TestCsv:

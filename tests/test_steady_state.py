@@ -33,7 +33,7 @@ class TestFlatBranches:
     def test_very_weak_linear_limit(self, vi_c_budget):
         # N -> 2 kappa_t P / (hbar omega kappa^2) when the Kerr shift is tiny
         cfg = caf2_config(pump_power=1e-9)
-        params = units.modal_params(cfg, vi_c_budget)
+        params = units.modal_params(cfg)
         branches = ss.solve_flat_state(params)
         expected = (2.0 * vi_c_budget.kappa_t * 1e-9
                     / (hbar * cfg.omega_L * vi_c_budget.kappa**2))
@@ -41,15 +41,12 @@ class TestFlatBranches:
 
     def test_threshold_photon_number(self, vi_c_budget):
         # at P = P_th(sigma = -kappa) the flat state carries N = kappa/g0
-        cfg = caf2_config()
-        g0 = cfg.nonlinear_gain()
-        p_th = units.threshold_pump_power(vi_c_budget, g0, cfg.omega_L,
-                                          -vi_c_budget.kappa)
+        p_th = units.threshold_pump_power(
+            units.modal_params(caf2_config(detuning=-vi_c_budget.kappa)))
         params = units.modal_params(
-            caf2_config(pump_power=p_th, detuning=-vi_c_budget.kappa),
-            vi_c_budget)
+            caf2_config(pump_power=p_th, detuning=-vi_c_budget.kappa))
         branches = ss.solve_flat_state(params)
-        n_th = vi_c_budget.kappa / g0
+        n_th = vi_c_budget.kappa / params.g0
         assert any(math.isclose(N, n_th, rel_tol=1e-6)
                    for N in branches.photon_numbers)
 
@@ -302,18 +299,16 @@ class TestHandoff:
                                      pump, zeta2, sigma):
         cfg = caf2_config(pump_power=pump, zeta2=zeta2,
                           detuning=sigma * vi_c_budget.kappa)
-        state = ss.find_steady_state(units.modal_params(cfg, vi_c_budget),
+        state = ss.find_steady_state(units.modal_params(cfg),
                                      kind=kind, horizon=500.0)
         assert state.pattern is ss.PatternKind(kind)
         assert solver_calls["relaxed"] < 100.0
 
     def test_roll_rejects_flat_trial(self, solver_calls, vi_c_budget):
-        cfg = caf2_config()
-        p_th = units.threshold_pump_power(vi_c_budget, cfg.nonlinear_gain(),
-                                          cfg.omega_L, -vi_c_budget.kappa)
+        p_th = units.threshold_pump_power(
+            units.modal_params(caf2_config(detuning=-vi_c_budget.kappa)))
         cfg = caf2_config(pump_power=1.1 * p_th, detuning=-vi_c_budget.kappa)
-        state = ss.find_steady_state(units.modal_params(cfg, vi_c_budget),
-                                     kind="roll")
+        state = ss.find_steady_state(units.modal_params(cfg), kind="roll")
         assert state.pattern is ss.PatternKind.ROLL
         assert ss.PatternKind.FLAT in solver_calls["trials"][:-1]
         assert solver_calls["trials"][-1] is ss.PatternKind.ROLL
@@ -376,7 +371,7 @@ class TestSeeds:
 
     def test_default_cutoff_scales_with_roll_order(self, vi_c_budget):
         cfg = caf2_config(detuning=-vi_c_budget.kappa)
-        params = units.modal_params(cfg, vi_c_budget)
+        params = units.modal_params(cfg)
         L = units.predicted_roll_order(params.sigma, params.kappa, params.zeta2)
         assert ss.default_mode_cutoff(params, "roll") == max(4 * L, 64)
         assert ss.default_mode_cutoff(params, "bright_soliton") == 128

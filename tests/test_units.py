@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -63,29 +64,23 @@ class TestQConversions:
 
 class TestPumpThresholds:
     def test_min_power(self):
-        cfg = caf2_config()
-        budget = units.derive_loss_budget(cfg)
-        p_min = units.min_pump_power(budget, cfg.nonlinear_gain(),
-                                     cfg.omega_L)
+        p_min = units.min_pump_power(units.modal_params(caf2_config()))
         assert p_min == pytest.approx(2.06e-3, rel=1e-2)
 
     def test_threshold_minimized_at_sigma_minus_kappa(self):
-        cfg = caf2_config()
-        budget = units.derive_loss_budget(cfg)
-        g0 = cfg.nonlinear_gain()
-        p_at = lambda s: units.threshold_pump_power(budget, g0, cfg.omega_L, s)
-        p_min = units.min_pump_power(budget, g0, cfg.omega_L)
-        assert p_at(-budget.kappa) == pytest.approx(p_min, rel=1e-12)
+        params = units.modal_params(caf2_config())
+        p_at = lambda s: units.threshold_pump_power(
+            dataclasses.replace(params, sigma=s))
+        p_min = units.min_pump_power(params)
+        assert p_at(-params.kappa) == pytest.approx(p_min, rel=1e-12)
         for s in (-2.0, -0.5, 0.0, 1.0):
-            assert p_at(s * budget.kappa) > p_min
+            assert p_at(s * params.kappa) > p_min
 
     @given(st.floats(1e-6, 1e-1))
     def test_threshold_scale_invariance(self, power):
         # P_th is independent of the configured pump power
-        budget = units.derive_loss_budget(caf2_config())
-        cfg = caf2_config(pump_power=power)
         assert units.threshold_pump_power(
-            budget, cfg.nonlinear_gain(), cfg.omega_L, 0.0) > 0
+            units.modal_params(caf2_config(pump_power=power))) > 0
 
 
 class TestRollOrder:
