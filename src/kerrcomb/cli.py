@@ -10,12 +10,11 @@ Scenario schema (version 1), JSON with the following top-level keys:
                 as "pump_power" (W) or "pump_power_over_threshold" (one
                 of each pair, never both)
     state       (above threshold) {"kind": "roll" | "bright_soliton" |
-                "dark_soliton" | "flat", "K", "horizon", "step",
-                "target_order"}; K and target_order ints >= 1, horizon
-                and step positive numbers (units of 1/kappa); horizon
-                caps the split-step relaxation, which hands off to Newton
-                once its residual plateaus; unset keys take
-                find_steady_state's defaults
+                "dark_soliton" | "flat", "K", "horizon", "target_order"};
+                K and target_order ints >= 1, horizon a positive number
+                (units of 1/kappa) that caps the split-step relaxation,
+                which hands off to Newton once its residual plateaus;
+                unset keys take find_steady_state's defaults
     angle       (above threshold) {"half_width": positive number (rad,
                 default pi/4), "objective": "band_integral" | "min"
                 (default "band_integral")}: the window and objective of
@@ -33,8 +32,9 @@ Scenario schema (version 1), JSON with the following top-level keys:
     l_max       envelope/flux-table half-range, int >= 0 (default 100)
     audit_K     Hamiltonian-audit truncation, int in 0..6 (default 3)
     seed        integer >= 0 (default 0)
-    sweep       optional {"path": "<resonator key>", "values": [...]};
-                not valid in hamiltonian_audit mode
+    sweep       optional {"path": "<resonator key>", "values": [...]}
+                with at least one value, each resolved at validate; not
+                valid in hamiltonian_audit mode
 
 Any other top-level key is rejected.
 
@@ -73,7 +73,7 @@ PRODUCTS_BY_MODE = {
                         "stability"},
     "hamiltonian_audit": {"audit"},
 }
-STATE_KEYS = {"kind", "K", "horizon", "step", "target_order"}
+STATE_KEYS = {"kind", "K", "horizon", "target_order"}
 STATE_KINDS = ("flat", "roll", "bright_soliton", "dark_soliton")
 ANGLE_KEYS = {"half_width", "objective"}
 RESONATOR_REQUIRED = ("pump_wavelength", "main_radius", "group_index",
@@ -136,10 +136,9 @@ def validate_scenario(raw: dict) -> None:
         if key in state and not (_is_int(state[key]) and state[key] >= 1):
             raise ScenarioError(f"field 'state': {key!r} must be an integer "
                                 f">= 1, got {state[key]!r}")
-    for key in ("horizon", "step"):
-        if key in state and not _is_positive(state[key]):
-            raise ScenarioError(f"field 'state': {key!r} must be a positive "
-                                f"finite number, got {state[key]!r}")
+    if "horizon" in state and not _is_positive(state["horizon"]):
+        raise ScenarioError("field 'state': 'horizon' must be a positive "
+                            f"finite number, got {state['horizon']!r}")
     angle = raw.get("angle", {})
     if not isinstance(angle, dict) or set(angle) - ANGLE_KEYS:
         raise ScenarioError(f"field 'angle': expected an object with keys "
@@ -174,9 +173,10 @@ def validate_scenario(raw: dict) -> None:
     sweep = raw.get("sweep")
     if sweep is not None and not (isinstance(sweep, dict)
                                   and isinstance(sweep.get("path"), str)
-                                  and isinstance(sweep.get("values"), list)):
+                                  and isinstance(sweep.get("values"), list)
+                                  and sweep["values"]):
         raise ScenarioError("field 'sweep': expected {path: <resonator key>, "
-                            "values: [...]}")
+                            "values: [one or more values]}")
     if mode == "hamiltonian_audit":
         if sweep is not None:
             raise ScenarioError("field 'sweep': sweeps a resonator key, and "
@@ -225,11 +225,16 @@ def build_config(res: dict) -> units.ModalParams:
     if missing:
         raise ScenarioError(f"field 'resonator': missing required keys "
                             f"{missing}")
+    topologies = [t.value for t in units.Topology]
+    topology = res.pop("topology", "add-through")
+    if topology not in topologies:
+        raise ScenarioError(f"field 'resonator': 'topology' must be one of "
+                            f"{topologies}, got {topology!r}")
     sigma_rel = res.pop("detuning_over_kappa", None)
     p_rel = res.pop("pump_power_over_threshold", None)
     base = {key: res.pop(key) for key in RESONATOR_REQUIRED}
     base.update(
-        topology=units.Topology(res.pop("topology", "add-through")),
+        topology=units.Topology(topology),
         drop_Q=res.pop("drop_Q", None),
         gamma=res.pop("gamma", None),
         g0=res.pop("g0", None),
@@ -284,11 +289,6 @@ def derived_quantities(p: units.ModalParams) -> dict:
     }
 
 
-def _solve_state(scenario: dict, p: units.ModalParams,
-                 seed: int) -> ss.CombState:
-    return ss.find_steady_state(p, seed=seed, **scenario.get("state", {}))
-
-
 def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
     """Compute every requested product; returns the report dict."""
     mode = scenario["mode"]
@@ -310,8 +310,8 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
         ls = np.arange(-l_max, l_max + 1)
     if {"quadrature_spectrum", "stability"} & set(outputs):
         t0 = time.perf_counter()
-        state = ss.rotate_to_symmetric(
-            _solve_state(scenario, params, seed))
+        state = ss.rotate_to_symmetric(ss.find_steady_state(
+            params, seed=seed, **scenario.get("state", {})))
         report["state"] = {
             "pattern": state.pattern.value,
             "roll_order": state.roll_order,
@@ -356,8 +356,8 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
                    spontaneous.spectrum_csv(series), products, t0,
                    product=product)
         elif product == "stability":
-            blk = linearization.build_modal_jacobian(state)
-            eig = linearization.stability_spectrum(blk.R, blk.S)
+            eig = linearization.stability_spectrum(
+                *linearization.build_modal_jacobian(state))
             kappa = state.params.kappa
             text = spontaneous.csv_text("re_over_kappa,im_over_kappa",
                                         [eig.real / kappa, eig.imag / kappa])
@@ -371,7 +371,7 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
                 opt = squeezing.optimize_quadrature_angle(
                     state, l, **scenario.get("angle", {}))
                 _write(outdir, f"quadrature_l{l}.csv",
-                       squeezing.spectrum_csv(opt.spectrum), products,
+                       squeezing.spectrum_csv(opt), products,
                        t0, product=product,
                        **squeezing.optimum_report(opt))
         elif product == "audit":

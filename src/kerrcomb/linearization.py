@@ -14,7 +14,7 @@ delta a_{-l} of the K sidemode pairs, each in its natural phase frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,20 +30,11 @@ RESIDUAL_GATE = 1e-8
 STABILITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class BlockJacobian:
-    """Linear fluctuation flow around a stationary state.
+class QuadratureJacobian(NamedTuple):
+    """Pair-quadrature flow; row i of J_q (0-based) is mode pair l = i + 1."""
 
-    R and S always refer to the modal (annihilation-operator) flow.
-    J_q and pair_rotation are filled by the quadrature builder only; pair
-    row i of J_q (0-based) corresponds to mode pair l = i + 1.
-    """
-
-    K: int
-    R: np.ndarray
-    S: np.ndarray
-    J_q: np.ndarray | None = None
-    pair_rotation: np.ndarray | None = None   # Phi_l applied per pair, l=1..K
+    J_q: np.ndarray
+    pair_rotation: np.ndarray   # Phi_l applied per pair, l=1..K
 
 
 def _gate(state: CombState) -> None:
@@ -53,11 +44,10 @@ def _gate(state: CombState) -> None:
             f"linearization gate {RESIDUAL_GATE:g}; refine the state first")
 
 
-def build_modal_jacobian(state: CombState) -> BlockJacobian:
-    """R and S of the fluctuation flow around a gated state."""
+def build_modal_jacobian(state: CombState) -> tuple[np.ndarray, np.ndarray]:
+    """(R, S) of the modal fluctuation flow around a gated state."""
     _gate(state)
-    R, S = _modal.build_RS(state.amplitudes, state.params)
-    return BlockJacobian(K=state.K, R=R, S=S)
+    return _modal.build_RS(state.amplitudes, state.params)
 
 
 def is_stable(eig: np.ndarray, kappa: float) -> bool:
@@ -86,7 +76,7 @@ def pair_phases(state: CombState) -> np.ndarray:
     return phis
 
 
-def build_quadrature_jacobian(state: CombState) -> BlockJacobian:
+def build_quadrature_jacobian(state: CombState) -> QuadratureJacobian:
     """Real flow matrix for the pair-difference quadratures.
 
     Requires a reflection-symmetric state (A_{-l} = A_{+l}); then the
@@ -101,14 +91,13 @@ def build_quadrature_jacobian(state: CombState) -> BlockJacobian:
     so a downstream quadrature angle phi is measured from the pair's
     natural frame.
     """
-    modal = build_modal_jacobian(state)
+    R, S = build_modal_jacobian(state)
     K = state.K
     asym = reflection_asymmetry(state.amplitudes)
     if asym > SYMMETRY_TOL:
         raise ValueError(
             f"pair quadratures need a reflection-symmetric state; "
             f"asymmetry {asym:.2e} (use rotate_to_symmetric first)")
-    R, S = modal.R, modal.S
     # rows/cols of R, S are indexed by mode number l - K
     lp = np.arange(1, K + 1)
     A = R[np.ix_(K + lp, K + lp)] - R[np.ix_(K + lp, K - lp)]
@@ -121,7 +110,7 @@ def build_quadrature_jacobian(state: CombState) -> BlockJacobian:
     U_minus = A - B.conj()
     J_q = np.block([[U_plus.real, -U_plus.imag],
                     [U_minus.imag, U_minus.real]])
-    return replace(modal, J_q=J_q, pair_rotation=phis)
+    return QuadratureJacobian(J_q, phis)
 
 
 def three_mode_rates(state: CombState) -> tuple[float, float]:

@@ -19,9 +19,9 @@ normalized so that shot noise is 1.
 A pair l needs only rows r in {l - 1, K + l - 1} of (J_q + i w I)^-1.
 `pair_spectral_blocks` gets each row from one triangular solve per
 frequency in the complex Schur form J_q = Q T Q^H: O(n^2) per frequency,
-against about 40 n^3 per frequency for the full C_out of
-`output_correlation`, which stays as the dense reference the tests
-compare against.  The O(n^3) Schur form is computed once per distinct
+against about 40 n^3 per frequency for the full C_out of the dense
+reference the tests compare against (`output_correlation` in
+tests/conftest.py).  The O(n^3) Schur form is computed once per distinct
 J_q and reused by every pair of that state (`_schur_form`).  A frequency
 sits on a neutral mode, and its entries are NaN, when
 min_j |T_jj + i w| <= n eps max(max|T|, kappa).
@@ -55,26 +55,14 @@ OBJECTIVES = ("band_integral", "min")
 _schur_form_memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
 
 
-class ResolventError(np.linalg.LinAlgError):
-    """(J_q +/- i omega I) is singular at this frequency (neutral mode)."""
-
-
 @dataclass(frozen=True)
 class PairSpectralBlocks:
     """Diagonal C_out entries of one mode pair over a frequency grid."""
 
-    l: int
     omega_over_kappa: np.ndarray
     c11: np.ndarray      # <q q> spectrum of the pair
     c22: np.ndarray      # <p p>
     c12_plus_c21: np.ndarray
-
-
-@dataclass(frozen=True)
-class QuadratureSpectrum:
-    l: int
-    phi: float
-    series: SpectrumSeries
 
 
 @dataclass(frozen=True)
@@ -83,7 +71,7 @@ class AngleOptimum:
     Phi_l: float
     delta_Phi: float
     objective: float
-    spectrum: QuadratureSpectrum
+    spectrum: SpectrumSeries     # S at delta_Phi in the pair frame
     degenerate: bool
 
 
@@ -99,38 +87,6 @@ def photon_number_difference_spectrum(rho: float, kappa: float,
     w = np.asarray(omega_grid, dtype=float) * kappa
     values = 1.0 - rho * 4.0 * kappa**2 / (w**2 + 4.0 * kappa**2)
     return SpectrumSeries(np.asarray(omega_grid, dtype=float), values)
-
-
-def input_correlation(K: int) -> np.ndarray:
-    """Vacuum quadrature correlation matrix C_in = [[I, iI], [-iI, I]]."""
-    eye = np.eye(K)
-    return np.block([[eye, 1j * eye], [-1j * eye, eye]])
-
-
-def output_correlation(J_q: np.ndarray, rho: float, kappa: float,
-                       omega: float) -> np.ndarray:
-    """Output correlation matrix C_out at angular frequency omega (rad/s).
-
-    J_q is real, so (J_q - i w I)^-1 is the complex conjugate of
-    (J_q + i w I)^-1 and one inverse serves both resolvents.
-    """
-    if np.iscomplexobj(J_q):
-        raise ValueError("J_q must be real for (J_q - i w I)^-1 = conj G_+")
-    n = J_q.shape[0]
-    K = n // 2
-    eye = np.eye(n)
-    C_in = input_correlation(K)
-    try:
-        G_p = np.linalg.inv(J_q + 1j * omega * eye)
-    except np.linalg.LinAlgError as exc:
-        raise ResolventError(
-            f"J_q -/+ i omega is singular at omega = {omega:g} rad/s "
-            "(neutral mode); skip this grid point") from exc
-    G_m = G_p.conj()
-    T_p = 2.0 * kappa * rho * G_p + eye
-    T_m = 2.0 * kappa * rho * G_m + eye
-    return (T_p @ C_in @ T_m.T
-            + 4.0 * kappa**2 * rho * (1.0 - rho) * (G_p @ C_in @ G_m.T))
 
 
 def _vacuum_gram(rows: np.ndarray) -> np.ndarray:
@@ -177,9 +133,9 @@ def pair_spectral_blocks(J_q: np.ndarray, rho: float, kappa: float,
     C12 and C21 are summed only after the solve, so their imaginary
     residue still reaches the IMAG_TOL checks.  Cost: O(n^3) once per
     state plus O(n^2) per frequency, swept in blocks of OMEGA_BLOCK
-    frequencies, against about 40 n^3 per frequency for
-    `output_correlation`, the dense reference.  A frequency is neutral,
-    and reported as NaN, when min_j |T_jj + i w kappa| <=
+    frequencies, against about 40 n^3 per frequency for the dense
+    reference (`output_correlation` in tests/conftest.py).  A frequency
+    is neutral, and reported as NaN, when min_j |T_jj + i w kappa| <=
     n eps max(max|T|, kappa).
     """
     if np.iscomplexobj(J_q):
@@ -208,7 +164,7 @@ def pair_spectral_blocks(J_q: np.ndarray, rho: float, kappa: float,
         t[:, [0, 1], rows] += 1.0
         C[start:start + OMEGA_BLOCK][regular] = _vacuum_gram(t)
     # C_in is 1 on the diagonal and i, -i off it, so C12 + C21 has no C_in
-    return PairSpectralBlocks(l, omega_grid, 1.0 + rho * (C[:, 0, 0] - 1.0),
+    return PairSpectralBlocks(omega_grid, 1.0 + rho * (C[:, 0, 0] - 1.0),
                               1.0 + rho * (C[:, 1, 1] - 1.0),
                               rho * (C[:, 0, 1] + C[:, 1, 0]))
 
@@ -224,15 +180,14 @@ def _real(values: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def quadrature_spectrum(blocks: PairSpectralBlocks, phi: float) -> QuadratureSpectrum:
+def quadrature_spectrum(blocks: PairSpectralBlocks, phi: float) -> SpectrumSeries:
     """Spectrum of the pair quadrature at angle phi (pair frame).
 
     S_phi = C11 cos^2 phi + C22 sin^2 phi + (C12 + C21) cos phi sin phi.
     """
     c, s = math.cos(phi), math.sin(phi)
     values = blocks.c11 * c**2 + blocks.c22 * s**2 + blocks.c12_plus_c21 * c * s
-    series = SpectrumSeries(blocks.omega_over_kappa, _real(values))
-    return QuadratureSpectrum(blocks.l, phi, series)
+    return SpectrumSeries(blocks.omega_over_kappa, _real(values))
 
 
 def analytic_three_mode_spectra(kappa_a: float, kappa_p: float, rho: float,
@@ -307,20 +262,21 @@ def optimize_quadrature_angle(state: CombState, l: int,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    jac = build_quadrature_jacobian(state)
+    J_q, phis = build_quadrature_jacobian(state)
     p = state.params
     if omega_grid is None:
         omega_grid = default_omega_grid()
-    blocks = pair_spectral_blocks(jac.J_q, p.rho, p.kappa, omega_grid, l)
+    blocks = pair_spectral_blocks(J_q, p.rho, p.kappa, omega_grid, l)
     delta, obj, degenerate = solve_quadrature_angle(blocks, half_width,
                                                     objective)
-    return AngleOptimum(l, float(jac.pair_rotation[l - 1]), delta, obj,
+    return AngleOptimum(l, float(phis[l - 1]), delta, obj,
                         quadrature_spectrum(blocks, delta), degenerate)
 
 
-def spectrum_csv(spec: QuadratureSpectrum) -> str:
-    return csv_text("omega_over_kappa,S", [spec.series.x, spec.series.values],
-                    comment=f"pair l={spec.l}, phi={spec.phi:.6f} rad "
+def spectrum_csv(opt: AngleOptimum) -> str:
+    return csv_text("omega_over_kappa,S",
+                    [opt.spectrum.x, opt.spectrum.values],
+                    comment=f"pair l={opt.l}, phi={opt.delta_Phi:.6f} rad "
                             "(pair frame)")
 
 

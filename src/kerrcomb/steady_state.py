@@ -29,6 +29,8 @@ from .units import ModalParams, NoRollOrderError, predicted_roll_order
 NEWTON_TOL = 1e-12
 #: Relative flow norm at which split-step relaxation hands off to Newton.
 RELAX_TOL = 1e-7
+#: Split-step size of relaxation, in units of 1/kappa.
+RELAX_STEP = 1e-2
 #: Relaxation time between plateau checks, in units of 1/kappa.
 RELAX_CHUNK = 2.0
 #: Chunk-to-chunk residual ratio, and its inverse, bounding a plateau.
@@ -184,7 +186,7 @@ def _runaway_limit(amps: np.ndarray, params: ModalParams) -> float:
 
 
 def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
-              step: float = 1e-3) -> tuple[np.ndarray, float]:
+              step: float) -> tuple[np.ndarray, float]:
     """Relax the modal flow by Strang-split integration.
 
     `horizon` and `step` are in units of 1/|kappa|.  The linear + drive
@@ -432,11 +434,10 @@ def default_mode_cutoff(params: ModalParams, kind: str) -> int:
     return max(4 * L, 64)
 
 
-def _relaxed_fields(a: np.ndarray, params: ModalParams, horizon: float,
-                    step: float):
+def _relaxed_fields(a: np.ndarray, params: ModalParams, horizon: float):
     """Yield (field, final) pairs along a chunked split-step relaxation.
 
-    Chunks of RELAX_CHUNK together take the round(horizon/step) steps of a
+    Chunks of RELAX_CHUNK jointly take the round(horizon/RELAX_STEP) steps of a
     single propagate call.  Once the last PLATEAU_CHUNKS chunk-to-chunk
     residual ratios all lie in [1/PLATEAU_RATIO, PLATEAU_RATIO], the field
     is yielded as a Newton trial; resuming the generator rejects it, and
@@ -450,19 +451,19 @@ def _relaxed_fields(a: np.ndarray, params: ModalParams, horizon: float,
     amplifying flow cannot move it chunk by chunk.
     """
     limit = _runaway_limit(a, params)
-    per_chunk = max(1, int(round(RELAX_CHUNK / step)))
-    total = left = max(1, int(round(horizon / step)))
+    per_chunk = max(1, int(round(RELAX_CHUNK / RELAX_STEP)))
+    total = left = max(1, int(round(horizon / RELAX_STEP)))
     recent: list[float] = []
     chunks, next_trial, wait = 0, 0, 1
     while left:
         m = min(per_chunk, left)
-        a, res = propagate(a, params, m * step, step=step)
+        a, res = propagate(a, params, m * RELAX_STEP, step=RELAX_STEP)
         left -= m
         chunks += 1
         if not np.linalg.norm(a) <= limit:
             raise DivergenceError(
                 f"field left {RUNAWAY_FACTOR:g} times its energy bound after "
-                f"{total - left} steps (dt = {step}/kappa)", a)
+                f"{total - left} steps (dt = {RELAX_STEP}/kappa)", a)
         if res < RELAX_TOL:
             break
         recent = (recent + [res])[-(PLATEAU_CHUNKS + 1):]
@@ -476,8 +477,7 @@ def _relaxed_fields(a: np.ndarray, params: ModalParams, horizon: float,
 
 def find_steady_state(params: ModalParams, kind: str = "roll",
                       K: int | None = None, seed: int = 0,
-                      horizon: float = 3000.0, step: float = 1e-2,
-                      target_order: int | None = None,
+                      horizon: float = 3000.0, target_order: int | None = None,
                       initial: np.ndarray | None = None) -> CombState:
     """Relax from a pattern-appropriate seed, then Newton-polish.
 
@@ -513,7 +513,7 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
     if initial is None and kind == "flat":
         fields = [(a, True)]
     else:
-        fields = _relaxed_fields(a, params, horizon, step)
+        fields = _relaxed_fields(a, params, horizon)
     for field, final in fields:
         try:
             a, res = refine(field, params)

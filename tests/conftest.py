@@ -1,5 +1,6 @@
-"""Shared fixtures: the standard CaF2 resonator, cached solver states and
-the Parseval oracle of the below-threshold flux.
+"""Shared fixtures: the standard CaF2 resonator, cached solver states, the
+Parseval oracle of the below-threshold flux and the dense resolvent oracle
+of the above-threshold output correlations.
 
 Expensive steady-state solves are session-scoped and reused across module
 and acceptance tests; each fixture also reports its wall-clock solve time
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -77,6 +79,42 @@ def flux_parseval_oracle(l: int, flat) -> float:
     total, _ = quad(integrand, -200.0 * p.kappa, 200.0 * p.kappa,
                     points=peaks, limit=400)
     return total / (2.0 * math.pi)
+
+
+class ResolventError(np.linalg.LinAlgError):
+    """(J_q +/- i omega I) is singular at this frequency (neutral mode)."""
+
+
+def input_correlation(K: int) -> np.ndarray:
+    """Vacuum quadrature correlation matrix C_in = [[I, iI], [-iI, I]]."""
+    eye = np.eye(K)
+    return np.block([[eye, 1j * eye], [-1j * eye, eye]])
+
+
+def output_correlation(J_q: np.ndarray, rho: float, kappa: float,
+                       omega: float) -> np.ndarray:
+    """Output correlation matrix C_out at angular frequency omega (rad/s).
+
+    J_q is real, so (J_q - i w I)^-1 is the complex conjugate of
+    (J_q + i w I)^-1 and one inverse serves both resolvents.
+    """
+    if np.iscomplexobj(J_q):
+        raise ValueError("J_q must be real for (J_q - i w I)^-1 = conj G_+")
+    n = J_q.shape[0]
+    K = n // 2
+    eye = np.eye(n)
+    C_in = input_correlation(K)
+    try:
+        G_p = np.linalg.inv(J_q + 1j * omega * eye)
+    except np.linalg.LinAlgError as exc:
+        raise ResolventError(
+            f"J_q -/+ i omega is singular at omega = {omega:g} rad/s "
+            "(neutral mode); skip this grid point") from exc
+    G_m = G_p.conj()
+    T_p = 2.0 * kappa * rho * G_p + eye
+    T_m = 2.0 * kappa * rho * G_m + eye
+    return (T_p @ C_in @ T_m.T
+            + 4.0 * kappa**2 * rho * (1.0 - rho) * (G_p @ C_in @ G_m.T))
 
 
 def _timed(solve):

@@ -21,7 +21,8 @@ from kerrcomb import squeezing as sq
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import caf2_config, flux_parseval_oracle, make_flat
+from conftest import (caf2_config, flux_parseval_oracle, input_correlation,
+                      make_flat, output_correlation)
 
 BAND = (0.1, 10.0)
 
@@ -134,12 +135,12 @@ def test_07_matrix_analytic_equivalence_and_power_sweep(three_mode,
     S_a, _ = sq.analytic_three_mode_spectra(kappa_a, kappa_p, p.rho, grid,
                                             kappa=p.kappa)
     sel = np.abs(grid) <= 6.0
-    dev = np.max(np.abs(opt.spectrum.series.values[sel] - S_a.values[sel]))
+    dev = np.max(np.abs(opt.spectrum.values[sel] - S_a.values[sel]))
     assert dev <= 5e-3
 
     # squeezing must persist through the sweep: min S < 1 - 0.8 rho + 0.15
     bound = 1.0 - 0.8 * p.rho + 0.15
-    assert _min_in_band(opt.spectrum.series.values, grid) < bound
+    assert _min_in_band(opt.spectrum.values, grid) < bound
     p_th = units.threshold_pump_power(
         units.modal_params(caf2_config(detuning=-vi_c_budget.kappa)))
     # seed selects among coexisting roll attractors; 2.5 P_th needs seed 1
@@ -151,7 +152,7 @@ def test_07_matrix_analytic_equivalence_and_power_sweep(three_mode,
         o = sq.optimize_quadrature_angle(
             roll, roll.roll_order, omega_grid=grid,
             half_width=math.pi / 2, objective="min")
-        assert _min_in_band(o.spectrum.series.values, grid) < bound
+        assert _min_in_band(o.spectrum.values, grid) < bound
     assert fixture_seconds + time.perf_counter() - t0 < 300.0
 
 
@@ -163,17 +164,17 @@ def test_08_flat_state_pair_block_reduction():
     a = np.zeros(2 * K + 1, dtype=complex)
     a[K] = A0
     state = ss.CombState(a, p, ss.residual(a, p))
-    blk = lin.build_modal_jacobian(state)
+    R, S = lin.build_modal_jacobian(state)
     scale = abs(p.kappa)
     for l in range(-K, K + 1):
         xi = p.sigma - p.zeta2 * l**2 / 2.0 + 2.0 * g
         # R is diagonal with -kappa + i xi_l; S couples only l <-> -l
-        assert blk.R[K + l, K + l] == pytest.approx(-p.kappa + 1j * xi,
-                                                    abs=1e-12 * scale)
-        row_R = blk.R[K + l].copy()
+        assert R[K + l, K + l] == pytest.approx(-p.kappa + 1j * xi,
+                                                abs=1e-12 * scale)
+        row_R = R[K + l].copy()
         row_R[K + l] = 0.0
         assert np.max(np.abs(row_R)) <= 1e-15 * scale
-        row_S = blk.S[K + l].copy()
+        row_S = S[K + l].copy()
         assert row_S[K - l] == pytest.approx(1j * p.g0 * A0**2,
                                              abs=1e-12 * scale)
         row_S[K - l] = 0.0
@@ -217,8 +218,8 @@ def test_10_all_converged_states_are_stable(roll20, three_mode,
                                             bright_soliton, dark_soliton):
     for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
         assert state.residual_norm <= ss.NEWTON_TOL
-        blk = lin.build_modal_jacobian(state)
-        top = float(lin.stability_spectrum(blk.R, blk.S)[0].real)
+        top = float(lin.stability_spectrum(
+            *lin.build_modal_jacobian(state))[0].real)
         assert top <= 1e-6 * state.params.kappa
 
 
@@ -251,12 +252,12 @@ def test_12_soliton_pair_squeezing_and_hierarchy(kind, request):
                                        half_width=math.pi / 2,
                                        objective="min")
     floor = 1.0 - 0.5 * p.rho
-    assert _min_in_band(opt.spectrum.series.values, grid) < floor
+    assert _min_in_band(opt.spectrum.values, grid) < floor
     jac = lin.build_quadrature_jacobian(state)
     mins = []
     for l in (1, 5, 10, 20):
         blocks = sq.pair_spectral_blocks(jac.J_q, p.rho, p.kappa, grid, l)
-        s = sq.quadrature_spectrum(blocks, opt.delta_Phi).series.values
+        s = sq.quadrature_spectrum(blocks, opt.delta_Phi).values
         mins.append(_min_in_band(s, grid))
     # non-decreasing with a 5e-3 slack for the near-shot-noise tail
     for lo, hi in zip(mins, mins[1:]):
@@ -266,7 +267,7 @@ def test_12_soliton_pair_squeezing_and_hierarchy(kind, request):
 
 def test_13_input_correlation_structure():
     for K in range(1, 7):
-        C = sq.input_correlation(K)
+        C = input_correlation(K)
         eye = np.eye(K)
         expected = np.block([[eye, 1j * eye], [-1j * eye, eye]])
         np.testing.assert_array_equal(C, expected)
@@ -274,5 +275,5 @@ def test_13_input_correlation_structure():
     # unchanged at every analysis frequency
     J_q = -np.eye(6)
     for w in (0.05, 0.3, 1.0, 4.0, 9.0):
-        C_out = sq.output_correlation(J_q, 1.0, 1.0, w)
-        np.testing.assert_allclose(C_out, sq.input_correlation(3), atol=1e-12)
+        C_out = output_correlation(J_q, 1.0, 1.0, w)
+        np.testing.assert_allclose(C_out, input_correlation(3), atol=1e-12)

@@ -183,7 +183,8 @@ class TestValidate:
     @pytest.mark.parametrize("key, value", [
         ("finesse", 1e4),                       # unknown
         ("pump_wavelength", None),              # required, removed
-        ("pump_power_over_threshold", 0.5)])    # clashes with pump_power
+        ("pump_power_over_threshold", 0.5),     # clashes with pump_power
+        ("topology", "ring"), ("topology", ["add-drop"])])
     def test_resonator_rejected_at_validate(self, tmp_path, capsys, key,
                                             value):
         raw = below_scenario()
@@ -220,7 +221,8 @@ class TestValidate:
         ("audit_K", 9), ("audit_K", -1), ("pairs", [0]), ("pairs", [7]),
         ("modes", [1, 1]), ("pairs", [1, 1]),
         ("seed", "abc"), ("seed", 1.5), ("seed", -1), ("seed", True),
-        ("name", 5), ("ouputs", ["stability"])])
+        ("name", 5), ("ouputs", ["stability"]),
+        ("sweep", {"path": "pump_power", "values": []})])
     def test_field_types_rejected(self, tmp_path, capsys, key, value):
         # the flat scenario's state has K = 6, which bounds the pairs
         path = write_scenario(tmp_path, flat_above_scenario(**{key: value}))
@@ -401,7 +403,7 @@ class TestAboveThresholdRun:
         monkeypatch.setattr(squeezing, "pair_spectral_blocks",
                             lambda J_q, rho, kappa, omega_grid, l:
                             squeezing.PairSpectralBlocks(
-                                l, grid, np.array([0.5, 0.75, 0.5, 0.625]),
+                                grid, np.array([0.5, 0.75, 0.5, 0.625]),
                                 np.array([1.5, 1.25, 2.0, 1.125]),
                                 np.array([0.25, -0.5, 0.125, 0.375])))
         out = tmp_path / "out"
@@ -445,9 +447,11 @@ class TestAboveThresholdRun:
     def test_pairs_default_to_roll_order(self, tmp_path, monkeypatch):
         # the flat state relabelled as an order-2 roll: stationary and
         # symmetric, so the pair pipeline runs at flat-state cost
-        solve = cli._solve_state
-        monkeypatch.setattr(cli, "_solve_state", lambda *a: dataclasses.replace(
-            solve(*a), pattern=ss.PatternKind.ROLL, roll_order=2))
+        solve = ss.find_steady_state
+        monkeypatch.setattr(ss, "find_steady_state",
+                            lambda *a, **k: dataclasses.replace(
+                                solve(*a, **k), pattern=ss.PatternKind.ROLL,
+                                roll_order=2))
         raw = flat_above_scenario(outputs=["quadrature_spectrum"])
         del raw["pairs"]
         out = tmp_path / "out"
@@ -534,7 +538,7 @@ class TestReportCommand:
         assert "report.json" in err and len(err.splitlines()) == 1
 
 
-def test_benchmark_entry_points_resolve():
+def test_benchmark_entry_points_resolve(tmp_path, monkeypatch):
     # the benchmark calls these names outside its tracer; tier-1 never runs
     # the workload that reaches default_omega_grid
     assert len(squeezing.default_omega_grid(128)) == 128
@@ -542,6 +546,27 @@ def test_benchmark_entry_points_resolve():
                          (linearization, "build_quadrature_jacobian"),
                          (cli, "load_scenario"), (cli, "run_scenario")):
         assert callable(getattr(module, name, None)), name
+    # the benchmark wraps the per-pair call through the module attribute,
+    # adds its grid as a keyword when no positional one was given, and
+    # rebuilds J_q from the state it saw for its dense oracle
+    calls = []
+    optimize = squeezing.optimize_quadrature_angle
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(squeezing, "optimize_quadrature_angle", spy)
+    angle = {"half_width": 0.5, "objective": "min"}
+    raw = flat_above_scenario(outputs=["quadrature_spectrum"], pairs=[1, 2],
+                              angle=angle)
+    assert cli.run_scenario(raw, tmp_path) == 0
+    assert [(len(a), a[1], k) for a, k in calls] == [(2, 1, angle),
+                                                     (2, 2, angle)]
+    state = calls[0][0][0]
+    assert isinstance(state, ss.CombState)
+    J_q = linearization.build_quadrature_jacobian(state).J_q
+    assert J_q.shape == (12, 12) and J_q.dtype == np.float64
 
 
 def test_cli_import_loads_no_scipy_constants_or_integrate():

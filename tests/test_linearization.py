@@ -70,17 +70,17 @@ class TestModalJacobian:
         a[4] = math.sqrt(2.0 * params.kappa_t) * params.A_in / (
             params.kappa - 1j * params.sigma)
         state = ss.CombState(a, params, ss.residual(a, params))
-        blk = lin.build_modal_jacobian(state)
+        R, S = lin.build_modal_jacobian(state)
         l = np.arange(-4, 5)
         expected = -params.kappa + 1j * (params.sigma - params.zeta2 * l**2 / 2)
-        np.testing.assert_allclose(np.diag(blk.R), expected, atol=1e-15)
-        assert np.max(np.abs(blk.R - np.diag(np.diag(blk.R)))) == 0.0
-        assert np.max(np.abs(blk.S)) == 0.0
+        np.testing.assert_allclose(np.diag(R), expected, atol=1e-15)
+        assert np.max(np.abs(R - np.diag(np.diag(R)))) == 0.0
+        assert np.max(np.abs(S)) == 0.0
 
     def test_S_is_symmetric(self, roll20):
         state, _ = roll20
-        blk = lin.build_modal_jacobian(state)
-        np.testing.assert_allclose(blk.S, blk.S.T, atol=1e-18)
+        _, S = lin.build_modal_jacobian(state)
+        np.testing.assert_allclose(S, S.T, atol=1e-18)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -110,10 +110,10 @@ class TestModalJacobian:
         a_rot = state.amplitudes * np.exp(1j * state.mode_numbers * 0.42)
         rotated = ss.CombState(a_rot, state.params, state.residual_norm,
                                state.pattern, state.roll_order)
-        b0 = lin.build_modal_jacobian(state)
-        b1 = lin.build_modal_jacobian(rotated)
-        e0 = np.sort(lin.stability_spectrum(b0.R, b0.S).real)
-        e1 = np.sort(lin.stability_spectrum(b1.R, b1.S).real)
+        e0 = np.sort(lin.stability_spectrum(
+            *lin.build_modal_jacobian(state)).real)
+        e1 = np.sort(lin.stability_spectrum(
+            *lin.build_modal_jacobian(rotated)).real)
         np.testing.assert_allclose(e0, e1, atol=1e-8)
 
 
@@ -130,7 +130,7 @@ class TestFlatPairReduction:
         # undefined pair frames default to Phi_l = 0, so the analytic block
         # carries the pump phase:  c = i g0 A0*^2
         c = 1j * p.g0 * A0.conjugate() ** 2
-        K = blk.K
+        K = state.K
         for i, l in enumerate(range(1, K + 1)):
             xi = p.sigma - p.zeta2 * l**2 / 2.0 + 2.0 * g
             sub = np.array([[blk.J_q[i, i], blk.J_q[i, K + i]],
@@ -152,7 +152,7 @@ class TestFlatPairReduction:
         blk = lin.build_quadrature_jacobian(state)
         p = state.params
         g = p.g0 * abs(state.amplitudes[state.K]) ** 2
-        K = blk.K
+        K = state.K
         for i, l in enumerate(range(1, K + 1)):
             xi = p.sigma - p.zeta2 * l**2 / 2.0 + 2.0 * g
             sub = np.array([[blk.J_q[i, i], blk.J_q[i, K + i]],
@@ -177,21 +177,21 @@ class TestQuadratureJacobian:
     def test_difference_coordinates_close(self, three_mode):
         # J_q must reproduce the modal flow restricted to D_l = da_l - da_{-l}
         state, _ = three_mode
-        blk = lin.build_quadrature_jacobian(state)
-        K = blk.K
+        J_q, phis = lin.build_quadrature_jacobian(state)
+        R, S = lin.build_modal_jacobian(state)
+        K = state.K
         rng = np.random.default_rng(11)
         D = rng.standard_normal(K) + 1j * rng.standard_normal(K)
         # map pair quadratures -> full modal perturbation (antisymmetric)
-        phis = blk.pair_rotation
         da = np.zeros(2 * K + 1, dtype=complex)
         Dm = D * np.exp(1j * phis)         # undo the pair pre-rotation
         da[K + 1:] = Dm / 2.0
         da[:K] = (-Dm / 2.0)[::-1]
-        dF = blk.R @ da + blk.S @ da.conj()
+        dF = R @ da + S @ da.conj()
         # pull the difference components back into the rotated pair frame
         dD = (dF[K + 1:] - dF[:K][::-1]) * np.exp(-1j * phis)
         x = np.concatenate([D.real, D.imag])
-        out = blk.J_q @ x
+        out = J_q @ x
         np.testing.assert_allclose(out[:K] + 1j * out[K:], dD, atol=1e-10)
 
     def test_pair_phase_rotation_invariance(self, three_mode):
@@ -244,16 +244,15 @@ class TestStability:
     def test_all_reference_states_stable(self, roll20, three_mode,
                                          bright_soliton, dark_soliton):
         for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
-            blk = lin.build_modal_jacobian(state)
-            assert lin.is_stable(lin.stability_spectrum(blk.R, blk.S),
-                                 state.params.kappa)
+            eig = lin.stability_spectrum(*lin.build_modal_jacobian(state))
+            assert lin.is_stable(eig, state.params.kappa)
 
     def test_matches_block_oracle(self, roll20, three_mode, bright_soliton,
                                   dark_soliton):
         for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
-            blk = lin.build_modal_jacobian(state)
-            _assert_same_spectrum(lin.stability_spectrum(blk.R, blk.S),
-                                  _block_spectrum(blk.R, blk.S))
+            R, S = lin.build_modal_jacobian(state)
+            _assert_same_spectrum(lin.stability_spectrum(R, S),
+                                  _block_spectrum(R, S))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -272,7 +271,6 @@ class TestStability:
         a[40] = A0
         state = ss.CombState(a, branches.params,
                              ss.residual(a, branches.params))
-        blk = lin.build_modal_jacobian(state)
-        assert not lin.is_stable(lin.stability_spectrum(blk.R, blk.S),
-                                 branches.params.kappa)
+        eig = lin.stability_spectrum(*lin.build_modal_jacobian(state))
+        assert not lin.is_stable(eig, branches.params.kappa)
 

@@ -15,7 +15,8 @@ from kerrcomb import squeezing as sq
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import OMEGA_L, make_flat
+from conftest import (OMEGA_L, ResolventError, input_correlation, make_flat,
+                      output_correlation)
 
 
 class TestPhotonNumberDifference:
@@ -43,12 +44,12 @@ class TestPhotonNumberDifference:
 
 class TestInputCorrelation:
     def test_single_pair_structure(self):
-        C = sq.input_correlation(1)
+        C = input_correlation(1)
         np.testing.assert_allclose(C, np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
 
     @pytest.mark.parametrize("K", [1, 3, 7])
     def test_hermitian_with_eigenvalues_zero_and_two(self, K):
-        C = sq.input_correlation(K)
+        C = input_correlation(K)
         np.testing.assert_allclose(C, C.conj().T, atol=1e-15)
         eig = np.sort(np.linalg.eigvalsh(C))
         np.testing.assert_allclose(eig[:K], 0.0, atol=1e-12)
@@ -64,13 +65,13 @@ class TestOutputCorrelation:
     def test_empty_cavity_returns_vacuum(self, w):
         # with rho = 1 the reflected vacuum stays vacuum at all frequencies
         J_q = self._empty_cavity_Jq(2)
-        C = sq.output_correlation(J_q, 1.0, 1.0, w)
-        np.testing.assert_allclose(C, sq.input_correlation(2), atol=1e-12)
+        C = output_correlation(J_q, 1.0, 1.0, w)
+        np.testing.assert_allclose(C, input_correlation(2), atol=1e-12)
 
     def test_lossy_empty_cavity_keeps_diagonal_shot_noise(self):
         # escape < 1 mixes in uncorrelated vacuum; diagonal stays at 1
         J_q = self._empty_cavity_Jq(2)
-        C = sq.output_correlation(J_q, 0.6, 1.0, 1.3)
+        C = output_correlation(J_q, 0.6, 1.0, 1.3)
         np.testing.assert_allclose(np.diag(C).real, 1.0, atol=1e-12)
 
     @staticmethod
@@ -78,7 +79,7 @@ class TestOutputCorrelation:
         # both resolvents inverted separately, as in the defining formula
         n = J_q.shape[0]
         eye = np.eye(n)
-        C_in = sq.input_correlation(n // 2)
+        C_in = input_correlation(n // 2)
         G_p = np.linalg.inv(J_q + 1j * omega * eye)
         G_m = np.linalg.inv(J_q - 1j * omega * eye)
         T_p = 2.0 * kappa * rho * G_p + eye
@@ -91,19 +92,19 @@ class TestOutputCorrelation:
         rng = np.random.default_rng(n)
         J_q = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
         for w in (-7.0, -0.4, 0.05, 1.3, 9.0):
-            C = sq.output_correlation(J_q, 0.7, 1.5, w)
+            C = output_correlation(J_q, 0.7, 1.5, w)
             ref = self._two_inverse_reference(J_q, 0.7, 1.5, w)
             np.testing.assert_allclose(C, ref, rtol=1e-13,
                                        atol=1e-13 * np.max(np.abs(ref)))
 
     def test_complex_jacobian_rejected(self):
         with pytest.raises(ValueError, match="real"):
-            sq.output_correlation(-np.eye(4) + 0.1j * np.eye(4), 0.5, 1.0, 1.0)
+            output_correlation(-np.eye(4) + 0.1j * np.eye(4), 0.5, 1.0, 1.0)
 
     def test_singular_resolvent_raises(self):
         J_q = np.zeros((2, 2))
-        with pytest.raises(sq.ResolventError):
-            sq.output_correlation(J_q, 0.5, 1.0, 0.0)
+        with pytest.raises(ResolventError):
+            output_correlation(J_q, 0.5, 1.0, 0.0)
 
 
 def _pair_entries(C, l):
@@ -139,9 +140,9 @@ def _band_objective(blocks, phi, objective):
     evaluated through `quadrature_spectrum`: the oracle of the closed-form
     angle solve."""
     spec = sq.quadrature_spectrum(blocks, phi)
-    w = np.abs(spec.series.x)
-    sel = (w >= 0.1) & (w <= 10.0) & np.isfinite(spec.series.values)
-    values = spec.series.values[sel]
+    w = np.abs(spec.x)
+    sel = (w >= 0.1) & (w <= 10.0) & np.isfinite(spec.values)
+    values = spec.values[sel]
     if objective == "min":
         return float(values.min())
     order = np.argsort(w[sel])
@@ -174,7 +175,7 @@ class TestPairSpectralBlocks:
         got = _block_entries(blocks)
         for k, w in enumerate(grid):
             ref = _pair_entries(
-                sq.output_correlation(J_q, rho, kappa, w * kappa), l)
+                output_correlation(J_q, rho, kappa, w * kappa), l)
             np.testing.assert_allclose(got[k], ref, rtol=1e-10,
                                        atol=1e-10 * np.max(np.abs(ref)))
         diag = got[:, :2]
@@ -185,7 +186,7 @@ class TestPairSpectralBlocks:
                                    atol=1e-10 * np.max(np.abs(got)))
         # C_out = (1 - rho) C_in + rho C_out(rho = 1): S_phi >= 1 - rho
         for phi in (0.0, 0.7, 1.9):
-            s = sq.quadrature_spectrum(blocks, phi).series.values
+            s = sq.quadrature_spectrum(blocks, phi).values
             assert np.all(s >= 1.0 - rho - 1e-9 * np.max(np.abs(got)))
         # one Schur form per distinct J_q: A (after whatever the previous
         # example left), B, A twice and A mutated in place each give the
@@ -223,7 +224,7 @@ class TestPairSpectralBlocks:
         assert np.all(np.isfinite(others))
         for k in (0, sq.OMEGA_BLOCK - 1, sq.OMEGA_BLOCK + 1, len(grid) - 1):
             ref = _pair_entries(
-                sq.output_correlation(J_q, 0.6, 1.0, grid[k]), 2)
+                output_correlation(J_q, 0.6, 1.0, grid[k]), 2)
             np.testing.assert_allclose(got[k], ref, rtol=1e-10,
                                        atol=1e-10 * np.max(np.abs(ref)))
 
@@ -256,12 +257,12 @@ class TestQuadratureSpectrum:
 
     def test_phi_zero_is_c11(self, flat_blocks):
         spec = sq.quadrature_spectrum(flat_blocks, 0.0)
-        np.testing.assert_allclose(spec.series.values, flat_blocks.c11.real,
+        np.testing.assert_allclose(spec.values, flat_blocks.c11.real,
                                    atol=1e-14)
 
     def test_pi_periodicity(self, flat_blocks):
-        s0 = sq.quadrature_spectrum(flat_blocks, 0.37).series.values
-        s1 = sq.quadrature_spectrum(flat_blocks, 0.37 + math.pi).series.values
+        s0 = sq.quadrature_spectrum(flat_blocks, 0.37).values
+        s1 = sq.quadrature_spectrum(flat_blocks, 0.37 + math.pi).values
         np.testing.assert_allclose(s0, s1, atol=1e-12)
 
     def test_high_frequency_shot_noise(self, flat_blocks):
@@ -277,7 +278,7 @@ class TestQuadratureSpectrum:
         blocks = sq.pair_spectral_blocks(jac.J_q, branches.params.rho,
                                          branches.params.kappa, grid, 1)
         for phi in (0.0, 0.6, 1.2):
-            s = sq.quadrature_spectrum(blocks, phi).series.values
+            s = sq.quadrature_spectrum(blocks, phi).values
             assert np.all(np.abs(s - 1.0) < 1e-2)
 
     def test_pair_index_bounds(self, flat_blocks):
@@ -330,7 +331,7 @@ class TestAnalyticThreeMode:
         jac = lin.build_quadrature_jacobian(state)
         L = state.roll_order
         blocks = sq.pair_spectral_blocks(jac.J_q, p.rho, p.kappa, grid, L)
-        S_mat = sq.quadrature_spectrum(blocks, 0.0).series.values
+        S_mat = sq.quadrature_spectrum(blocks, 0.0).values
         S_a, _ = sq.analytic_three_mode_spectra(
             kappa_a, kappa_p, p.rho, grid, kappa=p.kappa)
         np.testing.assert_allclose(S_mat, S_a.values, atol=5e-3)
@@ -385,7 +386,7 @@ class TestAngleOptimization:
         assert abs(opt.delta_Phi) < 0.05
         assert not opt.degenerate
         floor = 1.0 - state.params.rho
-        assert float(np.nanmin(opt.spectrum.series.values)) == pytest.approx(
+        assert float(np.nanmin(opt.spectrum.values)) == pytest.approx(
             floor, abs=5e-3)
 
     def test_degenerate_angle_flagged(self):
@@ -410,8 +411,9 @@ class TestAngleOptimization:
 class TestCsv:
     def test_spectrum_csv_digits(self):
         series = sq.SpectrumSeries(np.array([0.5]), np.array([1.0 / 3.0]))
-        spec = sq.QuadratureSpectrum(2, 0.1, series)
-        text = sq.spectrum_csv(spec)
+        opt = sq.AngleOptimum(l=2, Phi_l=0.0, delta_Phi=0.1, objective=0.0,
+                              spectrum=series, degenerate=False)
+        text = sq.spectrum_csv(opt)
         assert "3.333333333333e-01" in text
         assert text.splitlines()[1] == "omega_over_kappa,S"
 

@@ -259,7 +259,7 @@ class TestHandoff:
         state = ss.find_steady_state(params, kind="roll", K=K, horizon=horizon)
         assert solver_calls["trials"] == [ss.PatternKind.FLAT] * trials
         relaxed, _ = ss.propagate(ss.seed_roll(params, K), params, horizon,
-                                  step=1e-2)
+                                  step=ss.RELAX_STEP)
         a, res = ss.refine(relaxed, params)
         np.testing.assert_array_equal(state.amplitudes, a)
         assert state.residual_norm == res
@@ -271,7 +271,7 @@ class TestHandoff:
         state = ss.find_steady_state(params, kind="roll", K=K, horizon=horizon)
         assert solver_calls["relaxed"] < horizon
         relaxed, _ = ss.propagate(ss.seed_roll(params, K), params, horizon,
-                                  step=1e-2)
+                                  step=ss.RELAX_STEP)
         full, _ = ss.refine(relaxed, params)
         assert (state.pattern, state.roll_order) == ss.classify(full, params)
         assert state.pattern is ss.PatternKind.ROLL
@@ -286,7 +286,7 @@ class TestHandoff:
         # 64, 128 and 256 chunks
         params, K = self._small_roll()
         times = [solver_calls["relaxed"] for _ in ss._relaxed_fields(
-            ss.seed_roll(params, K), params, 600.0, 1e-2)]
+            ss.seed_roll(params, K), params, 600.0)]
         gaps = np.diff([t for t in times[:-1] if t > 200.0])
         assert len(gaps) >= 4
         np.testing.assert_array_equal(gaps,
