@@ -1,6 +1,7 @@
 """Low-level modal algebra shared by the steady-state solver and the
 fluctuation-Jacobian builder, including the one matrix of the linearized
-flow, `real_jacobian` (Newton's steps and `stability_spectrum`).
+flow, `real_jacobian` (Newton's steps, `stability_spectrum` and J_q), and
+the one l <-> -l fold of it, `reflection_blocks`.
 
 Amplitude vectors are complex arrays of length 2K+1 in natural mode order
 l = -K..K (index l + K).  All sums over interacting modes are exact
@@ -65,6 +66,21 @@ def build_RS(amps: np.ndarray, params: ModalParams) -> tuple[np.ndarray, np.ndar
     R[np.diag_indices(n)] += linear_rates(params, K)
     S = 1j * params.g0 * c2[smat + 2 * K]
     return R, S
+
+
+def reflection_blocks(R: np.ndarray, S: np.ndarray) -> tuple[tuple, tuple]:
+    """((R_s, S_s), (R_a, S_a)): (R, S) of a field with A_{-l} = A_l, folded
+    onto the fluctuations da_{-p} = da_p and da_{-p} = -da_p that its flow
+    keeps apart.  Symmetric: rows l = 0..K, columns p and -p added (p = 0
+    once).  Antisymmetric: rows l = 1..K, column -p subtracted from p.
+    """
+    K = (len(R) - 1) // 2
+    sym, anti = [], []
+    for M in (R, S):
+        mirror = M[K:, :K][:, ::-1]            # column -p for p = 1..K
+        sym.append(np.hstack([M[K:, K:K + 1], M[K:, K + 1:] + mirror]))
+        anti.append(M[K + 1:, K + 1:] - mirror[1:])
+    return tuple(sym), tuple(anti)
 
 
 def real_jacobian(R: np.ndarray, S: np.ndarray) -> np.ndarray:

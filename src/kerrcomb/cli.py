@@ -310,8 +310,8 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
         ls = np.arange(-l_max, l_max + 1)
     if {"quadrature_spectrum", "stability"} & set(outputs):
         t0 = time.perf_counter()
-        state = ss.rotate_to_symmetric(ss.find_steady_state(
-            params, seed=seed, **scenario.get("state", {})))
+        state = ss.find_steady_state(params, seed=seed,
+                                     **scenario.get("state", {}))
         report["state"] = {
             "pattern": state.pattern.value,
             "roll_order": state.roll_order,

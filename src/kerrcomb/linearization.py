@@ -20,14 +20,15 @@ import numpy as np
 
 from . import _modal
 from ._modal import stability_spectrum
-from .steady_state import (PATTERN_FLOOR, SYMMETRY_TOL, CombState,
-                           PatternKind, reflection_asymmetry)
+from .steady_state import PATTERN_FLOOR, CombState, PatternKind
 
 #: Residual gate: states with larger dimensionless residual are refused.
 RESIDUAL_GATE = 1e-8
 #: A state is reported stable when max Re(stability_spectrum) <= this multiple
 #: of kappa (neutral translation modes of patterned states sit at ~0).
 STABILITY_TOL = 1e-6
+#: Relative reflection asymmetry up to which a state counts as symmetric.
+SYMMETRY_TOL = 1e-6
 
 
 class QuadratureJacobian(NamedTuple):
@@ -79,37 +80,31 @@ def pair_phases(state: CombState) -> np.ndarray:
 def build_quadrature_jacobian(state: CombState) -> QuadratureJacobian:
     """Real flow matrix for the pair-difference quadratures.
 
-    Requires a reflection-symmetric state (A_{-l} = A_{+l}); then the
-    difference coordinates D_l = delta a_{+l} - delta a_{-l} close among
-    themselves (the pump mode drops out) with
+    Requires a reflection-symmetric state (A_{-l} = A_{+l}), as every
+    `find_steady_state` root is; then the difference coordinates
+    D_l = delta a_{+l} - delta a_{-l} close among themselves (the pump mode
+    drops out) in the antisymmetric block of `_modal.reflection_blocks`:
 
         dD_l/dt = sum_p A_lp D_p + B_lp D_p^dagger,
         A_lp = R_{l,p} - R_{l,-p},   B_lp = S_{l,p} - S_{l,-p}.
 
-    Each pair is pre-rotated by its phase Phi_l, giving
-    U_{+/-} = A' +/- B'^* and J_q = [[Re U+, -Im U+], [Im U-, Re U-]],
-    so a downstream quadrature angle phi is measured from the pair's
-    natural frame.
+    Each pair is pre-rotated by its phase Phi_l, giving J_q =
+    `_modal.real_jacobian(A', B')`, so a downstream quadrature angle phi
+    is measured from the pair's natural frame.
     """
     R, S = build_modal_jacobian(state)
-    K = state.K
-    asym = reflection_asymmetry(state.amplitudes)
+    a = state.amplitudes
+    asym = float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
     if asym > SYMMETRY_TOL:
         raise ValueError(
-            f"pair quadratures need a reflection-symmetric state; "
-            f"asymmetry {asym:.2e} (use rotate_to_symmetric first)")
-    # rows/cols of R, S are indexed by mode number l - K
-    lp = np.arange(1, K + 1)
-    A = R[np.ix_(K + lp, K + lp)] - R[np.ix_(K + lp, K - lp)]
-    B = S[np.ix_(K + lp, K + lp)] - S[np.ix_(K + lp, K - lp)]
+            f"pair quadratures need a reflection-symmetric state "
+            f"(A_-l = A_l); asymmetry {asym:.2e}")
+    _, (A, B) = _modal.reflection_blocks(R, S)
     phis = pair_phases(state)
     rot = np.exp(1j * phis)
-    A = A * (rot[None, :] / rot[:, None])          # e^{i(Phi_p - Phi_l)}
-    B = B / (rot[None, :] * rot[:, None])          # e^{-i(Phi_p + Phi_l)}
-    U_plus = A + B.conj()
-    U_minus = A - B.conj()
-    J_q = np.block([[U_plus.real, -U_plus.imag],
-                    [U_minus.imag, U_minus.real]])
+    J_q = _modal.real_jacobian(
+        A * (rot[None, :] / rot[:, None]),          # e^{i(Phi_p - Phi_l)}
+        B / (rot[None, :] * rot[:, None]))          # e^{-i(Phi_p + Phi_l)}
     return QuadratureJacobian(J_q, phis)
 
 

@@ -9,16 +9,16 @@ pump and on the cold-cavity grid) obey
 
 This module finds roots of that flow: the homogeneous (flat) branches in
 closed form, and patterned states (rolls, bright/dark solitons) by
-split-step relaxation followed by Newton refinement.  Relaxation runs in
-short chunks and hands off to Newton as soon as its residual plateaus on
-a field whose Newton root is of the requested kind, so the relaxation
-horizon is a cap rather than the cost of every solve.
+split-step relaxation followed by Newton refinement on A_{-l} = A_l.
+Relaxation runs in short chunks and hands off to Newton as soon as its
+residual plateaus on a field whose Newton root is of the requested kind,
+so the relaxation horizon is a cap rather than the cost of every solve.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,6 @@ MAX_TRIAL_WAIT = 32
 RUNAWAY_FACTOR = 10.0
 #: Relative modal intensity below which a mode counts as unexcited.
 PATTERN_FLOOR = 1e-12
-#: Relative reflection asymmetry up to which a field counts as symmetric.
-SYMMETRY_TOL = 1e-6
 
 
 class PatternKind(enum.Enum):
@@ -102,7 +100,8 @@ class FlatStateBranches:
 
 @dataclass(frozen=True)
 class CombState:
-    """A (candidate) stationary modal field."""
+    """A (candidate) stationary modal field; every state
+    `find_steady_state` returns has A_{-l} = A_l exactly."""
 
     amplitudes: np.ndarray                   # complex, natural order -K..K
     params: ModalParams
@@ -142,10 +141,15 @@ def solve_flat_state(params: ModalParams) -> FlatStateBranches:
 
 def residual(amps: np.ndarray, params: ModalParams) -> float:
     """Dimensionless flow norm max_l |dA_l/dt| / (|kappa| ||A||)."""
+    return _flow_residual(amps, _modal.vector_field(amps, params), params)
+
+
+def _flow_residual(amps: np.ndarray, F: np.ndarray,
+                   params: ModalParams) -> float:
+    """`residual` of `amps` from its already evaluated flow F."""
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         return np.inf
-    F = _modal.vector_field(amps, params)
     return float(np.max(np.abs(F))) / (abs(params.kappa) * norm)
 
 
@@ -243,20 +247,36 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
 # Newton refinement
 # ---------------------------------------------------------------------------
 
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Rigidly rotate a pattern so that its strongest sidemode pair l0 has
+    arg A_{l0} = arg A_{-l0}, then project it onto A_{-l} = A_l exactly."""
+    K = (len(a) - 1) // 2
+    I = np.abs(a) ** 2
+    I0 = np.where(_modal.mode_numbers(K) == 0, 0.0, I)
+    if I0.max() > PATTERN_FLOOR * I.max():
+        l0 = abs(int(np.argmax(I0)) - K)
+        theta0 = -(np.angle(a[K + l0]) - np.angle(a[K - l0])) / (2.0 * l0)
+        a = a * np.exp(1j * _modal.mode_numbers(K) * theta0)
+    return 0.5 * (a + a[::-1])
+
+
 def refine(amps: np.ndarray, params: ModalParams,
            max_iter: int = 60) -> tuple[np.ndarray, float]:
     """Polish a near-stationary field by Newton iteration (full steps).
 
-    The linear solve uses a minimum-norm least-squares step, so neutral
-    directions of patterned states (e.g. roll translation) receive no
-    update instead of making the Jacobian solve singular.
+    The field is rotated and projected onto A_{-l} = A_l (`_symmetrize`),
+    and each step solves the symmetric block of `_modal.reflection_blocks`
+    for modes 0..K by LU and mirrors it onto -l, so the root satisfies
+    a[::-1] == a exactly.  That block has no neutral mode (rigid rotation
+    is antisymmetric), so no least-squares step is needed.
     """
-    a = amps.astype(complex).copy()
+    a = _symmetrize(amps.astype(complex))
+    K = (len(a) - 1) // 2
     best, best_res = a.copy(), residual(a, params)
     worse_streak = 0
     for _ in range(max_iter):
         F = _modal.vector_field(a, params)
-        res = residual(a, params)
+        res = _flow_residual(a, F, params)
         if res < best_res:
             best, best_res, worse_streak = a.copy(), res, 0
         else:
@@ -267,12 +287,11 @@ def refine(amps: np.ndarray, params: ModalParams,
                     best, best_res)
         if res <= NEWTON_TOL:
             return a, res
-        R, S = _modal.build_RS(a, params)
-        J = _modal.real_jacobian(R, S)
-        rhs = -np.concatenate([F.real, F.imag])
-        dx, *_ = np.linalg.lstsq(J, rhs, rcond=1e-10)
-        n = len(a)
-        a = a + (dx[:n] + 1j * dx[n:])
+        sym, _ = _modal.reflection_blocks(*_modal.build_RS(a, params))
+        rhs = -np.concatenate([F[K:].real, F[K:].imag])
+        dx = np.linalg.solve(_modal.real_jacobian(*sym), rhs)
+        d = dx[:K + 1] + 1j * dx[K + 1:]
+        a = a + np.concatenate([d[:0:-1], d])
         if not np.isfinite(a).all():
             raise RefinementError("Newton step produced non-finite amplitudes",
                                   best, best_res)
@@ -282,7 +301,7 @@ def refine(amps: np.ndarray, params: ModalParams,
 
 
 # ---------------------------------------------------------------------------
-# classification and symmetrization
+# classification
 # ---------------------------------------------------------------------------
 
 def classify(amps: np.ndarray, params: ModalParams) -> tuple[PatternKind, int | None]:
@@ -314,39 +333,6 @@ def classify(amps: np.ndarray, params: ModalParams) -> tuple[PatternKind, int | 
     if dip > 3.0 * peak and params.zeta2 < 0:
         return PatternKind.DARK_SOLITON, None
     return PatternKind.UNCLASSIFIED, None
-
-
-def reflection_asymmetry(a: np.ndarray) -> float:
-    """max_l |A_{-l} - A_{+l}| relative to max_l |A_l|."""
-    return float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
-
-
-def rotate_to_symmetric(state: CombState) -> CombState:
-    """Rotate the pattern so that A_{-l} = A_{+l} for every mode pair.
-
-    A stationary pattern is only defined up to rigid rotation; quadrature
-    analysis of +/-l mode pairs requires the representative with exactly
-    symmetric amplitudes.  The rotation angle is fixed by the strongest
-    sidemode pair and the result is checked on all pairs.
-    """
-    a = state.amplitudes.copy()
-    K = state.K
-    I = np.abs(a) ** 2
-    I0 = I.copy()
-    I0[K] = 0.0
-    if I0.max() <= PATTERN_FLOOR * I.max():
-        return state
-    l0 = abs(int(np.argmax(I0)) - K)
-    phi_p = np.angle(a[K + l0])
-    phi_m = np.angle(a[K - l0])
-    theta0 = -(phi_p - phi_m) / (2.0 * l0)
-    a = a * np.exp(1j * _modal.mode_numbers(K) * theta0)
-    asym = reflection_asymmetry(a)
-    if asym > SYMMETRY_TOL:
-        raise ValueError(
-            f"state is not symmetrizable by rotation (asymmetry {asym:.2e}); "
-            "quadrature analysis needs a reflection-symmetric pattern")
-    return replace(state, amplitudes=a)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +475,11 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
     `kind`, and otherwise relaxation resumes (see `_relaxed_fields`).
     `horizon` (units of 1/kappa) is thus a cap: with no accepted trial the
     field at the horizon is refined, exactly as one propagate call over
-    the whole horizon followed by `refine`.  Returns a classified
-    CombState whose residual meets NEWTON_TOL, or raises RefinementError /
-    DivergenceError.
+    the whole horizon followed by `refine`.  `refine` rotates every trial
+    field, an asymmetric `initial` too, and projects it onto A_{-l} = A_l:
+    such a field is projected, not refused.  Returns a classified CombState
+    with A_{-l} = A_l whose residual meets NEWTON_TOL, or raises
+    RefinementError / DivergenceError.
     """
     if K is None:
         K = default_mode_cutoff(params, kind)

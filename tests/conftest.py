@@ -144,18 +144,16 @@ def three_mode(vi_c_budget):
         units.modal_params(caf2_config(detuning=-vi_c_budget.kappa)))
     params = units.modal_params(
         caf2_config(pump_power=1.01 * p_th, detuning=-vi_c_budget.kappa))
-    state, secs = _timed(lambda: ss.find_steady_state(
+    return _timed(lambda: ss.find_steady_state(
         params, kind="roll", seed=0, K=20, horizon=8000.0))
-    return ss.rotate_to_symmetric(state), secs
 
 
 @pytest.fixture(scope="session")
 def bright_soliton(vi_c_budget):
     cfg = caf2_config(pump_power=4e-3, detuning=-2.0 * vi_c_budget.kappa)
     params = units.modal_params(cfg)
-    state, secs = _timed(lambda: ss.find_steady_state(
+    return _timed(lambda: ss.find_steady_state(
         params, kind="bright_soliton", horizon=500.0))
-    return ss.rotate_to_symmetric(state), secs
 
 
 @pytest.fixture(scope="session")
@@ -163,6 +161,5 @@ def dark_soliton(vi_c_budget):
     cfg = caf2_config(pump_power=5.3e-3, zeta2=-TWO_PI * 2.9e3,
                       detuning=-2.5 * vi_c_budget.kappa)
     params = units.modal_params(cfg)
-    state, secs = _timed(lambda: ss.find_steady_state(
+    return _timed(lambda: ss.find_steady_state(
         params, kind="dark_soliton", horizon=500.0))
-    return ss.rotate_to_symmetric(state), secs

@@ -506,6 +506,25 @@ class TestShippedScenarios:
                    if p.is_file() and p.name != "report.json"}
         assert digests == PRODUCT_SHA256[name]
 
+    @pytest.mark.parametrize("name, pattern, order", [
+        ("bright_soliton_squeezing", "bright_soliton", None),
+        ("dark_soliton_squeezing", "dark_soliton", None),
+        ("roll_squeezing", "roll", 20)])
+    def test_above_threshold_runs_clean(self, tmp_path, name, pattern, order):
+        # no pinned hashes: eigenvalue and Schur-form rounding, and so the
+        # last digits of these products, follow the BLAS thread count
+        scenario = cli.load_scenario(SCENARIOS / f"{name}.json")
+        assert cli.run_scenario(scenario, tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["errors"] == []
+        state = report["state"]
+        assert (state["pattern"], state["roll_order"]) == (pattern, order)
+        [stability] = [p for p in report["products"]
+                       if p["product"] == "stability"]
+        assert stability["stable"] is True
+        for l in scenario["pairs"]:
+            assert (tmp_path / f"quadrature_l{l}.csv").is_file()
+
     def test_total_power_closed_form_matches_sum(self, tmp_path):
         scenario = cli.load_scenario(SCENARIOS / "below_threshold_caf2.json")
         assert "total_power" in scenario["outputs"]

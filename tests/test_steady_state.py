@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
 
+from kerrcomb import linearization as lin
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
@@ -205,6 +206,19 @@ class TestPatterns:
         prof = np.abs(field) ** 2
         assert prof.min() < 0.33 * np.median(prof)
 
+    def test_roll26_at_two_and_a_half_threshold(self, vi_c_budget):
+        # roll_power_sweep's 2.5 P_th point at seed 0: the roll settles late
+        # (t ~ 2100/kappa), and Newton from its symmetric projection
+        # reaches a stable roll 26
+        p_th = units.threshold_pump_power(
+            units.modal_params(caf2_config(detuning=-vi_c_budget.kappa)))
+        params = units.modal_params(caf2_config(
+            pump_power=2.5 * p_th, detuning=-vi_c_budget.kappa))
+        state = ss.find_steady_state(params, kind="roll", seed=0)
+        assert (state.pattern, state.roll_order) == (ss.PatternKind.ROLL, 26)
+        eig = lin.stability_spectrum(*lin.build_modal_jacobian(state))
+        assert lin.is_stable(eig, params.kappa)
+
     def test_flat_kind_short_circuit(self):
         params = _params(0.3, 0.0, 0.01)
         state = ss.find_steady_state(params, kind="flat", K=8)
@@ -331,26 +345,29 @@ class TestHandoff:
 class TestSymmetrization:
     def test_rotated_roll_is_symmetrized(self, roll20):
         state, _ = roll20
-        # rigid rotation keeps the state stationary but breaks A_{-l} = A_l
+        # rigid rotation keeps the state stationary but breaks A_{-l} = A_l;
+        # refine rotates it back and stays in the symmetric subspace
         theta = 0.731
-        a_rot = state.amplitudes * np.exp(
-            1j * state.mode_numbers * theta)
-        rotated = ss.CombState(a_rot, state.params, state.residual_norm,
-                               state.pattern, state.roll_order)
-        sym = ss.rotate_to_symmetric(rotated)
-        a = sym.amplitudes
-        assert np.max(np.abs(a[::-1] - a)) < 1e-8 * np.max(np.abs(a))
-        assert ss.residual(a, state.params) < 1e-10
+        a_rot = state.amplitudes * np.exp(1j * state.mode_numbers * theta)
+        a, res = ss.refine(a_rot, state.params)
+        assert np.array_equal(a[::-1], a)
+        assert res <= ss.NEWTON_TOL
+        np.testing.assert_allclose(
+            a, state.amplitudes, rtol=0.0,
+            atol=1e-12 * np.max(np.abs(state.amplitudes)))
 
-    def test_asymmetric_state_raises(self):
+    def test_asymmetric_field_is_projected(self):
         params = _params(0.3, 0.0, 0.01)
         a = np.zeros(9, dtype=complex)
         a[4] = 1.0
         a[5] = 0.3
         a[3] = 0.2  # not related to a[5] by any rigid rotation
-        state = ss.CombState(a, params, 0.0)
-        with pytest.raises(ValueError):
-            ss.rotate_to_symmetric(state)
+        try:
+            out, res = ss.refine(a, params)
+        except ss.RefinementError:
+            return
+        assert np.array_equal(out[::-1], out)
+        assert res <= ss.NEWTON_TOL
 
 
 class TestSeeds:
