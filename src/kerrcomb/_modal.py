@@ -1,7 +1,8 @@
 """Low-level modal algebra shared by the steady-state solver and the
 fluctuation-Jacobian builder, including the one matrix of the linearized
-flow, `real_jacobian` (Newton's steps, `stability_spectrum` and J_q), and
-the one l <-> -l fold of it, `reflection_blocks`.
+flow, `real_jacobian`, and the one l <-> -l fold of it,
+`reflection_blocks`: Newton steps on the symmetric block, J_q is the
+antisymmetric one, and the stability spectrum takes both.
 
 Amplitude vectors are complex arrays of length 2K+1 in natural mode order
 l = -K..K (index l + K).  All sums over interacting modes are exact
@@ -92,12 +93,3 @@ def real_jacobian(R: np.ndarray, S: np.ndarray) -> np.ndarray:
     b = R - S
     return np.block([[a.real, -b.imag], [a.imag, b.real]])
 
-
-def stability_spectrum(R: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the linearized flow, sorted by descending real part.
-
-    `real_jacobian` is similar to the block [[R, S], [S*, R*]] on (dA, dA*)
-    under (dA, dA*) -> (Re dA, Im dA), so the two share their eigenvalues.
-    """
-    eig = np.linalg.eigvals(real_jacobian(R, S))
-    return eig[np.argsort(-eig.real)]

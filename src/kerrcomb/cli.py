@@ -356,8 +356,7 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
                    spontaneous.spectrum_csv(series), products, t0,
                    product=product)
         elif product == "stability":
-            eig = linearization.stability_spectrum(
-                *linearization.build_modal_jacobian(state))
+            eig = linearization.stability_spectrum(state)
             kappa = state.params.kappa
             text = spontaneous.csv_text("re_over_kappa,im_over_kappa",
                                         [eig.real / kappa, eig.imag / kappa])

@@ -5,10 +5,12 @@ Fluctuations delta-a_l around a stationary field obey
     d(delta a_l)/dt = sum_p R_lp delta a_p + S_lp delta a_p^dagger + noise,
 
 with R and S determined by the stationary amplitudes.  This module builds
-R and S, re-exports their stability spectrum from `_modal` (the matrix
-Newton uses), and — for reflection-symmetric states — the real 2K x 2K
-quadrature Jacobian J_q acting on the differences D_l = delta a_{+l} -
-delta a_{-l} of the K sidemode pairs, each in its natural phase frame.
+R and S and, for reflection-symmetric states, the real 2K x 2K quadrature
+Jacobian J_q acting on the differences D_l = delta a_{+l} - delta a_{-l}
+of the K sidemode pairs, each in its natural phase frame.  It owns the
+one complex Schur form of J_q per state (`_schur_form`): the stability
+spectrum reads the antisymmetric eigenvalues off its diagonal, and the
+pair spectra in `squeezing` reuse it.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import rsf2csf, schur
 
 from . import _modal
-from ._modal import stability_spectrum
 from .steady_state import PATTERN_FLOOR, CombState, PatternKind
 
 #: Residual gate: states with larger dimensionless residual are refused.
@@ -29,6 +31,9 @@ RESIDUAL_GATE = 1e-8
 STABILITY_TOL = 1e-6
 #: Relative reflection asymmetry up to which a state counts as symmetric.
 SYMMETRY_TOL = 1e-6
+#: (key, T, Q) of the last J_q `_schur_form` factored; key is its exact
+#: dtype, shape and bytes.
+_schur_form_memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
 
 
 class QuadratureJacobian(NamedTuple):
@@ -106,6 +111,41 @@ def build_quadrature_jacobian(state: CombState) -> QuadratureJacobian:
         A * (rot[None, :] / rot[:, None]),          # e^{i(Phi_p - Phi_l)}
         B / (rot[None, :] * rot[:, None]))          # e^{-i(Phi_p + Phi_l)}
     return QuadratureJacobian(J_q, phis)
+
+
+def _schur_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, Q), J_q = Q T Q^H, of a real J_q.
+
+    The stability spectrum and every pair of a state use the same J_q, so
+    the last form is kept and returned again, read-only, while the next
+    J_q has the same dtype, shape and bytes; any other matrix, or one
+    mutated in place since, is factored afresh.
+    """
+    global _schur_form_memo
+    key = (J_q.dtype, J_q.shape, J_q.tobytes())
+    memo = _schur_form_memo
+    if memo is None or memo[0] != key:
+        T, Q = rsf2csf(*schur(J_q))
+        T.flags.writeable = Q.flags.writeable = False
+        memo = _schur_form_memo = (key, T, Q)
+    return memo[1], memo[2]
+
+
+def stability_spectrum(state: CombState) -> np.ndarray:
+    """Eigenvalues of the linearized flow around a reflection-symmetric
+    state, sorted by descending real part.
+
+    The flow keeps the two `_modal.reflection_blocks` apart, so this is
+    the spectrum of the symmetric block's `real_jacobian` (order 2K + 2)
+    together with the diagonal of J_q's complex Schur form, which the pair
+    spectra reuse: J_q is the antisymmetric block up to the pair rotation,
+    a similarity.
+    """
+    (R_s, S_s), _ = _modal.reflection_blocks(*build_modal_jacobian(state))
+    T, _ = _schur_form(build_quadrature_jacobian(state).J_q)
+    eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(R_s, S_s)),
+                          np.diag(T)])
+    return eig[np.argsort(-eig.real)]
 
 
 def three_mode_rates(state: CombState) -> tuple[float, float]:

@@ -22,7 +22,8 @@ frequency in the complex Schur form J_q = Q T Q^H: O(n^2) per frequency,
 against about 40 n^3 per frequency for the full C_out of the dense
 reference the tests compare against (`output_correlation` in
 tests/conftest.py).  The O(n^3) Schur form is computed once per distinct
-J_q and reused by every pair of that state (`_schur_form`).  A frequency
+J_q by `linearization._schur_form`, which the stability spectrum calls
+first, and every pair of that state reuses it.  A frequency
 sits on a neutral mode, and its entries are NaN, when
 min_j |T_jj + i w| <= n eps max(max|T|, kappa).
 
@@ -37,9 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import rsf2csf, schur
 
-from .linearization import build_quadrature_jacobian
+from .linearization import _schur_form, build_quadrature_jacobian
 from .spontaneous import SpectrumSeries, csv_text, default_omega_grid
 from .steady_state import CombState
 
@@ -50,9 +50,6 @@ IMAG_TOL = 1e-10
 OMEGA_BLOCK = 128
 #: Squeezing objectives `optimize_quadrature_angle` accepts.
 OBJECTIVES = ("band_integral", "min")
-#: (key, T, Q) of the last J_q `_schur_form` factored; key is its exact
-#: dtype, shape and bytes.
-_schur_form_memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -98,24 +95,6 @@ def _vacuum_gram(rows: np.ndarray) -> np.ndarray:
     K = rows.shape[-1] // 2
     w = rows[..., :K] - 1j * rows[..., K:]
     return w @ w.conj().swapaxes(-1, -2)
-
-
-def _schur_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form (T, Q), J_q = Q T Q^H, of a real J_q.
-
-    Every pair of a state analyses the same J_q, so the last form is kept
-    and returned again, read-only, while the next J_q has the same dtype,
-    shape and bytes; any other matrix, or one mutated in place since, is
-    factored afresh.
-    """
-    global _schur_form_memo
-    key = (J_q.dtype, J_q.shape, J_q.tobytes())
-    memo = _schur_form_memo
-    if memo is None or memo[0] != key:
-        T, Q = rsf2csf(*schur(J_q))
-        T.flags.writeable = Q.flags.writeable = False
-        memo = _schur_form_memo = (key, T, Q)
-    return memo[1], memo[2]
 
 
 def pair_spectral_blocks(J_q: np.ndarray, rho: float, kappa: float,

@@ -38,7 +38,8 @@ PLATEAU_RATIO = 1.1
 #: Consecutive in-band chunk-to-chunk ratios that make a plateau.
 PLATEAU_CHUNKS = 5
 #: Most chunks between two Newton trials on a plateau; at K = 72 a
-#: rejected trial costs about as much as 3 to 25 chunks of relaxation.
+#: rejected trial costs about 0.3 to 1 chunk of relaxation, 0.45 to 0.7
+#: at the median (43 rejected trials at the test_07 roll points).
 MAX_TRIAL_WAIT = 32
 #: Multiple of the energy bound at which a relaxed field counts as runaway;
 #: a damped flow never exceeds the bound itself.

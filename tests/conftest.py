@@ -1,6 +1,7 @@
 """Shared fixtures: the standard CaF2 resonator, cached solver states, the
-Parseval oracle of the below-threshold flux and the dense resolvent oracle
-of the above-threshold output correlations.
+Parseval oracle of the below-threshold flux, the full-space stability
+oracle and the dense resolvent oracle of the above-threshold output
+correlations.
 
 Expensive steady-state solves are session-scoped and reused across module
 and acceptance tests; each fixture also reports its wall-clock solve time
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kerrcomb import _modal
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
@@ -79,6 +81,14 @@ def flux_parseval_oracle(l: int, flat) -> float:
     total, _ = quad(integrand, -200.0 * p.kappa, 200.0 * p.kappa,
                     points=peaks, limit=400)
     return total / (2.0 * math.pi)
+
+
+def full_stability_spectrum(R: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the linearized flow from the full-space real Jacobian
+    of order 2(2K+1), sorted by descending real part; defined for any field,
+    symmetric or not."""
+    eig = np.linalg.eigvals(_modal.real_jacobian(R, S))
+    return eig[np.argsort(-eig.real)]
 
 
 class ResolventError(np.linalg.LinAlgError):

@@ -397,7 +397,7 @@ class TestAboveThresholdRun:
         # blocks are fixed, so no byte depends on BLAS or LAPACK
         kappa = cli.build_config(RESONATOR).kappa
         monkeypatch.setattr(linearization, "stability_spectrum",
-                            lambda R, S:
+                            lambda state:
                             kappa * np.array([-0.5 + 2.0j, -1.0 - 0.25j]))
         grid = np.array([-2.0, -0.5, 0.25, 1.0])
         monkeypatch.setattr(squeezing, "pair_spectral_blocks",
@@ -427,14 +427,33 @@ class TestAboveThresholdRun:
     def test_one_schur_form_per_state(self, tmp_path, monkeypatch):
         # every pair of the state reuses one factorization of its J_q
         calls = []
-        schur = squeezing.schur
-        monkeypatch.setattr(squeezing, "schur",
+        schur = linearization.schur
+        monkeypatch.setattr(linearization, "schur",
                             lambda *a: calls.append(a[0].shape) or schur(*a))
-        monkeypatch.setattr(squeezing, "_schur_form_memo", None)
+        monkeypatch.setattr(linearization, "_schur_form_memo", None)
         raw = flat_above_scenario(outputs=["quadrature_spectrum"],
                                   pairs=[1, 2, 3])
         assert cli.run_scenario(raw, tmp_path) == 0
         assert calls == [(12, 12)]
+
+    def test_stability_shares_the_schur_form(self, tmp_path, monkeypatch):
+        # stability reads the antisymmetric eigenvalues off the Schur form
+        # of J_q that the pairs reuse, and never solves the full 26 x 26
+        # flow; its symmetric block has order 2K + 2 = 14
+        factored, solved = [], []
+        schur, eigvals = linearization.schur, np.linalg.eigvals
+        monkeypatch.setattr(linearization, "schur",
+                            lambda *a: factored.append(a[0].shape)
+                            or schur(*a))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: solved.append(a.shape) or eigvals(a))
+        monkeypatch.setattr(linearization, "_schur_form_memo", None)
+        raw = flat_above_scenario(outputs=["stability",
+                                           "quadrature_spectrum"],
+                                  pairs=[1, 2, 3])
+        assert cli.run_scenario(raw, tmp_path) == 0
+        assert factored == [(12, 12)]
+        assert solved == [(14, 14)]
 
     def test_pairs_default_to_pair_one(self, tmp_path):
         raw = flat_above_scenario(outputs=["quadrature_spectrum"])
@@ -589,7 +608,7 @@ def test_benchmark_entry_points_resolve(tmp_path, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy_constants_or_integrate():
-    # scipy enters the package only through squeezing's Schur form
+    # scipy enters the package only through linearization's Schur form
     code = "import json, sys, kerrcomb.cli; print(json.dumps(list(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -15,7 +15,7 @@ from kerrcomb import linearization as lin
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import OMEGA_L, make_flat
+from conftest import OMEGA_L, full_stability_spectrum, make_flat
 
 
 def _flat_state(g_over, sigma_over, zeta2_over, K=6, rho=0.5):
@@ -119,11 +119,12 @@ class TestModalJacobian:
                                    atol=scale)
         np.testing.assert_allclose(S1, u[:, None] * S0 * u, rtol=0.0,
                                    atol=scale)
-        # the neutral translation eigenvalue is left out: its rounding
-        # error, about eps ||J|| cond, exceeds the 1e-8 bound
+        # the rotated field is not symmetric, so its spectrum comes from the
+        # full-space oracle; the neutral translation eigenvalue is left out:
+        # its rounding error, about eps ||J|| cond, exceeds the 1e-8 bound
         e0, e1 = (np.sort(np.delete(e, np.argmin(np.abs(e))).real)
-                  for e in (lin.stability_spectrum(R0, S0),
-                            lin.stability_spectrum(R1, S1)))
+                  for e in (lin.stability_spectrum(state),
+                            full_stability_spectrum(R1, S1)))
         np.testing.assert_allclose(e0, e1, atol=1e-8)
 
 
@@ -253,37 +254,43 @@ class TestStability:
     def test_all_reference_states_stable(self, roll20, three_mode,
                                          bright_soliton, dark_soliton):
         for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
-            eig = lin.stability_spectrum(*lin.build_modal_jacobian(state))
+            eig = lin.stability_spectrum(state)
             assert lin.is_stable(eig, state.params.kappa)
 
     def test_matches_block_oracle(self, roll20, three_mode, bright_soliton,
                                   dark_soliton):
+        # the reflection blocks and the Schur form of J_q give the spectrum
+        # of the complex block [[R, S], [S*, R*]]
         for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
-            R, S = lin.build_modal_jacobian(state)
-            _assert_same_spectrum(lin.stability_spectrum(R, S),
-                                  _block_spectrum(R, S))
+            eig = lin.stability_spectrum(state)
+            want = _block_spectrum(*lin.build_modal_jacobian(state))
+            assert np.all(np.diff(eig.real) <= 0.0)
+            _assert_same_spectrum(eig, want, rtol=1e-13)
+            kappa = state.params.kappa
+            assert lin.is_stable(eig, kappa) == lin.is_stable(want, kappa)
 
-    def test_reflection_blocks_split_the_spectrum(self, roll20,
+    def test_reflection_blocks_split_the_spectrum(self, roll20, three_mode,
                                                   bright_soliton,
                                                   dark_soliton):
         # on a symmetric state the symmetric and antisymmetric blocks
         # together carry every eigenvalue of the full linearized flow
-        for state, _ in (roll20, bright_soliton, dark_soliton):
-            R, S = lin.build_modal_jacobian(state)
-            blocks = _modal.reflection_blocks(R, S)
-            eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(*b))
-                                  for b in blocks])
-            _assert_same_spectrum(eig, lin.stability_spectrum(R, S),
-                                  rtol=1e-12)
+        for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
+            eig = lin.stability_spectrum(state)
+            want = full_stability_spectrum(*lin.build_modal_jacobian(state))
+            _assert_same_spectrum(eig, want, rtol=1e-13)
+            kappa = state.params.kappa
+            assert lin.is_stable(eig, kappa) == lin.is_stable(want, kappa)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_matches_block_oracle_on_random_fields(self, seed):
-        # the Jacobian is defined for any field, stationary or not
+        # the Jacobian is defined for any field, stationary or not; on one
+        # with a[::-1] == a the two blocks share out its eigenvalues
         a, params = _random_state(seed)
+        a = a + a[::-1]
         R, S = _modal.build_RS(a, params)
-        eig = lin.stability_spectrum(R, S)
-        assert np.all(np.diff(eig.real) <= 0.0)
+        eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(*b))
+                              for b in _modal.reflection_blocks(R, S)])
         _assert_same_spectrum(eig, _block_spectrum(R, S))
 
     def test_flat_above_threshold_unstable(self):
@@ -293,6 +300,5 @@ class TestStability:
         a[40] = A0
         state = ss.CombState(a, branches.params,
                              ss.residual(a, branches.params))
-        eig = lin.stability_spectrum(*lin.build_modal_jacobian(state))
+        eig = lin.stability_spectrum(state)
         assert not lin.is_stable(eig, branches.params.kappa)
-

@@ -201,7 +201,7 @@ class TestPairSpectralBlocks:
         J_q *= 0.5
         seen.append(entries(J_q))
         for M, entry in zip((A, B, A, A, 0.5 * A), seen):
-            sq._schur_form_memo = None
+            lin._schur_form_memo = None
             np.testing.assert_array_equal(entry, entries(M))
 
     @pytest.mark.parametrize("exact", [True, False])

@@ -216,7 +216,7 @@ class TestPatterns:
             pump_power=2.5 * p_th, detuning=-vi_c_budget.kappa))
         state = ss.find_steady_state(params, kind="roll", seed=0)
         assert (state.pattern, state.roll_order) == (ss.PatternKind.ROLL, 26)
-        eig = lin.stability_spectrum(*lin.build_modal_jacobian(state))
+        eig = lin.stability_spectrum(state)
         assert lin.is_stable(eig, params.kappa)
 
     def test_flat_kind_short_circuit(self):
