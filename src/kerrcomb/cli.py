@@ -13,8 +13,9 @@ Scenario schema (version 1), JSON with the following top-level keys:
                 "dark_soliton" | "flat", "K", "horizon", "target_order"};
                 K and target_order ints >= 1, horizon a positive number
                 (units of 1/kappa) that caps the split-step relaxation,
-                which hands off to Newton once its residual plateaus;
-                unset keys take find_steady_state's defaults
+                which hands off to Newton at the first stable root of
+                the requested kind; unset keys take find_steady_state's
+                defaults
     angle       (above threshold) {"half_width": positive number (rad,
                 default pi/4), "objective": "band_integral" | "min"
                 (default "band_integral")}: the window and objective of

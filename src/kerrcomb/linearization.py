@@ -82,6 +82,26 @@ def pair_phases(state: CombState) -> np.ndarray:
     return phis
 
 
+def _fold(state: CombState) -> tuple[tuple, QuadratureJacobian]:
+    """(R_s, S_s) of the symmetric `_modal.reflection_blocks` block of a
+    gated, reflection-symmetric state, and J_q of its antisymmetric block
+    with each pair rotated by Phi_l; (R, S) is built and folded once."""
+    R, S = build_modal_jacobian(state)
+    a = state.amplitudes
+    asym = float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
+    if asym > SYMMETRY_TOL:
+        raise ValueError(
+            f"pair quadratures need a reflection-symmetric state "
+            f"(A_-l = A_l); asymmetry {asym:.2e}")
+    sym, (A, B) = _modal.reflection_blocks(R, S)
+    phis = pair_phases(state)
+    rot = np.exp(1j * phis)
+    J_q = _modal.real_jacobian(
+        A * (rot[None, :] / rot[:, None]),          # e^{i(Phi_p - Phi_l)}
+        B / (rot[None, :] * rot[:, None]))          # e^{-i(Phi_p + Phi_l)}
+    return sym, QuadratureJacobian(J_q, phis)
+
+
 def build_quadrature_jacobian(state: CombState) -> QuadratureJacobian:
     """Real flow matrix for the pair-difference quadratures.
 
@@ -97,20 +117,7 @@ def build_quadrature_jacobian(state: CombState) -> QuadratureJacobian:
     `_modal.real_jacobian(A', B')`, so a downstream quadrature angle phi
     is measured from the pair's natural frame.
     """
-    R, S = build_modal_jacobian(state)
-    a = state.amplitudes
-    asym = float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
-    if asym > SYMMETRY_TOL:
-        raise ValueError(
-            f"pair quadratures need a reflection-symmetric state "
-            f"(A_-l = A_l); asymmetry {asym:.2e}")
-    _, (A, B) = _modal.reflection_blocks(R, S)
-    phis = pair_phases(state)
-    rot = np.exp(1j * phis)
-    J_q = _modal.real_jacobian(
-        A * (rot[None, :] / rot[:, None]),          # e^{i(Phi_p - Phi_l)}
-        B / (rot[None, :] * rot[:, None]))          # e^{-i(Phi_p + Phi_l)}
-    return QuadratureJacobian(J_q, phis)
+    return _fold(state)[1]
 
 
 def _schur_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +148,8 @@ def stability_spectrum(state: CombState) -> np.ndarray:
     spectra reuse: J_q is the antisymmetric block up to the pair rotation,
     a similarity.
     """
-    (R_s, S_s), _ = _modal.reflection_blocks(*build_modal_jacobian(state))
-    T, _ = _schur_form(build_quadrature_jacobian(state).J_q)
+    (R_s, S_s), quad = _fold(state)
+    T, _ = _schur_form(quad.J_q)
     eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(R_s, S_s)),
                           np.diag(T)])
     return eig[np.argsort(-eig.real)]

@@ -10,9 +10,10 @@ pump and on the cold-cavity grid) obey
 This module finds roots of that flow: the homogeneous (flat) branches in
 closed form, and patterned states (rolls, bright/dark solitons) by
 split-step relaxation followed by Newton refinement on A_{-l} = A_l.
-Relaxation runs in short chunks and hands off to Newton as soon as its
-residual plateaus on a field whose Newton root is of the requested kind,
-so the relaxation horizon is a cap rather than the cost of every solve.
+Relaxation runs in chunks and offers Newton a trial after each one; it
+hands off at the first trial whose root is of the requested kind and
+stable, so the relaxation horizon is a cap rather than the cost of every
+solve.
 """
 
 from __future__ import annotations
@@ -31,16 +32,9 @@ NEWTON_TOL = 1e-12
 RELAX_TOL = 1e-7
 #: Split-step size of relaxation, in units of 1/kappa.
 RELAX_STEP = 1e-2
-#: Relaxation time between plateau checks, in units of 1/kappa.
-RELAX_CHUNK = 2.0
-#: Chunk-to-chunk residual ratio, and its inverse, bounding a plateau.
-PLATEAU_RATIO = 1.1
-#: Consecutive in-band chunk-to-chunk ratios that make a plateau.
-PLATEAU_CHUNKS = 5
-#: Most chunks between two Newton trials on a plateau; at K = 72 a
-#: rejected trial costs about 0.3 to 1 chunk of relaxation, 0.45 to 0.7
-#: at the median (43 rejected trials at the test_07 roll points).
-MAX_TRIAL_WAIT = 32
+#: Relaxation time between two Newton trials, in units of 1/kappa; at
+#: K = 72 a rejected trial costs 5 to 15% of one chunk.
+RELAX_CHUNK = 16.0
 #: Multiple of the energy bound at which a relaxed field counts as runaway;
 #: a damped flow never exceeds the bound itself.
 RUNAWAY_FACTOR = 10.0
@@ -261,9 +255,8 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a[::-1])
 
 
-def refine(amps: np.ndarray, params: ModalParams,
-           max_iter: int = 60) -> tuple[np.ndarray, float]:
-    """Polish a near-stationary field by Newton iteration (full steps).
+def refine(amps: np.ndarray, params: ModalParams) -> tuple[np.ndarray, float]:
+    """Polish a near-stationary field by at most 60 full Newton steps.
 
     The field is rotated and projected onto A_{-l} = A_l (`_symmetrize`),
     and each step solves the symmetric block of `_modal.reflection_blocks`
@@ -275,7 +268,7 @@ def refine(amps: np.ndarray, params: ModalParams,
     K = (len(a) - 1) // 2
     best, best_res = a.copy(), residual(a, params)
     worse_streak = 0
-    for _ in range(max_iter):
+    for _ in range(60):
         F = _modal.vector_field(a, params)
         res = _flow_residual(a, F, params)
         if res < best_res:
@@ -297,7 +290,7 @@ def refine(amps: np.ndarray, params: ModalParams,
             raise RefinementError("Newton step produced non-finite amplitudes",
                                   best, best_res)
     raise RefinementError(
-        f"Newton did not reach tolerance {NEWTON_TOL:g} in {max_iter} iterations",
+        f"Newton did not reach tolerance {NEWTON_TOL:g} in 60 iterations",
         best, best_res)
 
 
@@ -425,40 +418,28 @@ def _relaxed_fields(a: np.ndarray, params: ModalParams, horizon: float):
     """Yield (field, final) pairs along a chunked split-step relaxation.
 
     Chunks of RELAX_CHUNK jointly take the round(horizon/RELAX_STEP) steps of a
-    single propagate call.  Once the last PLATEAU_CHUNKS chunk-to-chunk
-    residual ratios all lie in [1/PLATEAU_RATIO, PLATEAU_RATIO], the field
-    is yielded as a Newton trial; resuming the generator rejects it, and
-    the chunks to wait before the next trial double (1, 2, 4, ...) up to
-    MAX_TRIAL_WAIT.  The cap ties the cost of a solve to the time its
-    pattern takes to form: a roll whose order settles late is tried within
-    MAX_TRIAL_WAIT chunks of settling, not up to twice as late.  The
-    field at the horizon, or at the first chunk whose residual meets
-    RELAX_TOL (the only early stop of a relaxation), comes last with
-    final=True.  The runaway limit is fixed by the seed, so an
-    amplifying flow cannot move it chunk by chunk.
+    single propagate call.  The field after every chunk that leaves steps
+    to take is yielded as a Newton trial; resuming the generator rejects
+    it.  The field at the horizon, or at the first chunk whose residual
+    meets RELAX_TOL (the only early stop of a relaxation), comes last with
+    final=True.  The runaway limit is fixed by the seed, so an amplifying
+    flow cannot move it chunk by chunk.
     """
     limit = _runaway_limit(a, params)
     per_chunk = max(1, int(round(RELAX_CHUNK / RELAX_STEP)))
     total = left = max(1, int(round(horizon / RELAX_STEP)))
-    recent: list[float] = []
-    chunks, next_trial, wait = 0, 0, 1
     while left:
         m = min(per_chunk, left)
         a, res = propagate(a, params, m * RELAX_STEP, step=RELAX_STEP)
         left -= m
-        chunks += 1
         if not np.linalg.norm(a) <= limit:
             raise DivergenceError(
                 f"field left {RUNAWAY_FACTOR:g} times its energy bound after "
                 f"{total - left} steps (dt = {RELAX_STEP}/kappa)", a)
         if res < RELAX_TOL:
             break
-        recent = (recent + [res])[-(PLATEAU_CHUNKS + 1):]
-        if (left and chunks >= next_trial and len(recent) > PLATEAU_CHUNKS
-                and all(1.0 / PLATEAU_RATIO <= r / q <= PLATEAU_RATIO
-                        for q, r in zip(recent, recent[1:]))):
+        if left:
             yield a, False
-            next_trial, wait = chunks + wait, min(2 * wait, MAX_TRIAL_WAIT)
     yield a, True
 
 
@@ -470,17 +451,18 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
 
     `kind` selects the seed: "flat" (no relaxation needed), "roll",
     "bright_soliton", or "dark_soliton"; `initial` replaces the seed.
-    Split-step relaxation runs in chunks of RELAX_CHUNK / kappa.  Once
-    the residual plateaus, a Newton trial starts from the current field;
-    the trial is accepted if Newton converges and the root classifies as
-    `kind`, and otherwise relaxation resumes (see `_relaxed_fields`).
-    `horizon` (units of 1/kappa) is thus a cap: with no accepted trial the
-    field at the horizon is refined, exactly as one propagate call over
-    the whole horizon followed by `refine`.  `refine` rotates every trial
-    field, an asymmetric `initial` too, and projects it onto A_{-l} = A_l:
-    such a field is projected, not refused.  Returns a classified CombState
-    with A_{-l} = A_l whose residual meets NEWTON_TOL, or raises
-    RefinementError / DivergenceError.
+    Split-step relaxation runs in chunks of RELAX_CHUNK / kappa, and a
+    Newton trial starts from the field after each chunk; the trial is
+    accepted if Newton converges to a root that classifies as `kind` and
+    is stable (`linearization.is_stable`), and otherwise relaxation
+    resumes (see `_relaxed_fields`).  `horizon` (units of 1/kappa) is thus
+    a cap: with no accepted trial the field at the horizon is refined,
+    exactly as one propagate call over the whole horizon followed by
+    `refine`, and returned whatever its kind or stability.  `refine`
+    rotates every trial field, an asymmetric `initial` too, and projects
+    it onto A_{-l} = A_l: such a field is projected, not refused.
+    Returns a classified CombState with A_{-l} = A_l whose residual meets
+    NEWTON_TOL, or raises RefinementError / DivergenceError.
     """
     if K is None:
         K = default_mode_cutoff(params, kind)
@@ -503,6 +485,8 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
         fields = [(a, True)]
     else:
         fields = _relaxed_fields(a, params, horizon)
+    # linearization imports this module, so it is imported at call time
+    from . import linearization
     for field, final in fields:
         try:
             a, res = refine(field, params)
@@ -510,6 +494,7 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
             if final:
                 raise
             continue
-        pat, order = classify(a, params)
-        if final or pat is want:
-            return CombState(a, params, res, pat, order)
+        state = CombState(a, params, res, *classify(a, params))
+        if final or (state.pattern is want and linearization.is_stable(
+                linearization.stability_spectrum(state), params.kappa)):
+            return state
