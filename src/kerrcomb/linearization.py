@@ -7,10 +7,11 @@ Fluctuations delta-a_l around a stationary field obey
 with R and S determined by the stationary amplitudes.  This module builds
 R and S and, for reflection-symmetric states, the real 2K x 2K quadrature
 Jacobian J_q acting on the differences D_l = delta a_{+l} - delta a_{-l}
-of the K sidemode pairs, each in its natural phase frame.  It owns the
-one complex Schur form of J_q per state (`_schur_form`): the stability
-spectrum reads the antisymmetric eigenvalues off its diagonal, and the
-pair spectra in `squeezing` reuse it.
+of the K sidemode pairs, each in its natural phase frame.  `_linearize`
+is the one place that folds (R, S), builds J_q, factors it into its
+complex Schur form and solves the symmetric block, once per state: the
+stability spectrum, `build_quadrature_jacobian` and through it every pair
+spectrum in `squeezing` read its result, kept for the last state.
 """
 
 from __future__ import annotations
@@ -31,16 +32,21 @@ RESIDUAL_GATE = 1e-8
 STABILITY_TOL = 1e-6
 #: Relative reflection asymmetry up to which a state counts as symmetric.
 SYMMETRY_TOL = 1e-6
-#: (key, T, Q) of the last J_q `_schur_form` factored; key is its exact
-#: dtype, shape and bytes.
-_schur_form_memo: tuple[tuple, np.ndarray, np.ndarray] | None = None
 
 
 class QuadratureJacobian(NamedTuple):
-    """Pair-quadrature flow; row i of J_q (0-based) is mode pair l = i + 1."""
+    """Pair-quadrature flow; row i of J_q (0-based) is mode pair l = i + 1,
+    and (T, Q) is its complex Schur form J_q = Q T Q^H."""
 
     J_q: np.ndarray
     pair_rotation: np.ndarray   # Phi_l applied per pair, l=1..K
+    T: np.ndarray
+    Q: np.ndarray
+
+
+#: (key, result) of the last `_linearize` call; the key is the state's
+#: amplitudes (dtype, shape, bytes) and params.
+_last: tuple[tuple, tuple[QuadratureJacobian, np.ndarray]] | None = None
 
 
 def _gate(state: CombState) -> None:
@@ -82,28 +88,17 @@ def pair_phases(state: CombState) -> np.ndarray:
     return phis
 
 
-def _fold(state: CombState) -> tuple[tuple, QuadratureJacobian]:
-    """(R_s, S_s) of the symmetric `_modal.reflection_blocks` block of a
-    gated, reflection-symmetric state, and J_q of its antisymmetric block
-    with each pair rotated by Phi_l; (R, S) is built and folded once."""
-    R, S = build_modal_jacobian(state)
-    a = state.amplitudes
-    asym = float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
-    if asym > SYMMETRY_TOL:
-        raise ValueError(
-            f"pair quadratures need a reflection-symmetric state "
-            f"(A_-l = A_l); asymmetry {asym:.2e}")
-    sym, (A, B) = _modal.reflection_blocks(R, S)
-    phis = pair_phases(state)
-    rot = np.exp(1j * phis)
-    J_q = _modal.real_jacobian(
-        A * (rot[None, :] / rot[:, None]),          # e^{i(Phi_p - Phi_l)}
-        B / (rot[None, :] * rot[:, None]))          # e^{-i(Phi_p + Phi_l)}
-    return sym, QuadratureJacobian(J_q, phis)
+def schur_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, Q), J_q = Q T Q^H, of a real J_q."""
+    if np.iscomplexobj(J_q):
+        raise ValueError("J_q must be real for (J_q - i w I)^-1 = conj G_+")
+    return rsf2csf(*schur(J_q))
 
 
-def build_quadrature_jacobian(state: CombState) -> QuadratureJacobian:
-    """Real flow matrix for the pair-difference quadratures.
+def _linearize(state: CombState) -> tuple[QuadratureJacobian, np.ndarray]:
+    """(`QuadratureJacobian`, stability spectrum) of a gated state, built
+    from one (R, S) and kept, read-only, for the next call with the same
+    amplitudes (dtype, shape, bytes) and params.
 
     Requires a reflection-symmetric state (A_{-l} = A_{+l}), as every
     `find_steady_state` root is; then the difference coordinates
@@ -117,42 +112,49 @@ def build_quadrature_jacobian(state: CombState) -> QuadratureJacobian:
     `_modal.real_jacobian(A', B')`, so a downstream quadrature angle phi
     is measured from the pair's natural frame.
     """
-    return _fold(state)[1]
+    global _last
+    _gate(state)
+    a = state.amplitudes
+    key = (a.dtype, a.shape, a.tobytes(), state.params)
+    if _last is not None and _last[0] == key:
+        return _last[1]
+    R, S = build_modal_jacobian(state)
+    asym = float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"pair quadratures need a reflection-symmetric "
+                         f"state (A_-l = A_l); asymmetry {asym:.2e}")
+    (R_s, S_s), (A, B) = _modal.reflection_blocks(R, S)
+    phis = pair_phases(state)
+    rot = np.exp(1j * phis)
+    J_q = _modal.real_jacobian(
+        A * (rot[None, :] / rot[:, None]),          # e^{i(Phi_p - Phi_l)}
+        B / (rot[None, :] * rot[:, None]))          # e^{-i(Phi_p + Phi_l)}
+    T, Q = schur_form(J_q)
+    eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(R_s, S_s)),
+                          np.diag(T)])
+    eig = eig[np.argsort(-eig.real)]
+    for x in (J_q, phis, T, Q, eig):
+        x.flags.writeable = False
+    _last = key, (QuadratureJacobian(J_q, phis, T, Q), eig)
+    return _last[1]
 
 
-def _schur_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form (T, Q), J_q = Q T Q^H, of a real J_q.
-
-    The stability spectrum and every pair of a state use the same J_q, so
-    the last form is kept and returned again, read-only, while the next
-    J_q has the same dtype, shape and bytes; any other matrix, or one
-    mutated in place since, is factored afresh.
-    """
-    global _schur_form_memo
-    key = (J_q.dtype, J_q.shape, J_q.tobytes())
-    memo = _schur_form_memo
-    if memo is None or memo[0] != key:
-        T, Q = rsf2csf(*schur(J_q))
-        T.flags.writeable = Q.flags.writeable = False
-        memo = _schur_form_memo = (key, T, Q)
-    return memo[1], memo[2]
+def build_quadrature_jacobian(state: CombState) -> QuadratureJacobian:
+    """Real flow matrix J_q of the pair-difference quadratures, in each
+    pair's frame, with its complex Schur form (see `_linearize`)."""
+    return _linearize(state)[0]
 
 
 def stability_spectrum(state: CombState) -> np.ndarray:
     """Eigenvalues of the linearized flow around a reflection-symmetric
-    state, sorted by descending real part.
+    state, sorted by descending real part (read-only, see `_linearize`).
 
-    The flow keeps the two `_modal.reflection_blocks` apart, so this is
-    the spectrum of the symmetric block's `real_jacobian` (order 2K + 2)
-    together with the diagonal of J_q's complex Schur form, which the pair
-    spectra reuse: J_q is the antisymmetric block up to the pair rotation,
-    a similarity.
+    The flow keeps the two `_modal.reflection_blocks` apart: these are the
+    eigenvalues of the symmetric block's `real_jacobian` (order 2K + 2)
+    and the diagonal of J_q's complex Schur form, J_q being the
+    antisymmetric block up to the pair rotation, a similarity.
     """
-    (R_s, S_s), quad = _fold(state)
-    T, _ = _schur_form(quad.J_q)
-    eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(R_s, S_s)),
-                          np.diag(T)])
-    return eig[np.argsort(-eig.real)]
+    return _linearize(state)[1]
 
 
 def three_mode_rates(state: CombState) -> tuple[float, float]:

@@ -21,9 +21,9 @@ A pair l needs only rows r in {l - 1, K + l - 1} of (J_q + i w I)^-1.
 frequency in the complex Schur form J_q = Q T Q^H: O(n^2) per frequency,
 against about 40 n^3 per frequency for the full C_out of the dense
 reference the tests compare against (`output_correlation` in
-tests/conftest.py).  The O(n^3) Schur form is computed once per distinct
-J_q by `linearization._schur_form`, which the stability spectrum calls
-first, and every pair of that state reuses it.  A frequency
+tests/conftest.py).  The O(n^3) Schur form comes with J_q from
+`linearization.build_quadrature_jacobian`, which factors it once per
+state for the stability spectrum and every pair.  A frequency
 sits on a neutral mode, and its entries are NaN, when
 min_j |T_jj + i w| <= n eps max(max|T|, kappa).
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linearization import _schur_form, build_quadrature_jacobian
+from .linearization import build_quadrature_jacobian
 from .spontaneous import SpectrumSeries, csv_text, default_omega_grid
 from .steady_state import CombState
 
@@ -97,34 +97,31 @@ def _vacuum_gram(rows: np.ndarray) -> np.ndarray:
     return w @ w.conj().swapaxes(-1, -2)
 
 
-def pair_spectral_blocks(J_q: np.ndarray, rho: float, kappa: float,
-                         omega_grid: np.ndarray, l: int) -> PairSpectralBlocks:
-    """Diagonal pair-l entries of C_out over a dimensionless grid.
+def pair_spectral_blocks(T: np.ndarray, Q: np.ndarray, rho: float,
+                         kappa: float, omega_grid: np.ndarray,
+                         l: int) -> PairSpectralBlocks:
+    """Diagonal pair-l entries of C_out over a dimensionless grid, from
+    the complex Schur form (T, Q) of a real J_q (`linearization.schur_form`).
 
     Row i = l - 1 of block C11 is the q-quadrature spectrum of pair l.
-    Only rows r in {i, K + i} of G_+ = (J_q + i w kappa)^-1 are needed.
-    J_q = Q T Q^H is factored once per distinct J_q (complex Schur,
-    `_schur_form`), so all pairs of a state share it; per frequency, row r
-    is g_r = x^T Q^H with x^T (T + i w kappa) = Q[r, :], a triangular
-    solve, and G_- = conj G_+ because J_q is real.  With t_r = 2 kappa
-    g_r + e_r the rho = 1 entries are C[r, s] = t_r C_in conj(t_s)^T, and
-    C_out(rho) = C_in + rho (C_out(1) - C_in) scales them exactly to rho.
-    C12 and C21 are summed only after the solve, so their imaginary
-    residue still reaches the IMAG_TOL checks.  Cost: O(n^3) once per
-    state plus O(n^2) per frequency, swept in blocks of OMEGA_BLOCK
+    Only rows r in {i, K + i} of G_+ = (J_q + i w kappa)^-1 are needed:
+    per frequency, row r is g_r = x^T Q^H with x^T (T + i w kappa) =
+    Q[r, :], a triangular solve, and G_- = conj G_+ because J_q is real.
+    With t_r = 2 kappa g_r + e_r the rho = 1 entries are C[r, s] =
+    t_r C_in conj(t_s)^T, and C_out(rho) = C_in + rho (C_out(1) - C_in)
+    scales them exactly to rho.  C12 and C21 are summed only after the
+    solve, so their imaginary residue still reaches the IMAG_TOL checks.
+    Cost: O(n^2) per frequency, swept in blocks of OMEGA_BLOCK
     frequencies, against about 40 n^3 per frequency for the dense
     reference (`output_correlation` in tests/conftest.py).  A frequency
     is neutral, and reported as NaN, when min_j |T_jj + i w kappa| <=
     n eps max(max|T|, kappa).
     """
-    if np.iscomplexobj(J_q):
-        raise ValueError("J_q must be real for (J_q - i w I)^-1 = conj G_+")
-    n = J_q.shape[0]
+    n = T.shape[0]
     K = n // 2
     if not 1 <= l <= K:
         raise ValueError(f"pair index l must be in 1..{K}")
     rows = [l - 1, K + l - 1]
-    T, Q = _schur_form(J_q)
     Tt = np.ascontiguousarray(T.T)       # row j holds column j of T
     diag = np.diag(T)
     Qh = Q.conj().T
@@ -241,11 +238,11 @@ def optimize_quadrature_angle(state: CombState, l: int,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    J_q, phis = build_quadrature_jacobian(state)
+    _, phis, T, Q = build_quadrature_jacobian(state)
     p = state.params
     if omega_grid is None:
         omega_grid = default_omega_grid()
-    blocks = pair_spectral_blocks(J_q, p.rho, p.kappa, omega_grid, l)
+    blocks = pair_spectral_blocks(T, Q, p.rho, p.kappa, omega_grid, l)
     delta, obj, degenerate = solve_quadrature_angle(blocks, half_width,
                                                     objective)
     return AngleOptimum(l, float(phis[l - 1]), delta, obj,

@@ -401,7 +401,7 @@ class TestAboveThresholdRun:
                             kappa * np.array([-0.5 + 2.0j, -1.0 - 0.25j]))
         grid = np.array([-2.0, -0.5, 0.25, 1.0])
         monkeypatch.setattr(squeezing, "pair_spectral_blocks",
-                            lambda J_q, rho, kappa, omega_grid, l:
+                            lambda T, Q, rho, kappa, omega_grid, l:
                             squeezing.PairSpectralBlocks(
                                 grid, np.array([0.5, 0.75, 0.5, 0.625]),
                                 np.array([1.5, 1.25, 2.0, 1.125]),
@@ -430,7 +430,7 @@ class TestAboveThresholdRun:
         schur = linearization.schur
         monkeypatch.setattr(linearization, "schur",
                             lambda *a: calls.append(a[0].shape) or schur(*a))
-        monkeypatch.setattr(linearization, "_schur_form_memo", None)
+        monkeypatch.setattr(linearization, "_last", None)
         raw = flat_above_scenario(outputs=["quadrature_spectrum"],
                                   pairs=[1, 2, 3])
         assert cli.run_scenario(raw, tmp_path) == 0
@@ -447,7 +447,7 @@ class TestAboveThresholdRun:
                             or schur(*a))
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: solved.append(a.shape) or eigvals(a))
-        monkeypatch.setattr(linearization, "_schur_form_memo", None)
+        monkeypatch.setattr(linearization, "_last", None)
         raw = flat_above_scenario(outputs=["stability",
                                            "quadrature_spectrum"],
                                   pairs=[1, 2, 3])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -175,6 +176,48 @@ class TestFlatPairReduction:
             np.testing.assert_allclose(eig, expected, atol=1e-10)
 
 
+class TestLinearizationMemo:
+    def test_key_is_amplitudes_and_params(self, monkeypatch):
+        # the last state's linearization is returned again only while the
+        # amplitudes (dtype, shape, bytes) and params are the same
+        built = []
+        build = lin.build_modal_jacobian
+        monkeypatch.setattr(lin, "build_modal_jacobian",
+                            lambda state: built.append(state) or build(state))
+        monkeypatch.setattr(lin, "_last", None)
+
+        def fresh(state):
+            lin._last = None
+            return lin.build_quadrature_jacobian(state)
+
+        state = _flat_state(0.4, -0.8, 0.015)
+        first = lin.build_quadrature_jacobian(state)
+        eig = lin.stability_spectrum(state)
+        copy = dataclasses.replace(state, amplitudes=state.amplitudes.copy())
+        assert lin.build_quadrature_jacobian(copy) is first
+        assert lin.stability_spectrum(copy) is eig
+        assert len(built) == 1
+        with pytest.raises(ValueError):
+            first.J_q[0, 0] = 0.0
+
+        p = state.params
+        other = dataclasses.replace(
+            state, params=dataclasses.replace(p, g0=1.5 * p.g0))
+        jac = lin.build_quadrature_jacobian(other)
+        assert len(built) == 2 and built[-1] is other
+        assert not np.array_equal(jac.J_q, first.J_q)
+        np.testing.assert_array_equal(jac.J_q, fresh(other).J_q)
+
+        lin.build_quadrature_jacobian(copy)
+        n = len(built)
+        a = copy.amplitudes
+        a *= 1.01                               # in place: same object
+        jac = lin.build_quadrature_jacobian(copy)
+        assert len(built) == n + 1
+        assert not np.array_equal(jac.J_q, first.J_q)
+        np.testing.assert_array_equal(jac.J_q, fresh(copy).J_q)
+
+
 class TestQuadratureJacobian:
     def test_requires_symmetric_state(self, roll20):
         state, _ = roll20
@@ -187,7 +230,7 @@ class TestQuadratureJacobian:
     def test_difference_coordinates_close(self, three_mode):
         # J_q must reproduce the modal flow restricted to D_l = da_l - da_{-l}
         state, _ = three_mode
-        J_q, phis = lin.build_quadrature_jacobian(state)
+        J_q, phis, _, _ = lin.build_quadrature_jacobian(state)
         R, S = lin.build_modal_jacobian(state)
         K = state.K
         rng = np.random.default_rng(11)

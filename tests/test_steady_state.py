@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.constants import hbar
 
 from kerrcomb import linearization as lin
+from kerrcomb import squeezing as sq
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
@@ -322,6 +323,36 @@ class TestHandoff:
         assert (9, False) in gated
         assert gated[-1] == (7, True)
         assert (state.pattern, state.roll_order) == (ss.PatternKind.ROLL, 7)
+
+    def test_one_linearization_per_state(self, monkeypatch):
+        # the stability gate, the stability product and every pair read
+        # one linearization of each state: one build of (R, S), one Schur
+        # form of J_q (order 2K) and one symmetric-block eigensolve (2K + 2)
+        monkeypatch.setattr(ss, "RELAX_CHUNK", 2.0)
+        monkeypatch.setattr(lin, "_last", None)
+        built, factored, solved = [], [], []
+        build, schur, eigvals = (lin.build_modal_jacobian, lin.schur,
+                                 np.linalg.eigvals)
+        monkeypatch.setattr(lin, "build_modal_jacobian",
+                            lambda state: built.append(
+                                state.amplitudes.tobytes()) or build(state))
+        monkeypatch.setattr(lin, "schur",
+                            lambda *a: factored.append(a[0].shape)
+                            or schur(*a))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: solved.append(a.shape) or eigvals(a))
+        params, K = self._small_roll()
+        state = ss.find_steady_state(params, kind="roll", K=K, horizon=200.0)
+        assert state.roll_order == 7
+        lin.stability_spectrum(state)
+        for l in (7, 14):
+            sq.optimize_quadrature_angle(state, l,
+                                         omega_grid=sq.default_omega_grid(64))
+        # every gated trial root (roll 9 rejected, roll 7 accepted) once
+        assert len(built) == len(set(built)) >= 2
+        assert built[-1] == state.amplitudes.tobytes()
+        assert factored == [(2 * K, 2 * K)] * len(built)
+        assert solved == [(2 * K + 2, 2 * K + 2)] * len(built)
 
     @pytest.mark.parametrize("kind, pump, zeta2, sigma", [
         ("bright_soliton", 4e-3, TWO_PI * 2.9e3, -2.0),
