@@ -217,6 +217,11 @@ def build_config(res: dict) -> units.ModalParams:
     """Resolve the resonator section, including kappa-relative fields, to
     the modal parameters of the resolved config."""
     res = dict(res)
+    flags = sorted(key for key, value in res.items()
+                   if isinstance(value, bool) and key != "topology")
+    if flags:
+        raise ScenarioError(f"field 'resonator': {flags} must be numbers, "
+                            "not booleans")
     for rel, abs_ in (("detuning_over_kappa", "detuning"),
                       ("pump_power_over_threshold", "pump_power")):
         if rel in res and abs_ in res:

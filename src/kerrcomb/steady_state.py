@@ -10,10 +10,10 @@ pump and on the cold-cavity grid) obey
 This module finds roots of that flow: the homogeneous (flat) branches in
 closed form, and patterned states (rolls, bright/dark solitons) by
 split-step relaxation followed by Newton refinement on A_{-l} = A_l.
-Relaxation runs in chunks and offers Newton a trial after each one; it
-hands off at the first trial whose root is of the requested kind and
-stable, so the relaxation horizon is a cap rather than the cost of every
-solve.
+`find_steady_state` runs one loop: relax one chunk, refine, classify and
+gate on stability; it returns the first root of the requested kind that
+is stable, so the relaxation horizon is a cap rather than the cost of
+every solve.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def _runaway_limit(amps: np.ndarray, params: ModalParams) -> float:
 
 
 def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
-              step: float) -> tuple[np.ndarray, float]:
+              step: float, limit: float) -> tuple[np.ndarray, float]:
     """Relax the modal flow by Strang-split integration.
 
     `horizon` and `step` are in units of 1/|kappa|.  The linear + drive
@@ -193,8 +193,9 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
     affine update); the Kerr step is an exact phase rotation in angle
     space on an alias-free padded grid.  Takes exactly round(horizon/step)
     steps, with no early stop, and returns the final amplitudes and their
-    dimensionless residual.  Raises DivergenceError once the field leaves
-    the energy bound of `amps` by RUNAWAY_FACTOR.
+    dimensionless residual.  Raises DivergenceError at the first step
+    whose field norm exceeds `limit` (the `_runaway_limit` of the field
+    the whole relaxation started from) or is not finite.
 
     The field stays on the padded grid between steps; the linear factor is
     zero outside the 2K+1 modes, which drops the out-of-band power.  The
@@ -212,7 +213,7 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
     pump = np.sqrt(2.0 * params.kappa_t) * params.A_in
     pump_half = pump * (half[0] - 1.0) / lam[K]
     kerr = 1j * params.g0 * dt
-    limit2 = _runaway_limit(amps, params) ** 2
+    limit2 = limit ** 2
 
     spec = np.zeros(n, dtype=complex)
     spec[idx] = amps
@@ -233,7 +234,8 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
         spec[0] += pump_half
         if not np.vdot(spec, spec).real <= limit2:   # also catches inf, nan
             raise DivergenceError(
-                f"field diverged after {i + 1} steps (dt = {step}/kappa)",
+                f"field norm passed {limit:.6g} at step {i + 1} of "
+                f"{n_steps} (dt = {step}/kappa)",
                 spec[idx])
     return spec[idx], residual(spec[idx], params)
 
@@ -414,55 +416,28 @@ def default_mode_cutoff(params: ModalParams, kind: str) -> int:
     return max(4 * L, 64)
 
 
-def _relaxed_fields(a: np.ndarray, params: ModalParams, horizon: float):
-    """Yield (field, final) pairs along a chunked split-step relaxation.
-
-    Chunks of RELAX_CHUNK jointly take the round(horizon/RELAX_STEP) steps of a
-    single propagate call.  The field after every chunk that leaves steps
-    to take is yielded as a Newton trial; resuming the generator rejects
-    it.  The field at the horizon, or at the first chunk whose residual
-    meets RELAX_TOL (the only early stop of a relaxation), comes last with
-    final=True.  The runaway limit is fixed by the seed, so an amplifying
-    flow cannot move it chunk by chunk.
-    """
-    limit = _runaway_limit(a, params)
-    per_chunk = max(1, int(round(RELAX_CHUNK / RELAX_STEP)))
-    total = left = max(1, int(round(horizon / RELAX_STEP)))
-    while left:
-        m = min(per_chunk, left)
-        a, res = propagate(a, params, m * RELAX_STEP, step=RELAX_STEP)
-        left -= m
-        if not np.linalg.norm(a) <= limit:
-            raise DivergenceError(
-                f"field left {RUNAWAY_FACTOR:g} times its energy bound after "
-                f"{total - left} steps (dt = {RELAX_STEP}/kappa)", a)
-        if res < RELAX_TOL:
-            break
-        if left:
-            yield a, False
-    yield a, True
-
-
 def find_steady_state(params: ModalParams, kind: str = "roll",
                       K: int | None = None, seed: int = 0,
                       horizon: float = 3000.0, target_order: int | None = None,
                       initial: np.ndarray | None = None) -> CombState:
     """Relax from a pattern-appropriate seed, then Newton-polish.
 
-    `kind` selects the seed: "flat" (no relaxation needed), "roll",
-    "bright_soliton", or "dark_soliton"; `initial` replaces the seed.
-    Split-step relaxation runs in chunks of RELAX_CHUNK / kappa, and a
-    Newton trial starts from the field after each chunk; the trial is
-    accepted if Newton converges to a root that classifies as `kind` and
-    is stable (`linearization.is_stable`), and otherwise relaxation
-    resumes (see `_relaxed_fields`).  `horizon` (units of 1/kappa) is thus
-    a cap: with no accepted trial the field at the horizon is refined,
-    exactly as one propagate call over the whole horizon followed by
-    `refine`, and returned whatever its kind or stability.  `refine`
-    rotates every trial field, an asymmetric `initial` too, and projects
-    it onto A_{-l} = A_l: such a field is projected, not refused.
-    Returns a classified CombState with A_{-l} = A_l whose residual meets
-    NEWTON_TOL, or raises RefinementError / DivergenceError.
+    `kind` selects the seed: "roll", "bright_soliton" or "dark_soliton";
+    `initial` replaces the seed.  With kind "flat" and no `initial` the
+    lower flat branch is refined and returned, with no relaxation.
+    Otherwise one loop relaxes RELAX_CHUNK / kappa at a time, refines the
+    field (`refine`) and classifies the root; the root is returned once it
+    classifies as `kind` and is stable (`linearization.is_stable`), and
+    otherwise relaxation resumes.  `horizon` (units of 1/kappa) is thus a
+    cap: the field at the horizon, or after the first chunk whose residual
+    meets RELAX_TOL, is refined exactly as one propagate call over the
+    whole horizon followed by `refine`, and returned whatever its kind or
+    stability.  Every step checks the field against the energy bound of
+    the seed (`_runaway_limit`).  `refine` rotates every field, an
+    asymmetric `initial` too, and projects it onto A_{-l} = A_l: such a
+    field is projected, not refused.  Returns a classified CombState with
+    A_{-l} = A_l whose residual meets NEWTON_TOL, or raises
+    RefinementError / DivergenceError.
     """
     if K is None:
         K = default_mode_cutoff(params, kind)
@@ -470,7 +445,9 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
         a = initial.astype(complex)
         K = (len(a) - 1) // 2
     elif kind == "flat":
-        a = _flat_vector(solve_flat_state(params).lower, K)
+        a, res = refine(_flat_vector(solve_flat_state(params).lower, K),
+                        params)
+        return CombState(a, params, res, *classify(a, params))
     elif kind == "roll":
         a = seed_roll(params, K, seed=seed, target_order=target_order)
     elif kind == "bright_soliton":
@@ -481,20 +458,23 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
         raise ValueError(f"unknown steady-state kind {kind!r}")
     want = PatternKind(kind)
 
-    if initial is None and kind == "flat":
-        fields = [(a, True)]
-    else:
-        fields = _relaxed_fields(a, params, horizon)
     # linearization imports this module, so it is imported at call time
     from . import linearization
-    for field, final in fields:
+    limit = _runaway_limit(a, params)
+    per_chunk = max(1, int(round(RELAX_CHUNK / RELAX_STEP)))
+    left = max(1, int(round(horizon / RELAX_STEP)))
+    while True:
+        m = min(per_chunk, left)
+        a, res = propagate(a, params, m * RELAX_STEP, RELAX_STEP, limit)
+        left -= m
+        final = not left or res < RELAX_TOL
         try:
-            a, res = refine(field, params)
+            root, res = refine(a, params)
         except RefinementError:
             if final:
                 raise
             continue
-        state = CombState(a, params, res, *classify(a, params))
+        state = CombState(root, params, res, *classify(root, params))
         if final or (state.pattern is want and linearization.is_stable(
                 linearization.stability_spectrum(state), params.kappa)):
             return state

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -202,6 +203,35 @@ class TestValidate:
         path = write_scenario(tmp_path, raw)
         assert cli.main(["validate", str(path)]) == 1
         assert "field 'resonator'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("pump_power", True), ("intrinsic_Q", True), ("gamma", True),
+        ("detuning_over_kappa", False)])
+    def test_resonator_boolean_rejected_at_validate(self, tmp_path, capsys,
+                                                    key, value):
+        # JSON true/false are not numbers, although Python's bool is an int
+        raw = below_scenario()
+        raw["resonator"].pop("detuning")
+        raw["resonator"][key] = value
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "field 'resonator'" in err and key in err
+
+    @pytest.mark.parametrize("key", ["pump_power", "detuning"])
+    def test_sweep_boolean_rejected_at_validate(self, tmp_path, capsys,
+                                                key):
+        raw = below_scenario()
+        raw["sweep"] = {"path": key, "values": [1e-6, True]}
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        assert "field 'resonator'" in capsys.readouterr().err
+
+    def test_resonator_null_is_not_given(self, tmp_path, capsys):
+        raw = below_scenario()
+        raw["resonator"].update(gamma=None, g0=5.0, drop_Q=None)
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 0
 
     def test_sweep_point_rejected_at_validate(self, tmp_path, capsys):
         # each sweep value is resolved: the absolute key clashes with the
@@ -582,8 +612,13 @@ def test_benchmark_entry_points_resolve(tmp_path, monkeypatch):
     assert len(squeezing.default_omega_grid(128)) == 128
     for module, name in ((squeezing, "optimize_quadrature_angle"),
                          (linearization, "build_quadrature_jacobian"),
-                         (cli, "load_scenario"), (cli, "run_scenario")):
+                         (cli, "load_scenario"), (cli, "run_scenario"),
+                         (ss, "refine"), (ss, "residual"), (ss, "classify")):
         assert callable(getattr(module, name, None)), name
+    # the tracer reads propagate's relaxation length by these names; a
+    # rename would zero its steady_state.relax_steps silently
+    assert {"horizon", "step"} <= set(
+        inspect.signature(ss.propagate).parameters)
     # the benchmark wraps the per-pair call through the module attribute,
     # adds its grid as a keyword when no positional one was given, and
     # rebuilds J_q from the state it saw for its dense oracle

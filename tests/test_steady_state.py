@@ -104,7 +104,8 @@ class TestPropagate:
                                    omega_L=OMEGA_L)
         a0 = np.zeros(9, dtype=complex)
         t_end = 3.0
-        a, _ = ss.propagate(a0, params, horizon=t_end, step=1e-3)
+        a, _ = ss.propagate(a0, params, horizon=t_end, step=1e-3,
+                            limit=ss._runaway_limit(a0, params))
         A_ss = math.sqrt(2.0 * params.kappa_t) * params.A_in / params.kappa
         expected = A_ss * (1.0 - math.exp(-t_end))
         assert a[4] == pytest.approx(expected, rel=1e-9)
@@ -118,7 +119,8 @@ class TestPropagate:
         rng = np.random.default_rng(7)
         a += 1e-3 * abs(branches.lower) * (
             rng.standard_normal(33) + 1j * rng.standard_normal(33))
-        out, res = ss.propagate(a, p, horizon=100.0, step=1e-3)
+        out, res = ss.propagate(a, p, horizon=100.0, step=1e-3,
+                                limit=ss._runaway_limit(a, p))
         # residual floors at the O(dt^2) splitting bias, not at zero
         assert res < 1e-7
         assert abs(out[16]) ** 2 == pytest.approx(
@@ -132,7 +134,8 @@ class TestPropagate:
                                    omega_L=OMEGA_L)
         a0 = np.ones(5, dtype=complex)
         with pytest.raises(ss.DivergenceError) as exc:
-            ss.propagate(a0, params, horizon=100.0, step=1e-2)
+            ss.propagate(a0, params, horizon=100.0, step=1e-2,
+                         limit=ss._runaway_limit(a0, params))
         assert exc.value.last_amps is not None
 
 
@@ -239,9 +242,9 @@ def solver_calls(monkeypatch):
     log = {"relaxed": 0.0, "trials": []}
     propagate, refine = ss.propagate, ss.refine
 
-    def counted_propagate(amps, params, horizon, **kwargs):
+    def counted_propagate(amps, params, horizon, step, limit):
         log["relaxed"] += horizon
-        return propagate(amps, params, horizon, **kwargs)
+        return propagate(amps, params, horizon, step, limit)
 
     def counted_refine(amps, params):
         try:
@@ -274,8 +277,9 @@ class TestHandoff:
         params, K = self._small_roll()
         state = ss.find_steady_state(params, kind="roll", K=K, horizon=horizon)
         assert solver_calls["trials"] == [ss.PatternKind.FLAT] * trials
-        relaxed, _ = ss.propagate(ss.seed_roll(params, K), params, horizon,
-                                  step=ss.RELAX_STEP)
+        seed = ss.seed_roll(params, K)
+        relaxed, _ = ss.propagate(seed, params, horizon, ss.RELAX_STEP,
+                                  ss._runaway_limit(seed, params))
         a, res = ss.refine(relaxed, params)
         np.testing.assert_array_equal(state.amplitudes, a)
         assert state.residual_norm == res
@@ -286,8 +290,9 @@ class TestHandoff:
         horizon = 200.0
         state = ss.find_steady_state(params, kind="roll", K=K, horizon=horizon)
         assert solver_calls["relaxed"] < horizon
-        relaxed, _ = ss.propagate(ss.seed_roll(params, K), params, horizon,
-                                  step=ss.RELAX_STEP)
+        seed = ss.seed_roll(params, K)
+        relaxed, _ = ss.propagate(seed, params, horizon, ss.RELAX_STEP,
+                                  ss._runaway_limit(seed, params))
         full, _ = ss.refine(relaxed, params)
         assert (state.pattern, state.roll_order) == ss.classify(full, params)
         assert state.pattern is ss.PatternKind.ROLL
@@ -295,13 +300,23 @@ class TestHandoff:
         np.testing.assert_allclose(state.intensities, I_full, rtol=0.0,
                                    atol=1e-9 * I_full.max())
 
-    def test_trial_after_every_chunk(self, solver_calls):
+    def test_trial_after_every_chunk(self, solver_calls, monkeypatch):
+        # no trial of this solve is accepted (the roll 7 forms at t ~ 90),
+        # and refining the field at the horizon fails, which is raised
         params, K = self._small_roll()
-        horizon = 5.5 * ss.RELAX_CHUNK
-        times = [solver_calls["relaxed"] for _ in ss._relaxed_fields(
-            ss.seed_roll(params, K), params, horizon)]
+        times = []
+        refine = ss.refine
+
+        def timed_refine(amps, params):
+            times.append(solver_calls["relaxed"])
+            return refine(amps, params)
+
+        monkeypatch.setattr(ss, "refine", timed_refine)
+        with pytest.raises(ss.RefinementError):
+            ss.find_steady_state(params, kind="roll", K=K,
+                                 horizon=4.5 * ss.RELAX_CHUNK)
         np.testing.assert_allclose(
-            times, ss.RELAX_CHUNK * np.array([1, 2, 3, 4, 5, 5.5]),
+            times, ss.RELAX_CHUNK * np.array([1, 2, 3, 4, 4.5]),
             rtol=1e-12)
 
     def test_unstable_trial_root_is_rejected(self, monkeypatch):
@@ -376,20 +391,24 @@ class TestHandoff:
         assert solver_calls["trials"][-1] is ss.PatternKind.ROLL
 
     def test_runaway_caught_before_horizon(self, solver_calls, monkeypatch):
-        # in 2/kappa chunks, each within propagate's own limit, the
-        # amplifying flow grows like e^t (~7x per chunk) until Kerr
-        # spreading out of the K = 2 band saturates it near 70x its seed
-        # norm; a limit re-based on each chunk start would follow it up and
-        # never fire
+        # in 2/kappa chunks the amplifying flow grows like e^t (~7x per
+        # chunk) until Kerr spreading out of the K = 2 band saturates it
+        # near 70x its seed norm; a limit re-based on each chunk start
+        # would follow it up and never fire
         monkeypatch.setattr(ss, "RELAX_CHUNK", 2.0)
         params = units.ModalParams(kappa=-1.0, kappa_t=0.5, sigma=0.0,
                                    zeta2=0.0, g0=1e-3, A_in=1.0, rho=0.5,
                                    omega_L=OMEGA_L)
+        seed = np.ones(5, dtype=complex)
         with pytest.raises(ss.DivergenceError) as exc:
-            ss.find_steady_state(params, K=2, horizon=3000.0,
-                                 initial=np.ones(5, dtype=complex))
+            ss.find_steady_state(params, K=2, horizon=3000.0, initial=seed)
         assert solver_calls["relaxed"] <= 2.0 * ss.RELAX_CHUNK
         assert np.isfinite(exc.value.last_amps).all()
+        # the seed's bound (10 sqrt(5)) is checked after every split step,
+        # each growing the field about e^0.01, not once per chunk
+        bound = ss._runaway_limit(seed, params)
+        assert bound == pytest.approx(10.0 * math.sqrt(5.0))
+        assert bound < np.linalg.norm(exc.value.last_amps) <= 1.02 * bound
 
 
 class TestSymmetrization:
