@@ -8,7 +8,8 @@ Scenario schema (version 1), JSON with the following top-level keys:
     resonator   section mapping to ResonatorConfig; detuning may be given
                 as "detuning" (rad/s) or "detuning_over_kappa"; pump power
                 as "pump_power" (W) or "pump_power_over_threshold" (one
-                of each pair, never both)
+                of each pair, never both); a null value counts as not
+                given
     state       (above threshold) {"kind": "roll" | "bright_soliton" |
                 "dark_soliton" | "flat", "K", "horizon", "target_order"};
                 K and target_order ints >= 1, horizon a positive number
@@ -216,7 +217,7 @@ def _is_positive(value) -> bool:
 def build_config(res: dict) -> units.ModalParams:
     """Resolve the resonator section, including kappa-relative fields, to
     the modal parameters of the resolved config."""
-    res = dict(res)
+    res = {key: value for key, value in res.items() if value is not None}
     flags = sorted(key for key, value in res.items()
                    if isinstance(value, bool) and key != "topology")
     if flags:

@@ -13,7 +13,8 @@ split-step relaxation followed by Newton refinement on A_{-l} = A_l.
 `find_steady_state` runs one loop: relax one chunk, refine, classify and
 gate on stability; it returns the first root of the requested kind that
 is stable, so the relaxation horizon is a cap rather than the cost of
-every solve.
+every solve.  The chunks double from RELAX_FIRST up to RELAX_CHUNK, so a
+seed that already lies next to its root is handed off after 0.5/kappa.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ NEWTON_TOL = 1e-12
 #: Relative flow norm at which split-step relaxation hands off to Newton.
 RELAX_TOL = 1e-7
 #: Split-step size of relaxation, in units of 1/kappa.
-RELAX_STEP = 1e-2
-#: Relaxation time between two Newton trials, in units of 1/kappa; at
-#: K = 72 a rejected trial costs 5 to 15% of one chunk.
+RELAX_STEP = 5e-2
+#: Relaxation time before the first Newton trial, in units of 1/kappa;
+#: the wait then doubles (0.5, 1, 2, 4, 8) up to RELAX_CHUNK.
+RELAX_FIRST = 0.5
+#: Relaxation time between two late Newton trials, in units of 1/kappa;
+#: at K = 72 a rejected trial costs 10 to 65% of one chunk (a quarter in
+#: the median).
 RELAX_CHUNK = 16.0
 #: Multiple of the energy bound at which a relaxed field counts as runaway;
 #: a damped flow never exceeds the bound itself.
@@ -268,7 +273,7 @@ def refine(amps: np.ndarray, params: ModalParams) -> tuple[np.ndarray, float]:
     """
     a = _symmetrize(amps.astype(complex))
     K = (len(a) - 1) // 2
-    best, best_res = a.copy(), residual(a, params)
+    best, best_res = a, np.inf
     worse_streak = 0
     for _ in range(60):
         F = _modal.vector_field(a, params)
@@ -425,14 +430,16 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
     `kind` selects the seed: "roll", "bright_soliton" or "dark_soliton";
     `initial` replaces the seed.  With kind "flat" and no `initial` the
     lower flat branch is refined and returned, with no relaxation.
-    Otherwise one loop relaxes RELAX_CHUNK / kappa at a time, refines the
-    field (`refine`) and classifies the root; the root is returned once it
-    classifies as `kind` and is stable (`linearization.is_stable`), and
-    otherwise relaxation resumes.  `horizon` (units of 1/kappa) is thus a
-    cap: the field at the horizon, or after the first chunk whose residual
-    meets RELAX_TOL, is refined exactly as one propagate call over the
-    whole horizon followed by `refine`, and returned whatever its kind or
-    stability.  Every step checks the field against the energy bound of
+    Otherwise one loop relaxes a chunk, refines the field (`refine`) and
+    classifies the root; the first chunk lasts RELAX_FIRST / kappa and each
+    later one as long as all before it, up to RELAX_CHUNK / kappa, so the
+    trials run after 0.5, 1, 2, 4 and 8/kappa and then every 16/kappa.  The
+    root is returned once it classifies as `kind` and is stable
+    (`linearization.is_stable`), and otherwise relaxation resumes.
+    `horizon` (units of 1/kappa) is thus a cap: the field at the horizon,
+    or after the first chunk whose residual meets RELAX_TOL, is refined
+    exactly as one propagate call over the whole horizon followed by
+    `refine`, and returned whatever its kind or stability.  Every step checks the field against the energy bound of
     the seed (`_runaway_limit`).  `refine` rotates every field, an
     asymmetric `initial` too, and projects it onto A_{-l} = A_l: such a
     field is projected, not refused.  Returns a classified CombState with
@@ -461,13 +468,15 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
     # linearization imports this module, so it is imported at call time
     from . import linearization
     limit = _runaway_limit(a, params)
+    first = max(1, int(round(RELAX_FIRST / RELAX_STEP)))
     per_chunk = max(1, int(round(RELAX_CHUNK / RELAX_STEP)))
-    left = max(1, int(round(horizon / RELAX_STEP)))
+    total = max(1, int(round(horizon / RELAX_STEP)))
+    done = 0
     while True:
-        m = min(per_chunk, left)
+        m = min(max(first, min(done, per_chunk)), total - done)
         a, res = propagate(a, params, m * RELAX_STEP, RELAX_STEP, limit)
-        left -= m
-        final = not left or res < RELAX_TOL
+        done += m
+        final = done == total or res < RELAX_TOL
         try:
             root, res = refine(a, params)
         except RefinementError:

@@ -233,6 +233,28 @@ class TestValidate:
         path = write_scenario(tmp_path, raw)
         assert cli.main(["validate", str(path)]) == 0
 
+    @pytest.mark.parametrize("over", [
+        {"detuning": None, "detuning_over_kappa": 0.5},
+        {"pump_power": None, "pump_power_over_threshold": 0.5},
+        {"topology": None}])
+    def test_resonator_null_next_to_twin_is_not_given(self, tmp_path,
+                                                      capsys, over):
+        raw = below_scenario()
+        raw["resonator"].update(over)
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 0
+
+    def test_resonator_null_equals_omitted(self):
+        for key in ("pump_power", "detuning"):
+            omitted = {k: v for k, v in RESONATOR.items() if k != key}
+            assert (cli.build_config({**RESONATOR, key: None})
+                    == cli.build_config(omitted))
+
+    def test_resonator_null_required_key_is_missing(self):
+        with pytest.raises(cli.ScenarioError,
+                           match=r"missing required keys \['pump_wavelength'\]"):
+            cli.build_config({**RESONATOR, "pump_wavelength": None})
+
     def test_sweep_point_rejected_at_validate(self, tmp_path, capsys):
         # each sweep value is resolved: the absolute key clashes with the
         # relative one only once the sweep substitutes it

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
 
+from kerrcomb import _modal
 from kerrcomb import linearization as lin
 from kerrcomb import squeezing as sq
 from kerrcomb import steady_state as ss
@@ -159,6 +160,32 @@ class TestRefine:
             ss.refine(a, params)
         assert exc.value.best_residual > 0
 
+    def test_stall_allows_three_non_improving_steps(self, monkeypatch):
+        # the small roll's field after 64/kappa of relaxation lies outside
+        # Newton's basin: its own flow is the best, and three steps fail
+        # to improve on it
+        params, K = _params(1.2, -1.0, 0.05), 16
+        seed = ss.seed_roll(params, K)
+        a, _ = ss.propagate(seed, params, 64.0, ss.RELAX_STEP,
+                            ss._runaway_limit(seed, params))
+        fields, residuals = [], []
+        vector_field = _modal.vector_field
+
+        def logged(amps, params):
+            F = vector_field(amps, params)
+            fields.append(amps.copy())
+            residuals.append(ss._flow_residual(amps, F, params))
+            return F
+
+        monkeypatch.setattr(_modal, "vector_field", logged)
+        with pytest.raises(ss.RefinementError) as exc:
+            ss.refine(a, params)
+        # one flow evaluation per field: the start, then one per step
+        assert len(fields) == 4
+        assert not any(np.array_equal(f, g)
+                       for i, f in enumerate(fields) for g in fields[:i])
+        assert min(residuals[1:]) >= residuals[0] == exc.value.best_residual
+
     def test_residual_is_sign_free_for_negative_kappa(self):
         # with kappa < 0 the field's residual must still be the positive
         # norm residual() reports, so the input is not taken as a root
@@ -211,9 +238,10 @@ class TestPatterns:
         prof = np.abs(field) ** 2
         assert prof.min() < 0.33 * np.median(prof)
 
-    def test_roll26_at_two_and_a_half_threshold(self, vi_c_budget):
+    def test_roll26_at_two_and_a_half_threshold(self, vi_c_budget,
+                                               solver_calls):
         # roll_power_sweep's 2.5 P_th point at seed 0: the roll settles late
-        # (t ~ 2100/kappa), and Newton from its symmetric projection
+        # (handoff at 2000/kappa), and Newton from its symmetric projection
         # reaches a stable roll 26
         p_th = units.threshold_pump_power(
             units.modal_params(caf2_config(detuning=-vi_c_budget.kappa)))
@@ -221,6 +249,7 @@ class TestPatterns:
             pump_power=2.5 * p_th, detuning=-vi_c_budget.kappa))
         state = ss.find_steady_state(params, kind="roll", seed=0)
         assert (state.pattern, state.roll_order) == (ss.PatternKind.ROLL, 26)
+        assert solver_calls["relaxed"] == pytest.approx(2000.0, rel=1e-12)
         eig = lin.stability_spectrum(state)
         assert lin.is_stable(eig, params.kappa)
 
@@ -266,14 +295,14 @@ class TestHandoff:
     @staticmethod
     def _small_roll():
         # roll(7) at K = 16: early Newton trials reach the flat root, and
-        # the roll forms at t ~ 90/kappa
+        # the first trial to reach the roll is the one at t = 80/kappa
         return _params(1.2, -1.0, 0.05), 16
 
-    @pytest.mark.parametrize("horizon, trials", [(8.0, 1), (40.0, 3)])
+    @pytest.mark.parametrize("horizon, trials", [(8.0, 5), (40.0, 8)])
     def test_no_handoff_is_propagate_then_refine(self, solver_calls, horizon,
                                                  trials):
-        # 8/kappa is shorter than one chunk; by 40/kappa two trials have
-        # converged to the flat root and been rejected
+        # trials after 0.5, 1, 2, 4 and 8/kappa, then every 16/kappa and at
+        # the horizon: each converges to the flat root and is rejected
         params, K = self._small_roll()
         state = ss.find_steady_state(params, kind="roll", K=K, horizon=horizon)
         assert solver_calls["trials"] == [ss.PatternKind.FLAT] * trials
@@ -301,7 +330,7 @@ class TestHandoff:
                                    atol=1e-9 * I_full.max())
 
     def test_trial_after_every_chunk(self, solver_calls, monkeypatch):
-        # no trial of this solve is accepted (the roll 7 forms at t ~ 90),
+        # no trial of this solve is accepted (the roll 7 is reached at 80),
         # and refining the field at the horizon fails, which is raised
         params, K = self._small_roll()
         times = []
@@ -316,8 +345,7 @@ class TestHandoff:
             ss.find_steady_state(params, kind="roll", K=K,
                                  horizon=4.5 * ss.RELAX_CHUNK)
         np.testing.assert_allclose(
-            times, ss.RELAX_CHUNK * np.array([1, 2, 3, 4, 4.5]),
-            rtol=1e-12)
+            times, [0.5, 1, 2, 4, 8, 16, 32, 48, 64, 72], rtol=1e-12)
 
     def test_unstable_trial_root_is_rejected(self, monkeypatch):
         # at a 2/kappa cadence a trial converges to an unstable roll 9
@@ -379,7 +407,7 @@ class TestHandoff:
         state = ss.find_steady_state(units.modal_params(cfg),
                                      kind=kind, horizon=500.0)
         assert state.pattern is ss.PatternKind(kind)
-        assert solver_calls["relaxed"] == ss.RELAX_CHUNK
+        assert solver_calls["relaxed"] == 0.5
 
     def test_roll_rejects_flat_trial(self, solver_calls, vi_c_budget):
         p_th = units.threshold_pump_power(
@@ -405,10 +433,11 @@ class TestHandoff:
         assert solver_calls["relaxed"] <= 2.0 * ss.RELAX_CHUNK
         assert np.isfinite(exc.value.last_amps).all()
         # the seed's bound (10 sqrt(5)) is checked after every split step,
-        # each growing the field about e^0.01, not once per chunk
+        # each growing the field about e^RELAX_STEP, not once per chunk
         bound = ss._runaway_limit(seed, params)
         assert bound == pytest.approx(10.0 * math.sqrt(5.0))
-        assert bound < np.linalg.norm(exc.value.last_amps) <= 1.02 * bound
+        assert (bound < np.linalg.norm(exc.value.last_amps)
+                <= math.exp(ss.RELAX_STEP) * bound)
 
 
 class TestSymmetrization:
