@@ -15,8 +15,8 @@ Scenario schema (version 1), JSON with the following top-level keys:
                 K and target_order ints >= 1, horizon a positive number
                 (units of 1/kappa) that caps the split-step relaxation,
                 which hands off to Newton at the first stable root of
-                the requested kind; unset keys take find_steady_state's
-                defaults
+                the requested kind; target_order (roll only) is <= K, as
+                pairs are; unset keys take find_steady_state's defaults
     angle       (above threshold) {"half_width": positive number (rad,
                 default pi/4), "objective": "band_integral" | "min"
                 (default "band_integral")}: the window and objective of
@@ -29,8 +29,10 @@ Scenario schema (version 1), JSON with the following top-level keys:
     modes       distinct sidemode indices l (ints) for per-mode spectra
                 (default [1])
     pairs       distinct pair indices (ints >= 1, <= state.K or else the
-                default mode cutoff) for quadrature spectra (default: the
-                realized roll order for a roll state, [1] otherwise)
+                default mode cutoff) for quadrature_spectrum and
+                number_difference, one CSV each per pair; number_difference
+                needs a mean field in the pair (default: the realized roll
+                order for a roll state, [1] otherwise)
     l_max       envelope/flux-table half-range, int >= 0 (default 100)
     audit_K     Hamiltonian-audit truncation, int in 0..6 (default 3)
     seed        integer >= 0 (default 0)
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -162,9 +165,14 @@ def validate_scenario(raw: dict) -> None:
     pairs = raw.get("pairs", [])
     if min(pairs, default=1) < 1:
         raise ScenarioError("field 'pairs': pair indices must be >= 1")
-    if "K" in state and max(pairs, default=1) > state["K"]:
-        raise ScenarioError("field 'pairs': pair indices must be <= the "
-                            f"state's K = {state['K']}")
+    if "target_order" in state and state.get("kind", "roll") != "roll":
+        raise ScenarioError("field 'state': 'target_order' applies to kind "
+                            f"'roll' only, got {state['kind']!r}")
+    # what must fit under the mode cutoff K
+    bounded = {"field 'pairs': pair indices": max(pairs, default=1),
+               "field 'state': 'target_order'": state.get("target_order", 1)}
+    if "K" in state:
+        _check_cutoff(bounded, state["K"], "the state's")
     if "l_max" in raw and not (_is_int(raw["l_max"]) and raw["l_max"] >= 0):
         raise ScenarioError("field 'l_max': expected an integer >= 0")
     if "audit_K" in raw and not (
@@ -198,9 +206,13 @@ def validate_scenario(raw: dict) -> None:
                 K = ss.default_mode_cutoff(params, state.get("kind", "roll"))
             except (TypeError, ValueError, ArithmeticError) as exc:
                 raise ScenarioError(f"field 'resonator': {exc}") from exc
-            if max(pairs, default=1) > K:
-                raise ScenarioError("field 'pairs': pair indices must be <= "
-                                    f"the default mode cutoff K = {K}")
+            _check_cutoff(bounded, K, "the default mode cutoff")
+
+
+def _check_cutoff(bounded: dict[str, int], K: int, which: str) -> None:
+    for what, value in bounded.items():
+        if value > K:
+            raise ScenarioError(f"{what} must be <= {which} K = {K}")
 
 
 def _is_int(value) -> bool:
@@ -315,7 +327,7 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
         flat = ss.solve_flat_state(params)
         l_max = scenario.get("l_max", 100)
         ls = np.arange(-l_max, l_max + 1)
-    if {"quadrature_spectrum", "stability"} & set(outputs):
+    if mode == "above_threshold" and outputs:
         t0 = time.perf_counter()
         state = ss.find_steady_state(params, seed=seed,
                                      **scenario.get("state", {}))
@@ -327,6 +339,12 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
             "photon_number": state.photon_number,
             "seconds": round(time.perf_counter() - t0, 6),
         }
+        pairs = scenario.get("pairs", [state.roll_order]
+                             if state.pattern is ss.PatternKind.ROLL else [1])
+        angle = scenario.get("angle", {})
+        # one angle solve per pair, shared by both pair products
+        optimum = functools.cache(
+            lambda l: squeezing.optimize_quadrature_angle(state, l, **angle))
     for product in outputs:
         t0 = time.perf_counter()
         if product == "spectrum":
@@ -357,11 +375,16 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
             _write(outdir, "total_power.csv", text, products, t0,
                    product=product)
         elif product == "number_difference":
-            series = squeezing.photon_number_difference_spectrum(
-                params.rho, params.kappa, spontaneous.default_omega_grid())
-            _write(outdir, "number_difference.csv",
-                   spontaneous.spectrum_csv(series), products, t0,
-                   product=product)
+            I = state.intensities
+            for l in pairs:
+                t0 = time.perf_counter()
+                if I[state.K + l] <= ss.PATTERN_FLOOR * I.max():
+                    raise ValueError(f"number_difference: pair l={l} has no "
+                                     "mean field, so no linear fluctuation")
+                series = squeezing.quadrature_spectrum(optimum(l).blocks, 0.0)
+                _write(outdir, f"number_difference_l{l}.csv",
+                       spontaneous.spectrum_csv(series), products, t0,
+                       product=product, l=l)
         elif product == "stability":
             eig = linearization.stability_spectrum(state)
             kappa = state.params.kappa
@@ -370,12 +393,9 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
             _write(outdir, "stability.csv", text, products, t0,
                    product=product, stable=linearization.is_stable(eig, kappa))
         elif product == "quadrature_spectrum":
-            default = ([state.roll_order]
-                       if state.pattern is ss.PatternKind.ROLL else [1])
-            for l in scenario.get("pairs", default):
+            for l in pairs:
                 t0 = time.perf_counter()
-                opt = squeezing.optimize_quadrature_angle(
-                    state, l, **scenario.get("angle", {}))
+                opt = optimum(l)
                 _write(outdir, f"quadrature_l{l}.csv",
                        squeezing.spectrum_csv(opt), products,
                        t0, product=product,

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import rsf2csf, schur
 
 from . import _modal
-from .steady_state import PATTERN_FLOOR, CombState, PatternKind
+from .steady_state import PATTERN_FLOOR, CombState
 
 #: Residual gate: states with larger dimensionless residual are refused.
 RESIDUAL_GATE = 1e-8
@@ -155,34 +155,4 @@ def stability_spectrum(state: CombState) -> np.ndarray:
     antisymmetric block up to the pair rotation, a similarity.
     """
     return _linearize(state)[1]
-
-
-def three_mode_rates(state: CombState) -> tuple[float, float]:
-    """Exact amplitude/phase relaxation rates of a three-mode comb.
-
-    For a roll whose only excited modes are 0 and +/-L,
-        kappa_a = -g0 |A_0|^2 sin(2 phi_0 - 2 Phi_L),
-        kappa_p =  g0 (|A_L|^2 + |A_0|^2 cos(2 phi_0 - 2 Phi_L)),
-    with phi_0 the pump-mode phase and Phi_L the pair phase.  A mode with
-    more than 1e-10 of the peak intensity counts as excited.
-    """
-    _gate(state)
-    if state.pattern is not PatternKind.ROLL or state.roll_order is None:
-        raise ValueError("three-mode rates are defined for roll states only")
-    a = state.amplitudes
-    K, L = state.K, state.roll_order
-    I = np.abs(a) ** 2
-    excited = np.flatnonzero(I > 1e-10 * I.max()) - K
-    if not set(excited.tolist()) <= {-L, 0, L}:
-        raise ValueError(
-            f"state excites modes {sorted(excited.tolist())} above 1e-10 "
-            f"of the peak; the exact rates hold only for the three-mode comb "
-            f"{{-{L}, 0, {L}}} (truncate at K < 2L)")
-    g0 = state.params.g0
-    phi0 = float(np.angle(a[K]))
-    Phi_L = 0.5 * (np.angle(a[K + L]) + np.angle(a[K - L]))
-    delta = 2.0 * phi0 - 2.0 * Phi_L
-    kappa_a = -g0 * I[K] * math.sin(delta)
-    kappa_p = g0 * (I[K + L] + I[K] * math.cos(delta))
-    return float(kappa_a), float(kappa_p)
 

@@ -30,6 +30,9 @@ min_j |T_jj + i w| <= n eps max(max|T|, kappa).
 The spectrum at angle phi is S_phi = a + b cos 2phi + c sin 2phi with
 a = (C11 + C22)/2, b = (C11 - C22)/2 and c = (C12 + C21)/2, so the
 squeezing-optimal angle is solved in closed form (`solve_quadrature_angle`).
+With A_l = A_-l = |A_l| e^{i Phi_l}, delta(N_+l - N_-l) = |A_l| (e^{-i Phi_l}
+D_l + h.c.), so C11 (`AngleOptimum.blocks`) is also the normalized
+photon-number-difference spectrum of pair l.
 """
 
 from __future__ import annotations
@@ -70,20 +73,7 @@ class AngleOptimum:
     objective: float
     spectrum: SpectrumSeries     # S at delta_Phi in the pair frame
     degenerate: bool
-
-
-def photon_number_difference_spectrum(rho: float, kappa: float,
-                                      omega_grid: np.ndarray) -> SpectrumSeries:
-    """Normalized spectrum of the output pair photon-number difference.
-
-    S(w) = 1 - rho * 4 kappa^2 / (w^2 + 4 kappa^2): shot noise at large
-    |w|, and 1 - rho at w = 0.  Exact for three-mode combs.
-    """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("rho must lie in (0, 1]")
-    w = np.asarray(omega_grid, dtype=float) * kappa
-    values = 1.0 - rho * 4.0 * kappa**2 / (w**2 + 4.0 * kappa**2)
-    return SpectrumSeries(np.asarray(omega_grid, dtype=float), values)
+    blocks: PairSpectralBlocks   # C11: the number-difference spectrum
 
 
 def _vacuum_gram(rows: np.ndarray) -> np.ndarray:
@@ -166,26 +156,6 @@ def quadrature_spectrum(blocks: PairSpectralBlocks, phi: float) -> SpectrumSerie
     return SpectrumSeries(blocks.omega_over_kappa, _real(values))
 
 
-def analytic_three_mode_spectra(kappa_a: float, kappa_p: float, rho: float,
-                                omega_grid: np.ndarray,
-                                kappa: float = 1.0) -> tuple[SpectrumSeries, SpectrumSeries]:
-    """Exact amplitude and phase quadrature spectra of a three-mode comb.
-
-    S_a(w) = 1 - rho 4 kappa_a^2/(w^2 + 4 kappa_a^2),
-    S_p(w) = 1 + rho (4 kappa_a^2/w^2) [1 + 4 kappa_p^2/(w^2 + 4 kappa_a^2)]^2.
-    The phase spectrum diverges at w = 0; that point is reported as +inf.
-    `omega_grid` is in units of `kappa`.
-    """
-    w = np.asarray(omega_grid, dtype=float) * kappa
-    S_a = 1.0 - rho * 4.0 * kappa_a**2 / (w**2 + 4.0 * kappa_a**2)
-    with np.errstate(divide="ignore"):
-        S_p = 1.0 + rho * (4.0 * kappa_a**2 / w**2) * (
-            1.0 + 4.0 * kappa_p**2 / (w**2 + 4.0 * kappa_a**2)) ** 2
-    S_p = np.where(w == 0.0, np.inf, S_p)
-    x = np.asarray(omega_grid, dtype=float)
-    return SpectrumSeries(x, S_a), SpectrumSeries(x, S_p)
-
-
 def solve_quadrature_angle(blocks: PairSpectralBlocks, half_width: float,
                            objective: str) -> tuple[float, float, bool]:
     """(delta_Phi, objective value, degenerate) minimizing `objective` of
@@ -246,7 +216,8 @@ def optimize_quadrature_angle(state: CombState, l: int,
     delta, obj, degenerate = solve_quadrature_angle(blocks, half_width,
                                                     objective)
     return AngleOptimum(l, float(phis[l - 1]), delta, obj,
-                        quadrature_spectrum(blocks, delta), degenerate)
+                        quadrature_spectrum(blocks, delta), degenerate,
+                        blocks)
 
 
 def spectrum_csv(opt: AngleOptimum) -> str:

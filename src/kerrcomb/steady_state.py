@@ -439,10 +439,11 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
     `horizon` (units of 1/kappa) is thus a cap: the field at the horizon,
     or after the first chunk whose residual meets RELAX_TOL, is refined
     exactly as one propagate call over the whole horizon followed by
-    `refine`, and returned whatever its kind or stability.  Every step checks the field against the energy bound of
-    the seed (`_runaway_limit`).  `refine` rotates every field, an
-    asymmetric `initial` too, and projects it onto A_{-l} = A_l: such a
-    field is projected, not refused.  Returns a classified CombState with
+    `refine`, and returned whatever its kind or stability.  Every step
+    checks the field against the energy bound of the seed
+    (`_runaway_limit`).  `refine` rotates every field, an asymmetric
+    `initial` too, and projects it onto A_{-l} = A_l: such a field is
+    projected, not refused.  Returns a classified CombState with
     A_{-l} = A_l whose residual meets NEWTON_TOL, or raises
     RefinementError / DivergenceError.
     """

@@ -1,7 +1,7 @@
 """Shared fixtures: the standard CaF2 resonator, cached solver states, the
 Parseval oracle of the below-threshold flux, the full-space stability
-oracle and the dense resolvent oracle of the above-threshold output
-correlations.
+oracle, the dense resolvent oracle of the above-threshold output
+correlations and the closed forms of a three-mode comb.
 
 Expensive steady-state solves are session-scoped and reused across module
 and acceptance tests; each fixture also reports its wall-clock solve time
@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from kerrcomb import _modal
 from kerrcomb import steady_state as ss
 from kerrcomb import units
+from kerrcomb.spontaneous import SpectrumSeries
 
 TWO_PI = 2.0 * math.pi
 #: Pump carrier near 1550 nm (rad/s), for hand-built ModalParams.
@@ -125,6 +126,70 @@ def output_correlation(J_q: np.ndarray, rho: float, kappa: float,
     T_m = 2.0 * kappa * rho * G_m + eye
     return (T_p @ C_in @ T_m.T
             + 4.0 * kappa**2 * rho * (1.0 - rho) * (G_p @ C_in @ G_m.T))
+
+
+def photon_number_difference_spectrum(rho: float, kappa: float,
+                                      omega_grid: np.ndarray) -> SpectrumSeries:
+    """Normalized spectrum of the output pair photon-number difference of
+    a three-mode comb.
+
+    S(w) = 1 - rho * 4 kappa^2 / (w^2 + 4 kappa^2): shot noise at large
+    |w|, and 1 - rho at w = 0.  `omega_grid` is in units of `kappa`.
+    """
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("rho must lie in (0, 1]")
+    w = np.asarray(omega_grid, dtype=float) * kappa
+    values = 1.0 - rho * 4.0 * kappa**2 / (w**2 + 4.0 * kappa**2)
+    return SpectrumSeries(np.asarray(omega_grid, dtype=float), values)
+
+
+def analytic_three_mode_spectra(kappa_a: float, kappa_p: float, rho: float,
+                                omega_grid: np.ndarray, kappa: float = 1.0
+                                ) -> tuple[SpectrumSeries, SpectrumSeries]:
+    """Exact amplitude and phase quadrature spectra of a three-mode comb.
+
+    S_a(w) = 1 - rho 4 kappa_a^2/(w^2 + 4 kappa_a^2),
+    S_p(w) = 1 + rho (4 kappa_a^2/w^2) [1 + 4 kappa_p^2/(w^2 + 4 kappa_a^2)]^2.
+    The phase spectrum diverges at w = 0; that point is reported as +inf.
+    `omega_grid` is in units of `kappa`.
+    """
+    w = np.asarray(omega_grid, dtype=float) * kappa
+    S_a = 1.0 - rho * 4.0 * kappa_a**2 / (w**2 + 4.0 * kappa_a**2)
+    with np.errstate(divide="ignore"):
+        S_p = 1.0 + rho * (4.0 * kappa_a**2 / w**2) * (
+            1.0 + 4.0 * kappa_p**2 / (w**2 + 4.0 * kappa_a**2)) ** 2
+    S_p = np.where(w == 0.0, np.inf, S_p)
+    x = np.asarray(omega_grid, dtype=float)
+    return SpectrumSeries(x, S_a), SpectrumSeries(x, S_p)
+
+
+def three_mode_rates(state: ss.CombState) -> tuple[float, float]:
+    """Exact amplitude/phase relaxation rates of a three-mode comb.
+
+    For a roll whose only excited modes are 0 and +/-L,
+        kappa_a = -g0 |A_0|^2 sin(2 phi_0 - 2 Phi_L),
+        kappa_p =  g0 (|A_L|^2 + |A_0|^2 cos(2 phi_0 - 2 Phi_L)),
+    with phi_0 the pump-mode phase and Phi_L the pair phase.  A mode with
+    more than 1e-10 of the peak intensity counts as excited.
+    """
+    if state.pattern is not ss.PatternKind.ROLL or state.roll_order is None:
+        raise ValueError("three-mode rates are defined for roll states only")
+    a = state.amplitudes
+    K, L = state.K, state.roll_order
+    I = np.abs(a) ** 2
+    excited = np.flatnonzero(I > 1e-10 * I.max()) - K
+    if not set(excited.tolist()) <= {-L, 0, L}:
+        raise ValueError(
+            f"state excites modes {sorted(excited.tolist())} above 1e-10 "
+            f"of the peak; the exact rates hold only for the three-mode comb "
+            f"{{-{L}, 0, {L}}} (truncate at K < 2L)")
+    g0 = state.params.g0
+    phi0 = float(np.angle(a[K]))
+    Phi_L = 0.5 * (np.angle(a[K + L]) + np.angle(a[K - L]))
+    delta = 2.0 * phi0 - 2.0 * Phi_L
+    kappa_a = -g0 * I[K] * math.sin(delta)
+    kappa_p = g0 * (I[K + L] + I[K] * math.cos(delta))
+    return float(kappa_a), float(kappa_p)
 
 
 def _timed(solve):

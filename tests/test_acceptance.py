@@ -21,8 +21,10 @@ from kerrcomb import squeezing as sq
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import (caf2_config, flux_parseval_oracle, input_correlation,
-                      make_flat, output_correlation)
+from conftest import (analytic_three_mode_spectra, caf2_config,
+                      flux_parseval_oracle, input_correlation, make_flat,
+                      output_correlation, photon_number_difference_spectrum,
+                      three_mode_rates)
 
 BAND = (0.1, 10.0)
 
@@ -107,17 +109,18 @@ def test_05_parseval_oracle_randomized_weak_regime():
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_06_photon_number_difference_spectrum():
-    kappa = 1.7e6
-    grid = np.linspace(0.0, 20.0, 401)
-    for rho in (0.3, 0.8, 1.0):
-        s = sq.photon_number_difference_spectrum(rho, kappa, grid).values
-        w = grid * kappa
-        expected = 1.0 - rho * 4.0 * kappa**2 / (w**2 + 4.0 * kappa**2)
-        np.testing.assert_allclose(s, expected, rtol=1e-15, atol=1e-15)
-        assert s[0] == pytest.approx(1.0 - rho, abs=1e-15)
-    s08 = sq.photon_number_difference_spectrum(0.8, kappa, np.array([0.0]))
-    assert s08.values[0] == pytest.approx(0.2, abs=1e-15)
+def test_06_photon_number_difference_spectrum(three_mode):
+    # the number difference of pair L is C11 of the state's own pair
+    # blocks, the series the number_difference product writes; on a
+    # three-mode comb it is the closed form 1 - rho 4k^2/(w^2 + 4k^2)
+    state, _ = three_mode
+    p = state.params
+    grid = sq.default_omega_grid(512)
+    opt = sq.optimize_quadrature_angle(state, state.roll_order,
+                                       omega_grid=grid)
+    s = sq.quadrature_spectrum(opt.blocks, 0.0).values
+    expected = photon_number_difference_spectrum(p.rho, p.kappa, grid).values
+    np.testing.assert_allclose(s, expected, rtol=0.0, atol=1e-13)
 
 
 def test_07_matrix_analytic_equivalence_and_power_sweep(three_mode,
@@ -131,9 +134,9 @@ def test_07_matrix_analytic_equivalence_and_power_sweep(three_mode,
     # quadrature; the band integral trades the low-frequency dip away
     opt = sq.optimize_quadrature_angle(state, L, omega_grid=grid,
                                        objective="min")
-    kappa_a, kappa_p = lin.three_mode_rates(state)
-    S_a, _ = sq.analytic_three_mode_spectra(kappa_a, kappa_p, p.rho, grid,
-                                            kappa=p.kappa)
+    kappa_a, kappa_p = three_mode_rates(state)
+    S_a, _ = analytic_three_mode_spectra(kappa_a, kappa_p, p.rho, grid,
+                                         kappa=p.kappa)
     sel = np.abs(grid) <= 6.0
     dev = np.max(np.abs(opt.spectrum.values[sel] - S_a.values[sel]))
     assert dev <= 5e-3

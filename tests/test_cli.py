@@ -87,9 +87,26 @@ def flat_above_scenario(**over):
         "mode": "above_threshold",
         "resonator": dict(RESONATOR),
         "state": {"kind": "flat", "K": 6},
-        "outputs": ["stability", "quadrature_spectrum", "number_difference"],
+        "outputs": ["stability", "quadrature_spectrum"],
         "pairs": [1],
     }
+    raw.update(over)
+    return raw
+
+
+def roll_above_scenario(**over):
+    # a stable order-2 roll at K = 6 (zeta2 about kappa/2, sigma = -kappa,
+    # 1.5 P_th), solved in about 0.1 s: pairs 2, 4 and 6 carry a mean
+    # field; the target order keeps it the root found when a test fixes
+    # the stability spectrum
+    resonator = {key: value for key, value in RESONATOR.items()
+                 if key not in ("pump_power", "detuning")}
+    resonator.update(zeta2=1.5e6, detuning_over_kappa=-1.0,
+                     pump_power_over_threshold=1.5)
+    raw = flat_above_scenario(
+        name="roll-above-demo", resonator=resonator,
+        state={"kind": "roll", "K": 6, "target_order": 2}, pairs=[2],
+        outputs=["stability", "quadrature_spectrum", "number_difference"])
     raw.update(over)
     return raw
 
@@ -274,9 +291,14 @@ class TestValidate:
         ("modes", [1, 1]), ("pairs", [1, 1]),
         ("seed", "abc"), ("seed", 1.5), ("seed", -1), ("seed", True),
         ("name", 5), ("ouputs", ["stability"]),
-        ("sweep", {"path": "pump_power", "values": []})])
+        ("sweep", {"path": "pump_power", "values": []}),
+        ("state", {"kind": "roll", "target_order": 500}),
+        ("state", {"kind": "roll", "K": 6, "target_order": 7}),
+        ("state", {"kind": "bright_soliton", "target_order": 3})])
     def test_field_types_rejected(self, tmp_path, capsys, key, value):
-        # the flat scenario's state has K = 6, which bounds the pairs
+        # the flat scenario's state has K = 6, which bounds the pairs; a
+        # roll's target order is bounded by K, or else by the default mode
+        # cutoff, and other kinds take none
         path = write_scenario(tmp_path, flat_above_scenario(**{key: value}))
         assert cli.main(["validate", str(path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
@@ -435,8 +457,7 @@ class TestAboveThresholdRun:
         assert cli.main(["run", str(path), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         files = {p["file"] for p in report["products"]}
-        assert files == {"stability.csv", "quadrature_l1.csv",
-                         "number_difference.csv"}
+        assert files == {"stability.csv", "quadrature_l1.csv"}
         assert report["state"]["pattern"] == "flat"
         stab = next(p for p in report["products"] if p["product"] == "stability")
         assert stab["stable"] is True
@@ -444,9 +465,22 @@ class TestAboveThresholdRun:
                     if p["product"] == "quadrature_spectrum")
         assert "delta_Phi" in quad and "flags" in quad
 
+    def test_number_difference_needs_a_mean_field(self, tmp_path):
+        # a flat state's pair has no mean field, so its photon-number
+        # difference has no linear fluctuation to report
+        raw = flat_above_scenario(outputs=["quadrature_spectrum",
+                                           "number_difference"])
+        out = tmp_path / "out"
+        assert cli.run_scenario(raw, out) == 1
+        (error,) = json.loads((out / "report.json").read_text())["errors"]
+        assert error["type"] == "ValueError"
+        assert "pair l=1 has no mean field" in error["message"]
+        assert not (out / "number_difference_l1.csv").exists()
+
     def test_product_bytes(self, tmp_path, monkeypatch):
         # the formats no shipped-scenario hash pins: eigenvalues and pair
-        # blocks are fixed, so no byte depends on BLAS or LAPACK
+        # blocks are fixed, so no byte depends on BLAS or LAPACK; the
+        # number difference is C11 of the same blocks
         kappa = cli.build_config(RESONATOR).kappa
         monkeypatch.setattr(linearization, "stability_spectrum",
                             lambda state:
@@ -459,9 +493,9 @@ class TestAboveThresholdRun:
                                 np.array([1.5, 1.25, 2.0, 1.125]),
                                 np.array([0.25, -0.5, 0.125, 0.375])))
         out = tmp_path / "out"
-        assert cli.run_scenario(flat_above_scenario(), out) == 0
-        assert (out / "quadrature_l1.csv").read_text() == (
-            "# pair l=1, phi=-0.092674 rad (pair frame)\n"
+        assert cli.run_scenario(roll_above_scenario(), out) == 0
+        assert (out / "quadrature_l2.csv").read_text() == (
+            "# pair l=2, phi=-0.092674 rad (pair frame)\n"
             "omega_over_kappa,S\n"
             "-2.000000000000e+00,4.855278396516e-01\n"
             "-5.000000000000e-01,8.003540870290e-01\n"
@@ -471,10 +505,12 @@ class TestAboveThresholdRun:
             "re_over_kappa,im_over_kappa\n"
             "-5.000000000000e-01,2.000000000000e+00\n"
             "-1.000000000000e+00,-2.500000000000e-01\n")
-        body = (out / "number_difference.csv").read_bytes()
-        assert body.startswith(b"omega/kappa,S\n-1.000000000000e+01,")
-        assert hashlib.sha256(body).hexdigest() == (
-            "7334e296f81050f06aefd9cb3d760ac130879d9c80375dee4ac09524b2c7f729")
+        assert (out / "number_difference_l2.csv").read_text() == (
+            "omega/kappa,S\n"
+            "-2.000000000000e+00,5.000000000000e-01\n"
+            "-5.000000000000e-01,7.500000000000e-01\n"
+            "2.500000000000e-01,5.000000000000e-01\n"
+            "1.000000000000e+00,6.250000000000e-01\n")
 
     def test_one_schur_form_per_state(self, tmp_path, monkeypatch):
         # every pair of the state reuses one factorization of its J_q
@@ -595,6 +631,8 @@ class TestShippedScenarios:
         assert stability["stable"] is True
         for l in scenario["pairs"]:
             assert (tmp_path / f"quadrature_l{l}.csv").is_file()
+            assert (tmp_path / f"number_difference_l{l}.csv").is_file() is (
+                "number_difference" in scenario["outputs"])
 
     def test_total_power_closed_form_matches_sum(self, tmp_path):
         scenario = cli.load_scenario(SCENARIOS / "below_threshold_caf2.json")
@@ -643,7 +681,8 @@ def test_benchmark_entry_points_resolve(tmp_path, monkeypatch):
         inspect.signature(ss.propagate).parameters)
     # the benchmark wraps the per-pair call through the module attribute,
     # adds its grid as a keyword when no positional one was given, and
-    # rebuilds J_q from the state it saw for its dense oracle
+    # rebuilds J_q from the state it saw for its dense oracle; both pair
+    # products share that one call per pair
     calls = []
     optimize = squeezing.optimize_quadrature_angle
 
@@ -653,11 +692,12 @@ def test_benchmark_entry_points_resolve(tmp_path, monkeypatch):
 
     monkeypatch.setattr(squeezing, "optimize_quadrature_angle", spy)
     angle = {"half_width": 0.5, "objective": "min"}
-    raw = flat_above_scenario(outputs=["quadrature_spectrum"], pairs=[1, 2],
-                              angle=angle)
+    raw = roll_above_scenario(
+        outputs=["quadrature_spectrum", "number_difference"], pairs=[2, 4],
+        angle=angle)
     assert cli.run_scenario(raw, tmp_path) == 0
-    assert [(len(a), a[1], k) for a, k in calls] == [(2, 1, angle),
-                                                     (2, 2, angle)]
+    assert [(len(a), a[1], k) for a, k in calls] == [(2, 2, angle),
+                                                     (2, 4, angle)]
     state = calls[0][0][0]
     assert isinstance(state, ss.CombState)
     J_q = linearization.build_quadrature_jacobian(state).J_q

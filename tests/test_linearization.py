@@ -16,7 +16,8 @@ from kerrcomb import linearization as lin
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import OMEGA_L, full_stability_spectrum, make_flat
+from conftest import (OMEGA_L, full_stability_spectrum, make_flat,
+                      three_mode_rates)
 
 
 def _flat_state(g_over, sigma_over, zeta2_over, K=6, rho=0.5):
@@ -275,17 +276,17 @@ class TestThreeModeRates:
     def test_rejects_non_roll(self, bright_soliton):
         state, _ = bright_soliton
         with pytest.raises(ValueError):
-            lin.three_mode_rates(state)
+            three_mode_rates(state)
 
     def test_rejects_harmonic_content(self, roll20):
         # the broadband Roll(20) carries harmonics at +/-40, +/-60, ...
         state, _ = roll20
         with pytest.raises(ValueError):
-            lin.three_mode_rates(state)
+            three_mode_rates(state)
 
     def test_near_threshold_rates(self, three_mode):
         state, _ = three_mode
-        kappa_a, kappa_p = lin.three_mode_rates(state)
+        kappa_a, kappa_p = three_mode_rates(state)
         p = state.params
         # just above threshold the amplitude decay rate locks to kappa and
         # the phase rate collapses toward zero (free-running comb phase)

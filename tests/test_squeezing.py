@@ -11,35 +11,37 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from kerrcomb import linearization as lin
+from kerrcomb import spontaneous as sp
 from kerrcomb import squeezing as sq
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import (OMEGA_L, ResolventError, input_correlation, make_flat,
-                      output_correlation)
+from conftest import (OMEGA_L, ResolventError, analytic_three_mode_spectra,
+                      input_correlation, make_flat, output_correlation,
+                      photon_number_difference_spectrum, three_mode_rates)
 
 
 class TestPhotonNumberDifference:
     def test_reference_values(self):
         grid = np.array([1e-6, 2.0, 1e6])
-        s = sq.photon_number_difference_spectrum(0.8, 1.0, grid).values
+        s = photon_number_difference_spectrum(0.8, 1.0, grid).values
         assert s[0] == pytest.approx(1.0 - 0.8, abs=1e-9)   # DC: 1 - rho
         assert s[1] == pytest.approx(1.0 - 0.8 / 2.0, rel=1e-12)  # w = 2 kappa
         assert s[2] == pytest.approx(1.0, abs=1e-9)          # shot noise
 
     def test_perfect_escape_reaches_zero(self):
-        s = sq.photon_number_difference_spectrum(1.0, 1.0, np.array([0.0]))
+        s = photon_number_difference_spectrum(1.0, 1.0, np.array([0.0]))
         assert s.values[0] == 0.0
 
     @given(rho=st.floats(0.01, 1.0), w=st.floats(0.0, 50.0))
     @settings(max_examples=50, deadline=None)
     def test_bounded_between_floor_and_shot_noise(self, rho, w):
-        s = sq.photon_number_difference_spectrum(rho, 1.0, np.array([w]))
+        s = photon_number_difference_spectrum(rho, 1.0, np.array([w]))
         assert 1.0 - rho - 1e-12 <= s.values[0] <= 1.0 + 1e-12
 
     def test_invalid_rho(self):
         with pytest.raises(ValueError):
-            sq.photon_number_difference_spectrum(0.0, 1.0, np.array([1.0]))
+            photon_number_difference_spectrum(0.0, 1.0, np.array([1.0]))
 
 
 class TestInputCorrelation:
@@ -275,14 +277,14 @@ class TestQuadratureSpectrum:
 class TestAnalyticThreeMode:
     def test_amplitude_floor_and_limits(self):
         grid = np.array([1e-8, 2.0, 1e8])
-        S_a, S_p = sq.analytic_three_mode_spectra(1.0, 0.3, 0.8, grid)
+        S_a, S_p = analytic_three_mode_spectra(1.0, 0.3, 0.8, grid)
         assert S_a.values[0] == pytest.approx(0.2, abs=1e-9)
         assert S_a.values[1] == pytest.approx(1.0 - 0.8 / 2.0, rel=1e-12)
         assert S_a.values[2] == pytest.approx(1.0, abs=1e-9)
 
     def test_phase_diverges_at_dc(self):
         grid = np.array([0.0, 1e-4])
-        _, S_p = sq.analytic_three_mode_spectra(1.0, 0.3, 0.8, grid)
+        _, S_p = analytic_three_mode_spectra(1.0, 0.3, 0.8, grid)
         assert S_p.values[0] == np.inf
         assert S_p.values[1] > 1e6
 
@@ -291,7 +293,7 @@ class TestAnalyticThreeMode:
         # S_a = 1 - (1/2)(4/8) = 3/4,
         # S_p = 1 + (1/2)(1)(1 + 4/(9*8))^2 = 1 + (1/2)(19/18)^2
         grid = np.array([2.0])
-        S_a, S_p = sq.analytic_three_mode_spectra(1.0, 1.0 / 3.0, 0.5, grid)
+        S_a, S_p = analytic_three_mode_spectra(1.0, 1.0 / 3.0, 0.5, grid)
         assert S_a.values[0] == pytest.approx(0.75, rel=1e-12)
         assert S_p.values[0] == pytest.approx(1.0 + 0.5 * (19.0 / 18.0) ** 2,
                                               rel=1e-12)
@@ -301,7 +303,7 @@ class TestAnalyticThreeMode:
     @settings(max_examples=60, deadline=None)
     def test_amplitude_squeezed_phase_antisqueezed(self, w, rho, ka, kp):
         grid = np.array([w])
-        S_a, S_p = sq.analytic_three_mode_spectra(ka, kp, rho, grid)
+        S_a, S_p = analytic_three_mode_spectra(ka, kp, rho, grid)
         assert S_a.values[0] <= 1.0 + 1e-12
         assert S_p.values[0] >= 1.0 - 1e-12
 
@@ -309,7 +311,7 @@ class TestAnalyticThreeMode:
         # the full matrix machinery reduced to the three-mode comb must
         # reproduce the closed-form amplitude spectrum
         state, _ = three_mode
-        kappa_a, kappa_p = lin.three_mode_rates(state)
+        kappa_a, kappa_p = three_mode_rates(state)
         p = state.params
         grid = sq.default_omega_grid(512, 6.0)
         jac = lin.build_quadrature_jacobian(state)
@@ -317,9 +319,39 @@ class TestAnalyticThreeMode:
         blocks = sq.pair_spectral_blocks(jac.T, jac.Q, p.rho, p.kappa, grid,
                                          L)
         S_mat = sq.quadrature_spectrum(blocks, 0.0).values
-        S_a, _ = sq.analytic_three_mode_spectra(
+        S_a, _ = analytic_three_mode_spectra(
             kappa_a, kappa_p, p.rho, grid, kappa=p.kappa)
         np.testing.assert_allclose(S_mat, S_a.values, atol=5e-3)
+
+
+class TestFlatStateAgreesWithSpontaneous:
+    """The two halves of the paper on one flat state: below threshold the
+    pair resolvent reproduces the closed-form sideband spectrum,
+    (C11 + C22)/2 - 1 = 2 S_l(omega), S_l from `spontaneous_spectrum`."""
+
+    # g < kappa keeps every m_l = kappa^2 + xi_l^2 - g^2 > 0, and
+    # |sigma| < sqrt(3) kappa keeps the flat cubic single-rooted, so the
+    # state is the lower branch that `spontaneous_spectrum` reads
+    @given(g=st.floats(0.05, 0.95), sigma=st.floats(-1.5, 1.5),
+           zeta2=st.floats(0.002, 0.05), rho=st.floats(0.05, 1.0),
+           l=st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_pair_blocks_are_twice_the_sideband_spectrum(self, g, sigma,
+                                                         zeta2, rho, l):
+        branches, A0 = make_flat(g, sigma, zeta2, rho=rho)
+        assert A0 == branches.lower
+        p = branches.params
+        K = 8
+        a = np.zeros(2 * K + 1, dtype=complex)
+        a[K] = A0
+        state = ss.CombState(a, p, ss.residual(a, p), ss.PatternKind.FLAT)
+        grid = sq.default_omega_grid(128)
+        jac = lin.build_quadrature_jacobian(state)
+        blocks = sq.pair_spectral_blocks(jac.T, jac.Q, p.rho, p.kappa, grid,
+                                         l)
+        excess = (blocks.c11 + blocks.c22).real / 2.0 - 1.0
+        S_l = sp.spontaneous_spectrum(l, branches, grid).values
+        assert np.max(np.abs(excess - 2.0 * S_l)) <= 1e-10 * np.max(S_l)
 
 
 class TestAngleOptimization:
@@ -396,8 +428,11 @@ class TestAngleOptimization:
 class TestCsv:
     def test_spectrum_csv_digits(self):
         series = sq.SpectrumSeries(np.array([0.5]), np.array([1.0 / 3.0]))
+        blocks = sq.PairSpectralBlocks(series.x, series.values,
+                                       series.values, np.zeros(1))
         opt = sq.AngleOptimum(l=2, Phi_l=0.0, delta_Phi=0.1, objective=0.0,
-                              spectrum=series, degenerate=False)
+                              spectrum=series, degenerate=False,
+                              blocks=blocks)
         text = sq.spectrum_csv(opt)
         assert "3.333333333333e-01" in text
         assert text.splitlines()[1] == "omega_over_kappa,S"
