@@ -308,14 +308,13 @@ def derived_quantities(p: units.ModalParams) -> dict:
     }
 
 
-def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
-    """Compute every requested product; returns the report dict."""
+def run_products(scenario: dict, outdir: Path, seed: int,
+                 report: dict) -> None:
+    """Compute every requested product, recording the derived quantities,
+    the state and each product in `report` as soon as they exist, so that
+    a failure keeps the record of what came before it."""
     mode = scenario["mode"]
     outputs = scenario.get("outputs", [])
-    report: dict = {
-        "scenario": scenario, "seed": seed,
-        "schema": SCHEMA_VERSION, "products": [], "errors": [],
-    }
     products = report["products"]
 
     params = None
@@ -409,7 +408,6 @@ def run_products(scenario: dict, outdir: Path, seed: int) -> dict:
                    ordered_count=mset.ordered_count,
                    expected=hamiltonian_audit.expected_total(K),
                    counts_by_tag=counts)
-    return report
 
 
 def run_scenario(scenario: dict, outdir: Path, seed: int | None = None) -> int:
@@ -435,12 +433,14 @@ def run_scenario(scenario: dict, outdir: Path, seed: int | None = None) -> int:
             })
         (outdir / "report.json").write_text(json.dumps(report, indent=2))
         return status
+    report = {"scenario": scenario, "seed": seed, "schema": SCHEMA_VERSION,
+              "products": [], "errors": []}
     try:
-        report = run_products(scenario, outdir, seed)
+        run_products(scenario, outdir, seed, report)
     except (ScenarioError, ValueError, ArithmeticError, RuntimeError,
             np.linalg.LinAlgError) as exc:
-        report = {"scenario": scenario, "seed": seed, "products": [],
-                  "errors": [{"type": type(exc).__name__, "message": str(exc)}]}
+        report["errors"].append({"type": type(exc).__name__,
+                                 "message": str(exc)})
         status = 1
     (outdir / "report.json").write_text(json.dumps(report, indent=2))
     return status

@@ -20,7 +20,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import rsf2csf, schur
 
 from . import _modal
 from .steady_state import PATTERN_FLOOR, CombState
@@ -89,7 +88,12 @@ def pair_phases(state: CombState) -> np.ndarray:
 
 
 def schur_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form (T, Q), J_q = Q T Q^H, of a real J_q."""
+    """Complex Schur form (T, Q), J_q = Q T Q^H, of a real J_q.
+
+    The import is local so that commands that factor nothing load no scipy.
+    """
+    from scipy.linalg import rsf2csf, schur
+
     if np.iscomplexobj(J_q):
         raise ValueError("J_q must be real for (J_q - i w I)^-1 = conj G_+")
     return rsf2csf(*schur(J_q))

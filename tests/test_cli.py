@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kerrcomb import cli, linearization, spontaneous, squeezing
 from kerrcomb import steady_state as ss
@@ -467,15 +468,23 @@ class TestAboveThresholdRun:
 
     def test_number_difference_needs_a_mean_field(self, tmp_path):
         # a flat state's pair has no mean field, so its photon-number
-        # difference has no linear fluctuation to report
-        raw = flat_above_scenario(outputs=["quadrature_spectrum",
+        # difference has no linear fluctuation to report; the products
+        # written before it keep their records and the state its report
+        raw = flat_above_scenario(outputs=["stability", "quadrature_spectrum",
                                            "number_difference"])
         out = tmp_path / "out"
         assert cli.run_scenario(raw, out) == 1
-        (error,) = json.loads((out / "report.json").read_text())["errors"]
+        report = json.loads((out / "report.json").read_text())
+        (error,) = report["errors"]
         assert error["type"] == "ValueError"
         assert "pair l=1 has no mean field" in error["message"]
         assert not (out / "number_difference_l1.csv").exists()
+        files = [p["file"] for p in report["products"]]
+        assert files == ["stability.csv", "quadrature_l1.csv"]
+        for p in report["products"]:
+            data = (out / p["file"]).read_bytes()
+            assert p["sha256"] == hashlib.sha256(data).hexdigest()
+        assert report["state"]["pattern"] == "flat"
 
     def test_product_bytes(self, tmp_path, monkeypatch):
         # the formats no shipped-scenario hash pins: eigenvalues and pair
@@ -515,8 +524,8 @@ class TestAboveThresholdRun:
     def test_one_schur_form_per_state(self, tmp_path, monkeypatch):
         # every pair of the state reuses one factorization of its J_q
         calls = []
-        schur = linearization.schur
-        monkeypatch.setattr(linearization, "schur",
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur",
                             lambda *a: calls.append(a[0].shape) or schur(*a))
         monkeypatch.setattr(linearization, "_last", None)
         raw = flat_above_scenario(outputs=["quadrature_spectrum"],
@@ -529,8 +538,8 @@ class TestAboveThresholdRun:
         # of J_q that the pairs reuse, and never solves the full 26 x 26
         # flow; its symmetric block has order 2K + 2 = 14
         factored, solved = [], []
-        schur, eigvals = linearization.schur, np.linalg.eigvals
-        monkeypatch.setattr(linearization, "schur",
+        schur, eigvals = scipy.linalg.schur, np.linalg.eigvals
+        monkeypatch.setattr(scipy.linalg, "schur",
                             lambda *a: factored.append(a[0].shape)
                             or schur(*a))
         monkeypatch.setattr(np.linalg, "eigvals",
@@ -704,12 +713,39 @@ def test_benchmark_entry_points_resolve(tmp_path, monkeypatch):
     assert J_q.shape == (12, 12) and J_q.dtype == np.float64
 
 
-def test_cli_import_loads_no_scipy_constants_or_integrate():
-    # scipy enters the package only through linearization's Schur form
-    code = "import json, sys, kerrcomb.cli; print(json.dumps(list(sys.modules)))"
+def test_scipy_loads_at_the_first_schur_form(tmp_path):
+    # the closed-form commands import no scipy at all; the first
+    # above-threshold linearization loads scipy.linalg and nothing more of
+    # it. A fresh interpreter, since conftest imports scipy here
+    below = write_scenario(tmp_path, below_scenario(), "below.json")
+    audit = write_scenario(tmp_path, {"schema": 1, "mode": "hamiltonian_audit",
+                                      "outputs": ["audit"], "audit_K": 2},
+                           "audit.json")
+    roll = write_scenario(tmp_path, roll_above_scenario(outputs=["stability"]),
+                          "roll.json")
+    closed_form = [["validate", str(path)]
+                   for path in sorted(SCENARIOS.glob("*.json"))]
+    for path in (below, audit):
+        out = str(tmp_path / path.stem)
+        closed_form += [["run", str(path), "--out", out], ["report", out]]
+    above = [["run", str(roll), "--out", str(tmp_path / "roll")]]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from kerrcomb import cli\n"
+        "loaded = []\n"
+        "for stage in json.loads(sys.argv[1]):\n"
+        "    for argv in stage:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            if cli.main(argv) != 0:\n"
+        "                sys.exit(f'{argv} failed')\n"
+        "    loaded.append([m for m in sys.modules\n"
+        "                   if m.partition('.')[0] == 'scipy'])\n"
+        "print(json.dumps(loaded))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    loaded = set(json.loads(out))
-    assert "scipy.linalg" in loaded
-    assert not {"scipy.constants", "scipy.integrate"} & loaded
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([[], closed_form, above])],
+        env=env, check=True, capture_output=True, text=True).stdout
+    imported, after_closed_form, after_schur = json.loads(out)
+    assert imported == after_closed_form == []
+    assert "scipy.linalg" in after_schur
+    assert not {"scipy.constants", "scipy.integrate"} & set(after_schur)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
@@ -374,12 +375,12 @@ class TestHandoff:
         monkeypatch.setattr(ss, "RELAX_CHUNK", 2.0)
         monkeypatch.setattr(lin, "_last", None)
         built, factored, solved = [], [], []
-        build, schur, eigvals = (lin.build_modal_jacobian, lin.schur,
+        build, schur, eigvals = (lin.build_modal_jacobian, scipy.linalg.schur,
                                  np.linalg.eigvals)
         monkeypatch.setattr(lin, "build_modal_jacobian",
                             lambda state: built.append(
                                 state.amplitudes.tobytes()) or build(state))
-        monkeypatch.setattr(lin, "schur",
+        monkeypatch.setattr(scipy.linalg, "schur",
                             lambda *a: factored.append(a[0].shape)
                             or schur(*a))
         monkeypatch.setattr(np.linalg, "eigvals",
