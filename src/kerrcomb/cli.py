@@ -23,7 +23,7 @@ Scenario schema (version 1), JSON with the following top-level keys:
                 the quadrature angle, which is solved in closed form;
                 rho scales the spectra exactly, C_out(rho) = C_in +
                 rho (C_out(1) - C_in), so it does not move the angle
-    outputs     list of products: spectrum, envelope, flux_table,
+    outputs     list of distinct products: spectrum, envelope, flux_table,
                 total_power (below threshold); quadrature_spectrum,
                 number_difference, stability (above threshold); audit
     modes       distinct sidemode indices l (ints) for per-mode spectra
@@ -50,6 +50,7 @@ deterministic for a given scenario + seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -61,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hamiltonian_audit, linearization, spontaneous, squeezing
+from . import _blas, hamiltonian_audit, linearization, spontaneous, squeezing
 from . import steady_state as ss
 from . import units
 
@@ -126,10 +127,12 @@ def validate_scenario(raw: dict) -> None:
         raise ScenarioError("field 'outputs': expected a list")
     allowed = PRODUCTS_BY_MODE[mode]
     for product in outputs:
-        if product not in allowed:
+        if not isinstance(product, str) or product not in allowed:
             raise ScenarioError(
                 f"field 'outputs': product {product!r} is not valid in mode "
                 f"{mode!r} (allowed: {sorted(allowed)})")
+    if len(set(outputs)) < len(outputs):
+        raise ScenarioError("field 'outputs': a product is repeated")
     state = raw.get("state", {})
     if not isinstance(state, dict) or set(state) - STATE_KEYS:
         raise ScenarioError(f"field 'state': expected an object with keys "
@@ -435,8 +438,12 @@ def run_scenario(scenario: dict, outdir: Path, seed: int | None = None) -> int:
         return status
     report = {"scenario": scenario, "seed": seed, "schema": SCHEMA_VERSION,
               "products": [], "errors": []}
+    # an above-threshold run solves and factors on one BLAS thread (see
+    # _blas); the closed forms of the other modes factor nothing
+    above = scenario["mode"] == "above_threshold"
     try:
-        run_products(scenario, outdir, seed, report)
+        with _blas.one_thread() if above else contextlib.nullcontext():
+            run_products(scenario, outdir, seed, report)
     except (ScenarioError, ValueError, ArithmeticError, RuntimeError,
             np.linalg.LinAlgError) as exc:
         report["errors"].append({"type": type(exc).__name__,

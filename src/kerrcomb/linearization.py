@@ -17,11 +17,12 @@ spectrum in `squeezing` read its result, kept for the last state.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _modal
+from . import _blas, _modal
 from .steady_state import PATTERN_FLOOR, CombState
 
 #: Residual gate: states with larger dimensionless residual are refused.
@@ -90,10 +91,15 @@ def pair_phases(state: CombState) -> np.ndarray:
 def schur_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form (T, Q), J_q = Q T Q^H, of a real J_q.
 
-    The import is local so that commands that factor nothing load no scipy.
+    The import is local so that commands that factor nothing load no
+    scipy; scipy brings its own OpenBLAS, which a run's one-thread scope
+    (`_blas`) pins as it loads.
     """
+    loading = "scipy.linalg" not in sys.modules
     from scipy.linalg import rsf2csf, schur
 
+    if loading:
+        _blas.pin()
     if np.iscomplexobj(J_q):
         raise ValueError("J_q must be real for (J_q - i w I)^-1 = conj G_+")
     return rsf2csf(*schur(J_q))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kerrcomb import cli, linearization, spontaneous, squeezing
+from kerrcomb import _blas, cli, linearization, spontaneous, squeezing
 from kerrcomb import steady_state as ss
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
@@ -290,6 +290,7 @@ class TestValidate:
         ("sweep", {"path": "pump_power", "values": 5}),
         ("audit_K", 9), ("audit_K", -1), ("pairs", [0]), ("pairs", [7]),
         ("modes", [1, 1]), ("pairs", [1, 1]),
+        ("outputs", ["stability", "stability"]), ("outputs", [["stability"]]),
         ("seed", "abc"), ("seed", 1.5), ("seed", -1), ("seed", True),
         ("name", 5), ("ouputs", ["stability"]),
         ("sweep", {"path": "pump_power", "values": []}),
@@ -628,7 +629,8 @@ class TestShippedScenarios:
         ("roll_squeezing", "roll", 20)])
     def test_above_threshold_runs_clean(self, tmp_path, name, pattern, order):
         # no pinned hashes: eigenvalue and Schur-form rounding, and so the
-        # last digits of these products, follow the BLAS thread count
+        # last digits of these products, follow the BLAS build and the
+        # CPU's kernels; no longer the thread count (TestBlasScope)
         scenario = cli.load_scenario(SCENARIOS / f"{name}.json")
         assert cli.run_scenario(scenario, tmp_path) == 0
         report = json.loads((tmp_path / "report.json").read_text())
@@ -652,6 +654,102 @@ class TestShippedScenarios:
         assert header == "closed_form_watts,discrete_sum_watts"
         closed, discrete = map(float, row.split(","))
         assert closed == pytest.approx(discrete, rel=2e-3)
+
+
+def blas_counts() -> dict[str, int]:
+    """Thread count of every loaded OpenBLAS, by path."""
+    return {path: get() for path, (get, _) in _blas.pools().items()}
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS (numpy's and scipy's) at two threads, whatever
+    the environment asked for, and back to its own count afterwards."""
+    pools = _blas.pools()
+    if not pools:
+        pytest.skip("no OpenBLAS with thread-count symbols is loaded")
+    before = blas_counts()
+    for _, set_ in pools.values():
+        set_(2)
+    yield blas_counts()
+    for path, (_, set_) in pools.items():
+        set_(before[path])
+
+
+class TestBlasScope:
+    def test_products_do_not_follow_the_thread_count(self, tmp_path):
+        # fresh interpreters at one and two threads, so scipy's OpenBLAS
+        # loads inside the run; at K = 64 the threaded factorizations round
+        # differently, so unpinned the products differ. Each child lists
+        # the thread counts of every loaded OpenBLAS after each Schur form
+        raw = roll_above_scenario(
+            state={"kind": "roll", "K": 64, "target_order": 2})
+        path = write_scenario(tmp_path, raw)
+        code = (
+            "import json, sys\n"
+            "from kerrcomb import _blas, cli, linearization\n"
+            "schur_form, seen = linearization.schur_form, []\n"
+            "def spy(J_q):\n"
+            "    T_Q = schur_form(J_q)\n"
+            "    seen.append([get() for get, _ in _blas.pools().values()])\n"
+            "    return T_Q\n"
+            "linearization.schur_form = spy\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "print(json.dumps(seen))\n"
+            "sys.exit(status)\n")
+        hashes = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+            seen = json.loads(subprocess.run(
+                [sys.executable, "-c", code, "run", str(path),
+                 "--out", str(out)], env=env, check=True, timeout=300,
+                capture_output=True, text=True).stdout)
+            assert seen and all(set(counts) == {1} for counts in seen)
+            report = json.loads((out / "report.json").read_text())
+            assert report["errors"] == []
+            hashes.append({p["file"]: p["sha256"]
+                           for p in report["products"]})
+        assert len(hashes[0]) == 3
+        assert hashes[0] == hashes[1]
+
+    def test_run_factors_on_one_thread_and_restores(self, tmp_path,
+                                                    monkeypatch,
+                                                    two_blas_threads):
+        seen = []
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            lambda *a: seen.append(blas_counts())
+                            or schur(*a))
+        monkeypatch.setattr(linearization, "_last", None)
+        assert cli.run_scenario(roll_above_scenario(), tmp_path) == 0
+        assert seen and all(set(c.values()) == {1} for c in seen)
+        assert blas_counts() == two_blas_threads
+
+    def test_failed_run_restores(self, tmp_path, two_blas_threads):
+        # the flat state's pair has no mean field: exit 1 inside the scope
+        raw = flat_above_scenario(outputs=["number_difference"])
+        assert cli.run_scenario(raw, tmp_path) == 1
+        assert blas_counts() == two_blas_threads
+
+    def test_schur_form_outside_a_run_touches_nothing(self, two_blas_threads):
+        linearization.schur_form(-np.eye(4))
+        _blas.pin()     # what schur_form calls when scipy.linalg loads
+        assert blas_counts() == two_blas_threads
+
+    def test_no_openblas_found(self, tmp_path, monkeypatch):
+        runs = {}
+        for found in ("all", "none"):
+            if found == "none":
+                monkeypatch.setattr(_blas, "pools", dict)
+            monkeypatch.setattr(linearization, "_last", None)
+            out = tmp_path / found
+            assert cli.run_scenario(roll_above_scenario(), out) == 0
+            report = json.loads((out / "report.json").read_text())
+            runs[found] = [(p["file"], p["sha256"])
+                           for p in report["products"]]
+        assert runs["none"] == runs["all"]
 
 
 class TestReportCommand:
