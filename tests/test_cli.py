@@ -290,13 +290,13 @@ class TestValidate:
         ("sweep", {"path": "pump_power", "values": 5}),
         ("audit_K", 9), ("audit_K", -1), ("pairs", [0]), ("pairs", [7]),
         ("modes", [1, 1]), ("pairs", [1, 1]),
-        ("outputs", ["stability", "stability"]), ("outputs", [["stability"]]),
         ("seed", "abc"), ("seed", 1.5), ("seed", -1), ("seed", True),
         ("name", 5), ("ouputs", ["stability"]),
         ("sweep", {"path": "pump_power", "values": []}),
         ("state", {"kind": "roll", "target_order": 500}),
         ("state", {"kind": "roll", "K": 6, "target_order": 7}),
-        ("state", {"kind": "bright_soliton", "target_order": 3})])
+        ("state", {"kind": "bright_soliton", "target_order": 3}),
+        ("outputs", ["stability", "stability"]), ("outputs", [["stability"]])])
     def test_field_types_rejected(self, tmp_path, capsys, key, value):
         # the flat scenario's state has K = 6, which bounds the pairs; a
         # roll's target order is bounded by K, or else by the default mode
