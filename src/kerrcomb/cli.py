@@ -26,11 +26,11 @@ Scenario schema (version 1), JSON with the following top-level keys:
     outputs     list of distinct products: spectrum, envelope, flux_table,
                 total_power (below threshold); quadrature_spectrum,
                 number_difference, stability (above threshold); audit
-    modes       distinct sidemode indices l (ints) for per-mode spectra
-                (default [1])
-    pairs       distinct pair indices (ints >= 1, <= state.K or else the
-                default mode cutoff) for quadrature_spectrum and
-                number_difference, one CSV each per pair; number_difference
+    modes       one or more distinct sidemode indices l (ints) for
+                per-mode spectra (default [1])
+    pairs       one or more distinct pair indices (ints >= 1, <= state.K
+                or else the default mode cutoff) for quadrature_spectrum
+                and number_difference, one CSV each per pair; number_difference
                 needs a mean field in the pair (default: the realized roll
                 order for a roll state, [1] otherwise)
     l_max       envelope/flux-table half-range, int >= 0 (default 100)
@@ -45,6 +45,11 @@ Any other top-level key is rejected.
 Every product writes one CSV plus a metadata record in report.json; all
 output frequencies are in units of kappa, powers in watts.  Runs are
 deterministic for a given scenario + seed.
+
+`validate` and `report` load no numpy: validation reads only `units` and
+`hamiltonian_audit`, and numpy and the numerical layers load in
+`run_products`, at the first run (scipy later still, at the first Schur
+form; see `linearization.schur_form`).
 """
 
 from __future__ import annotations
@@ -60,11 +65,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import _blas, hamiltonian_audit, linearization, spontaneous, squeezing
-from . import steady_state as ss
-from . import units
+from . import _blas, hamiltonian_audit, units
 
 SCHEMA_VERSION = 1
 
@@ -155,14 +156,16 @@ def validate_scenario(raw: dict) -> None:
         raise ScenarioError("field 'angle': 'half_width' must be a positive "
                             f"number, got {angle['half_width']!r}")
     if ("objective" in angle
-            and angle["objective"] not in squeezing.OBJECTIVES):
+            and angle["objective"] not in units.OBJECTIVES):
         raise ScenarioError(f"field 'angle': 'objective' must be one of "
-                            f"{squeezing.OBJECTIVES}, "
+                            f"{units.OBJECTIVES}, "
                             f"got {angle['objective']!r}")
     for key in ("modes", "pairs"):
         if key in raw and not (isinstance(raw[key], list)
                                and all(map(_is_int, raw[key]))):
             raise ScenarioError(f"field {key!r}: expected a list of integers")
+        if key in raw and not raw[key]:
+            raise ScenarioError(f"field {key!r}: expected at least one index")
         if key in raw and len(set(raw[key])) < len(raw[key]):
             raise ScenarioError(f"field {key!r}: an index is repeated")
     pairs = raw.get("pairs", [])
@@ -206,7 +209,8 @@ def validate_scenario(raw: dict) -> None:
         params = build_config(point)
         if mode == "above_threshold" and "K" not in state:
             try:
-                K = ss.default_mode_cutoff(params, state.get("kind", "roll"))
+                K = units.default_mode_cutoff(params,
+                                              state.get("kind", "roll"))
             except (TypeError, ValueError, ArithmeticError) as exc:
                 raise ScenarioError(f"field 'resonator': {exc}") from exc
             _check_cutoff(bounded, K, "the default mode cutoff")
@@ -315,7 +319,15 @@ def run_products(scenario: dict, outdir: Path, seed: int,
                  report: dict) -> None:
     """Compute every requested product, recording the derived quantities,
     the state and each product in `report` as soon as they exist, so that
-    a failure keeps the record of what came before it."""
+    a failure keeps the record of what came before it.  numpy and the
+    numerical layers load here, at the first run, and an open BLAS scope
+    pins numpy's OpenBLAS as soon as it is loaded."""
+    import numpy as np
+
+    from . import linearization, spontaneous, squeezing
+    from . import steady_state as ss
+
+    _blas.pin()
     mode = scenario["mode"]
     outputs = scenario.get("outputs", [])
     products = report["products"]
@@ -444,8 +456,8 @@ def run_scenario(scenario: dict, outdir: Path, seed: int | None = None) -> int:
     try:
         with _blas.one_thread() if above else contextlib.nullcontext():
             run_products(scenario, outdir, seed, report)
-    except (ScenarioError, ValueError, ArithmeticError, RuntimeError,
-            np.linalg.LinAlgError) as exc:
+    # numpy's LinAlgError is a ValueError
+    except (ScenarioError, ValueError, ArithmeticError, RuntimeError) as exc:
         report["errors"].append({"type": type(exc).__name__,
                                  "message": str(exc)})
         status = 1

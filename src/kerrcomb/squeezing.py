@@ -45,14 +45,13 @@ import numpy as np
 from .linearization import build_quadrature_jacobian
 from .spontaneous import SpectrumSeries, csv_text, default_omega_grid
 from .steady_state import CombState
+from .units import OBJECTIVES
 
 #: Imaginary residue tolerated on (and stripped from) real spectra.
 IMAG_TOL = 1e-10
 #: Frequencies per block of `pair_spectral_blocks`; bounds its working set
 #: to a few (2 OMEGA_BLOCK, n) arrays whatever the grid length.
 OMEGA_BLOCK = 128
-#: Squeezing objectives `optimize_quadrature_angle` accepts.
-OBJECTIVES = ("band_integral", "min")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _modal
-from .units import ModalParams, NoRollOrderError, predicted_roll_order
+from .units import ModalParams, default_mode_cutoff
 
 #: Relative Newton residual (|F| / (kappa |A|)) accepted as stationary.
 NEWTON_TOL = 1e-12
@@ -408,17 +408,6 @@ def seed_dark_soliton(params: ModalParams, K: int) -> np.ndarray:
     # tanh-kink pair: field passes near zero at theta = 0 and recovers
     return _seed_modes(lambda theta: low + (upper - low)
                        * np.tanh(theta / 0.15) ** 2, K)
-
-
-def default_mode_cutoff(params: ModalParams, kind: str) -> int:
-    """Truncation order: generous multiple of the expected pattern scale."""
-    if kind in ("bright_soliton", "dark_soliton"):
-        return 128
-    try:
-        L = predicted_roll_order(params.sigma, params.kappa, params.zeta2)
-    except NoRollOrderError:
-        L = 16
-    return max(4 * L, 64)
 
 
 def find_steady_state(params: ModalParams, kind: str = "roll",

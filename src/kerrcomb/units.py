@@ -3,6 +3,11 @@
 All rates are stored internally as half-linewidths kappa (rad/s); full
 linewidths 2*kappa only appear at I/O boundaries.  The detuning sigma is
 the pump laser angular frequency minus the pumped-mode resonance.
+
+This module imports no numpy.  Besides the conversions it holds what a
+scenario's validation needs of the numerical layers, the default mode
+cutoff and the squeezing objectives, so `kerrcomb validate` loads none
+of them; `steady_state` and `squeezing` import both from here.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ from dataclasses import dataclass
 # exact by the 2019 SI definitions: c in m/s, h = 6.62607015e-34 J s
 C_LIGHT = 299792458.0
 HBAR = 6.62607015e-34 / (2.0 * math.pi)
+
+#: Squeezing objectives `squeezing.optimize_quadrature_angle` accepts.
+OBJECTIVES = ("band_integral", "min")
 
 
 class Topology(enum.Enum):
@@ -193,6 +201,17 @@ def predicted_roll_order(sigma: float, kappa: float, zeta2: float) -> int:
             "no modulational-instability roll order: 2(sigma+2kappa)/zeta2 < 0")
     x = math.sqrt(radicand)
     return int(math.floor(x + 0.5))
+
+
+def default_mode_cutoff(params: ModalParams, kind: str) -> int:
+    """Truncation order: generous multiple of the expected pattern scale."""
+    if kind in ("bright_soliton", "dark_soliton"):
+        return 128
+    try:
+        L = predicted_roll_order(params.sigma, params.kappa, params.zeta2)
+    except NoRollOrderError:
+        L = 16
+    return max(4 * L, 64)
 
 
 def modal_params(config: ResonatorConfig) -> ModalParams:

@@ -296,7 +296,8 @@ class TestValidate:
         ("state", {"kind": "roll", "target_order": 500}),
         ("state", {"kind": "roll", "K": 6, "target_order": 7}),
         ("state", {"kind": "bright_soliton", "target_order": 3}),
-        ("outputs", ["stability", "stability"]), ("outputs", [["stability"]])])
+        ("outputs", ["stability", "stability"]), ("outputs", [["stability"]]),
+        ("modes", []), ("pairs", [])])
     def test_field_types_rejected(self, tmp_path, capsys, key, value):
         # the flat scenario's state has K = 6, which bounds the pairs; a
         # roll's target order is bounded by K, or else by the default mode
@@ -678,22 +679,36 @@ def two_blas_threads():
 
 class TestBlasScope:
     def test_products_do_not_follow_the_thread_count(self, tmp_path):
-        # fresh interpreters at one and two threads, so scipy's OpenBLAS
-        # loads inside the run; at K = 64 the threaded factorizations round
-        # differently, so unpinned the products differ. Each child lists
-        # the thread counts of every loaded OpenBLAS after each Schur form
+        # fresh interpreters at one and two threads, so numpy's and scipy's
+        # OpenBLAS load inside the run, as from the console script; at
+        # K = 64 the threaded factorizations round differently, so unpinned
+        # the products differ. Each child lists the thread counts of every
+        # loaded OpenBLAS around each Newton refinement and Schur form; it
+        # installs those spies once the run's BLAS scope is open, since
+        # importing the layers loads numpy
         raw = roll_above_scenario(
             state={"kind": "roll", "K": 64, "target_order": 2})
         path = write_scenario(tmp_path, raw)
         code = (
             "import json, sys\n"
-            "from kerrcomb import _blas, cli, linearization\n"
-            "schur_form, seen = linearization.schur_form, []\n"
-            "def spy(J_q):\n"
-            "    T_Q = schur_form(J_q)\n"
-            "    seen.append([get() for get, _ in _blas.pools().values()])\n"
-            "    return T_Q\n"
-            "linearization.schur_form = spy\n"
+            "from kerrcomb import _blas, cli\n"
+            "seen, run_products = [], cli.run_products\n"
+            "def counts():\n"
+            "    return [get() for get, _ in _blas.pools().values()]\n"
+            "def counted(fn):\n"
+            "    def spy(*args):\n"
+            "        seen.append(counts())\n"
+            "        result = fn(*args)\n"
+            "        seen.append(counts())\n"
+            "        return result\n"
+            "    return spy\n"
+            "def run(*args):\n"
+            "    from kerrcomb import linearization as lin\n"
+            "    from kerrcomb import steady_state as ss\n"
+            "    lin.schur_form = counted(lin.schur_form)\n"
+            "    ss.refine = counted(ss.refine)\n"
+            "    return run_products(*args)\n"
+            "cli.run_products = run\n"
             "status = cli.main(sys.argv[1:])\n"
             "print(json.dumps(seen))\n"
             "sys.exit(status)\n")
@@ -811,24 +826,30 @@ def test_benchmark_entry_points_resolve(tmp_path, monkeypatch):
     assert J_q.shape == (12, 12) and J_q.dtype == np.float64
 
 
-def test_scipy_loads_at_the_first_schur_form(tmp_path):
-    # the closed-form commands import no scipy at all; the first
-    # above-threshold linearization loads scipy.linalg and nothing more of
-    # it. A fresh interpreter, since conftest imports scipy here
+def test_numpy_and_scipy_load_only_to_compute(tmp_path):
+    # the import, validate and report load neither numpy nor scipy; the
+    # first run loads numpy, and the first above-threshold linearization
+    # scipy.linalg and nothing more of scipy. A fresh interpreter, since
+    # conftest imports both here
     below = write_scenario(tmp_path, below_scenario(), "below.json")
     audit = write_scenario(tmp_path, {"schema": 1, "mode": "hamiltonian_audit",
                                       "outputs": ["audit"], "audit_K": 2},
                            "audit.json")
     roll = write_scenario(tmp_path, roll_above_scenario(outputs=["stability"]),
                           "roll.json")
-    closed_form = [["validate", str(path)]
-                   for path in sorted(SCENARIOS.glob("*.json"))]
+    (tmp_path / "written").mkdir()
+    (tmp_path / "written" / "report.json").write_text('{"products": []}')
+    checked = [["validate", str(path)]
+               for path in sorted(SCENARIOS.glob("*.json"))]
+    checked.append(["report", str(tmp_path / "written")])
+    closed_form = []
     for path in (below, audit):
         out = str(tmp_path / path.stem)
         closed_form += [["run", str(path), "--out", out], ["report", out]]
     above = [["run", str(roll), "--out", str(tmp_path / "roll")]]
     code = (
         "import contextlib, io, json, sys\n"
+        "import kerrcomb\n"
         "from kerrcomb import cli\n"
         "loaded = []\n"
         "for stage in json.loads(sys.argv[1]):\n"
@@ -837,13 +858,22 @@ def test_scipy_loads_at_the_first_schur_form(tmp_path):
         "            if cli.main(argv) != 0:\n"
         "                sys.exit(f'{argv} failed')\n"
         "    loaded.append([m for m in sys.modules\n"
-        "                   if m.partition('.')[0] == 'scipy'])\n"
-        "print(json.dumps(loaded))\n")
+        "                   if m.partition('.')[0] in ('numpy', 'scipy')])\n"
+        "exported = {n: getattr(kerrcomb, n) for n in kerrcomb.__all__}\n"
+        "print(json.dumps([loaded, [\n"
+        "    name for name, obj in exported.items()\n"
+        "    if getattr(sys.modules[obj.__module__], name) is not obj]]))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run(
-        [sys.executable, "-c", code, json.dumps([[], closed_form, above])],
+        [sys.executable, "-c", code,
+         json.dumps([[], checked, closed_form, above])],
         env=env, check=True, capture_output=True, text=True).stdout
-    imported, after_closed_form, after_schur = json.loads(out)
-    assert imported == after_closed_form == []
+    (imported, after_checks, after_closed_form, after_schur), stray = (
+        json.loads(out))
+    assert imported == after_checks == []
+    assert "numpy" in after_closed_form
+    assert not [m for m in after_closed_form
+                if m.partition(".")[0] == "scipy"]
     assert "scipy.linalg" in after_schur
     assert not {"scipy.constants", "scipy.integrate"} & set(after_schur)
+    assert stray == []
