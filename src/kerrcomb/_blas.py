@@ -1,28 +1,25 @@
 """One OpenBLAS thread for the dense algebra of a run.
 
 An above-threshold run factors matrices of order <= 258: Newton's LU at
-2(K + 1), J_q's Schur form at 2K and the symmetric block's eigenvalues at
-2K + 2, with K <= 128.  At these orders a second OpenBLAS thread costs
-more than it gives, above all because numpy and scipy each bundle their
-own OpenBLAS, and the two pools fight over the cores when calls
-alternate.  Measured on 2 cores (numpy 2.4.6, scipy 1.17.1, random
-matrices, median of 15 calls, two processes per count):
+2(K + 1), J_q's eigendecomposition at 2K and the symmetric block's
+eigenvalues at 2K + 2, with K <= 128.  At these orders a second OpenBLAS
+thread gives nothing.  Measured on 2 cores (numpy 2.4.6, random matrices,
+median of 15 calls, three processes per count):
 
-- `schur` at n = 256: 44-47 ms at 1 thread, 43-50 ms at 2;
-- `schur` + `rsf2csf` at n = 256, then `np.linalg.eigvals` at n = 258:
-  71-98 ms at 1 thread, 167-188 ms at 2;
-- `schur` at n = 1024: 1.11-1.12 s at 1 thread, 0.95-1.21 s at 2, within
-  noise, so no order a run factors calls for a second thread.
+- `np.linalg.eig` at n = 256: 37-55 ms at 1 thread, 41-60 ms at 2;
+- `eig`, `cond` and `inv` at n = 256, then `eigvals` at n = 258, as one
+  state's linearization: 87-124 ms at 1 thread, 89-132 ms at 2;
+- `eig` at n = 1024: 1.08-1.39 s at 1 thread, 1.20-1.47 s at 2, so no
+  order a run factors calls for a second thread.
 
 One thread also keeps the products independent of the host's thread
 count, since the rounding of a threaded factorization follows how it
 splits the work.
 
-`one_thread()` sets every loaded OpenBLAS to one thread and restores each
-recorded count on exit; `pin()` extends an open scope to a copy loaded
-since (scipy's, at the first Schur form).  Outside a scope nothing is
-touched, and where no OpenBLAS, no /proc or no thread symbols are found,
-both do nothing.
+`one_thread()` imports numpy, sets every loaded OpenBLAS to one thread
+and restores each recorded count on exit.  numpy's OpenBLAS is the only
+one a run loads, so the one scan at entry sees every pool.  Where no
+OpenBLAS, no /proc or no thread symbols are found, it does nothing.
 """
 
 from __future__ import annotations
@@ -33,16 +30,11 @@ from collections.abc import Iterator
 from pathlib import Path
 
 #: (get, set) symbol names of the thread count, as bundled by numpy
-#: (64-bit integers) and scipy, and as built by OpenBLAS itself.
+#: (`scipy_openblas`, 64-bit integers) and as built by OpenBLAS itself.
 SYMBOLS = [(f"{prefix}_get_num_threads{suffix}",
             f"{prefix}_set_num_threads{suffix}")
            for prefix in ("scipy_openblas", "openblas")
            for suffix in ("64_", "")]
-
-#: Library path -> (setter, count before the scope) of every pool the
-#: open scope has pinned; None outside a scope.  Process-wide, as the
-#: thread counts it records are.
-_pinned: dict[str, tuple] | None = None
 
 
 def pools() -> dict[str, tuple]:
@@ -69,31 +61,18 @@ def pools() -> dict[str, tuple]:
     return found
 
 
-def pin() -> None:
-    """In an open scope, set every pool it has not pinned yet to one
-    thread; outside a scope, do nothing."""
-    if _pinned is None:
-        return
-    for path, (get, set_) in pools().items():
-        if path not in _pinned:
-            _pinned[path] = set_, get()
-            set_(1)
-
-
 @contextlib.contextmanager
 def one_thread() -> Iterator[None]:
     """Scope in which every OpenBLAS runs one thread; each count is
-    restored on exit, normal or not.  A nested scope leaves the counts
-    to the outer one."""
-    global _pinned
-    if _pinned is not None:
-        yield
-        return
-    _pinned = {}
+    restored on exit, normal or not.  A nested scope records 1 and
+    restores 1."""
+    import numpy  # noqa: F401  (maps numpy's OpenBLAS before the scan)
+
+    pinned = [(set_, get()) for get, set_ in pools().values()]
     try:
-        pin()
+        for set_, _ in pinned:
+            set_(1)
         yield
     finally:
-        pinned, _pinned = _pinned, None
-        for set_, count in pinned.values():
+        for set_, count in pinned:
             set_(count)

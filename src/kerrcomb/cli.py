@@ -47,9 +47,8 @@ output frequencies are in units of kappa, powers in watts.  Runs are
 deterministic for a given scenario + seed.
 
 `validate` and `report` load no numpy: validation reads only `units` and
-`hamiltonian_audit`, and numpy and the numerical layers load in
-`run_products`, at the first run (scipy later still, at the first Schur
-form; see `linearization.schur_form`).
+`hamiltonian_audit`, and numpy, the one runtime dependency, and the
+numerical layers load at the first run.
 """
 
 from __future__ import annotations
@@ -320,14 +319,12 @@ def run_products(scenario: dict, outdir: Path, seed: int,
     """Compute every requested product, recording the derived quantities,
     the state and each product in `report` as soon as they exist, so that
     a failure keeps the record of what came before it.  numpy and the
-    numerical layers load here, at the first run, and an open BLAS scope
-    pins numpy's OpenBLAS as soon as it is loaded."""
+    numerical layers load here, at the first run."""
     import numpy as np
 
     from . import linearization, spontaneous, squeezing
     from . import steady_state as ss
 
-    _blas.pin()
     mode = scenario["mode"]
     outputs = scenario.get("outputs", [])
     products = report["products"]

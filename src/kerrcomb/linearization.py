@@ -8,21 +8,21 @@ with R and S determined by the stationary amplitudes.  This module builds
 R and S and, for reflection-symmetric states, the real 2K x 2K quadrature
 Jacobian J_q acting on the differences D_l = delta a_{+l} - delta a_{-l}
 of the K sidemode pairs, each in its natural phase frame.  `_linearize`
-is the one place that folds (R, S), builds J_q, factors it into its
-complex Schur form and solves the symmetric block, once per state: the
-stability spectrum, `build_quadrature_jacobian` and through it every pair
-spectrum in `squeezing` read its result, kept for the last state.
+is the one place that folds (R, S), builds J_q, factors it as
+J_q = V diag(lam) V^-1 (`eigen_form`) and solves the symmetric block,
+once per state: the stability spectrum, `build_quadrature_jacobian` and
+through it every pair spectrum in `squeezing` read its result, kept for
+the last state.  numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _blas, _modal
+from . import _modal
 from .steady_state import PATTERN_FLOOR, CombState
 
 #: Residual gate: states with larger dimensionless residual are refused.
@@ -32,16 +32,21 @@ RESIDUAL_GATE = 1e-8
 STABILITY_TOL = 1e-6
 #: Relative reflection asymmetry up to which a state counts as symmetric.
 SYMMETRY_TOL = 1e-6
+#: Largest cond_2(V) of J_q's eigenvectors that `eigen_form` accepts.  The
+#: pole sums of `squeezing` miss the dense resolvent by up to about
+#: 0.5 eps cond_2(V)^2 (measured up to cond_2 = 1e8), 1e-8 at this bound.
+COND_MAX = 1e4
 
 
 class QuadratureJacobian(NamedTuple):
     """Pair-quadrature flow; row i of J_q (0-based) is mode pair l = i + 1,
-    and (T, Q) is its complex Schur form J_q = Q T Q^H."""
+    and (lam, V, P) its `eigen_form`."""
 
     J_q: np.ndarray
     pair_rotation: np.ndarray   # Phi_l applied per pair, l=1..K
-    T: np.ndarray
-    Q: np.ndarray
+    lam: np.ndarray
+    V: np.ndarray
+    P: np.ndarray
 
 
 #: (key, result) of the last `_linearize` call; the key is the state's
@@ -88,21 +93,27 @@ def pair_phases(state: CombState) -> np.ndarray:
     return phis
 
 
-def schur_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form (T, Q), J_q = Q T Q^H, of a real J_q.
+def eigen_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, V, P): J_q = V diag(lam) V^-1 for a real J_q of order 2K, and
+    P = (V^-1 u)(V^-1 u)^H with u = [I; -iI], so that u u^H = C_in.
 
-    The import is local so that commands that factor nothing load no
-    scipy; scipy brings its own OpenBLAS, which a run's one-thread scope
-    (`_blas`) pins as it loads.
+    Where two eigenvalues merge with one eigenvector (an exceptional
+    point, as near a bifurcation) V turns singular; a V with cond_2(V)
+    above COND_MAX is refused, as the pair spectra are then no longer pole
+    sums to the accuracy they are reported at.
     """
-    loading = "scipy.linalg" not in sys.modules
-    from scipy.linalg import rsf2csf, schur
-
-    if loading:
-        _blas.pin()
     if np.iscomplexobj(J_q):
         raise ValueError("J_q must be real for (J_q - i w I)^-1 = conj G_+")
-    return rsf2csf(*schur(J_q))
+    K = len(J_q) // 2
+    lam, V = np.linalg.eig(J_q)
+    cond = float(np.linalg.cond(V))
+    if not cond <= COND_MAX:
+        raise ValueError(f"J_q of K = {K} is too close to defective for "
+                         f"pole sums: cond_2(V) = {cond:.3e} exceeds "
+                         f"{COND_MAX:g}")
+    V_inv = np.linalg.inv(V)
+    W = V_inv[:, :K] - 1j * V_inv[:, K:]
+    return lam, V, W @ W.conj().T
 
 
 def _linearize(state: CombState) -> tuple[QuadratureJacobian, np.ndarray]:
@@ -139,19 +150,19 @@ def _linearize(state: CombState) -> tuple[QuadratureJacobian, np.ndarray]:
     J_q = _modal.real_jacobian(
         A * (rot[None, :] / rot[:, None]),          # e^{i(Phi_p - Phi_l)}
         B / (rot[None, :] * rot[:, None]))          # e^{-i(Phi_p + Phi_l)}
-    T, Q = schur_form(J_q)
+    lam, V, P = eigen_form(J_q)
     eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(R_s, S_s)),
-                          np.diag(T)])
+                          lam])
     eig = eig[np.argsort(-eig.real)]
-    for x in (J_q, phis, T, Q, eig):
+    for x in (J_q, phis, lam, V, P, eig):
         x.flags.writeable = False
-    _last = key, (QuadratureJacobian(J_q, phis, T, Q), eig)
+    _last = key, (QuadratureJacobian(J_q, phis, lam, V, P), eig)
     return _last[1]
 
 
 def build_quadrature_jacobian(state: CombState) -> QuadratureJacobian:
     """Real flow matrix J_q of the pair-difference quadratures, in each
-    pair's frame, with its complex Schur form (see `_linearize`)."""
+    pair's frame, with its `eigen_form` (see `_linearize`)."""
     return _linearize(state)[0]
 
 
@@ -161,8 +172,8 @@ def stability_spectrum(state: CombState) -> np.ndarray:
 
     The flow keeps the two `_modal.reflection_blocks` apart: these are the
     eigenvalues of the symmetric block's `real_jacobian` (order 2K + 2)
-    and the diagonal of J_q's complex Schur form, J_q being the
-    antisymmetric block up to the pair rotation, a similarity.
+    and those of J_q (`eigen_form`), J_q being the antisymmetric block up
+    to the pair rotation, a similarity.
     """
     return _linearize(state)[1]
 

@@ -16,16 +16,17 @@ C_out(rho) = C_in + rho (C_out(1) - C_in).  Quadrature spectra at
 arbitrary angle follow from the diagonal blocks of C_out and are
 normalized so that shot noise is 1.
 
-A pair l needs only rows r in {l - 1, K + l - 1} of (J_q + i w I)^-1.
-`pair_spectral_blocks` gets each row from one triangular solve per
-frequency in the complex Schur form J_q = Q T Q^H: O(n^2) per frequency,
-against about 40 n^3 per frequency for the full C_out of the dense
-reference the tests compare against (`output_correlation` in
-tests/conftest.py).  The O(n^3) Schur form comes with J_q from
+A pair l needs only rows r in {l - 1, K + l - 1} of C_out, and in the
+eigenbasis J_q = V diag(lam) V^-1 each of its entries is a sum of
+Lorentzian poles at the eigenvalues lam_j (`pair_spectral_blocks`):
+O(n^2) per pair and O(n) per frequency, against about 40 n^3 per
+frequency for the full C_out of the dense reference the tests compare
+against (`output_correlation` in tests/conftest.py).  The O(n^3)
+eigendecomposition comes with J_q from
 `linearization.build_quadrature_jacobian`, which factors it once per
-state for the stability spectrum and every pair.  A frequency
-sits on a neutral mode, and its entries are NaN, when
-min_j |T_jj + i w| <= n eps max(max|T|, kappa).
+state for the stability spectrum and every pair.  A frequency sits on a
+neutral mode, and its entries are NaN, when
+min_j |lam_j + i w kappa| <= n eps max(max|lam|, kappa).
 
 The spectrum at angle phi is S_phi = a + b cos 2phi + c sin 2phi with
 a = (C11 + C22)/2, b = (C11 - C22)/2 and c = (C12 + C21)/2, so the
@@ -42,16 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linearization import build_quadrature_jacobian
+from .linearization import STABILITY_TOL, build_quadrature_jacobian
 from .spontaneous import SpectrumSeries, csv_text, default_omega_grid
 from .steady_state import CombState
 from .units import OBJECTIVES
 
 #: Imaginary residue tolerated on (and stripped from) real spectra.
 IMAG_TOL = 1e-10
-#: Frequencies per block of `pair_spectral_blocks`; bounds its working set
-#: to a few (2 OMEGA_BLOCK, n) arrays whatever the grid length.
-OMEGA_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -75,62 +73,61 @@ class AngleOptimum:
     blocks: PairSpectralBlocks   # C11: the number-difference spectrum
 
 
-def _vacuum_gram(rows: np.ndarray) -> np.ndarray:
-    """u C_in conj(v)^T for every pair (u, v) of the last-but-one axis.
-
-    With C_in = [[I, iI], [-iI, I]] and u = (u1, u2) split in halves,
-    u C_in conj(v)^T = (u1 - i u2) . conj(v1 - i v2).
-    """
-    K = rows.shape[-1] // 2
-    w = rows[..., :K] - 1j * rows[..., K:]
-    return w @ w.conj().swapaxes(-1, -2)
-
-
-def pair_spectral_blocks(T: np.ndarray, Q: np.ndarray, rho: float,
-                         kappa: float, omega_grid: np.ndarray,
+def pair_spectral_blocks(lam: np.ndarray, V: np.ndarray, P: np.ndarray,
+                         rho: float, kappa: float, omega_grid: np.ndarray,
                          l: int) -> PairSpectralBlocks:
     """Diagonal pair-l entries of C_out over a dimensionless grid, from
-    the complex Schur form (T, Q) of a real J_q (`linearization.schur_form`).
+    the `linearization.eigen_form` (lam, V, P) of a real J_q.
 
     Row i = l - 1 of block C11 is the q-quadrature spectrum of pair l.
-    Only rows r in {i, K + i} of G_+ = (J_q + i w kappa)^-1 are needed:
-    per frequency, row r is g_r = x^T Q^H with x^T (T + i w kappa) =
-    Q[r, :], a triangular solve, and G_- = conj G_+ because J_q is real.
-    With t_r = 2 kappa g_r + e_r the rho = 1 entries are C[r, s] =
-    t_r C_in conj(t_s)^T, and C_out(rho) = C_in + rho (C_out(1) - C_in)
-    scales them exactly to rho.  C12 and C21 are summed only after the
-    solve, so their imaginary residue still reaches the IMAG_TOL checks.
-    Cost: O(n^2) per frequency, swept in blocks of OMEGA_BLOCK
-    frequencies, against about 40 n^3 per frequency for the dense
-    reference (`output_correlation` in tests/conftest.py).  A frequency
-    is neutral, and reported as NaN, when min_j |T_jj + i w kappa| <=
-    n eps max(max|T|, kappa).
+    With mu = lam / kappa, G_+ = (J_q + i w kappa)^-1 = V diag(1/(kappa
+    (mu + i w))) V^-1 and G_- = conj G_+; the entries C[r, s] of C_out(1)
+    - C_in, for r, s in {l - 1, K + l - 1}, are then pole sums
+
+        sum_j a_j / (mu_j + i w) + sum_k b_k / (conj mu_k - i w),
+        a_j = V[r, j] sum_k E_jk conj V[s, k],
+        b_k = conj V[s, k] sum_j V[r, j] E_jk,
+        E_jk = P_jk (2 + 4 / (mu_j + conj mu_k)),
+
+    the 4 / (mu_j + conj mu_k) from the partial fractions of
+    1 / ((mu_j + i w)(conj mu_k - i w)).  A (j, k) with |mu_j + conj mu_k|
+    <= STABILITY_TOL (a neutral mode with itself) keeps that product as a
+    double pole, summed per frequency, as its partial fractions would
+    cancel to the last digits.  C_out(rho) = C_in + rho (C_out(1) - C_in)
+    scales them exactly to rho.  C12 and C21 are summed only after their
+    pole sums, so their imaginary residue still reaches the IMAG_TOL
+    checks.  Cost: O(n^2) per pair and O(n) per frequency, against about
+    40 n^3 per frequency for the dense reference (`output_correlation` in
+    tests/conftest.py).  A frequency is neutral, and reported as NaN, when
+    min_j |mu_j + i w| <= n eps max(max|mu|, 1).
     """
-    n = T.shape[0]
+    n = len(lam)
     K = n // 2
     if not 1 <= l <= K:
         raise ValueError(f"pair index l must be in 1..{K}")
-    rows = [l - 1, K + l - 1]
-    Tt = np.ascontiguousarray(T.T)       # row j holds column j of T
-    diag = np.diag(T)
-    Qh = Q.conj().T
-    tol = n * np.finfo(float).eps * max(float(np.max(np.abs(T))), kappa)
+    mu = lam / kappa
+    Vr = V[[l - 1, K + l - 1]]
+    mu_sum = mu[:, None] + mu.conj()[None, :]
+    double = np.abs(mu_sum) <= STABILITY_TOL
+    E = P * (2.0 + 4.0 / np.where(double, np.inf, mu_sum))
+    # (r, s, j): a_j and b_j of entry C[r, s]
+    a = Vr[:, None, :] * (Vr.conj() @ E.T)[None, :, :]
+    b = (Vr @ E)[:, None, :] * Vr.conj()[None, :, :]
+    j, k = np.nonzero(double)
+    d = 4.0 * Vr[:, None, j] * Vr.conj()[None, :, k] * P[j, k]
     omega_grid = np.asarray(omega_grid, dtype=float)
+    tol = n * np.finfo(float).eps * max(float(np.max(np.abs(mu))), 1.0)
+    iw = 1j * omega_grid[:, None]
+    regular = np.min(np.abs(mu + iw), axis=1) > tol
+    g_plus = 1.0 / (mu + iw[regular])
+    g_minus = 1.0 / (mu.conj() - iw[regular])
     C = np.full((len(omega_grid), 2, 2), np.nan, dtype=complex)
-    for start in range(0, len(omega_grid), OMEGA_BLOCK):
-        shift = 1j * kappa * omega_grid[start:start + OMEGA_BLOCK]
-        regular = np.min(np.abs(diag[:, None] + shift), axis=0) > tol
-        shift = np.repeat(shift[regular], 2)    # one column per (w, r)
-        rhs = np.tile(Q[rows].T, (1, len(shift) // 2))
-        X = np.empty_like(rhs)
-        for j in range(n):                     # forward substitution
-            X[j] = (rhs[j] - Tt[j, :j] @ X[:j]) / (diag[j] + shift)
-        t = 2.0 * kappa * (X.T @ Qh).reshape(-1, 2, n)
-        t[:, [0, 1], rows] += 1.0
-        C[start:start + OMEGA_BLOCK][regular] = _vacuum_gram(t)
+    C[regular] = (g_plus @ a.reshape(4, n).T + g_minus @ b.reshape(4, n).T
+                  + (g_plus[:, j] * g_minus[:, k]) @ d.reshape(4, -1).T
+                  ).reshape(-1, 2, 2)
     # C_in is 1 on the diagonal and i, -i off it, so C12 + C21 has no C_in
-    return PairSpectralBlocks(omega_grid, 1.0 + rho * (C[:, 0, 0] - 1.0),
-                              1.0 + rho * (C[:, 1, 1] - 1.0),
+    return PairSpectralBlocks(omega_grid, 1.0 + rho * C[:, 0, 0],
+                              1.0 + rho * C[:, 1, 1],
                               rho * (C[:, 0, 1] + C[:, 1, 0]))
 
 
@@ -207,11 +204,11 @@ def optimize_quadrature_angle(state: CombState, l: int,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    _, phis, T, Q = build_quadrature_jacobian(state)
+    _, phis, lam, V, P = build_quadrature_jacobian(state)
     p = state.params
     if omega_grid is None:
         omega_grid = default_omega_grid()
-    blocks = pair_spectral_blocks(T, Q, p.rho, p.kappa, omega_grid, l)
+    blocks = pair_spectral_blocks(lam, V, P, p.rho, p.kappa, omega_grid, l)
     delta, obj, degenerate = solve_quadrature_angle(blocks, half_width,
                                                     objective)
     return AngleOptimum(l, float(phis[l - 1]), delta, obj,

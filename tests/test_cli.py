@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from kerrcomb import _blas, cli, linearization, spontaneous, squeezing
 from kerrcomb import steady_state as ss
@@ -498,7 +497,7 @@ class TestAboveThresholdRun:
                             kappa * np.array([-0.5 + 2.0j, -1.0 - 0.25j]))
         grid = np.array([-2.0, -0.5, 0.25, 1.0])
         monkeypatch.setattr(squeezing, "pair_spectral_blocks",
-                            lambda T, Q, rho, kappa, omega_grid, l:
+                            lambda lam, V, P, rho, kappa, omega_grid, l:
                             squeezing.PairSpectralBlocks(
                                 grid, np.array([0.5, 0.75, 0.5, 0.625]),
                                 np.array([1.5, 1.25, 2.0, 1.125]),
@@ -523,27 +522,41 @@ class TestAboveThresholdRun:
             "2.500000000000e-01,5.000000000000e-01\n"
             "1.000000000000e+00,6.250000000000e-01\n")
 
-    def test_one_schur_form_per_state(self, tmp_path, monkeypatch):
+    def test_one_eigendecomposition_per_state(self, tmp_path, monkeypatch):
         # every pair of the state reuses one factorization of its J_q
         calls = []
-        schur = scipy.linalg.schur
-        monkeypatch.setattr(scipy.linalg, "schur",
-                            lambda *a: calls.append(a[0].shape) or schur(*a))
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: calls.append(a.shape) or eig(a))
         monkeypatch.setattr(linearization, "_last", None)
         raw = flat_above_scenario(outputs=["quadrature_spectrum"],
                                   pairs=[1, 2, 3])
         assert cli.run_scenario(raw, tmp_path) == 0
         assert calls == [(12, 12)]
 
-    def test_stability_shares_the_schur_form(self, tmp_path, monkeypatch):
-        # stability reads the antisymmetric eigenvalues off the Schur form
-        # of J_q that the pairs reuse, and never solves the full 26 x 26
-        # flow; its symmetric block has order 2K + 2 = 14
+    def test_refused_eigenvectors_are_a_run_error(self, tmp_path,
+                                                  monkeypatch):
+        # every cond_2(V) >= 1, so at this bound each J_q is refused, as a
+        # defective one is at 1e4: the run records why and exits 1
+        monkeypatch.setattr(linearization, "COND_MAX", 0.5)
+        monkeypatch.setattr(linearization, "_last", None)
+        assert cli.run_scenario(flat_above_scenario(), tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        (error,) = report["errors"]
+        assert error["type"] == "ValueError"
+        assert "J_q of K = 6 " in error["message"]
+        assert "cond_2(V) = " in error["message"]
+        assert report["products"] == []
+
+    def test_stability_shares_the_eigendecomposition(self, tmp_path,
+                                                     monkeypatch):
+        # stability reads the antisymmetric eigenvalues off the
+        # eigendecomposition of J_q that the pairs reuse, and never solves
+        # the full 26 x 26 flow; its symmetric block has order 2K + 2 = 14
         factored, solved = [], []
-        schur, eigvals = scipy.linalg.schur, np.linalg.eigvals
-        monkeypatch.setattr(scipy.linalg, "schur",
-                            lambda *a: factored.append(a[0].shape)
-                            or schur(*a))
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: factored.append(a.shape) or eig(a))
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: solved.append(a.shape) or eigvals(a))
         monkeypatch.setattr(linearization, "_last", None)
@@ -629,7 +642,7 @@ class TestShippedScenarios:
         ("dark_soliton_squeezing", "dark_soliton", None),
         ("roll_squeezing", "roll", 20)])
     def test_above_threshold_runs_clean(self, tmp_path, name, pattern, order):
-        # no pinned hashes: eigenvalue and Schur-form rounding, and so the
+        # no pinned hashes: eigendecomposition rounding, and so the
         # last digits of these products, follow the BLAS build and the
         # CPU's kernels; no longer the thread count (TestBlasScope)
         scenario = cli.load_scenario(SCENARIOS / f"{name}.json")
@@ -679,13 +692,13 @@ def two_blas_threads():
 
 class TestBlasScope:
     def test_products_do_not_follow_the_thread_count(self, tmp_path):
-        # fresh interpreters at one and two threads, so numpy's and scipy's
-        # OpenBLAS load inside the run, as from the console script; at
-        # K = 64 the threaded factorizations round differently, so unpinned
-        # the products differ. Each child lists the thread counts of every
-        # loaded OpenBLAS around each Newton refinement and Schur form; it
-        # installs those spies once the run's BLAS scope is open, since
-        # importing the layers loads numpy
+        # fresh interpreters at one and two threads, so numpy's OpenBLAS
+        # loads inside the run, as from the console script; at K = 64 the
+        # threaded factorizations round differently, so unpinned the
+        # products differ. Each child lists the thread counts of every
+        # loaded OpenBLAS around each Newton refinement and
+        # eigendecomposition; it installs those spies once the run's BLAS
+        # scope is open, since importing the layers loads numpy
         raw = roll_above_scenario(
             state={"kind": "roll", "K": 64, "target_order": 2})
         path = write_scenario(tmp_path, raw)
@@ -705,7 +718,7 @@ class TestBlasScope:
             "def run(*args):\n"
             "    from kerrcomb import linearization as lin\n"
             "    from kerrcomb import steady_state as ss\n"
-            "    lin.schur_form = counted(lin.schur_form)\n"
+            "    lin.eigen_form = counted(lin.eigen_form)\n"
             "    ss.refine = counted(ss.refine)\n"
             "    return run_products(*args)\n"
             "cli.run_products = run\n"
@@ -733,10 +746,9 @@ class TestBlasScope:
                                                     monkeypatch,
                                                     two_blas_threads):
         seen = []
-        schur = scipy.linalg.schur
-        monkeypatch.setattr(scipy.linalg, "schur",
-                            lambda *a: seen.append(blas_counts())
-                            or schur(*a))
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: seen.append(blas_counts()) or eig(a))
         monkeypatch.setattr(linearization, "_last", None)
         assert cli.run_scenario(roll_above_scenario(), tmp_path) == 0
         assert seen and all(set(c.values()) == {1} for c in seen)
@@ -748,9 +760,16 @@ class TestBlasScope:
         assert cli.run_scenario(raw, tmp_path) == 1
         assert blas_counts() == two_blas_threads
 
-    def test_schur_form_outside_a_run_touches_nothing(self, two_blas_threads):
-        linearization.schur_form(-np.eye(4))
-        _blas.pin()     # what schur_form calls when scipy.linalg loads
+    def test_eigen_form_outside_a_run_touches_nothing(self, two_blas_threads):
+        linearization.eigen_form(-np.eye(4))
+        assert blas_counts() == two_blas_threads
+
+    def test_nested_scope_restores_one(self, two_blas_threads):
+        # the inner scope records the outer scope's 1 and restores it
+        with _blas.one_thread():
+            with _blas.one_thread():
+                assert set(blas_counts().values()) == {1}
+            assert set(blas_counts().values()) == {1}
         assert blas_counts() == two_blas_threads
 
     def test_no_openblas_found(self, tmp_path, monkeypatch):
@@ -828,9 +847,8 @@ def test_benchmark_entry_points_resolve(tmp_path, monkeypatch):
 
 def test_numpy_and_scipy_load_only_to_compute(tmp_path):
     # the import, validate and report load neither numpy nor scipy; the
-    # first run loads numpy, and the first above-threshold linearization
-    # scipy.linalg and nothing more of scipy. A fresh interpreter, since
-    # conftest imports both here
+    # first run loads numpy, and no run, above threshold either, loads any
+    # scipy. A fresh interpreter, since conftest imports both here
     below = write_scenario(tmp_path, below_scenario(), "below.json")
     audit = write_scenario(tmp_path, {"schema": 1, "mode": "hamiltonian_audit",
                                       "outputs": ["audit"], "audit_K": 2},
@@ -868,12 +886,11 @@ def test_numpy_and_scipy_load_only_to_compute(tmp_path):
         [sys.executable, "-c", code,
          json.dumps([[], checked, closed_form, above])],
         env=env, check=True, capture_output=True, text=True).stdout
-    (imported, after_checks, after_closed_form, after_schur), stray = (
+    (imported, after_checks, after_closed_form, after_above), stray = (
         json.loads(out))
     assert imported == after_checks == []
     assert "numpy" in after_closed_form
     assert not [m for m in after_closed_form
                 if m.partition(".")[0] == "scipy"]
-    assert "scipy.linalg" in after_schur
-    assert not {"scipy.constants", "scipy.integrate"} & set(after_schur)
+    assert not [m for m in after_above if m.partition(".")[0] == "scipy"]
     assert stray == []

@@ -171,7 +171,7 @@ class TestPairSpectralBlocks:
         ws = np.array(data.draw(st.lists(st.floats(1e-3, 20.0), min_size=1,
                                          max_size=4), label="omegas"))
         grid = np.concatenate([ws, -ws])
-        blocks = sq.pair_spectral_blocks(*lin.schur_form(J_q), rho, kappa,
+        blocks = sq.pair_spectral_blocks(*lin.eigen_form(J_q), rho, kappa,
                                          grid, l)
         got = _block_entries(blocks)
         for k, w in enumerate(grid):
@@ -201,15 +201,16 @@ class TestPairSpectralBlocks:
             # zero eigenvalue up to rounding; the dense inverse does not
             # raise here and returns huge finite numbers
             J_q = _rotated_normal_Jq(0.0)
-        # 0.0 is the first point of the second frequency block
-        grid = np.linspace(-3.0, 3.0, 2 * sq.OMEGA_BLOCK + 1)
-        assert grid[sq.OMEGA_BLOCK] == 0.0
+        # 0.0 is the middle point; its neighbours sit 3/128 away
+        grid = np.linspace(-3.0, 3.0, 257)
+        mid = 128
+        assert grid[mid] == 0.0
         got = _block_entries(
-            sq.pair_spectral_blocks(*lin.schur_form(J_q), 0.6, 1.0, grid, 2))
-        assert np.all(np.isnan(got[sq.OMEGA_BLOCK]))
-        others = np.delete(got, sq.OMEGA_BLOCK, axis=0)
+            sq.pair_spectral_blocks(*lin.eigen_form(J_q), 0.6, 1.0, grid, 2))
+        assert np.all(np.isnan(got[mid]))
+        others = np.delete(got, mid, axis=0)
         assert np.all(np.isfinite(others))
-        for k in (0, sq.OMEGA_BLOCK - 1, sq.OMEGA_BLOCK + 1, len(grid) - 1):
+        for k in (0, mid - 1, mid + 1, len(grid) - 1):
             ref = _pair_entries(
                 output_correlation(J_q, 0.6, 1.0, grid[k]), 2)
             np.testing.assert_allclose(got[k], ref, rtol=1e-10,
@@ -218,13 +219,23 @@ class TestPairSpectralBlocks:
     def test_slow_stable_mode_is_not_neutral(self):
         kappa = 2.0
         J_q = _rotated_normal_Jq(-1e-3, kappa)
-        blocks = sq.pair_spectral_blocks(*lin.schur_form(J_q), 0.6, kappa,
+        blocks = sq.pair_spectral_blocks(*lin.eigen_form(J_q), 0.6, kappa,
                                          sq.default_omega_grid(), 1)
         assert np.all(np.isfinite(_block_entries(blocks)))
 
     def test_complex_jacobian_rejected(self):
         with pytest.raises(ValueError, match="real"):
-            lin.schur_form(-np.eye(4) + 0.1j * np.eye(4))
+            lin.eigen_form(-np.eye(4) + 0.1j * np.eye(4))
+
+    @pytest.mark.parametrize("rate", [-1.0, 0.0])
+    def test_jordan_block_rejected(self, rate):
+        # a defective J_q has no eigenvector basis: V is singular to
+        # rounding, and its pole sums would be noise
+        J_q = np.diag([rate, rate, -2.0, -3.0])
+        J_q[0, 1] = 1.0
+        with pytest.raises(ValueError,
+                           match=r"K = 2 .*cond_2\(V\) = .* exceeds 10000"):
+            lin.eigen_form(J_q)
 
 
 class TestQuadratureSpectrum:
@@ -238,7 +249,8 @@ class TestQuadratureSpectrum:
                              ss.residual(a, branches.params))
         jac = lin.build_quadrature_jacobian(state)
         grid = sq.default_omega_grid(256)
-        return sq.pair_spectral_blocks(jac.T, jac.Q, branches.params.rho,
+        return sq.pair_spectral_blocks(jac.lam, jac.V, jac.P,
+                                       branches.params.rho,
                                        branches.params.kappa, grid, 1)
 
     def test_phi_zero_is_c11(self, flat_blocks):
@@ -261,7 +273,8 @@ class TestQuadratureSpectrum:
         state = ss.CombState(a, branches.params,
                              ss.residual(a, branches.params))
         jac = lin.build_quadrature_jacobian(state)
-        blocks = sq.pair_spectral_blocks(jac.T, jac.Q, branches.params.rho,
+        blocks = sq.pair_spectral_blocks(jac.lam, jac.V, jac.P,
+                                         branches.params.rho,
                                          branches.params.kappa, grid, 1)
         for phi in (0.0, 0.6, 1.2):
             s = sq.quadrature_spectrum(blocks, phi).values
@@ -270,7 +283,7 @@ class TestQuadratureSpectrum:
     def test_pair_index_bounds(self, flat_blocks):
         branches, _ = make_flat(0.5, -1.2, 0.015)
         with pytest.raises(ValueError):
-            sq.pair_spectral_blocks(*lin.schur_form(np.eye(8)), 0.5, 1.0,
+            sq.pair_spectral_blocks(*lin.eigen_form(np.eye(8)), 0.5, 1.0,
                                     np.array([1.0]), 5)
 
 
@@ -316,8 +329,8 @@ class TestAnalyticThreeMode:
         grid = sq.default_omega_grid(512, 6.0)
         jac = lin.build_quadrature_jacobian(state)
         L = state.roll_order
-        blocks = sq.pair_spectral_blocks(jac.T, jac.Q, p.rho, p.kappa, grid,
-                                         L)
+        blocks = sq.pair_spectral_blocks(jac.lam, jac.V, jac.P, p.rho,
+                                         p.kappa, grid, L)
         S_mat = sq.quadrature_spectrum(blocks, 0.0).values
         S_a, _ = analytic_three_mode_spectra(
             kappa_a, kappa_p, p.rho, grid, kappa=p.kappa)
@@ -346,9 +359,19 @@ class TestFlatStateAgreesWithSpontaneous:
         a[K] = A0
         state = ss.CombState(a, p, ss.residual(a, p), ss.PatternKind.FLAT)
         grid = sq.default_omega_grid(128)
-        jac = lin.build_quadrature_jacobian(state)
-        blocks = sq.pair_spectral_blocks(jac.T, jac.Q, p.rho, p.kappa, grid,
-                                         l)
+        try:
+            jac = lin.build_quadrature_jacobian(state)
+        except ValueError as exc:
+            # pair l' decays at -kappa +/- sqrt(g^2 - xi_l'^2), and at
+            # xi_l'^2 = g^2 its two rates merge with one eigenvector: J_q
+            # is defective, and the pole sums refuse it, only there
+            g_abs = p.g0 * abs(A0) ** 2
+            xi = p.sigma - 0.5 * p.zeta2 * np.arange(1, K + 1) ** 2 + 2 * g_abs
+            assert "cond_2(V)" in str(exc)
+            assert np.min(np.abs(xi**2 - g_abs**2)) <= 1e-6 * p.kappa**2
+            return
+        blocks = sq.pair_spectral_blocks(jac.lam, jac.V, jac.P, p.rho,
+                                         p.kappa, grid, l)
         excess = (blocks.c11 + blocks.c22).real / 2.0 - 1.0
         S_l = sp.spontaneous_spectrum(l, branches, grid).values
         assert np.max(np.abs(excess - 2.0 * S_l)) <= 1e-10 * np.max(S_l)
@@ -368,7 +391,7 @@ class TestAngleOptimization:
                                                 data):
         J_q = _hamiltonian_Jq(seed, m, kappa, margin)
         l = data.draw(st.integers(1, m), label="l")
-        blocks = sq.pair_spectral_blocks(*lin.schur_form(J_q), rho, kappa,
+        blocks = sq.pair_spectral_blocks(*lin.eigen_form(J_q), rho, kappa,
                                          sq.default_omega_grid(128), l)
         delta, obj, degenerate = sq.solve_quadrature_angle(
             blocks, half_width, objective)
@@ -388,7 +411,7 @@ class TestAngleOptimization:
         jac = lin.build_quadrature_jacobian(state)
         p = state.params
         blocks = sq.pair_spectral_blocks(
-            jac.T, jac.Q, p.rho, p.kappa, sq.default_omega_grid(256),
+            jac.lam, jac.V, jac.P, p.rho, p.kappa, sq.default_omega_grid(256),
             state.roll_order)
         f0 = _band_objective(blocks, opt.delta_Phi, "band_integral")
         for d in (-eps, eps):
