@@ -7,8 +7,9 @@ thread gives nothing.  Measured on 2 cores (numpy 2.4.6, random matrices,
 median of 15 calls, three processes per count):
 
 - `np.linalg.eig` at n = 256: 37-55 ms at 1 thread, 41-60 ms at 2;
-- `eig`, `cond` and `inv` at n = 256, then `eigvals` at n = 258, as one
-  state's linearization: 87-124 ms at 1 thread, 89-132 ms at 2;
+- `eig` and `inv` at n = 256, then `eigvals` at n = 258, as one state's
+  linearization (no SVD: `linearization._vacuum_gram` bounds cond_2(V)
+  by norms): 104-113 ms at 1 thread, 109-123 ms at 2;
 - `eig` at n = 1024: 1.08-1.39 s at 1 thread, 1.20-1.47 s at 2, so no
   order a run factors calls for a second thread.
 

@@ -9,10 +9,11 @@ R and S and, for reflection-symmetric states, the real 2K x 2K quadrature
 Jacobian J_q acting on the differences D_l = delta a_{+l} - delta a_{-l}
 of the K sidemode pairs, each in its natural phase frame.  `_linearize`
 is the one place that folds (R, S), builds J_q, factors it as
-J_q = V diag(lam) V^-1 (`eigen_form`) and solves the symmetric block,
-once per state: the stability spectrum, `build_quadrature_jacobian` and
-through it every pair spectrum in `squeezing` read its result, kept for
-the last state.  numpy is the only runtime dependency.
+J_q = V diag(lam) V^-1 with the pole weights every pair spectrum shares
+(`eigen_form`) and solves the symmetric block, once per state: the
+stability spectrum, `build_quadrature_jacobian` and through it every pair
+spectrum in `squeezing` read its result, kept for the last state.  numpy
+is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -38,15 +39,25 @@ SYMMETRY_TOL = 1e-6
 COND_MAX = 1e4
 
 
+class EigenForm(NamedTuple):
+    """J_q = V diag(lam) V^-1 and the pole weights that every pair spectrum
+    of `squeezing.pair_spectral_blocks` shares (see `eigen_form`)."""
+
+    lam: np.ndarray
+    mu: np.ndarray        # lam / kappa
+    V: np.ndarray
+    E: np.ndarray         # P_jk (2 + 4 / (mu_j + conj mu_k)); 0 if double
+    double: tuple[np.ndarray, np.ndarray, np.ndarray]   # (j, k, 4 P_jk)
+    tol: float            # w is neutral where min_j |mu_j + i w| <= tol
+
+
 class QuadratureJacobian(NamedTuple):
     """Pair-quadrature flow; row i of J_q (0-based) is mode pair l = i + 1,
-    and (lam, V, P) its `eigen_form`."""
+    and `eigen` its `eigen_form`."""
 
     J_q: np.ndarray
     pair_rotation: np.ndarray   # Phi_l applied per pair, l=1..K
-    lam: np.ndarray
-    V: np.ndarray
-    P: np.ndarray
+    eigen: EigenForm
 
 
 #: (key, result) of the last `_linearize` call; the key is the state's
@@ -93,27 +104,60 @@ def pair_phases(state: CombState) -> np.ndarray:
     return phis
 
 
-def eigen_form(J_q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, V, P): J_q = V diag(lam) V^-1 for a real J_q of order 2K, and
-    P = (V^-1 u)(V^-1 u)^H with u = [I; -iI], so that u u^H = C_in.
+def _vacuum_gram(V: np.ndarray) -> np.ndarray:
+    """P = (V^-1 u)(V^-1 u)^H, u = [I; -iI] (so u u^H = C_in), for an
+    eigenvector basis V of order 2K that `eigen_form` accepts.
 
     Where two eigenvalues merge with one eigenvector (an exceptional
     point, as near a bifurcation) V turns singular; a V with cond_2(V)
     above COND_MAX is refused, as the pair spectra are then no longer pole
-    sums to the accuracy they are reported at.
+    sums to the accuracy they are reported at.  As ||V||_F ||V^-1||_F >=
+    cond_2(V) + 1/cond_2(V), a V that this bound accepts needs no SVD;
+    where it does not, or V^-1 fails, `np.linalg.cond` decides.
+    """
+    K = len(V) // 2
+    try:
+        V_inv = np.linalg.inv(V)
+        # an overflowing norm or product is inf, which `cond` then decides
+        with np.errstate(over="ignore"):
+            bound = float(np.linalg.norm(V)) * float(np.linalg.norm(V_inv))
+    except np.linalg.LinAlgError:
+        V_inv, bound = None, math.inf
+    if not bound <= COND_MAX:
+        cond = float(np.linalg.cond(V))
+        if not cond <= COND_MAX:
+            raise ValueError(f"J_q of K = {K} is too close to defective for "
+                             f"pole sums: cond_2(V) = {cond:.3e} exceeds "
+                             f"{COND_MAX:g}")
+        if V_inv is None:
+            V_inv = np.linalg.inv(V)
+    W = V_inv[:, :K] - 1j * V_inv[:, K:]
+    return W @ W.conj().T
+
+
+def eigen_form(J_q: np.ndarray, kappa: float) -> EigenForm:
+    """J_q = V diag(lam) V^-1 for a real J_q of order n = 2K, with the
+    state-only part of every pair's pole sums (`squeezing`); a V too close
+    to singular is refused (`_vacuum_gram`).
+
+    With P = `_vacuum_gram(V)` and mu = lam / kappa, the pole weights are
+    E_jk = P_jk (2 + 4 / (mu_j + conj mu_k)) where |mu_j + conj mu_k| >
+    STABILITY_TOL; the remaining (j, k), a neutral mode with itself, are
+    double poles with weight 4 P_jk.  P itself is not kept.  A frequency w
+    is neutral when min_j |mu_j + i w| <= tol = n eps max(max|mu|, 1).
     """
     if np.iscomplexobj(J_q):
         raise ValueError("J_q must be real for (J_q - i w I)^-1 = conj G_+")
-    K = len(J_q) // 2
     lam, V = np.linalg.eig(J_q)
-    cond = float(np.linalg.cond(V))
-    if not cond <= COND_MAX:
-        raise ValueError(f"J_q of K = {K} is too close to defective for "
-                         f"pole sums: cond_2(V) = {cond:.3e} exceeds "
-                         f"{COND_MAX:g}")
-    V_inv = np.linalg.inv(V)
-    W = V_inv[:, :K] - 1j * V_inv[:, K:]
-    return lam, V, W @ W.conj().T
+    P = _vacuum_gram(V)
+    mu = lam / kappa
+    mu_sum = mu[:, None] + mu.conj()[None, :]
+    double = np.abs(mu_sum) <= STABILITY_TOL
+    j, k = np.nonzero(double)
+    mu_sum[double] = np.inf
+    E = P * (2.0 + 4.0 / mu_sum)
+    tol = len(lam) * np.finfo(float).eps * max(float(np.max(np.abs(mu))), 1.0)
+    return EigenForm(lam, mu, V, E, (j, k, 4.0 * P[j, k]), tol)
 
 
 def _linearize(state: CombState) -> tuple[QuadratureJacobian, np.ndarray]:
@@ -139,24 +183,25 @@ def _linearize(state: CombState) -> tuple[QuadratureJacobian, np.ndarray]:
     key = (a.dtype, a.shape, a.tobytes(), state.params)
     if _last is not None and _last[0] == key:
         return _last[1]
-    R, S = build_modal_jacobian(state)
     asym = float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
     if asym > SYMMETRY_TOL:
         raise ValueError(f"pair quadratures need a reflection-symmetric "
                          f"state (A_-l = A_l); asymmetry {asym:.2e}")
-    (R_s, S_s), (A, B) = _modal.reflection_blocks(R, S)
+    # the folded blocks are copies: (R, S) is freed before J_q is factored
+    (R_s, S_s), (A, B) = _modal.reflection_blocks(*build_modal_jacobian(state))
     phis = pair_phases(state)
     rot = np.exp(1j * phis)
     J_q = _modal.real_jacobian(
         A * (rot[None, :] / rot[:, None]),          # e^{i(Phi_p - Phi_l)}
         B / (rot[None, :] * rot[:, None]))          # e^{-i(Phi_p + Phi_l)}
-    lam, V, P = eigen_form(J_q)
+    eigen = eigen_form(J_q, state.params.kappa)
     eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(R_s, S_s)),
-                          lam])
+                          eigen.lam])
     eig = eig[np.argsort(-eig.real)]
-    for x in (J_q, phis, lam, V, P, eig):
+    for x in (J_q, phis, eig, eigen.lam, eigen.mu, eigen.V, eigen.E,
+              *eigen.double):
         x.flags.writeable = False
-    _last = key, (QuadratureJacobian(J_q, phis, lam, V, P), eig)
+    _last = key, (QuadratureJacobian(J_q, phis, eigen), eig)
     return _last[1]
 
 

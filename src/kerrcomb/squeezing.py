@@ -18,15 +18,16 @@ normalized so that shot noise is 1.
 
 A pair l needs only rows r in {l - 1, K + l - 1} of C_out, and in the
 eigenbasis J_q = V diag(lam) V^-1 each of its entries is a sum of
-Lorentzian poles at the eigenvalues lam_j (`pair_spectral_blocks`):
-O(n^2) per pair and O(n) per frequency, against about 40 n^3 per
-frequency for the full C_out of the dense reference the tests compare
-against (`output_correlation` in tests/conftest.py).  The O(n^3)
-eigendecomposition comes with J_q from
-`linearization.build_quadrature_jacobian`, which factors it once per
-state for the stability spectrum and every pair.  A frequency sits on a
-neutral mode, and its entries are NaN, when
-min_j |lam_j + i w kappa| <= n eps max(max|lam|, kappa).
+Lorentzian poles at the eigenvalues lam_j (`pair_spectral_blocks`).
+Everything that depends on the state alone, the O(n^3)
+eigendecomposition and the n x n pole weights, comes with J_q from
+`linearization.build_quadrature_jacobian`, which builds it once per state
+for the stability spectrum and every pair (`linearization.eigen_form`).
+A pair then costs two (2 x n)(n x n) products and O(n) per frequency,
+against about 40 n^3 per frequency for the full C_out of the dense
+reference the tests compare against (`output_correlation` in
+tests/conftest.py).  A frequency sits on a neutral mode, and its entries
+are NaN, when min_j |lam_j + i w kappa| <= n eps max(max|lam|, kappa).
 
 The spectrum at angle phi is S_phi = a + b cos 2phi + c sin 2phi with
 a = (C11 + C22)/2, b = (C11 - C22)/2 and c = (C12 + C21)/2, so the
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linearization import STABILITY_TOL, build_quadrature_jacobian
+from .linearization import EigenForm, build_quadrature_jacobian
 from .spontaneous import SpectrumSeries, csv_text, default_omega_grid
 from .steady_state import CombState
 from .units import OBJECTIVES
@@ -73,11 +74,11 @@ class AngleOptimum:
     blocks: PairSpectralBlocks   # C11: the number-difference spectrum
 
 
-def pair_spectral_blocks(lam: np.ndarray, V: np.ndarray, P: np.ndarray,
-                         rho: float, kappa: float, omega_grid: np.ndarray,
+def pair_spectral_blocks(eigen: EigenForm, rho: float,
+                         omega_grid: np.ndarray,
                          l: int) -> PairSpectralBlocks:
     """Diagonal pair-l entries of C_out over a dimensionless grid, from
-    the `linearization.eigen_form` (lam, V, P) of a real J_q.
+    the `linearization.eigen_form` of a real J_q.
 
     Row i = l - 1 of block C11 is the q-quadrature spectrum of pair l.
     With mu = lam / kappa, G_+ = (J_q + i w kappa)^-1 = V diag(1/(kappa
@@ -87,38 +88,33 @@ def pair_spectral_blocks(lam: np.ndarray, V: np.ndarray, P: np.ndarray,
         sum_j a_j / (mu_j + i w) + sum_k b_k / (conj mu_k - i w),
         a_j = V[r, j] sum_k E_jk conj V[s, k],
         b_k = conj V[s, k] sum_j V[r, j] E_jk,
-        E_jk = P_jk (2 + 4 / (mu_j + conj mu_k)),
 
-    the 4 / (mu_j + conj mu_k) from the partial fractions of
-    1 / ((mu_j + i w)(conj mu_k - i w)).  A (j, k) with |mu_j + conj mu_k|
-    <= STABILITY_TOL (a neutral mode with itself) keeps that product as a
-    double pole, summed per frequency, as its partial fractions would
+    with the pole weights E_jk of `eigen_form`, which hold the partial
+    fractions of 1 / ((mu_j + i w)(conj mu_k - i w)).  Each double pole
+    (j, k) (a neutral mode with itself) adds 4 P_jk V[r, j] conj V[s, k]
+    g_+j g_-k, summed per frequency, as its partial fractions would
     cancel to the last digits.  C_out(rho) = C_in + rho (C_out(1) - C_in)
     scales them exactly to rho.  C12 and C21 are summed only after their
     pole sums, so their imaginary residue still reaches the IMAG_TOL
-    checks.  Cost: O(n^2) per pair and O(n) per frequency, against about
-    40 n^3 per frequency for the dense reference (`output_correlation` in
-    tests/conftest.py).  A frequency is neutral, and reported as NaN, when
-    min_j |mu_j + i w| <= n eps max(max|mu|, 1).
+    checks.  Cost per pair: two (2 x n)(n x n) products and O(n) per
+    frequency; the O(n^3) and n x n work is the state's, in `eigen_form`.
+    A frequency is neutral, and reported as NaN, when
+    min_j |mu_j + i w| <= `eigen.tol`.
     """
-    n = len(lam)
+    mu, V, E = eigen.mu, eigen.V, eigen.E
+    j, k, weight = eigen.double
+    n = len(mu)
     K = n // 2
     if not 1 <= l <= K:
         raise ValueError(f"pair index l must be in 1..{K}")
-    mu = lam / kappa
     Vr = V[[l - 1, K + l - 1]]
-    mu_sum = mu[:, None] + mu.conj()[None, :]
-    double = np.abs(mu_sum) <= STABILITY_TOL
-    E = P * (2.0 + 4.0 / np.where(double, np.inf, mu_sum))
     # (r, s, j): a_j and b_j of entry C[r, s]
     a = Vr[:, None, :] * (Vr.conj() @ E.T)[None, :, :]
     b = (Vr @ E)[:, None, :] * Vr.conj()[None, :, :]
-    j, k = np.nonzero(double)
-    d = 4.0 * Vr[:, None, j] * Vr.conj()[None, :, k] * P[j, k]
+    d = Vr[:, None, j] * Vr.conj()[None, :, k] * weight
     omega_grid = np.asarray(omega_grid, dtype=float)
-    tol = n * np.finfo(float).eps * max(float(np.max(np.abs(mu))), 1.0)
     iw = 1j * omega_grid[:, None]
-    regular = np.min(np.abs(mu + iw), axis=1) > tol
+    regular = np.min(np.abs(mu + iw), axis=1) > eigen.tol
     g_plus = 1.0 / (mu + iw[regular])
     g_minus = 1.0 / (mu.conj() - iw[regular])
     C = np.full((len(omega_grid), 2, 2), np.nan, dtype=complex)
@@ -166,12 +162,19 @@ def solve_quadrature_angle(blocks: PairSpectralBlocks, half_width: float,
     objective is degenerate, and delta_Phi = 0, when its angle-dependent
     amplitude sqrt(b^2 + c^2) is at most 1e-12 max(|objective|, 1).
     C11, C22 and C12 + C21 pass the IMAG_TOL check once, which bounds the
-    imaginary residue of S_phi at every angle.
+    imaginary residue of S_phi at every angle.  A grid with no finite
+    value in the band is a ValueError.
     """
     w = np.abs(blocks.omega_over_kappa)
     c11, c22, cross = _real(np.stack([blocks.c11, blocks.c22,
                                       blocks.c12_plus_c21]))
     sel = (w >= 0.1) & (w <= 10.0) & np.isfinite(c11 + c22 + cross)
+    if not np.any(sel):
+        x = blocks.omega_over_kappa
+        span = f"{np.min(x):g} to {np.max(x):g}" if x.size else "nothing"
+        raise ValueError("no frequency with a finite spectrum lies in the "
+                         "band 0.1 <= |omega|/kappa <= 10; the grid spans "
+                         f"omega/kappa = {span}")
     a, b, c = (c11 + c22)[sel] / 2, (c11 - c22)[sel] / 2, cross[sel] / 2
     if objective == "band_integral":
         # a symmetric grid makes |omega| non-monotonic; sort before integrating
@@ -204,11 +207,10 @@ def optimize_quadrature_angle(state: CombState, l: int,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    _, phis, lam, V, P = build_quadrature_jacobian(state)
-    p = state.params
+    _, phis, eigen = build_quadrature_jacobian(state)
     if omega_grid is None:
         omega_grid = default_omega_grid()
-    blocks = pair_spectral_blocks(lam, V, P, p.rho, p.kappa, omega_grid, l)
+    blocks = pair_spectral_blocks(eigen, state.params.rho, omega_grid, l)
     delta, obj, degenerate = solve_quadrature_angle(blocks, half_width,
                                                     objective)
     return AngleOptimum(l, float(phis[l - 1]), delta, obj,

@@ -206,6 +206,10 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
     zero outside the 2K+1 modes, which drops the out-of-band power.  The
     grid size is a power of two, so scaling only the forward transform by
     1/n rounds exactly like a scaled inverse transform multiplied by n.
+    A step allocates nothing: both transforms write into fixed buffers,
+    and the Kerr phase g0 dt |A|^2 goes into the imaginary part of a
+    buffer whose real part stays zero, the same numbers that the complex
+    product i g0 dt |A|^2 gives.
     """
     K = (len(amps) - 1) // 2
     n = _fft_size(K)
@@ -217,24 +221,26 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
     half[idx] = np.exp(lam * dt / 2.0)
     pump = np.sqrt(2.0 * params.kappa_t) * params.A_in
     pump_half = pump * (half[0] - 1.0) / lam[K]
-    kerr = 1j * params.g0 * dt
+    kerr = params.g0 * dt
     limit2 = limit ** 2
 
     spec = np.zeros(n, dtype=complex)
     spec[idx] = amps
+    field = np.empty(n, dtype=complex)
     intensity = np.empty(n)
-    phase = np.empty(n, dtype=complex)
+    phase = np.zeros(n, dtype=complex)      # 0 + i g0 dt |A|^2
+    rotation = np.empty(n, dtype=complex)
     n_steps = max(1, int(round(horizon / step)))
 
     for i in range(n_steps):
         spec *= half
         spec[0] += pump_half
-        field = np.fft.ifft(spec, norm="forward")
+        np.fft.ifft(spec, norm="forward", out=field)
         np.abs(field, out=intensity)
         np.square(intensity, out=intensity)
-        np.multiply(kerr, intensity, out=phase)
-        field *= np.exp(phase, out=phase)
-        spec = np.fft.fft(field, norm="forward")
+        np.multiply(kerr, intensity, out=phase.imag)
+        field *= np.exp(phase, out=rotation)
+        np.fft.fft(field, norm="forward", out=spec)
         spec *= half
         spec[0] += pump_half
         if not np.vdot(spec, spec).real <= limit2:   # also catches inf, nan

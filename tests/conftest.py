@@ -1,7 +1,8 @@
 """Shared fixtures: the standard CaF2 resonator, cached solver states, the
 Parseval oracle of the below-threshold flux, the full-space stability
-oracle, the dense resolvent oracle of the above-threshold output
-correlations and the closed forms of a three-mode comb.
+oracle, the allocating split-step loop, the dense resolvent oracle of the
+above-threshold output correlations, the per-pair pole weights, and the
+closed forms of a three-mode comb.
 
 Expensive steady-state solves are session-scoped and reused across module
 and acceptance tests; each fixture also reports its wall-clock solve time
@@ -20,7 +21,9 @@ from scipy.integrate import quad
 from kerrcomb import _modal
 from kerrcomb import steady_state as ss
 from kerrcomb import units
+from kerrcomb.linearization import STABILITY_TOL
 from kerrcomb.spontaneous import SpectrumSeries
+from kerrcomb.squeezing import PairSpectralBlocks
 
 TWO_PI = 2.0 * math.pi
 #: Pump carrier near 1550 nm (rad/s), for hand-built ModalParams.
@@ -90,6 +93,84 @@ def full_stability_spectrum(R: np.ndarray, S: np.ndarray) -> np.ndarray:
     symmetric or not."""
     eig = np.linalg.eigvals(_modal.real_jacobian(R, S))
     return eig[np.argsort(-eig.real)]
+
+
+def propagate_allocating(amps: np.ndarray, params: units.ModalParams,
+                         horizon: float, step: float,
+                         limit: float) -> tuple[np.ndarray, float]:
+    """`steady_state.propagate` as a loop that allocates both transforms
+    and the Kerr phase (a complex scalar times |A|^2) at every step; the
+    bit-for-bit oracle of the buffered loop."""
+    K = (len(amps) - 1) // 2
+    n = ss._fft_size(K)
+    idx = _modal.mode_numbers(K) % n
+    dt = step / abs(params.kappa)
+
+    lam = _modal.linear_rates(params, K)
+    half = np.zeros(n, dtype=complex)
+    half[idx] = np.exp(lam * dt / 2.0)
+    pump = np.sqrt(2.0 * params.kappa_t) * params.A_in
+    pump_half = pump * (half[0] - 1.0) / lam[K]
+    kerr = 1j * params.g0 * dt
+    limit2 = limit ** 2
+
+    spec = np.zeros(n, dtype=complex)
+    spec[idx] = amps
+    intensity = np.empty(n)
+    phase = np.empty(n, dtype=complex)
+    n_steps = max(1, int(round(horizon / step)))
+
+    for i in range(n_steps):
+        spec *= half
+        spec[0] += pump_half
+        field = np.fft.ifft(spec, norm="forward")
+        np.abs(field, out=intensity)
+        np.square(intensity, out=intensity)
+        np.multiply(kerr, intensity, out=phase)
+        field *= np.exp(phase, out=phase)
+        spec = np.fft.fft(field, norm="forward")
+        spec *= half
+        spec[0] += pump_half
+        if not np.vdot(spec, spec).real <= limit2:
+            raise ss.DivergenceError(
+                f"field norm passed {limit:.6g} at step {i + 1} of "
+                f"{n_steps} (dt = {step}/kappa)",
+                spec[idx])
+    return spec[idx], ss.residual(spec[idx], params)
+
+
+def pair_blocks_per_pair(lam: np.ndarray, V: np.ndarray, rho: float,
+                         kappa: float, omega_grid: np.ndarray, l: int):
+    """Pair-l blocks with every pole weight rebuilt for the pair, from
+    P = (V^-1 u)(V^-1 u)^H: the bit-for-bit oracle of
+    `squeezing.pair_spectral_blocks` on `linearization.eigen_form`."""
+    n = len(lam)
+    K = n // 2
+    V_inv = np.linalg.inv(V)
+    W = V_inv[:, :K] - 1j * V_inv[:, K:]
+    P = W @ W.conj().T
+    mu = lam / kappa
+    Vr = V[[l - 1, K + l - 1]]
+    mu_sum = mu[:, None] + mu.conj()[None, :]
+    double = np.abs(mu_sum) <= STABILITY_TOL
+    E = P * (2.0 + 4.0 / np.where(double, np.inf, mu_sum))
+    a = Vr[:, None, :] * (Vr.conj() @ E.T)[None, :, :]
+    b = (Vr @ E)[:, None, :] * Vr.conj()[None, :, :]
+    j, k = np.nonzero(double)
+    d = 4.0 * Vr[:, None, j] * Vr.conj()[None, :, k] * P[j, k]
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    tol = n * np.finfo(float).eps * max(float(np.max(np.abs(mu))), 1.0)
+    iw = 1j * omega_grid[:, None]
+    regular = np.min(np.abs(mu + iw), axis=1) > tol
+    g_plus = 1.0 / (mu + iw[regular])
+    g_minus = 1.0 / (mu.conj() - iw[regular])
+    C = np.full((len(omega_grid), 2, 2), np.nan, dtype=complex)
+    C[regular] = (g_plus @ a.reshape(4, n).T + g_minus @ b.reshape(4, n).T
+                  + (g_plus[:, j] * g_minus[:, k]) @ d.reshape(4, -1).T
+                  ).reshape(-1, 2, 2)
+    return PairSpectralBlocks(omega_grid, 1.0 + rho * C[:, 0, 0],
+                              1.0 + rho * C[:, 1, 1],
+                              rho * (C[:, 0, 1] + C[:, 1, 0]))
 
 
 class ResolventError(np.linalg.LinAlgError):

@@ -257,8 +257,7 @@ def test_12_soliton_pair_squeezing_and_hierarchy(kind, request):
     jac = lin.build_quadrature_jacobian(state)
     mins = []
     for l in (1, 5, 10, 20):
-        blocks = sq.pair_spectral_blocks(jac.lam, jac.V, jac.P, p.rho,
-                                         p.kappa, grid, l)
+        blocks = sq.pair_spectral_blocks(jac.eigen, p.rho, grid, l)
         s = sq.quadrature_spectrum(blocks, opt.delta_Phi).values
         mins.append(_min_in_band(s, grid))
     # non-decreasing with a 5e-3 slack for the near-shot-noise tail

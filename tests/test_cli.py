@@ -497,7 +497,7 @@ class TestAboveThresholdRun:
                             kappa * np.array([-0.5 + 2.0j, -1.0 - 0.25j]))
         grid = np.array([-2.0, -0.5, 0.25, 1.0])
         monkeypatch.setattr(squeezing, "pair_spectral_blocks",
-                            lambda lam, V, P, rho, kappa, omega_grid, l:
+                            lambda eigen, rho, omega_grid, l:
                             squeezing.PairSpectralBlocks(
                                 grid, np.array([0.5, 0.75, 0.5, 0.625]),
                                 np.array([1.5, 1.25, 2.0, 1.125]),
@@ -761,7 +761,7 @@ class TestBlasScope:
         assert blas_counts() == two_blas_threads
 
     def test_eigen_form_outside_a_run_touches_nothing(self, two_blas_threads):
-        linearization.eigen_form(-np.eye(4))
+        linearization.eigen_form(-np.eye(4), 1.0)
         assert blas_counts() == two_blas_threads
 
     def test_nested_scope_restores_one(self, two_blas_threads):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,9 +319,88 @@ class TestMirrorSymmetry:
         R, S = lin.build_modal_jacobian(state)
         sym = _modal.real_jacobian(*_modal.reflection_blocks(R, S)[0])
         jac = lin.build_quadrature_jacobian(state)
-        for M, eig in ((sym, np.linalg.eigvals(sym)), (jac.J_q, jac.lam)):
+        for M, eig in ((sym, np.linalg.eigvals(sym)),
+                       (jac.J_q, jac.eigen.lam)):
             assert np.trace(M) == pytest.approx(-len(M) * kappa, rel=1e-12)
             _assert_same_spectrum(eig, -2.0 * kappa - eig.conj())
+
+
+def _near_jordan_Jq(delta, n, seed=0):
+    """Real n x n J_q, orthogonally rotated, with eigenvalues -1 and
+    -1 - delta sharing nearly one eigenvector: cond_2(V) ~ 2 / delta."""
+    J = np.diag(np.linspace(-1.5, -3.0, n))
+    J[0, 0], J[1, 1], J[0, 1] = -1.0, -1.0 - delta, 1.0
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return Q @ J @ Q.T
+
+
+class TestEigenForm:
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_accepts_exactly_where_cond_does(self, n):
+        # bisect delta to the two closest J_q whose eigenvectors have
+        # cond_2(V) on either side of COND_MAX; there the cheap bound
+        # ||V||_F ||V^-1||_F exceeds it, so the SVD decides
+        def cond(delta):
+            return np.linalg.cond(np.linalg.eig(_near_jordan_Jq(delta, n))[1])
+
+        above, below = 1e-4, 4e-4          # cond about 2e4 and 5e3
+        assert cond(above) > lin.COND_MAX >= cond(below)
+        for _ in range(60):
+            mid = math.sqrt(above * below)
+            if cond(mid) > lin.COND_MAX:
+                above = mid
+            else:
+                below = mid
+        assert cond(above) / cond(below) - 1.0 < 1e-6
+        accepted = {}
+        for delta in (below, above):
+            J_q = _near_jordan_Jq(delta, n)
+            V = np.linalg.eig(J_q)[1]
+            bound = np.linalg.norm(V) * np.linalg.norm(np.linalg.inv(V))
+            assert bound > lin.COND_MAX
+            try:
+                lin.eigen_form(J_q, 1.0)
+                accepted[delta] = True
+            except ValueError as exc:
+                assert re.search(rf"K = {n // 2} .*cond_2\(V\) = .* exceeds "
+                                 r"10000", str(exc))
+                accepted[delta] = False
+            assert accepted[delta] == (np.linalg.cond(V) <= lin.COND_MAX)
+        assert accepted == {below: True, above: False}
+
+    def test_no_svd_on_reference_states(self, monkeypatch, roll20,
+                                        three_mode, bright_soliton,
+                                        dark_soliton):
+        calls = []
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        for name in ("svd", "cond"):
+            spy(name, getattr(np.linalg, name))
+        for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
+            lin._last = None
+            lin.build_quadrature_jacobian(state)
+        lin._last = None
+        assert calls == []
+
+    def test_holds_three_square_arrays(self, bright_soliton):
+        # J_q, V and the pole weights E; P is not kept
+        def arrays(x):
+            if isinstance(x, np.ndarray):
+                yield x
+            elif isinstance(x, tuple):
+                for item in x:
+                    yield from arrays(item)
+
+        state, _ = bright_soliton
+        n = 2 * state.K
+        held = list(arrays(lin.build_quadrature_jacobian(state)))
+        assert sum(x.shape == (n, n) for x in held) == 3
+        assert all(x.ndim == 1 for x in held if x.shape != (n, n))
 
 
 class TestStability:

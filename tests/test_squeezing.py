@@ -18,7 +18,8 @@ from kerrcomb import units
 
 from conftest import (OMEGA_L, ResolventError, analytic_three_mode_spectra,
                       input_correlation, make_flat, output_correlation,
-                      photon_number_difference_spectrum, three_mode_rates)
+                      pair_blocks_per_pair, photon_number_difference_spectrum,
+                      three_mode_rates)
 
 
 class TestPhotonNumberDifference:
@@ -160,6 +161,13 @@ def _rotated_normal_Jq(slowest, kappa=1.0, seed=0):
     return kappa * (Q @ B @ Q.T)
 
 
+def _assert_same_blocks(got, want):
+    """Equal bytes in every entry; NaN where `want` has NaN."""
+    for name in ("omega_over_kappa", "c11", "c22", "c12_plus_c21"):
+        assert np.array_equal(getattr(got, name), getattr(want, name),
+                              equal_nan=True), name
+
+
 class TestPairSpectralBlocks:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 20),
            rho=st.floats(1e-3, 1.0), kappa=st.floats(0.1, 10.0),
@@ -171,7 +179,7 @@ class TestPairSpectralBlocks:
         ws = np.array(data.draw(st.lists(st.floats(1e-3, 20.0), min_size=1,
                                          max_size=4), label="omegas"))
         grid = np.concatenate([ws, -ws])
-        blocks = sq.pair_spectral_blocks(*lin.eigen_form(J_q), rho, kappa,
+        blocks = sq.pair_spectral_blocks(lin.eigen_form(J_q, kappa), rho,
                                          grid, l)
         got = _block_entries(blocks)
         for k, w in enumerate(grid):
@@ -206,7 +214,7 @@ class TestPairSpectralBlocks:
         mid = 128
         assert grid[mid] == 0.0
         got = _block_entries(
-            sq.pair_spectral_blocks(*lin.eigen_form(J_q), 0.6, 1.0, grid, 2))
+            sq.pair_spectral_blocks(lin.eigen_form(J_q, 1.0), 0.6, grid, 2))
         assert np.all(np.isnan(got[mid]))
         others = np.delete(got, mid, axis=0)
         assert np.all(np.isfinite(others))
@@ -219,13 +227,50 @@ class TestPairSpectralBlocks:
     def test_slow_stable_mode_is_not_neutral(self):
         kappa = 2.0
         J_q = _rotated_normal_Jq(-1e-3, kappa)
-        blocks = sq.pair_spectral_blocks(*lin.eigen_form(J_q), 0.6, kappa,
+        blocks = sq.pair_spectral_blocks(lin.eigen_form(J_q, kappa), 0.6,
                                          sq.default_omega_grid(), 1)
         assert np.all(np.isfinite(_block_entries(blocks)))
 
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 20),
+           rho=st.floats(1e-3, 1.0), kappa=st.floats(0.1, 10.0),
+           margin=st.floats(0.05, 0.95), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_state_weights_match_per_pair_weights(self, seed, m, rho, kappa,
+                                                  margin, data):
+        J_q = _hamiltonian_Jq(seed, m, kappa, margin)
+        l = data.draw(st.integers(1, m), label="l")
+        eigen = lin.eigen_form(J_q, kappa)
+        grid = sq.default_omega_grid(64)
+        _assert_same_blocks(
+            sq.pair_spectral_blocks(eigen, rho, grid, l),
+            pair_blocks_per_pair(eigen.lam, eigen.V, rho, kappa, grid, l))
+
+    def test_state_weights_match_per_pair_weights_with_neutral_mode(self):
+        # a zero eigenvalue: one double pole, and NaN at w = 0
+        eigen = lin.eigen_form(_rotated_normal_Jq(0.0, 2.0), 2.0)
+        assert len(eigen.double[0]) == 1
+        grid = np.linspace(-3.0, 3.0, 257)
+        for l in (1, 2, 3, 4):
+            _assert_same_blocks(
+                sq.pair_spectral_blocks(eigen, 0.6, grid, l),
+                pair_blocks_per_pair(eigen.lam, eigen.V, 0.6, 2.0, grid, l))
+
+    def test_state_weights_match_per_pair_weights_on_reference_states(
+            self, roll20, three_mode, bright_soliton, dark_soliton):
+        grid = sq.default_omega_grid(128)
+        for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
+            eigen = lin.build_quadrature_jacobian(state).eigen
+            p = state.params
+            assert len(eigen.double[0]) >= 1      # the translation mode
+            for l in sorted({1, 5, state.K // 2, state.K}):
+                _assert_same_blocks(
+                    sq.pair_spectral_blocks(eigen, p.rho, grid, l),
+                    pair_blocks_per_pair(eigen.lam, eigen.V, p.rho, p.kappa,
+                                         grid, l))
+
     def test_complex_jacobian_rejected(self):
         with pytest.raises(ValueError, match="real"):
-            lin.eigen_form(-np.eye(4) + 0.1j * np.eye(4))
+            lin.eigen_form(-np.eye(4) + 0.1j * np.eye(4), 1.0)
 
     @pytest.mark.parametrize("rate", [-1.0, 0.0])
     def test_jordan_block_rejected(self, rate):
@@ -235,7 +280,7 @@ class TestPairSpectralBlocks:
         J_q[0, 1] = 1.0
         with pytest.raises(ValueError,
                            match=r"K = 2 .*cond_2\(V\) = .* exceeds 10000"):
-            lin.eigen_form(J_q)
+            lin.eigen_form(J_q, 1.0)
 
 
 class TestQuadratureSpectrum:
@@ -249,9 +294,8 @@ class TestQuadratureSpectrum:
                              ss.residual(a, branches.params))
         jac = lin.build_quadrature_jacobian(state)
         grid = sq.default_omega_grid(256)
-        return sq.pair_spectral_blocks(jac.lam, jac.V, jac.P,
-                                       branches.params.rho,
-                                       branches.params.kappa, grid, 1)
+        return sq.pair_spectral_blocks(jac.eigen, branches.params.rho,
+                                       grid, 1)
 
     def test_phi_zero_is_c11(self, flat_blocks):
         spec = sq.quadrature_spectrum(flat_blocks, 0.0)
@@ -273,9 +317,8 @@ class TestQuadratureSpectrum:
         state = ss.CombState(a, branches.params,
                              ss.residual(a, branches.params))
         jac = lin.build_quadrature_jacobian(state)
-        blocks = sq.pair_spectral_blocks(jac.lam, jac.V, jac.P,
-                                         branches.params.rho,
-                                         branches.params.kappa, grid, 1)
+        blocks = sq.pair_spectral_blocks(jac.eigen, branches.params.rho,
+                                         grid, 1)
         for phi in (0.0, 0.6, 1.2):
             s = sq.quadrature_spectrum(blocks, phi).values
             assert np.all(np.abs(s - 1.0) < 1e-2)
@@ -283,7 +326,7 @@ class TestQuadratureSpectrum:
     def test_pair_index_bounds(self, flat_blocks):
         branches, _ = make_flat(0.5, -1.2, 0.015)
         with pytest.raises(ValueError):
-            sq.pair_spectral_blocks(*lin.eigen_form(np.eye(8)), 0.5, 1.0,
+            sq.pair_spectral_blocks(lin.eigen_form(np.eye(8), 1.0), 0.5,
                                     np.array([1.0]), 5)
 
 
@@ -329,8 +372,7 @@ class TestAnalyticThreeMode:
         grid = sq.default_omega_grid(512, 6.0)
         jac = lin.build_quadrature_jacobian(state)
         L = state.roll_order
-        blocks = sq.pair_spectral_blocks(jac.lam, jac.V, jac.P, p.rho,
-                                         p.kappa, grid, L)
+        blocks = sq.pair_spectral_blocks(jac.eigen, p.rho, grid, L)
         S_mat = sq.quadrature_spectrum(blocks, 0.0).values
         S_a, _ = analytic_three_mode_spectra(
             kappa_a, kappa_p, p.rho, grid, kappa=p.kappa)
@@ -370,8 +412,7 @@ class TestFlatStateAgreesWithSpontaneous:
             assert "cond_2(V)" in str(exc)
             assert np.min(np.abs(xi**2 - g_abs**2)) <= 1e-6 * p.kappa**2
             return
-        blocks = sq.pair_spectral_blocks(jac.lam, jac.V, jac.P, p.rho,
-                                         p.kappa, grid, l)
+        blocks = sq.pair_spectral_blocks(jac.eigen, p.rho, grid, l)
         excess = (blocks.c11 + blocks.c22).real / 2.0 - 1.0
         S_l = sp.spontaneous_spectrum(l, branches, grid).values
         assert np.max(np.abs(excess - 2.0 * S_l)) <= 1e-10 * np.max(S_l)
@@ -391,7 +432,7 @@ class TestAngleOptimization:
                                                 data):
         J_q = _hamiltonian_Jq(seed, m, kappa, margin)
         l = data.draw(st.integers(1, m), label="l")
-        blocks = sq.pair_spectral_blocks(*lin.eigen_form(J_q), rho, kappa,
+        blocks = sq.pair_spectral_blocks(lin.eigen_form(J_q, kappa), rho,
                                          sq.default_omega_grid(128), l)
         delta, obj, degenerate = sq.solve_quadrature_angle(
             blocks, half_width, objective)
@@ -411,8 +452,7 @@ class TestAngleOptimization:
         jac = lin.build_quadrature_jacobian(state)
         p = state.params
         blocks = sq.pair_spectral_blocks(
-            jac.lam, jac.V, jac.P, p.rho, p.kappa, sq.default_omega_grid(256),
-            state.roll_order)
+            jac.eigen, p.rho, sq.default_omega_grid(256), state.roll_order)
         f0 = _band_objective(blocks, opt.delta_Phi, "band_integral")
         for d in (-eps, eps):
             assert _band_objective(blocks, opt.delta_Phi + d,
@@ -441,6 +481,25 @@ class TestAngleOptimization:
             state, 1, omega_grid=sq.default_omega_grid(128))
         assert opt.degenerate is True
         assert opt.delta_Phi == 0.0
+
+    @pytest.mark.parametrize("objective", sq.OBJECTIVES)
+    def test_grid_outside_the_band_rejected(self, objective):
+        grid = np.array([20.0, 30.0])
+        blocks = sq.PairSpectralBlocks(grid, np.full(2, 0.5 + 0j),
+                                       np.full(2, 2.0 + 0j), np.zeros(2))
+        with pytest.raises(ValueError,
+                           match=r"0\.1 <= \|omega\|/kappa <= 10.* 20 to 30"):
+            sq.solve_quadrature_angle(blocks, math.pi / 4, objective)
+
+    @pytest.mark.parametrize("objective", sq.OBJECTIVES)
+    def test_band_of_neutral_frequencies_rejected(self, objective):
+        grid = np.array([-1.0, 0.5, 50.0])
+        nan = complex(np.nan, np.nan)
+        blocks = sq.PairSpectralBlocks(grid, np.array([nan, nan, 0.5]),
+                                       np.array([nan, nan, 2.0]),
+                                       np.array([nan, nan, 0.0]))
+        with pytest.raises(ValueError, match=r"finite spectrum.* -1 to 50"):
+            sq.solve_quadrature_angle(blocks, math.pi / 4, objective)
 
     def test_invalid_objective(self, three_mode):
         state, _ = three_mode

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
 
@@ -16,7 +16,8 @@ from kerrcomb import squeezing as sq
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import OMEGA_L, TWO_PI, caf2_config, make_flat
+from conftest import (OMEGA_L, TWO_PI, caf2_config, make_flat,
+                      propagate_allocating)
 
 
 def _params(g_over, sigma_over, zeta2_over, rho=0.5):
@@ -138,6 +139,45 @@ class TestPropagate:
             ss.propagate(a0, params, horizon=100.0, step=1e-2,
                          limit=ss._runaway_limit(a0, params))
         assert exc.value.last_amps is not None
+
+
+def _propagation_outcome(run, *args):
+    """(DivergenceError message or None, amplitudes, residual or None)."""
+    try:
+        amps, res = run(*args)
+    except ss.DivergenceError as exc:
+        return str(exc), exc.last_amps, None
+    return None, amps, res
+
+
+class TestBufferedPropagate:
+    # the buffered loop must round like the allocating one at every step,
+    # in a damped flow and in an amplifying one (negative kappa) that
+    # passes the runaway limit at the same step
+    @given(K=st.integers(1, 24), step=st.floats(1e-3, 5e-2),
+           steps=st.integers(1, 300), kappa=st.floats(0.2, 3.0),
+           amplifying=st.booleans(), sigma=st.floats(-3.0, 3.0),
+           zeta2=st.floats(-0.1, 0.1), g0=st.floats(0.0, 2.0),
+           A_in=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    @example(K=4, step=5e-2, steps=300, kappa=1.0, amplifying=True,
+             sigma=0.0, zeta2=0.0, g0=1e-3, A_in=1.0, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_allocating_loop(self, K, step, steps, kappa, amplifying,
+                                     sigma, zeta2, g0, A_in, seed):
+        params = units.ModalParams(
+            kappa=-kappa if amplifying else kappa, kappa_t=0.5 * kappa,
+            sigma=sigma * kappa, zeta2=zeta2 * kappa, g0=g0 * kappa,
+            A_in=A_in, rho=0.5, omega_L=OMEGA_L)
+        rng = np.random.default_rng(seed)
+        n = 2 * K + 1
+        a0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        args = a0, params, steps * step, step, ss._runaway_limit(a0, params)
+        error, amps, res = _propagation_outcome(ss.propagate, *args)
+        want_error, want_amps, want_res = _propagation_outcome(
+            propagate_allocating, *args)
+        assert error == want_error          # the same step, if any
+        assert res == want_res
+        assert np.array_equal(amps, want_amps)
 
 
 class TestRefine:
