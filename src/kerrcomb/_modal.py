@@ -1,7 +1,7 @@
 """Low-level modal algebra shared by the steady-state solver and the
 fluctuation-Jacobian builder, including the one matrix of the linearized
-flow, `real_jacobian`, and the one l <-> -l fold of it,
-`reflection_blocks`: Newton steps on the symmetric block, J_q is the
+flow, `real_jacobian`, and the one builder of its l <-> -l blocks,
+`reflection_block`: Newton steps on the symmetric block, J_q is the
 antisymmetric one, and the stability spectrum takes both.
 
 Amplitude vectors are complex arrays of length 2K+1 in natural mode order
@@ -49,39 +49,33 @@ def vector_field(amps: np.ndarray, params: ModalParams) -> np.ndarray:
             + kerr_term(amps, params.g0))
 
 
-def build_RS(amps: np.ndarray, params: ModalParams) -> tuple[np.ndarray, np.ndarray]:
-    """Fluctuation-flow matrices R and S of order 2K+1.
+def reflection_block(amps: np.ndarray, params: ModalParams,
+                     sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R_b, S_b): the flow matrices (R, S) of a field with A_{-l} = A_l
+    on the fluctuations da_{-p} = sign da_p, which its flow keeps apart.
+    With c1[d] = sum_{m-n=d} A_m A_n^* and c2[d] = sum_{m+n=d} A_m A_n,
 
-    R_lp = -[kappa - i(sigma - zeta2 l^2/2)] delta(p-l)
-           + 2 i g0 sum_{m-n=l-p} A_m A_n^*
-    S_lp = i g0 sum_{m+n=l+p} A_m A_n
+        R_b[l, p] = 2 i g0 c1[l-p] + delta(l-p) rate_l + sign 2 i g0 c1[l+p]
+        S_b[l, p] = i g0 c2[l+p] + sign i g0 c2[l-p]
+
+    (rate_l of `linear_rates`) for l, p = 0..K, with no mirror term in
+    column p = 0, if sign = 1, and for l, p = 1..K if sign = -1.
     """
     K = (len(amps) - 1) // 2
-    n = 2 * K + 1
-    l = mode_numbers(K)
-    c1 = np.correlate(amps, amps, mode="full")     # lags d=-2K..2K at index d+2K
-    c2 = np.convolve(amps, amps)                   # sums s=-2K..2K at index s+2K
-    dmat = l[:, None] - l[None, :]                 # l - p
-    smat = l[:, None] + l[None, :]                 # l + p
-    R = 2j * params.g0 * c1[dmat + 2 * K]
-    R[np.diag_indices(n)] += linear_rates(params, K)
-    S = 1j * params.g0 * c2[smat + 2 * K]
+    l = np.arange(0 if sign > 0 else 1, K + 1)
+    diff = l[:, None] - l[None, :] + 2 * K     # index of lag l - p
+    summ = l[:, None] + l[None, :] + 2 * K     # index of lag l + p
+    # 2 i g0 c1 and i g0 c2 at lags -2K..2K
+    r = 2j * params.g0 * np.correlate(amps, amps, mode="full")
+    s = 1j * params.g0 * np.convolve(amps, amps)
+    R = r[diff]
+    R[np.diag_indices(len(l))] += linear_rates(params, K)[l + K]
+    S = s[summ]
+    fold = np.add if sign > 0 else np.subtract
+    p = slice(1 - l[0], None)                  # columns p >= 1
+    fold(R[:, p], r[summ[:, p]], out=R[:, p])
+    fold(S[:, p], s[diff[:, p]], out=S[:, p])
     return R, S
-
-
-def reflection_blocks(R: np.ndarray, S: np.ndarray) -> tuple[tuple, tuple]:
-    """((R_s, S_s), (R_a, S_a)): (R, S) of a field with A_{-l} = A_l, folded
-    onto the fluctuations da_{-p} = da_p and da_{-p} = -da_p that its flow
-    keeps apart.  Symmetric: rows l = 0..K, columns p and -p added (p = 0
-    once).  Antisymmetric: rows l = 1..K, column -p subtracted from p.
-    """
-    K = (len(R) - 1) // 2
-    sym, anti = [], []
-    for M in (R, S):
-        mirror = M[K:, :K][:, ::-1]            # column -p for p = 1..K
-        sym.append(np.hstack([M[K:, K:K + 1], M[K:, K + 1:] + mirror]))
-        anti.append(M[K + 1:, K + 1:] - mirror[1:])
-    return tuple(sym), tuple(anti)
 
 
 def real_jacobian(R: np.ndarray, S: np.ndarray) -> np.ndarray:

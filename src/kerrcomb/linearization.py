@@ -4,11 +4,12 @@ Fluctuations delta-a_l around a stationary field obey
 
     d(delta a_l)/dt = sum_p R_lp delta a_p + S_lp delta a_p^dagger + noise,
 
-with R and S determined by the stationary amplitudes.  This module builds
-R and S and, for reflection-symmetric states, the real 2K x 2K quadrature
-Jacobian J_q acting on the differences D_l = delta a_{+l} - delta a_{-l}
-of the K sidemode pairs, each in its natural phase frame.  `_linearize`
-is the one place that folds (R, S), builds J_q, factors it as
+with R and S determined by the stationary amplitudes.  For
+reflection-symmetric states this module builds the real 2K x 2K
+quadrature Jacobian J_q acting on the differences D_l = delta a_{+l} -
+delta a_{-l} of the K sidemode pairs, each in its natural phase frame.
+`_linearize` is the one place that builds both reflection blocks of
+(R, S) (`_modal.reflection_block`), builds J_q, factors it as
 J_q = V diag(lam) V^-1 with the pole weights every pair spectrum shares
 (`eigen_form`) and solves the symmetric block, once per state: the
 stability spectrum, `build_quadrature_jacobian` and through it every pair
@@ -70,12 +71,6 @@ def _gate(state: CombState) -> None:
         raise ValueError(
             f"state residual {state.residual_norm:.2e} exceeds the "
             f"linearization gate {RESIDUAL_GATE:g}; refine the state first")
-
-
-def build_modal_jacobian(state: CombState) -> tuple[np.ndarray, np.ndarray]:
-    """(R, S) of the modal fluctuation flow around a gated state."""
-    _gate(state)
-    return _modal.build_RS(state.amplitudes, state.params)
 
 
 def is_stable(eig: np.ndarray, kappa: float) -> bool:
@@ -162,13 +157,13 @@ def eigen_form(J_q: np.ndarray, kappa: float) -> EigenForm:
 
 def _linearize(state: CombState) -> tuple[QuadratureJacobian, np.ndarray]:
     """(`QuadratureJacobian`, stability spectrum) of a gated state, built
-    from one (R, S) and kept, read-only, for the next call with the same
-    amplitudes (dtype, shape, bytes) and params.
+    from its two reflection blocks and kept, read-only, for the next call
+    with the same amplitudes (dtype, shape, bytes) and params.
 
     Requires a reflection-symmetric state (A_{-l} = A_{+l}), as every
     `find_steady_state` root is; then the difference coordinates
     D_l = delta a_{+l} - delta a_{-l} close among themselves (the pump mode
-    drops out) in the antisymmetric block of `_modal.reflection_blocks`:
+    drops out) in the antisymmetric block (`_modal.reflection_block`):
 
         dD_l/dt = sum_p A_lp D_p + B_lp D_p^dagger,
         A_lp = R_{l,p} - R_{l,-p},   B_lp = S_{l,p} - S_{l,-p}.
@@ -187,15 +182,15 @@ def _linearize(state: CombState) -> tuple[QuadratureJacobian, np.ndarray]:
     if asym > SYMMETRY_TOL:
         raise ValueError(f"pair quadratures need a reflection-symmetric "
                          f"state (A_-l = A_l); asymmetry {asym:.2e}")
-    # the folded blocks are copies: (R, S) is freed before J_q is factored
-    (R_s, S_s), (A, B) = _modal.reflection_blocks(*build_modal_jacobian(state))
+    A, B = _modal.reflection_block(a, state.params, -1)
     phis = pair_phases(state)
     rot = np.exp(1j * phis)
     J_q = _modal.real_jacobian(
         A * (rot[None, :] / rot[:, None]),          # e^{i(Phi_p - Phi_l)}
         B / (rot[None, :] * rot[:, None]))          # e^{-i(Phi_p + Phi_l)}
     eigen = eigen_form(J_q, state.params.kappa)
-    eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(R_s, S_s)),
+    sym = _modal.reflection_block(a, state.params, 1)
+    eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(*sym)),
                           eigen.lam])
     eig = eig[np.argsort(-eig.real)]
     for x in (J_q, phis, eig, eigen.lam, eigen.mu, eigen.V, eigen.E,
@@ -215,10 +210,10 @@ def stability_spectrum(state: CombState) -> np.ndarray:
     """Eigenvalues of the linearized flow around a reflection-symmetric
     state, sorted by descending real part (read-only, see `_linearize`).
 
-    The flow keeps the two `_modal.reflection_blocks` apart: these are the
-    eigenvalues of the symmetric block's `real_jacobian` (order 2K + 2)
-    and those of J_q (`eigen_form`), J_q being the antisymmetric block up
-    to the pair rotation, a similarity.
+    The flow keeps its two reflection blocks (`_modal.reflection_block`)
+    apart: these are the eigenvalues of the symmetric block's
+    `real_jacobian` (order 2K + 2) and those of J_q (`eigen_form`), J_q
+    being the antisymmetric block up to the pair rotation, a similarity.
     """
     return _linearize(state)[1]
 

@@ -272,8 +272,8 @@ def refine(amps: np.ndarray, params: ModalParams) -> tuple[np.ndarray, float]:
     """Polish a near-stationary field by at most 60 full Newton steps.
 
     The field is rotated and projected onto A_{-l} = A_l (`_symmetrize`),
-    and each step solves the symmetric block of `_modal.reflection_blocks`
-    for modes 0..K by LU and mirrors it onto -l, so the root satisfies
+    and each step solves the symmetric `_modal.reflection_block` for modes
+    0..K by LU and mirrors it onto -l, so the root satisfies
     a[::-1] == a exactly.  That block has no neutral mode (rigid rotation
     is antisymmetric), so no least-squares step is needed.
     """
@@ -294,7 +294,7 @@ def refine(amps: np.ndarray, params: ModalParams) -> tuple[np.ndarray, float]:
                     best, best_res)
         if res <= NEWTON_TOL:
             return a, res
-        sym, _ = _modal.reflection_blocks(*_modal.build_RS(a, params))
+        sym = _modal.reflection_block(a, params, 1)
         rhs = -np.concatenate([F[K:].real, F[K:].imag])
         dx = np.linalg.solve(_modal.real_jacobian(*sym), rhs)
         d = dx[:K + 1] + 1j * dx[K + 1:]

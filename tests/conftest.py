@@ -1,5 +1,6 @@
 """Shared fixtures: the standard CaF2 resonator, cached solver states, the
-Parseval oracle of the below-threshold flux, the full-space stability
+Parseval oracle of the below-threshold flux, the full fluctuation
+matrices (R, S) and their reflection fold, the full-space stability
 oracle, the allocating split-step loop, the dense resolvent oracle of the
 above-threshold output correlations, the per-pair pole weights, and the
 closed forms of a three-mode comb.
@@ -85,6 +86,45 @@ def flux_parseval_oracle(l: int, flat) -> float:
     total, _ = quad(integrand, -200.0 * p.kappa, 200.0 * p.kappa,
                     points=peaks, limit=400)
     return total / (2.0 * math.pi)
+
+
+def build_RS(amps: np.ndarray,
+             params: units.ModalParams) -> tuple[np.ndarray, np.ndarray]:
+    """Fluctuation-flow matrices R and S of order 2K+1, for any field.
+
+    R_lp = -[kappa - i(sigma - zeta2 l^2/2)] delta(p-l)
+           + 2 i g0 sum_{m-n=l-p} A_m A_n^*
+    S_lp = i g0 sum_{m+n=l+p} A_m A_n
+
+    The oracle of `_modal.reflection_block`, whose blocks are the
+    `reflection_blocks` of this (R, S) bit for bit.
+    """
+    K = (len(amps) - 1) // 2
+    n = 2 * K + 1
+    l = _modal.mode_numbers(K)
+    c1 = np.correlate(amps, amps, mode="full")     # lags d=-2K..2K at index d+2K
+    c2 = np.convolve(amps, amps)                   # sums s=-2K..2K at index s+2K
+    dmat = l[:, None] - l[None, :]                 # l - p
+    smat = l[:, None] + l[None, :]                 # l + p
+    R = 2j * params.g0 * c1[dmat + 2 * K]
+    R[np.diag_indices(n)] += _modal.linear_rates(params, K)
+    S = 1j * params.g0 * c2[smat + 2 * K]
+    return R, S
+
+
+def reflection_blocks(R: np.ndarray, S: np.ndarray) -> tuple[tuple, tuple]:
+    """((R_s, S_s), (R_a, S_a)): (R, S) of a field with A_{-l} = A_l, folded
+    onto the fluctuations da_{-p} = da_p and da_{-p} = -da_p that its flow
+    keeps apart.  Symmetric: rows l = 0..K, columns p and -p added (p = 0
+    once).  Antisymmetric: rows l = 1..K, column -p subtracted from p.
+    """
+    K = (len(R) - 1) // 2
+    sym, anti = [], []
+    for M in (R, S):
+        mirror = M[K:, :K][:, ::-1]            # column -p for p = 1..K
+        sym.append(np.hstack([M[K:, K:K + 1], M[K:, K + 1:] + mirror]))
+        anti.append(M[K + 1:, K + 1:] - mirror[1:])
+    return tuple(sym), tuple(anti)
 
 
 def full_stability_spectrum(R: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from kerrcomb import linearization as lin
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import (OMEGA_L, full_stability_spectrum, make_flat,
-                      three_mode_rates)
+from conftest import (OMEGA_L, build_RS, full_stability_spectrum, make_flat,
+                      reflection_blocks, three_mode_rates)
 
 
 def _flat_state(g_over, sigma_over, zeta2_over, K=6, rho=0.5):
@@ -64,6 +64,18 @@ def _random_state(seed, K=5):
     return a, params
 
 
+def _assert_finite_difference(a, params, d, R, S, modes):
+    """The central difference of the flow along d is R d + S d* on `modes`,
+    a slice of l = -K..K that indexes both rows and columns of (R, S)."""
+    d = d / np.linalg.norm(d)
+    eps = 1e-6 * float(np.max(np.abs(a)))
+    fd = (_modal.vector_field(a + eps * d, params)
+          - _modal.vector_field(a - eps * d, params)) / (2.0 * eps)
+    predicted = R @ d[modes] + S @ d[modes].conj()
+    err = np.linalg.norm(fd[modes] - predicted) / np.linalg.norm(predicted)
+    assert err < 1e-6
+
+
 class TestModalJacobian:
     def test_zero_kerr_is_diagonal(self):
         params = units.ModalParams(kappa=1.0, kappa_t=0.5, sigma=0.4,
@@ -72,8 +84,7 @@ class TestModalJacobian:
         a = np.zeros(9, dtype=complex)
         a[4] = math.sqrt(2.0 * params.kappa_t) * params.A_in / (
             params.kappa - 1j * params.sigma)
-        state = ss.CombState(a, params, ss.residual(a, params))
-        R, S = lin.build_modal_jacobian(state)
+        R, S = build_RS(a, params)
         l = np.arange(-4, 5)
         expected = -params.kappa + 1j * (params.sigma - params.zeta2 * l**2 / 2)
         np.testing.assert_allclose(np.diag(R), expected, atol=1e-15)
@@ -82,7 +93,7 @@ class TestModalJacobian:
 
     def test_S_is_symmetric(self, roll20):
         state, _ = roll20
-        _, S = lin.build_modal_jacobian(state)
+        _, S = build_RS(state.amplitudes, state.params)
         np.testing.assert_allclose(S, S.T, atol=1e-18)
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -90,22 +101,22 @@ class TestModalJacobian:
     def test_finite_difference_oracle(self, seed):
         # dF = R da + S da* for the full nonlinear vector field
         a, params = _random_state(seed)
-        R, S = _modal.build_RS(a, params)
-        F0 = _modal.vector_field(a, params)
         rng = np.random.default_rng(seed + 1)
-        da = 1e-7 * (rng.standard_normal(len(a))
-                     + 1j * rng.standard_normal(len(a)))
-        F1 = _modal.vector_field(a + da, params)
-        predicted = R @ da + S @ da.conj()
-        np.testing.assert_allclose(F1 - F0, predicted,
-                                   atol=1e-6 * np.max(np.abs(F0)))
+        d = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+        _assert_finite_difference(a, params, d, *build_RS(a, params),
+                                  slice(None))
 
-    def test_residual_gate_refuses_sloppy_state(self):
+    def test_residual_gate_refuses_sloppy_state(self, monkeypatch):
+        # the gate, not the symmetry check after it, refuses the state
         a, params = _random_state(3)
         state = ss.CombState(a, params, ss.residual(a, params))
         assert state.residual_norm > lin.RESIDUAL_GATE
-        with pytest.raises(ValueError):
-            lin.build_modal_jacobian(state)
+        monkeypatch.setattr(lin, "_last", None)
+        for entry in (lin.build_quadrature_jacobian, lin.stability_spectrum):
+            with pytest.raises(ValueError, match="exceeds the linearization "
+                                                 "gate"):
+                entry(state)
+        assert lin._last is None
 
     def test_gauge_invariance_of_spectrum(self, roll20):
         # rigid rotation by theta is the unitary U = diag(e^{i l theta}); it
@@ -115,8 +126,8 @@ class TestModalJacobian:
         rotated = ss.CombState(state.amplitudes * u, state.params,
                                state.residual_norm, state.pattern,
                                state.roll_order)
-        R0, S0 = lin.build_modal_jacobian(state)
-        R1, S1 = lin.build_modal_jacobian(rotated)
+        R0, S0 = build_RS(state.amplitudes, state.params)
+        R1, S1 = build_RS(rotated.amplitudes, rotated.params)
         scale = 1e-13 * max(np.abs(R0).max(), np.abs(S0).max())
         np.testing.assert_allclose(R1, u[:, None] * R0 * u.conj(), rtol=0.0,
                                    atol=scale)
@@ -129,6 +140,55 @@ class TestModalJacobian:
                   for e in (lin.stability_spectrum(state),
                             full_stability_spectrum(R1, S1)))
         np.testing.assert_allclose(e0, e1, atol=1e-8)
+
+
+def _assert_fold_bitwise(a, params):
+    """Both `_modal.reflection_block`s are the fold of the full (R, S)
+    oracle, bit for bit."""
+    want = reflection_blocks(*build_RS(a, params))
+    for sign, (R_w, S_w) in zip((1, -1), want):
+        R_b, S_b = _modal.reflection_block(a, params, sign)
+        for got, ref in ((R_b, R_w), (S_b, S_w)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+class TestReflectionBlock:
+    def test_fold_of_full_matrices_on_reference_states(self, roll20,
+                                                       three_mode,
+                                                       bright_soliton,
+                                                       dark_soliton):
+        for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
+            _assert_fold_bitwise(state.amplitudes, state.params)
+
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 40),
+           g=st.floats(0.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_fold_of_full_matrices_on_random_fields(self, seed, K, g):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
+        params = units.ModalParams(kappa=1.0, kappa_t=0.5,
+                                   sigma=rng.uniform(-5.0, 5.0),
+                                   zeta2=rng.uniform(-0.1, 0.1), g0=g,
+                                   A_in=1.0, rho=0.5, omega_L=OMEGA_L)
+        _assert_fold_bitwise(b + b[::-1], params)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_finite_difference_oracle(self, sign, seed):
+        # on a symmetric field, a perturbation with d_{-l} = sign d_l keeps
+        # its symmetry, and dF on rows l >= 0 (sign 1) or l >= 1 (sign -1)
+        # is R_b d + S_b d* over the same columns
+        a, params = _random_state(seed)
+        a = a + a[::-1]
+        K = (len(a) - 1) // 2
+        rng = np.random.default_rng(seed + 1)
+        d = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+        _assert_finite_difference(
+            a, params, d + sign * d[::-1],
+            *_modal.reflection_block(a, params, sign),
+            slice(K if sign > 0 else K + 1, None))
 
 
 class TestFlatPairReduction:
@@ -182,10 +242,16 @@ class TestLinearizationMemo:
     def test_key_is_amplitudes_and_params(self, monkeypatch):
         # the last state's linearization is returned again only while the
         # amplitudes (dtype, shape, bytes) and params are the same
+        # one build of the antisymmetric reflection block per linearization
         built = []
-        build = lin.build_modal_jacobian
-        monkeypatch.setattr(lin, "build_modal_jacobian",
-                            lambda state: built.append(state) or build(state))
+        build = _modal.reflection_block
+
+        def counted(amps, params, sign):
+            if sign < 0:
+                built.append(amps)
+            return build(amps, params, sign)
+
+        monkeypatch.setattr(_modal, "reflection_block", counted)
         monkeypatch.setattr(lin, "_last", None)
 
         def fresh(state):
@@ -206,7 +272,7 @@ class TestLinearizationMemo:
         other = dataclasses.replace(
             state, params=dataclasses.replace(p, g0=1.5 * p.g0))
         jac = lin.build_quadrature_jacobian(other)
-        assert len(built) == 2 and built[-1] is other
+        assert len(built) == 2 and built[-1] is other.amplitudes
         assert not np.array_equal(jac.J_q, first.J_q)
         np.testing.assert_array_equal(jac.J_q, fresh(other).J_q)
 
@@ -233,7 +299,7 @@ class TestQuadratureJacobian:
         # J_q must reproduce the modal flow restricted to D_l = da_l - da_{-l}
         state, _ = three_mode
         J_q, phis, *_ = lin.build_quadrature_jacobian(state)
-        R, S = lin.build_modal_jacobian(state)
+        R, S = build_RS(state.amplitudes, state.params)
         K = state.K
         rng = np.random.default_rng(11)
         D = rng.standard_normal(K) + 1j * rng.standard_normal(K)
@@ -316,8 +382,7 @@ class TestMirrorSymmetry:
         # any symmetric field, stationary or not: the residual gate is
         # passed by hand, as the flow's matrices are defined for every field
         state = ss.CombState(a, params, 0.0)
-        R, S = lin.build_modal_jacobian(state)
-        sym = _modal.real_jacobian(*_modal.reflection_blocks(R, S)[0])
+        sym = _modal.real_jacobian(*_modal.reflection_block(a, params, 1))
         jac = lin.build_quadrature_jacobian(state)
         for M, eig in ((sym, np.linalg.eigvals(sym)),
                        (jac.J_q, jac.eigen.lam)):
@@ -416,7 +481,7 @@ class TestStability:
         # of the complex block [[R, S], [S*, R*]]
         for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
             eig = lin.stability_spectrum(state)
-            want = _block_spectrum(*lin.build_modal_jacobian(state))
+            want = _block_spectrum(*build_RS(state.amplitudes, state.params))
             assert np.all(np.diff(eig.real) <= 0.0)
             _assert_same_spectrum(eig, want, rtol=1e-13)
             kappa = state.params.kappa
@@ -429,7 +494,8 @@ class TestStability:
         # together carry every eigenvalue of the full linearized flow
         for state, _ in (roll20, three_mode, bright_soliton, dark_soliton):
             eig = lin.stability_spectrum(state)
-            want = full_stability_spectrum(*lin.build_modal_jacobian(state))
+            want = full_stability_spectrum(*build_RS(state.amplitudes,
+                                                    state.params))
             _assert_same_spectrum(eig, want, rtol=1e-13)
             kappa = state.params.kappa
             assert lin.is_stable(eig, kappa) == lin.is_stable(want, kappa)
@@ -441,10 +507,9 @@ class TestStability:
         # with a[::-1] == a the two blocks share out its eigenvalues
         a, params = _random_state(seed)
         a = a + a[::-1]
-        R, S = _modal.build_RS(a, params)
-        eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(*b))
-                              for b in _modal.reflection_blocks(R, S)])
-        _assert_same_spectrum(eig, _block_spectrum(R, S))
+        eig = np.concatenate([np.linalg.eigvals(_modal.real_jacobian(
+            *_modal.reflection_block(a, params, sign))) for sign in (1, -1)])
+        _assert_same_spectrum(eig, _block_spectrum(*build_RS(a, params)))
 
     def test_flat_above_threshold_unstable(self):
         # g > kappa with xi band crossing zero: flat state is MI-unstable

@@ -409,17 +409,22 @@ class TestHandoff:
 
     def test_one_linearization_per_state(self, monkeypatch):
         # the stability gate, the stability product and every pair read
-        # one linearization of each state: one build of (R, S), one
+        # one linearization of each state: one build of the antisymmetric
+        # reflection block (`refine` builds only symmetric ones), one
         # eigendecomposition of J_q (order 2K) and one symmetric-block
         # eigensolve (2K + 2)
         monkeypatch.setattr(ss, "RELAX_CHUNK", 2.0)
         monkeypatch.setattr(lin, "_last", None)
         built, factored, solved = [], [], []
-        build, eig, eigvals = (lin.build_modal_jacobian, np.linalg.eig,
+        build, eig, eigvals = (_modal.reflection_block, np.linalg.eig,
                                np.linalg.eigvals)
-        monkeypatch.setattr(lin, "build_modal_jacobian",
-                            lambda state: built.append(
-                                state.amplitudes.tobytes()) or build(state))
+
+        def counted(amps, params, sign):
+            if sign < 0:
+                built.append(amps.tobytes())
+            return build(amps, params, sign)
+
+        monkeypatch.setattr(_modal, "reflection_block", counted)
         monkeypatch.setattr(np.linalg, "eig",
                             lambda a: factored.append(a.shape) or eig(a))
         monkeypatch.setattr(np.linalg, "eigvals",
