@@ -17,18 +17,19 @@ One thread also keeps the products independent of the host's thread
 count, since the rounding of a threaded factorization follows how it
 splits the work.
 
-`one_thread()` imports numpy, sets every loaded OpenBLAS to one thread
-and restores each recorded count on exit.  numpy's OpenBLAS is the only
-one a run loads, so the one scan at entry sees every pool.  Where no
-OpenBLAS, no /proc or no thread symbols are found, it does nothing.
+`pool()` finds the OpenBLAS that `np.linalg` calls through numpy itself:
+symbols looked up in the handle of `numpy.linalg._umath_linalg` resolve
+in that extension's own dependencies.  `one_thread()` sets that one
+count to 1 and restores it on exit.  Where the module or the thread
+symbols are missing, it does nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 from collections.abc import Iterator
-from pathlib import Path
 
 #: (get, set) symbol names of the thread count, as bundled by numpy
 #: (`scipy_openblas`, 64-bit integers) and as built by OpenBLAS itself.
@@ -38,42 +39,37 @@ SYMBOLS = [(f"{prefix}_get_num_threads{suffix}",
            for suffix in ("64_", "")]
 
 
-def pools() -> dict[str, tuple]:
-    """(get, set) thread-count functions of every OpenBLAS mapped into
-    this process, by path."""
+@functools.cache
+def pool() -> tuple | None:
+    """(get, set) thread-count functions of the OpenBLAS that `np.linalg`
+    calls, or None where none is found."""
     try:
-        maps = Path("/proc/self/maps").read_text().splitlines()
-    except OSError:
-        return {}
-    paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
-    found = {}
-    for path in sorted(path for path in paths if path.startswith("/")):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for names in SYMBOLS:
-            get, set_ = (getattr(lib, name, None) for name in names)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found[path] = get, set_
-                break
-    return found
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for names in SYMBOLS:
+        get, set_ = (getattr(lib, name, None) for name in names)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 @contextlib.contextmanager
 def one_thread() -> Iterator[None]:
-    """Scope in which every OpenBLAS runs one thread; each count is
+    """Scope in which numpy's OpenBLAS runs one thread; its count is
     restored on exit, normal or not.  A nested scope records 1 and
     restores 1."""
-    import numpy  # noqa: F401  (maps numpy's OpenBLAS before the scan)
-
-    pinned = [(set_, get()) for get, set_ in pools().values()]
+    found = pool()
+    if found is None:
+        yield
+        return
+    get, set_ = found
+    count = get()
     try:
-        for set_, _ in pinned:
-            set_(1)
+        set_(1)
         yield
     finally:
-        for set_, count in pinned:
-            set_(count)
+        set_(count)

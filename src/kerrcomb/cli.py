@@ -54,7 +54,6 @@ numerical layers load at the first run.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -295,10 +294,11 @@ def _write(outdir: Path, name: str, text: str, products: list,
 
 
 def derived_quantities(p: units.ModalParams) -> dict:
-    """The report's "derived" record: rates, thresholds and roll order."""
+    """The report's "derived" record: rates, thresholds and roll order
+    (null where none exists, or where zeta2 = 0)."""
     try:
         L = units.predicted_roll_order(p.sigma, p.kappa, p.zeta2)
-    except units.NoRollOrderError:
+    except (units.NoRollOrderError, ZeroDivisionError):
         L = None
     return {
         "kappa_rad_s": p.kappa,
@@ -447,11 +447,8 @@ def run_scenario(scenario: dict, outdir: Path, seed: int | None = None) -> int:
         return status
     report = {"scenario": scenario, "seed": seed, "schema": SCHEMA_VERSION,
               "products": [], "errors": []}
-    # an above-threshold run solves and factors on one BLAS thread (see
-    # _blas); the closed forms of the other modes factor nothing
-    above = scenario["mode"] == "above_threshold"
     try:
-        with _blas.one_thread() if above else contextlib.nullcontext():
+        with _blas.one_thread():
             run_products(scenario, outdir, seed, report)
     # numpy's LinAlgError is a ValueError
     except (ScenarioError, ValueError, ArithmeticError, RuntimeError) as exc:

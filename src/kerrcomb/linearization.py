@@ -47,7 +47,7 @@ class EigenForm(NamedTuple):
     lam: np.ndarray
     mu: np.ndarray        # lam / kappa
     V: np.ndarray
-    E: np.ndarray         # P_jk (2 + 4 / (mu_j + conj mu_k)); 0 if double
+    E: np.ndarray         # P_jk (2 + 4 / (mu_j + conj mu_k)); 2 P_jk if double
     double: tuple[np.ndarray, np.ndarray, np.ndarray]   # (j, k, 4 P_jk)
     tol: float            # w is neutral where min_j |mu_j + i w| <= tol
 
@@ -86,17 +86,14 @@ def pair_phases(state: CombState) -> np.ndarray:
     """
     a = state.amplitudes
     K = state.K
-    floor = PATTERN_FLOOR * float(np.max(np.abs(a) ** 2))
-    phis = np.zeros(K)
-    for l in range(1, K + 1):
-        ap, am = a[K + l], a[K - l]
-        if abs(ap) ** 2 <= floor or abs(am) ** 2 <= floor:
-            continue
-        phi = math.remainder(0.5 * (np.angle(ap) + np.angle(am)), 2 * math.pi)
-        if phi <= -math.pi:
-            phi += 2.0 * math.pi
-        phis[l - 1] = phi
-    return phis
+    # on the whole field: numpy's SIMD arctan2 serves only ascending
+    # strides, and the scalar one a reversed view gets rounds differently
+    angle, intensity = np.angle(a), np.abs(a) ** 2
+    defined = intensity > PATTERN_FLOOR * float(np.max(intensity))
+    # both angles lie in [-pi, pi], so their half-sum does too
+    phis = 0.5 * (angle[K + 1:] + angle[K - 1::-1])
+    phis[phis == -math.pi] = math.pi
+    return np.where(defined[K + 1:] & defined[K - 1::-1], phis, 0.0)
 
 
 def _vacuum_gram(V: np.ndarray) -> np.ndarray:
@@ -108,24 +105,24 @@ def _vacuum_gram(V: np.ndarray) -> np.ndarray:
     above COND_MAX is refused, as the pair spectra are then no longer pole
     sums to the accuracy they are reported at.  As ||V||_F ||V^-1||_F >=
     cond_2(V) + 1/cond_2(V), a V that this bound accepts needs no SVD;
-    where it does not, or V^-1 fails, `np.linalg.cond` decides.
+    where it does not, `np.linalg.cond` decides.  A V that `np.linalg.inv`
+    finds singular has cond_2(V) = inf and is refused outright.
     """
     K = len(V) // 2
     try:
         V_inv = np.linalg.inv(V)
-        # an overflowing norm or product is inf, which `cond` then decides
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    else:
+        # cond_2(V) <= bound; an overflowing norm or product is inf,
+        # which `cond` then decides
         with np.errstate(over="ignore"):
             bound = float(np.linalg.norm(V)) * float(np.linalg.norm(V_inv))
-    except np.linalg.LinAlgError:
-        V_inv, bound = None, math.inf
-    if not bound <= COND_MAX:
-        cond = float(np.linalg.cond(V))
-        if not cond <= COND_MAX:
-            raise ValueError(f"J_q of K = {K} is too close to defective for "
-                             f"pole sums: cond_2(V) = {cond:.3e} exceeds "
-                             f"{COND_MAX:g}")
-        if V_inv is None:
-            V_inv = np.linalg.inv(V)
+        cond = bound if bound <= COND_MAX else float(np.linalg.cond(V))
+    if not cond <= COND_MAX:
+        raise ValueError(f"J_q of K = {K} is too close to defective for "
+                         f"pole sums: cond_2(V) = {cond:.3e} exceeds "
+                         f"{COND_MAX:g}")
     W = V_inv[:, :K] - 1j * V_inv[:, K:]
     return W @ W.conj().T
 
@@ -138,7 +135,9 @@ def eigen_form(J_q: np.ndarray, kappa: float) -> EigenForm:
     With P = `_vacuum_gram(V)` and mu = lam / kappa, the pole weights are
     E_jk = P_jk (2 + 4 / (mu_j + conj mu_k)) where |mu_j + conj mu_k| >
     STABILITY_TOL; the remaining (j, k), a neutral mode with itself, are
-    double poles with weight 4 P_jk.  P itself is not kept.  A frequency w
+    double poles: E_jk = 2 P_jk holds the single-pole part of their two
+    linear terms, and `double` the weight 4 P_jk of their product term
+    g_+j g_-k.  P itself is not kept.  A frequency w
     is neutral when min_j |mu_j + i w| <= tol = n eps max(max|mu|, 1).
     """
     if np.iscomplexobj(J_q):

@@ -241,8 +241,12 @@ def envelope_peaks(flat: FlatStateBranches) -> tuple[int, ...]:
 
     The envelope has two maxima near l = +/- sqrt(2(sigma + 2g)/zeta2)
     when that radicand is positive, otherwise a single maximum at l = 0.
+    zeta2 = 0 raises ZeroDivisionError: the envelope is flat.
     """
     p = flat.params
+    if p.zeta2 == 0.0:
+        raise ZeroDivisionError(
+            "zeta2 = 0 gives a flat spectral envelope, with no peak modes")
     xi_0 = p.sigma + 2.0 * p.g0 * abs(flat.lower) ** 2
     radicand = 2.0 * xi_0 / p.zeta2
     if radicand <= 0.0:

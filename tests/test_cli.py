@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import inspect
@@ -451,6 +452,23 @@ class TestBelowThresholdRun:
         assert derived["P_th_watts"] == pytest.approx(
             derived["P_min_watts"], rel=1e-9)
 
+    def test_zero_dispersion_runs_with_no_roll_order(self, tmp_path):
+        # zeta2 = 0 has no roll order, yet its spectra and flux table hold
+        raw = json.loads(
+            (SCENARIOS / "below_threshold_caf2.json").read_text())
+        raw["resonator"]["zeta2"] = 0.0
+        raw["outputs"] = ["spectrum", "flux_table"]
+        path = write_scenario(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["errors"] == []
+        assert report["derived"]["predicted_roll_order"] is None
+        assert [p["file"] for p in report["products"]] == [
+            "spectrum_l1.csv", "spectrum_l12.csv", "spectrum_l25.csv",
+            "flux_table.csv"]
+
 
 class TestAboveThresholdRun:
     def test_flat_state_pipeline(self, tmp_path):
@@ -670,24 +688,50 @@ class TestShippedScenarios:
         assert closed == pytest.approx(discrete, rel=2e-3)
 
 
-def blas_counts() -> dict[str, int]:
-    """Thread count of every loaded OpenBLAS, by path."""
-    return {path: get() for path, (get, _) in _blas.pools().items()}
+def mapped_pools() -> dict[str, tuple]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process, by path: the test's own view, found apart from `_blas.pool`."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return {}
+    paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    found = {}
+    for path in sorted(path for path in paths if path.startswith("/")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for names in _blas.SYMBOLS:
+            get, set_ = (getattr(lib, name, None) for name in names)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found[path] = get, set_
+                break
+    return found
+
+
+def blas_counts() -> int:
+    """Thread count of the OpenBLAS that numpy calls."""
+    get, _ = _blas.pool()
+    return get()
 
 
 @pytest.fixture
 def two_blas_threads():
-    """Every loaded OpenBLAS (numpy's and scipy's) at two threads, whatever
-    the environment asked for, and back to its own count afterwards."""
-    pools = _blas.pools()
-    if not pools:
-        pytest.skip("no OpenBLAS with thread-count symbols is loaded")
-    before = blas_counts()
-    for _, set_ in pools.values():
+    """numpy's OpenBLAS and every other one mapped in (scipy's) at two
+    threads, whatever the environment asked for, and back to its own count
+    afterwards; yields numpy's count."""
+    if _blas.pool() is None:
+        pytest.skip("numpy's OpenBLAS has no thread-count symbols")
+    pools = [_blas.pool(), *mapped_pools().values()]
+    before = [get() for get, _ in pools]
+    for _, set_ in pools:
         set_(2)
     yield blas_counts()
-    for path, (_, set_) in pools.items():
-        set_(before[path])
+    for (_, set_), count in zip(pools, before):
+        set_(count)
 
 
 class TestBlasScope:
@@ -695,8 +739,8 @@ class TestBlasScope:
         # fresh interpreters at one and two threads, so numpy's OpenBLAS
         # loads inside the run, as from the console script; at K = 64 the
         # threaded factorizations round differently, so unpinned the
-        # products differ. Each child lists the thread counts of every
-        # loaded OpenBLAS around each Newton refinement and
+        # products differ. Each child lists the thread count of numpy's
+        # OpenBLAS around each Newton refinement and
         # eigendecomposition; it installs those spies once the run's BLAS
         # scope is open, since importing the layers loads numpy
         raw = roll_above_scenario(
@@ -707,7 +751,7 @@ class TestBlasScope:
             "from kerrcomb import _blas, cli\n"
             "seen, run_products = [], cli.run_products\n"
             "def counts():\n"
-            "    return [get() for get, _ in _blas.pools().values()]\n"
+            "    return [_blas.pool()[0]()]\n"
             "def counted(fn):\n"
             "    def spy(*args):\n"
             "        seen.append(counts())\n"
@@ -751,7 +795,7 @@ class TestBlasScope:
                             lambda a: seen.append(blas_counts()) or eig(a))
         monkeypatch.setattr(linearization, "_last", None)
         assert cli.run_scenario(roll_above_scenario(), tmp_path) == 0
-        assert seen and all(set(c.values()) == {1} for c in seen)
+        assert seen and all(c == 1 for c in seen)
         assert blas_counts() == two_blas_threads
 
     def test_failed_run_restores(self, tmp_path, two_blas_threads):
@@ -768,15 +812,15 @@ class TestBlasScope:
         # the inner scope records the outer scope's 1 and restores it
         with _blas.one_thread():
             with _blas.one_thread():
-                assert set(blas_counts().values()) == {1}
-            assert set(blas_counts().values()) == {1}
+                assert blas_counts() == 1
+            assert blas_counts() == 1
         assert blas_counts() == two_blas_threads
 
     def test_no_openblas_found(self, tmp_path, monkeypatch):
         runs = {}
         for found in ("all", "none"):
             if found == "none":
-                monkeypatch.setattr(_blas, "pools", dict)
+                monkeypatch.setattr(_blas, "pool", lambda: None)
             monkeypatch.setattr(linearization, "_last", None)
             out = tmp_path / found
             assert cli.run_scenario(roll_above_scenario(), out) == 0
@@ -784,6 +828,52 @@ class TestBlasScope:
             runs[found] = [(p["file"], p["sha256"])
                            for p in report["products"]]
         assert runs["none"] == runs["all"]
+
+    def test_pool_found_through_numpy(self):
+        # numpy's wheels bundle scipy-openblas; a renamed extension module
+        # or symbol fails here rather than leaving every run unpinned
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas:
+            pytest.skip(f"numpy is built against {blas}")
+        assert _blas.pool() is not None
+
+    def test_pins_numpy_openblas_only(self, two_blas_threads):
+        # scipy's OpenBLAS (loaded by conftest) keeps its count: a run
+        # never calls it
+        pools = mapped_pools()
+        numpy_libs = [path for path in pools if "/numpy.libs/" in path]
+        scipy_libs = [path for path in pools if "/scipy.libs/" in path]
+        if not numpy_libs or not scipy_libs:
+            pytest.skip("numpy's and scipy's OpenBLAS are not wheel libraries")
+        with _blas.one_thread():
+            inside = {path: get() for path, (get, _) in pools.items()}
+        assert [inside[path] for path in numpy_libs] == [1] * len(numpy_libs)
+        assert [inside[path] for path in scipy_libs] == [2] * len(scipy_libs)
+
+    def test_one_lookup_per_process(self, tmp_path, monkeypatch):
+        opened = []
+        cdll = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda path: opened.append(path) or cdll(path))
+        _blas.pool.cache_clear()
+        for run in ("first", "second"):
+            assert cli.run_scenario(below_scenario(), tmp_path / run) == 0
+        assert opened == [np.linalg._umath_linalg.__file__]
+
+    @pytest.mark.parametrize("raw", [
+        below_scenario(),
+        {"schema": 1, "mode": "hamiltonian_audit", "outputs": ["audit"],
+         "audit_K": 2}], ids=["below_threshold", "hamiltonian_audit"])
+    def test_closed_form_run_pins_and_restores(self, tmp_path, monkeypatch,
+                                               two_blas_threads, raw):
+        seen = []
+        run_products = cli.run_products
+        monkeypatch.setattr(
+            cli, "run_products",
+            lambda *args: seen.append(blas_counts()) or run_products(*args))
+        assert cli.run_scenario(raw, tmp_path) == 0
+        assert seen == [1]
+        assert blas_counts() == two_blas_threads
 
 
 class TestReportCommand:

@@ -338,6 +338,53 @@ class TestQuadratureJacobian:
         assert _undefined_pairs(state).all()
         assert np.all(lin.pair_phases(state) == 0.0)
 
+    @given(K=st.integers(1, 8), layout=st.sampled_from(
+               ["symmetric", "near_symmetric", "independent"]),
+           theta=st.sampled_from([0.0, 0.1, -2.5, math.pi]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pair_phases_match_the_per_pair_loop(self, K, layout, theta,
+                                                 data):
+        def loop(state):
+            # the per-pair form, with its wrap to (-pi, pi]
+            a = state.amplitudes
+            floor = ss.PATTERN_FLOOR * float(np.max(np.abs(a) ** 2))
+            phis = np.zeros(state.K)
+            for l in range(1, state.K + 1):
+                ap, am = a[state.K + l], a[state.K - l]
+                if abs(ap) ** 2 <= floor or abs(am) ** 2 <= floor:
+                    continue
+                phi = math.remainder(0.5 * (np.angle(ap) + np.angle(am)),
+                                     2 * math.pi)
+                if phi <= -math.pi:
+                    phi += 2.0 * math.pi
+                phis[l - 1] = phi
+            return phis
+
+        # negative reals with +0 and -0 imaginary parts (angle +pi and -pi),
+        # modes about the floor 1e-6 of a unit peak, and zeros
+        mode = st.one_of(
+            st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                      st.floats(0.0, 2.0), st.floats(-math.pi, math.pi)),
+            st.sampled_from([complex(-1.0, 0.0), complex(-1.0, -0.0),
+                             complex(1.0, -0.0), complex(-0.5, -0.0),
+                             complex(-1e-6, 0.0), complex(-1e-6, -0.0),
+                             1e-6 * (1 + 1e-15), 1e-6 * (1 - 1e-15), 0j]))
+        right = np.array(data.draw(st.lists(mode, min_size=K, max_size=K),
+                                   label="right"), dtype=complex)
+        if layout == "independent":
+            left = np.array(data.draw(st.lists(mode, min_size=K, max_size=K),
+                                      label="left"), dtype=complex)
+        elif layout == "near_symmetric":
+            left = right * (1.0 + 1e-9j)
+        else:
+            left = right
+        a = np.concatenate([left[::-1], [1.0 + 0j], right])
+        if theta:
+            a = a * np.exp(1j * theta * _modal.mode_numbers(K))
+        state = dataclasses.replace(_flat_state(0.2, 0.0, 0.01, K=K),
+                                    amplitudes=a)
+        assert lin.pair_phases(state).tobytes() == loop(state).tobytes()
+
 
 class TestThreeModeRates:
     def test_rejects_non_roll(self, bright_soliton):
@@ -432,6 +479,26 @@ class TestEigenForm:
                 accepted[delta] = False
             assert accepted[delta] == (np.linalg.cond(V) <= lin.COND_MAX)
         assert accepted == {below: True, above: False}
+
+    def test_singular_V_refused_outright(self, monkeypatch):
+        # cond_2(V) is inf where inv finds V singular: no SVD is taken
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.cond called on a singular V")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        with pytest.raises(ValueError,
+                           match=r"K = 2 .*cond_2\(V\) = inf exceeds 10000"):
+            lin._vacuum_gram(np.zeros((4, 4)))
+
+    def test_double_pole_keeps_its_linear_terms_in_E(self, roll20,
+                                                     dark_soliton):
+        # at a double pole (j, k), E_jk = 2 P_jk is the single-pole part of
+        # the two linear terms and `double` holds the product term's 4 P_jk
+        for state, _ in (roll20, dark_soliton):
+            eigen = lin.build_quadrature_jacobian(state).eigen
+            j, k, weight = eigen.double
+            assert len(j) >= 1
+            assert np.array_equal(eigen.E[j, k], 0.5 * weight)
 
     def test_no_svd_on_reference_states(self, monkeypatch, roll20,
                                         three_mode, bright_soliton,

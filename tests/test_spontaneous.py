@@ -130,6 +130,12 @@ class TestEnvelope:
             assert sp.classify_lineshape(l, branches).kind \
                 is sp.LineShapeKind.DOUBLE_PEAKED
 
+    def test_zero_dispersion_names_zeta2(self):
+        # a flat envelope has no peak modes
+        branches, _ = make_flat(0.1, 0.5, 0.0, rho=0.5)
+        with pytest.raises(ZeroDivisionError, match="zeta2 = 0"):
+            sp.envelope_peaks(branches)
+
 
 class TestFluxes:
     def test_parseval_weak(self, flat_ls):
