@@ -203,8 +203,14 @@ def validate_scenario(raw: dict) -> None:
     # resolve what run_scenario will: every sweep point, else the resonator
     points = ([{**res, sweep["path"]: v} for v in sweep["values"]]
               if sweep else [res])
+    # zeta2 = 0 flattens the envelope and makes the total power diverge
+    needs_zeta2 = [p for p in ("envelope", "total_power") if p in outputs]
     for point in points:
         params = build_config(point)
+        if needs_zeta2 and params.zeta2 == 0.0:
+            raise ScenarioError(f"field 'outputs': product "
+                                f"{needs_zeta2[0]!r} needs dispersion, and "
+                                "the resonator has zeta2 = 0")
         if mode == "above_threshold" and "K" not in state:
             try:
                 K = units.default_mode_cutoff(params,

@@ -2,11 +2,11 @@
 
 The quartic interaction couples every index quadruple (m, n, p, q) in
 [-K, K]^4 with m - n + p - q = 0 (angular-momentum conservation on the
-mode ladder).  This module enumerates those couplings, classifies them as
-self-phase (SPM), cross-phase (CPM) or four-wave-mixing (FWM) terms,
-counts the monomials generated by commutators with single-mode operators,
-and tests which Hamiltonian parts commute with the pair photon-number
-difference n_{+l} - n_{-l}.
+mode ladder).  This module enumerates those couplings and classifies them
+as self-phase (SPM), cross-phase (CPM) or four-wave-mixing (FWM) terms.
+The commutators that check the enumeration (the monomials of [a_l, H] and
+which Hamiltonian parts commute with the pair photon-number difference
+n_{+l} - n_{-l}) are test oracles in tests/conftest.py.
 
 Counting convention: the closed-form totals count *ordered* quadruples
 (the pair-sum histogram identity sum_s c_s^2 with c_s = (2K+1) - |s|);
@@ -94,11 +94,6 @@ def expected_total(K: int) -> int:
     return total
 
 
-def expected_commutator_count(K: int, l: int) -> int:
-    """Closed form 3K^2 + 3K - l^2 + 1 for len([a_l, H_Kerr])."""
-    return 3 * K**2 + 3 * K - l**2 + 1
-
-
 def _check_K(K: int) -> None:
     if not 0 <= K <= K_MAX:
         raise ValueError(f"K must be in 0..{K_MAX} for symbolic work")
@@ -123,70 +118,3 @@ def enumerate_monomials(K: int) -> MonomialSet:
     monos = tuple(Monomial(c, a, coeff)
                   for (c, a), coeff in sorted(acc.items()))
     return MonomialSet(K, monos)
-
-
-# ---------------------------------------------------------------------------
-# commutators
-# ---------------------------------------------------------------------------
-
-# A generic normal-ordered term: (creator index tuple, annihilator index
-# tuple), both sorted, mapping to an integer coefficient.
-TermDict = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
-
-
-def annihilator_commutator(l: int, K: int) -> TermDict:
-    """[a_l, H] over the ordered quadruple expansion of the quartic set.
-
-    [a_l, a+_n a+_q a_m a_p] = d(l,n) a+_q a_m a_p + d(l,q) a+_n a_m a_p.
-    Result terms keep the annihilator pair ordered — the convention under
-    which the distinct-term count obeys the closed form.
-    """
-    out: TermDict = Counter()
-    for n, q, m, p in _quadruples(K):
-        if l == n:
-            out[((q,), (m, p))] += 1
-        if l == q:
-            out[((n,), (m, p))] += 1
-    return out
-
-
-def commutator_mode_count(K: int, l: int) -> int:
-    """Number of distinct monomials in [a_l, H_Kerr] (checked closed form)."""
-    _check_K(K)
-    if abs(l) > K:
-        raise ValueError("mode index l must satisfy |l| <= K")
-    count = len(annihilator_commutator(l, K))
-    expected = expected_commutator_count(K, abs(l))
-    if count != expected:
-        raise AssertionError(
-            f"symbolic commutator count {count} differs from the closed "
-            f"form {expected} at K={K}, l={l}")
-    return count
-
-
-def number_difference_commutators(K: int, l: int) -> dict[str, bool]:
-    """Whether [n_{+l} - n_{-l}, H_part] vanishes for each Hamiltonian part.
-
-    For a normal-ordered monomial M, [n_j, M] = mu_j M where mu_j is the
-    count of j among creators minus the count among annihilators, so the
-    commutator with the pair difference is (mu_{+l} - mu_{-l}) M and the
-    part vanishes iff that weight is zero for every monomial of the part.
-    """
-    return {part: not terms for part, terms
-            in number_difference_commutator_terms(K, l).items()}
-
-
-def number_difference_commutator_terms(K: int, l: int) -> dict[str, TermDict]:
-    """The surviving monomials of [n_delta, H_part], per part (exact):
-    each distinct monomial with weight mu_{+l} - mu_{-l} != 0, scaled by it."""
-    _check_K(K)
-    if not 1 <= l <= K:
-        raise ValueError("pair index l must satisfy 1 <= l <= K")
-    out: dict[str, TermDict] = {tag.value: {} for tag in Tag}
-    for mono in enumerate_monomials(K).monomials:
-        weight = (mono.creators.count(l) - mono.annihilators.count(l)
-                  - mono.creators.count(-l) + mono.annihilators.count(-l))
-        if weight:
-            out[mono.tag.value][mono.creators, mono.annihilators] = (
-                weight * mono.coefficient)
-    return out

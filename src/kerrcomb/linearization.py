@@ -12,9 +12,9 @@ delta a_{-l} of the K sidemode pairs, each in its natural phase frame.
 (R, S) (`_modal.reflection_block`), builds J_q, factors it as
 J_q = V diag(lam) V^-1 with the pole weights every pair spectrum shares
 (`eigen_form`) and solves the symmetric block, once per state: the
+state keeps its `Linearization` (`CombState.linearization`), and the
 stability spectrum, `build_quadrature_jacobian` and through it every pair
-spectrum in `squeezing` read its result, kept for the last state.  numpy
-is the only runtime dependency.
+spectrum in `squeezing` read it.  numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -52,18 +52,15 @@ class EigenForm(NamedTuple):
     tol: float            # w is neutral where min_j |mu_j + i w| <= tol
 
 
-class QuadratureJacobian(NamedTuple):
-    """Pair-quadrature flow; row i of J_q (0-based) is mode pair l = i + 1,
-    and `eigen` its `eigen_form`."""
+class Linearization(NamedTuple):
+    """The linearized flow around one state (`_linearize`): the
+    pair-quadrature flow J_q, whose row i (0-based) is mode pair l = i + 1,
+    its `eigen_form`, and the stability spectrum of the whole flow."""
 
     J_q: np.ndarray
     pair_rotation: np.ndarray   # Phi_l applied per pair, l=1..K
     eigen: EigenForm
-
-
-#: (key, result) of the last `_linearize` call; the key is the state's
-#: amplitudes (dtype, shape, bytes) and params.
-_last: tuple[tuple, tuple[QuadratureJacobian, np.ndarray]] | None = None
+    stability: np.ndarray       # sorted by descending real part
 
 
 def _gate(state: CombState) -> None:
@@ -154,10 +151,10 @@ def eigen_form(J_q: np.ndarray, kappa: float) -> EigenForm:
     return EigenForm(lam, mu, V, E, (j, k, 4.0 * P[j, k]), tol)
 
 
-def _linearize(state: CombState) -> tuple[QuadratureJacobian, np.ndarray]:
-    """(`QuadratureJacobian`, stability spectrum) of a gated state, built
-    from its two reflection blocks and kept, read-only, for the next call
-    with the same amplitudes (dtype, shape, bytes) and params.
+def _linearize(state: CombState) -> Linearization:
+    """`Linearization` of a gated state, built from its two reflection
+    blocks, every array read-only; `CombState.linearization` calls it once
+    per state and keeps the result.
 
     Requires a reflection-symmetric state (A_{-l} = A_{+l}), as every
     `find_steady_state` root is; then the difference coordinates
@@ -171,12 +168,8 @@ def _linearize(state: CombState) -> tuple[QuadratureJacobian, np.ndarray]:
     `_modal.real_jacobian(A', B')`, so a downstream quadrature angle phi
     is measured from the pair's natural frame.
     """
-    global _last
     _gate(state)
     a = state.amplitudes
-    key = (a.dtype, a.shape, a.tobytes(), state.params)
-    if _last is not None and _last[0] == key:
-        return _last[1]
     asym = float(np.max(np.abs(a[::-1] - a)) / np.max(np.abs(a)))
     if asym > SYMMETRY_TOL:
         raise ValueError(f"pair quadratures need a reflection-symmetric "
@@ -195,14 +188,14 @@ def _linearize(state: CombState) -> tuple[QuadratureJacobian, np.ndarray]:
     for x in (J_q, phis, eig, eigen.lam, eigen.mu, eigen.V, eigen.E,
               *eigen.double):
         x.flags.writeable = False
-    _last = key, (QuadratureJacobian(J_q, phis, eigen), eig)
-    return _last[1]
+    return Linearization(J_q, phis, eigen, eig)
 
 
-def build_quadrature_jacobian(state: CombState) -> QuadratureJacobian:
-    """Real flow matrix J_q of the pair-difference quadratures, in each
-    pair's frame, with its `eigen_form` (see `_linearize`)."""
-    return _linearize(state)[0]
+def build_quadrature_jacobian(state: CombState) -> Linearization:
+    """The state's `Linearization`: the real flow matrix J_q of the
+    pair-difference quadratures, in each pair's frame, with its
+    `eigen_form` (see `_linearize`)."""
+    return state.linearization
 
 
 def stability_spectrum(state: CombState) -> np.ndarray:
@@ -214,5 +207,5 @@ def stability_spectrum(state: CombState) -> np.ndarray:
     `real_jacobian` (order 2K + 2) and those of J_q (`eigen_form`), J_q
     being the antisymmetric block up to the pair rotation, a similarity.
     """
-    return _linearize(state)[1]
+    return state.linearization.stability
 

@@ -21,8 +21,8 @@ eigenbasis J_q = V diag(lam) V^-1 each of its entries is a sum of
 Lorentzian poles at the eigenvalues lam_j (`pair_spectral_blocks`).
 Everything that depends on the state alone, the O(n^3)
 eigendecomposition and the n x n pole weights, comes with J_q from
-`linearization.build_quadrature_jacobian`, which builds it once per state
-for the stability spectrum and every pair (`linearization.eigen_form`).
+`linearization.build_quadrature_jacobian`, the state's one linearization,
+which the stability spectrum and every pair share (`linearization.eigen_form`).
 A pair then costs two (2 x n)(n x n) products and O(n) per frequency,
 against about 40 n^3 per frequency for the full C_out of the dense
 reference the tests compare against (`output_correlation` in
@@ -207,13 +207,14 @@ def optimize_quadrature_angle(state: CombState, l: int,
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    _, phis, eigen = build_quadrature_jacobian(state)
+    flow = build_quadrature_jacobian(state)
     if omega_grid is None:
         omega_grid = default_omega_grid()
-    blocks = pair_spectral_blocks(eigen, state.params.rho, omega_grid, l)
+    blocks = pair_spectral_blocks(flow.eigen, state.params.rho, omega_grid,
+                                  l)
     delta, obj, degenerate = solve_quadrature_angle(blocks, half_width,
                                                     objective)
-    return AngleOptimum(l, float(phis[l - 1]), delta, obj,
+    return AngleOptimum(l, float(flow.pair_rotation[l - 1]), delta, obj,
                         quadrature_spectrum(blocks, delta), degenerate,
                         blocks)
 

