@@ -80,9 +80,9 @@ _exp_bytes[:, 0] = ord("e")
 _exp_bytes[:, 1] = np.where(_exps < 0, ord("-"), ord("+"))
 _exp_bytes[:, 4:] = _digits[abs(_exps)]
 _exp_bytes[abs(_exps) < 100, 4] = 0     # two exponent digits at least
-#: "e", the sign and the digits of exponent e as two words, at
-#: _EXP_WORDS[e + _EXP_MAX + 1].
-_EXP_WORDS = _exp_bytes.view("<u4")
+#: "e" and the sign of exponent e, and its digits, one word each, at
+#: [e + _EXP_MAX + 1]: two 1-D tables, so each is one flat gather.
+_EXP_SIGN, _EXP_DIGITS = _exp_bytes.view("<u4").T.copy()
 #: Error bound of the kernel: y = fl(a * fl(10**k)) is two roundings of
 #: at most u = 2**-53 relative each away from a 10**k, so
 #: |y - a 10**k| <= (2u + u**2) a 10**k < 2.23e-3 of a last-digit unit
@@ -104,7 +104,7 @@ def _real_cells(x: np.ndarray) -> np.ndarray:
     a = np.where(ok, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     ok &= np.abs(e) <= _EXP_MAX
-    e = np.clip(e, -_EXP_MAX, _EXP_MAX)
+    e = np.minimum(np.maximum(e, -_EXP_MAX), _EXP_MAX)
     y = a * _POW10[_EXP_MAX + 1 - e]
     # a log10 one off near a power of ten puts y a decade out of range
     e += (y >= 1e13).astype(np.int64) - (y < 1e12)
@@ -121,7 +121,9 @@ def _real_cells(x: np.ndarray) -> np.ndarray:
                    + (ord(".") << 16))
     for j in range(4):
         words[:, 1 + j] = _DIGITS3[q[j + 1] - q[j] * 1000]
-    words[:, 5:] = _EXP_WORDS[e + _EXP_MAX + 1]
+    e += _EXP_MAX + 1
+    words[:, 5] = _EXP_SIGN[e]
+    words[:, 6] = _EXP_DIGITS[e]
     out = words.view(np.uint8)
     bad = np.flatnonzero(~ok)
     cells = np.array([("%.12e" % v).encode() for v in x[bad].tolist()], "S28")
@@ -142,10 +144,32 @@ def _cells(column: np.ndarray) -> np.ndarray:
     return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
 
 
+#: (dtype, shape and bytes, cells) of the last first column of `csv_text`.
+_first: tuple = (None, None)
+
+
+def _first_cells(column: np.ndarray) -> np.ndarray:
+    """`_cells` of a first column, kept while the next calls bring the same
+    dtype, shape and bytes; the key is the whole content, so it cannot go
+    stale.  Object columns, whose bytes are pointers, are never kept."""
+    global _first
+    if column.dtype.hasobject:
+        return _cells(column)
+    key = (column.dtype.str, column.shape, column.tobytes())
+    kept, cells = _first     # one read: a concurrent call may replace it
+    if kept != key:
+        cells = _cells(column)
+        cells.flags.writeable = False
+        _first = (key, cells)
+    return cells
+
+
 def csv_text(header: str, columns: list, comment: str | None = None) -> str:
     """One product file: an optional "# comment" line, the header, then a
     row per sample.  Integer columns print as %d, text as %s and real
     columns as %.12e, byte for byte as Python's % operator prints them.
+    The header must name one field per column, and the columns must be
+    1-D and of one length; otherwise ValueError names the header.
 
     Real columns go through a numpy kernel: the decimal exponent e comes
     from floor(log10|x|), the mantissa is rint(|x| 10**(12 - e)) with a
@@ -156,13 +180,22 @@ def csv_text(header: str, columns: list, comment: str | None = None) -> str:
     where the two roundings of the scaling could tip the last digit.
     Each column is a block of NUL-padded byte rows; the blocks are
     joined with ',' and '\\n' and the padding is dropped in one pass
-    (a text cell holding a NUL character raises ValueError)."""
+    (a text cell holding a NUL character raises ValueError).  The first
+    column's block is reused while it is unchanged to the byte, so files
+    that share an abscissa (spectra on one omega grid) format it once."""
     columns = [np.asarray(c) for c in columns]
+    fields = header.count(",") + 1
+    if (len(columns) != fields or any(c.ndim != 1 for c in columns)
+            or len({len(c) for c in columns}) != 1):
+        raise ValueError(
+            f"csv_text: header {header!r} names {fields} fields, but the "
+            f"columns have shapes {[c.shape for c in columns]}: one 1-D "
+            "column per field, all of one length, is needed")
     n = len(columns[0])
-    blocks = []
-    for c in columns:
-        blocks += [_cells(c), np.full((n, 1), ord(","), np.uint8)]
-    blocks[-1] = np.full((n, 1), ord("\n"), np.uint8)
+    blocks = [_first_cells(columns[0])]
+    for c in columns[1:]:
+        blocks += [np.full((n, 1), ord(","), np.uint8), _cells(c)]
+    blocks.append(np.full((n, 1), ord("\n"), np.uint8))
     rows = np.concatenate(blocks, axis=1).tobytes().translate(None, b"\0")
     head = "" if comment is None else f"# {comment}\n"
     return head + header + "\n" + rows.decode()
@@ -175,20 +208,36 @@ def default_omega_grid(n: int = 1024, w_max: float = 10.0) -> np.ndarray:
     return grid[np.abs(grid) >= 1e-3]
 
 
-def _shifts(l: int, flat: FlatStateBranches,
-            error: type[Exception]) -> tuple[float, float, float]:
-    """(g = g0 |A0|^2, xi_l = sigma - zeta2 l^2/2 + 2g,
-    m_l = kappa^2 + xi_l^2 - g^2) of sidemode l, on the lower flat branch
-    (the state a pump ramp from zero reaches).  Raises `error` on m_l = 0,
+def _square(x):
+    """x**2 by libm's pow, for a float as Python computes it and for an
+    array alike (numpy's ** squares an array as x*x, which differs in the
+    last bit for about 1e-3 of x), so array entries equal scalar results."""
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
+
+
+def _where(cond, a, b):
+    """`np.where` for an array condition, a plain choice for a scalar one."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (
+        a if cond else b)
+
+
+def _shifts(l: int | np.ndarray, flat: FlatStateBranches,
+            error: type[Exception]) -> tuple:
+    """(g^2, xi_l^2, m_l = kappa^2 + xi_l^2 - g^2) of sidemode l, with
+    g = g0 |A0|^2 and xi_l = sigma - zeta2 l^2/2 + 2g on the lower flat
+    branch (the state a pump ramp from zero reaches); `l` is an int or an
+    integer array.  Raises `error`, naming the first such l, on m_l = 0,
     where the omega = 0 spectrum, the lineshape peak and the flux diverge."""
     p = flat.params
     g = p.g0 * abs(flat.lower) ** 2
-    xi = p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
-    m = p.kappa**2 + xi**2 - g**2
-    if abs(m) <= SINGULAR_RTOL * p.kappa**2:
-        raise error(f"mode l={l} sits on m_l = kappa^2 + xi_l^2 - g^2 = 0, "
+    xi2 = _square(p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g)
+    m = p.kappa**2 + xi2 - g**2
+    singular = abs(m) <= SINGULAR_RTOL * p.kappa**2
+    if np.count_nonzero(singular):
+        raise error(f"mode l={np.ravel(l)[np.argmax(singular)]} sits on "
+                    "m_l = kappa^2 + xi_l^2 - g^2 = 0, "
                     "where linearized below-threshold theory diverges")
-    return g, xi, m
+    return g**2, xi2, m
 
 
 def lineshape_omega_grid(shape: LineShape, kappa: float) -> np.ndarray:
@@ -208,13 +257,28 @@ def spontaneous_spectrum(l: int, flat: FlatStateBranches,
     diverges at omega = 0 on m_l = 0, and there raises NearThresholdError.
     """
     p = flat.params
-    g, xi, _ = _shifts(l, flat, NearThresholdError)
+    g2, xi2, _ = _shifts(l, flat, NearThresholdError)
     if omega_grid is None:
         omega_grid = lineshape_omega_grid(classify_lineshape(l, flat), p.kappa)
     w = omega_grid * p.kappa
-    denom = (p.kappa**2 - g**2 + xi**2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
-    values = 4.0 * p.rho * p.kappa**2 * g**2 / denom
+    denom = (p.kappa**2 - g2 + xi2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
+    values = 4.0 * p.rho * p.kappa**2 * g2 / denom
     return SpectrumSeries(np.asarray(omega_grid, dtype=float), values)
+
+
+def _peak(l: int | np.ndarray, flat: FlatStateBranches) -> tuple:
+    """(excess = xi_l^2 - kappa^2 - g^2, peak) of sidemode l, an int or an
+    integer array: the spectrum peaks at omega = 0 with 4 rho kappa^2 g^2 /
+    m_l^2 where excess <= 0, else at +/- sqrt(excess) with
+    rho g^2 / (xi_l^2 - g^2)."""
+    p = flat.params
+    g2, xi2, _ = _shifts(l, flat, NearThresholdError)
+    excess = xi2 - p.kappa**2 - g2
+    double = excess > 0.0
+    single = 4.0 * p.rho * p.kappa**2 * g2 / _square(p.kappa**2 - g2 + xi2)
+    # xi_l^2 = g^2 can occur only where the single form applies
+    return excess, _where(
+        double, p.rho * g2 / _where(double, xi2 - g2, 1.0), single)
 
 
 def classify_lineshape(l: int, flat: FlatStateBranches) -> LineShape:
@@ -225,15 +289,11 @@ def classify_lineshape(l: int, flat: FlatStateBranches) -> LineShape:
     omega_m = +/- sqrt(xi_l^2 - kappa^2 - g^2).  Raises NearThresholdError
     on m_l = 0, where the single peak diverges.
     """
-    p = flat.params
-    g, xi, _ = _shifts(l, flat, NearThresholdError)
-    excess = xi**2 - p.kappa**2 - g**2
+    excess, peak = _peak(l, flat)
     if excess <= 0.0:
-        peak = 4.0 * p.rho * p.kappa**2 * g**2 / (p.kappa**2 - g**2 + xi**2) ** 2
-        return LineShape(LineShapeKind.SINGLE_PEAKED, (0.0,), peak)
+        return LineShape(LineShapeKind.SINGLE_PEAKED, (0.0,), float(peak))
     w_m = math.sqrt(excess)
-    peak = p.rho * g**2 / (xi**2 - g**2)
-    return LineShape(LineShapeKind.DOUBLE_PEAKED, (-w_m, w_m), peak)
+    return LineShape(LineShapeKind.DOUBLE_PEAKED, (-w_m, w_m), float(peak))
 
 
 def envelope_peaks(flat: FlatStateBranches) -> tuple[int, ...]:
@@ -255,24 +315,23 @@ def envelope_peaks(flat: FlatStateBranches) -> tuple[int, ...]:
     return (-l_peak, l_peak)
 
 
-def sidemode_flux(l: int, flat: FlatStateBranches) -> tuple[float, float, str]:
+def sidemode_flux(l: int | np.ndarray, flat: FlatStateBranches) -> tuple:
     """Integrated photon flux of sidemode l and the matching output power.
 
-    Returns (R in photons/s, P_out in W, regime tag).  The weak-pumping
+    Returns (R in photons/s, P_out in W, regime tag); `l` may be an int or
+    an integer array, and each result takes its shape.  The weak-pumping
     form holds for g^2 < kappa^2 + xi_l^2 and the strong-pumping form for
     g^2 > kappa^2 + xi_l^2; the boundary itself is a removable-looking
     but unphysical divergence of both closed forms: RegimeBoundaryError.
     """
     p = flat.params
-    g, xi, margin = _shifts(l, flat, RegimeBoundaryError)
-    if margin > 0.0:
-        R = p.rho * p.kappa * g**2 / margin
-        regime = "weak"
-    else:
-        R = p.rho * p.kappa**2 * g**2 / (
-            math.sqrt(g**2 - p.kappa**2) * (g**2 - p.kappa**2 - xi**2))
-        regime = "strong"
-    return R, HBAR * p.omega_L * R, regime
+    g2, xi2, margin = _shifts(l, flat, RegimeBoundaryError)
+    weak = margin > 0.0
+    R = p.rho * p.kappa * g2 / margin
+    if g2 > p.kappa**2:                 # else every mode is weak
+        R = _where(weak, R, p.rho * p.kappa**2 * g2 / (
+            math.sqrt(g2 - p.kappa**2) * (g2 - p.kappa**2 - xi2)))
+    return R, HBAR * p.omega_L * R, _where(weak, "weak", "strong")
 
 
 def very_weak_flux(l: int | np.ndarray,
@@ -342,12 +401,13 @@ def spectrum_csv(series: SpectrumSeries) -> str:
 def envelope_csv(l_range: np.ndarray, flat: FlatStateBranches) -> str:
     """Envelope (peak spectral density) and lineshape kind per mode."""
     ls = np.asarray(l_range, dtype=int)
-    shapes = [classify_lineshape(int(l), flat) for l in ls]
-    return csv_text("l,S_env,kind", [ls, [s.peak_value for s in shapes],
-                                     [s.kind.value for s in shapes]])
+    excess, peak = _peak(ls, flat)
+    kind = np.where(excess > 0.0, LineShapeKind.DOUBLE_PEAKED.value,
+                    LineShapeKind.SINGLE_PEAKED.value)
+    return csv_text("l,S_env,kind", [ls, peak, kind])
 
 
 def flux_table_csv(l_range: np.ndarray, flat: FlatStateBranches) -> str:
     ls = np.asarray(l_range, dtype=int)
-    R, P, regime = zip(*(sidemode_flux(int(l), flat) for l in ls))
-    return csv_text("l,R_out,P_out_watts,regime", [ls, R, P, regime])
+    return csv_text("l,R_out,P_out_watts,regime",
+                    [ls, *sidemode_flux(ls, flat)])

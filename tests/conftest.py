@@ -1,5 +1,7 @@
 """Shared fixtures: the standard CaF2 resonator, cached solver states, the
-Parseval oracle of the below-threshold flux, the full fluctuation
+per-value reference of the CSV formatter, the Parseval oracle of the
+below-threshold flux, the per-mode oracles of the envelope and flux
+tables, the full fluctuation
 matrices (R, S) and their reflection fold, the full-space stability
 oracle, the allocating split-step loop, the dense resolvent oracle of the
 above-threshold output correlations, the per-pair pole weights, the
@@ -23,10 +25,11 @@ from scipy.integrate import quad
 
 from kerrcomb import _modal
 from kerrcomb import hamiltonian_audit as ha
+from kerrcomb import spontaneous as sp
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 from kerrcomb.linearization import STABILITY_TOL
-from kerrcomb.spontaneous import SpectrumSeries
+from kerrcomb.spontaneous import LineShapeKind, SpectrumSeries
 from kerrcomb.squeezing import PairSpectralBlocks
 
 TWO_PI = 2.0 * math.pi
@@ -89,6 +92,56 @@ def flux_parseval_oracle(l: int, flat) -> float:
     total, _ = quad(integrand, -200.0 * p.kappa, 200.0 * p.kappa,
                     points=peaks, limit=400)
     return total / (2.0 * math.pi)
+
+
+def reference_csv(header, columns, comment=None):
+    """The per-value % formatting that `csv_text` must reproduce."""
+    columns = [np.asarray(c) for c in columns]
+    spec = {"i": "%d", "u": "%d", "U": "%s", "O": "%s"}
+    row = ",".join(spec.get(c.dtype.kind, "%.12e") for c in columns) + "\n"
+    cells = [v for r in zip(*(c.tolist() for c in columns)) for v in r]
+    head = "" if comment is None else f"# {comment}\n"
+    return head + header + "\n" + row * len(columns[0]) % tuple(cells)
+
+
+def per_mode_envelope_csv(l_range, flat) -> str:
+    """envelope.csv built one mode at a time from `classify_lineshape(l)`:
+    the oracle of the array form behind `envelope_csv`."""
+    ls = np.asarray(l_range, dtype=int)
+    shapes = [sp.classify_lineshape(int(l), flat) for l in ls]
+    return sp.csv_text("l,S_env,kind", [ls, [s.peak_value for s in shapes],
+                                        [s.kind.value for s in shapes]])
+
+
+def per_mode_flux_csv(l_range, flat) -> str:
+    """flux_table.csv built one mode at a time from `sidemode_flux(l)`: the
+    oracle of the array form behind `flux_table_csv`."""
+    ls = np.asarray(l_range, dtype=int)
+    R, P, regime = zip(*(sp.sidemode_flux(int(l), flat) for l in ls))
+    return sp.csv_text("l,R_out,P_out_watts,regime", [ls, R, P, regime])
+
+
+def python_mode_row(l: int, flat) -> tuple[float, str, float, float, str]:
+    """(peak, kind, R, P, regime) of sidemode l in Python floats, with **
+    and math.sqrt: the closed forms of `spontaneous` as one mode's scalar
+    arithmetic, which the array forms must match bit for bit."""
+    p = flat.params
+    g = p.g0 * abs(flat.lower) ** 2
+    xi = p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
+    margin = p.kappa**2 + xi**2 - g**2
+    if xi**2 - p.kappa**2 - g**2 <= 0.0:
+        peak = 4.0 * p.rho * p.kappa**2 * g**2 / (p.kappa**2 - g**2 + xi**2) ** 2
+        kind = LineShapeKind.SINGLE_PEAKED.value
+    else:
+        peak = p.rho * g**2 / (xi**2 - g**2)
+        kind = LineShapeKind.DOUBLE_PEAKED.value
+    if margin > 0.0:
+        R, regime = p.rho * p.kappa * g**2 / margin, "weak"
+    else:
+        R = p.rho * p.kappa**2 * g**2 / (
+            math.sqrt(g**2 - p.kappa**2) * (g**2 - p.kappa**2 - xi**2))
+        regime = "strong"
+    return peak, kind, R, units.HBAR * p.omega_L * R, regime
 
 
 def build_RS(amps: np.ndarray,

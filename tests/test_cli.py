@@ -18,6 +18,7 @@ import pytest
 
 from kerrcomb import _blas, cli, linearization, spontaneous, squeezing
 from kerrcomb import steady_state as ss
+from conftest import reference_csv
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 
@@ -453,13 +454,30 @@ class TestBelowThresholdRun:
             assert (out1 / p1["file"]).read_bytes() == (out2 / p2["file"]).read_bytes()
 
     def test_classifies_each_mode_once(self, tmp_path, monkeypatch):
+        # the spectrum product classifies each of its modes once; the
+        # envelope evaluates its peaks and kinds over the whole l array
         calls = []
         classify = spontaneous.classify_lineshape
         monkeypatch.setattr(spontaneous, "classify_lineshape",
                             lambda *a: calls.append(a[0]) or classify(*a))
         raw = below_scenario(outputs=["spectrum", "envelope"])
         assert cli.run_scenario(raw, tmp_path) == 0
-        assert sorted(calls) == sorted([1, 25] + list(range(-60, 61)))
+        assert sorted(calls) == [1, 25]
+        assert (tmp_path / "envelope.csv").read_text().count("\n") == 122
+
+    def test_spectra_on_alternating_grids(self, tmp_path):
+        # l = 80 peaks at 19.2 kappa, so its window is 29.2 kappa and its
+        # grid differs from the 20 kappa grid of l = 1 and l = 2 around it
+        raw = below_scenario(outputs=["spectrum"], modes=[1, 80, 2])
+        assert cli.run_scenario(raw, tmp_path) == 0
+        flat = ss.solve_flat_state(cli.build_config(raw["resonator"]))
+        lasts = set()
+        for l in raw["modes"]:
+            series = spontaneous.spontaneous_spectrum(l, flat)
+            lasts.add(series.x[-1])
+            assert (tmp_path / f"spectrum_l{l}.csv").read_text() == \
+                reference_csv("omega/kappa,S", [series.x, series.values])
+        assert len(lasts) == 2
 
     def test_relative_pump_and_detuning(self, tmp_path):
         raw = below_scenario(outputs=["spectrum"], modes=[1])

@@ -8,22 +8,14 @@ from scipy.constants import hbar
 
 from kerrcomb import spontaneous as sp
 from kerrcomb import units
-from conftest import OMEGA_L, caf2_config, flux_parseval_oracle, make_flat
+from conftest import (OMEGA_L, caf2_config, flux_parseval_oracle, make_flat,
+                      per_mode_envelope_csv, per_mode_flux_csv,
+                      python_mode_row, reference_csv)
 
 # Synthetic parameter set used in the source material's lineshape figures:
 # sigma = kappa/2, rho = 0.5, g = 0.1 kappa, zeta2 = kappa/100.
 FIG_LINESHAPE = dict(g_over_kappa=0.1, sigma_over_kappa=0.5,
                      zeta2_over_kappa=0.01, rho=0.5)
-
-
-def reference_csv(header, columns, comment=None):
-    """The per-value % formatting that `csv_text` must reproduce."""
-    columns = [np.asarray(c) for c in columns]
-    spec = {"i": "%d", "u": "%d", "U": "%s", "O": "%s"}
-    row = ",".join(spec.get(c.dtype.kind, "%.12e") for c in columns) + "\n"
-    cells = [v for r in zip(*(c.tolist() for c in columns)) for v in r]
-    head = "" if comment is None else f"# {comment}\n"
-    return head + header + "\n" + row * len(columns[0]) % tuple(cells)
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +320,38 @@ class TestCsv:
         with pytest.raises(ValueError):
             sp.csv_text("s", [["a\0b"]])
 
+    @pytest.mark.parametrize("header, columns", [
+        ("a,b", [np.arange(3.0)]),                  # a field with no column
+        ("a", [np.arange(3.0), np.arange(3.0)]),    # a column with no field
+        ("a,b", [np.arange(3.0), "abc"]),           # a 0-d text column
+        ("a", [np.float64(1.5)]),                   # a 0-d real column
+        ("a,b", [np.arange(3.0), np.arange(2)]),    # columns of two lengths
+        ("a", []),
+    ])
+    def test_malformed_input_raises_naming_the_header(self, header, columns):
+        with pytest.raises(ValueError, match=f"header '{header}'"):
+            sp.csv_text(header, columns)
+
+    def test_first_column_reused_only_for_the_same_bytes(self):
+        a = np.linspace(-20.0, 20.0, 2048)
+        b = a.copy()
+        b[1000] = np.nextafter(b[1000], np.inf)     # one ulp apart
+        zero = np.zeros(3)
+        exact = np.arange(-8.0, 8.0) / 64.0         # the same in float32
+        firsts = [a, b, a, zero, -zero, zero, exact, exact.astype(np.float32),
+                  a, a.view(np.uint32), a.view(np.int64), a]
+        held = []
+        for x in firsts:
+            y = np.arange(len(x)) * 1e-3
+            assert sp.csv_text("x,y", [x, y]) == reference_csv("x,y", [x, y])
+            cells = sp._first_cells(x)
+            assert not cells.flags.writeable
+            held.append((cells, cells.copy()))
+        # one entry: a column equal in every byte is formatted once
+        assert sp._first_cells(a.copy()) is held[-1][0]
+        for cells, before in held:
+            np.testing.assert_array_equal(cells, before)
+
     def test_envelope_csv_matches_envelope_and_kinds(self):
         # a blue-detuned map mixes single- and double-peaked modes
         branches, _ = make_flat(0.1, 5.0, 0.01, rho=0.5)
@@ -345,3 +369,69 @@ class TestCsv:
         text = sp.flux_table_csv(np.arange(-3, 4), flat_ls)
         assert text.splitlines()[0] == "l,R_out,P_out_watts,regime"
         assert len(text.splitlines()) == 8
+
+
+class TestArrayForms:
+    """envelope_csv and flux_table_csv evaluate the closed forms over the
+    whole l array; each row must equal the per-mode scalar forms."""
+
+    @pytest.mark.parametrize("g, sigma, ls", [
+        (0.1, 0.5, np.arange(-60, 61)),      # the lineshape figures' map
+        (0.1, 5.0, np.arange(-40, 41)),      # single- and double-peaked
+        (1.2, 0.0, np.arange(-30, 31)),      # strong rows at |l| 19..24
+        (0.0, 0.5, np.arange(-12, 13)),      # no pump, xi_10 = g = 0
+    ])
+    def test_rows_match_per_mode_forms(self, g, sigma, ls):
+        branches, _ = make_flat(g, sigma, 0.01, rho=0.5)
+        envelope = per_mode_envelope_csv(ls, branches)
+        assert sp.envelope_csv(ls, branches) == envelope
+        assert sp.flux_table_csv(ls, branches) == per_mode_flux_csv(ls, branches)
+        _, peak = sp._peak(ls, branches)
+        R, P, regime = sp.sidemode_flux(ls, branches)
+        kinds = [r.split(",")[2] for r in envelope.splitlines()[1:]]
+        rows = list(zip(peak.tolist(), kinds, R.tolist(), P.tolist(),
+                        regime.tolist()))
+        assert rows == [python_mode_row(int(l), branches) for l in ls]
+        if g > 1.0:
+            assert rows[22 - ls[0]][4] == "strong"
+        else:
+            assert set(regime.tolist()) == {"weak"}
+        if sigma == 5.0:
+            assert set(kinds) == {"single_peaked", "double_peaked"}
+
+    def test_squares_as_python_squares_a_float(self):
+        # numpy squares an array as x*x, Python a float by libm's pow; the
+        # two differ in the last bit for about 1e-3 of doubles
+        x = np.random.default_rng(0).uniform(-20.0, 20.0, 20000)
+        python = np.array([v**2 for v in x.tolist()])
+        assert np.array_equal(sp._square(x), python)
+        assert sp._square(x[0]) == python[0]
+
+    def test_scalar_results_are_scalars(self, flat_ls):
+        R, P, regime = sp.sidemode_flux(3, flat_ls)
+        assert np.ndim(R) == np.ndim(P) == np.ndim(regime) == 0
+        assert (float(R), str(regime)) == (python_mode_row(3, flat_ls)[2], "weak")
+
+    @pytest.mark.parametrize("ls, l_bad", [(np.arange(-2, 3), 0),
+                                           (np.arange(-12, 13), -10)])
+    def test_singular_mode_names_the_first(self, ls, l_bad):
+        # g = kappa, sigma = -2 kappa puts m_0 on 0 (see
+        # TestFluxes.test_singular_point_raises_everywhere); for the second
+        # case zeta2 moves the zero to |l| = 10, so l = -10 comes first
+        branches, _ = make_flat(1.0, -2.0, 0.01, rho=0.5)
+        if l_bad:
+            branches, _ = make_flat(1.2, 0.0, 0.01, rho=0.5)
+            p = branches.params
+            g = p.g0 * abs(branches.lower) ** 2
+            zeta2 = 2.0 * (p.sigma + 2.0 * g - math.sqrt(g**2 - p.kappa**2)) / 100
+            branches = dataclasses.replace(
+                branches, params=dataclasses.replace(p, zeta2=zeta2))
+        for emit, oracle, error in (
+                (sp.envelope_csv, per_mode_envelope_csv, sp.NearThresholdError),
+                (sp.flux_table_csv, per_mode_flux_csv, sp.RegimeBoundaryError)):
+            with pytest.raises(error) as array_form:
+                emit(ls, branches)
+            with pytest.raises(error) as per_mode:
+                oracle(ls, branches)
+            assert str(array_form.value) == str(per_mode.value)
+            assert str(array_form.value).startswith(f"mode l={l_bad} sits on")
