@@ -365,17 +365,12 @@ def run_products(scenario: dict, outdir: Path, seed: int,
     for product in outputs:
         t0 = time.perf_counter()
         if product == "spectrum":
-            kappa = flat.params.kappa
-            for l in scenario.get("modes", [1]):
+            for l, kind, peaks, text in spontaneous.mode_spectra(
+                    scenario.get("modes", [1]), flat):
+                _write(outdir, f"spectrum_l{l}.csv", text, products, t0,
+                       product=product, l=l, lineshape=kind,
+                       peak_frequencies_over_kappa=peaks)
                 t0 = time.perf_counter()
-                shape = spontaneous.classify_lineshape(l, flat)
-                series = spontaneous.spontaneous_spectrum(
-                    l, flat, spontaneous.lineshape_omega_grid(shape, kappa))
-                _write(outdir, f"spectrum_l{l}.csv",
-                       spontaneous.spectrum_csv(series), products, t0,
-                       product=product, l=l, lineshape=shape.kind.value,
-                       peak_frequencies_over_kappa=[
-                           w / kappa for w in shape.peak_frequencies])
         elif product == "envelope":
             _write(outdir, "envelope.csv",
                    spontaneous.envelope_csv(ls, flat), products, t0,
@@ -429,28 +424,32 @@ def run_products(scenario: dict, outdir: Path, seed: int,
 
 
 def run_scenario(scenario: dict, outdir: Path, seed: int | None = None) -> int:
-    """Run one scenario (including sweeps); returns process exit status."""
+    """Run one scenario (including sweeps); returns process exit status:
+    1 if any run recorded an error, else 0."""
     outdir.mkdir(parents=True, exist_ok=True)
     seed = scenario.get("seed", 0) if seed is None else seed
     sweep = scenario.get("sweep")
-    status = 0
-    if sweep:
-        report = {"scenario": scenario, "seed": seed, "sub_runs": []}
-        for i, value in enumerate(sweep["values"]):
-            sub = {k: v for k, v in scenario.items() if k != "sweep"}
-            sub["resonator"] = dict(sub["resonator"])
-            sub["resonator"][sweep["path"]] = value
-            subdir = outdir / f"sweep_{i:02d}"
-            code = run_scenario(sub, subdir, seed)
-            status = status or code
-            sub_report = json.loads((subdir / "report.json").read_text())
-            report["sub_runs"].append({
-                "dir": subdir.name, "value": value,
-                "state": sub_report.get("state"),
-                "errors": sub_report.get("errors", []),
-            })
-        (outdir / "report.json").write_text(json.dumps(report, indent=2))
-        return status
+    if not sweep:
+        return 1 if _run_point(scenario, outdir, seed)["errors"] else 0
+    report = {"scenario": scenario, "seed": seed, "sub_runs": []}
+    for i, value in enumerate(sweep["values"]):
+        sub = {k: v for k, v in scenario.items() if k != "sweep"}
+        sub["resonator"] = {**sub["resonator"], sweep["path"]: value}
+        subdir = outdir / f"sweep_{i:02d}"
+        subdir.mkdir(parents=True, exist_ok=True)
+        sub_report = _run_point(sub, subdir, seed)
+        report["sub_runs"].append({
+            "dir": subdir.name, "value": value,
+            "state": sub_report.get("state"),
+            "errors": sub_report["errors"],
+        })
+    (outdir / "report.json").write_text(json.dumps(report, indent=2))
+    return 1 if any(run["errors"] for run in report["sub_runs"]) else 0
+
+
+def _run_point(scenario: dict, outdir: Path, seed: int) -> dict:
+    """Run a scenario with no sweep into the existing `outdir`, write its
+    report.json and return the report."""
     report = {"scenario": scenario, "seed": seed, "schema": SCHEMA_VERSION,
               "products": [], "errors": []}
     try:
@@ -460,9 +459,8 @@ def run_scenario(scenario: dict, outdir: Path, seed: int | None = None) -> int:
     except (ScenarioError, ValueError, ArithmeticError, RuntimeError) as exc:
         report["errors"].append({"type": type(exc).__name__,
                                  "message": str(exc)})
-        status = 1
     (outdir / "report.json").write_text(json.dumps(report, indent=2))
-    return status
+    return report
 
 
 def main(argv: list[str] | None = None) -> int:

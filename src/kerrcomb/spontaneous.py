@@ -50,13 +50,6 @@ class LineShapeKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class LineShape:
-    kind: LineShapeKind
-    peak_frequencies: tuple[float, ...]      # rad/s, {0} or {-w_m, +w_m}
-    peak_value: float                        # dimensionless spectral density
-
-
-@dataclass(frozen=True)
 class SpectrumSeries:
     """Samples of a spectral density over omega/kappa."""
 
@@ -98,7 +91,10 @@ _BAND = 3e-3
 def _real_cells(x: np.ndarray) -> np.ndarray:
     """'%.12e' % v for each v of x, as NUL-padded rows of 28 bytes:
     sign, digit, '.', four groups of three digits, 'e', sign, exponent."""
-    x = x.astype(np.float64, copy=False)
+    # a signalling NaN of a narrower float raises the invalid flag as it
+    # widens; it stays a NaN, which Python formats below
+    with np.errstate(invalid="ignore"):
+        x = x.astype(np.float64, copy=False)
     a = np.abs(x)
     ok = np.isfinite(a) & (a > 0)
     a = np.where(ok, a, 1.0)
@@ -144,26 +140,6 @@ def _cells(column: np.ndarray) -> np.ndarray:
     return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
 
 
-#: (dtype, shape and bytes, cells) of the last first column of `csv_text`.
-_first: tuple = (None, None)
-
-
-def _first_cells(column: np.ndarray) -> np.ndarray:
-    """`_cells` of a first column, kept while the next calls bring the same
-    dtype, shape and bytes; the key is the whole content, so it cannot go
-    stale.  Object columns, whose bytes are pointers, are never kept."""
-    global _first
-    if column.dtype.hasobject:
-        return _cells(column)
-    key = (column.dtype.str, column.shape, column.tobytes())
-    kept, cells = _first     # one read: a concurrent call may replace it
-    if kept != key:
-        cells = _cells(column)
-        cells.flags.writeable = False
-        _first = (key, cells)
-    return cells
-
-
 def csv_text(header: str, columns: list, comment: str | None = None) -> str:
     """One product file: an optional "# comment" line, the header, then a
     row per sample.  Integer columns print as %d, text as %s and real
@@ -180,9 +156,7 @@ def csv_text(header: str, columns: list, comment: str | None = None) -> str:
     where the two roundings of the scaling could tip the last digit.
     Each column is a block of NUL-padded byte rows; the blocks are
     joined with ',' and '\\n' and the padding is dropped in one pass
-    (a text cell holding a NUL character raises ValueError).  The first
-    column's block is reused while it is unchanged to the byte, so files
-    that share an abscissa (spectra on one omega grid) format it once."""
+    (a text cell holding a NUL character raises ValueError)."""
     columns = [np.asarray(c) for c in columns]
     fields = header.count(",") + 1
     if (len(columns) != fields or any(c.ndim != 1 for c in columns)
@@ -191,14 +165,20 @@ def csv_text(header: str, columns: list, comment: str | None = None) -> str:
             f"csv_text: header {header!r} names {fields} fields, but the "
             f"columns have shapes {[c.shape for c in columns]}: one 1-D "
             "column per field, all of one length, is needed")
-    n = len(columns[0])
-    blocks = [_first_cells(columns[0])]
-    for c in columns[1:]:
-        blocks += [np.full((n, 1), ord(","), np.uint8), _cells(c)]
-    blocks.append(np.full((n, 1), ord("\n"), np.uint8))
-    rows = np.concatenate(blocks, axis=1).tobytes().translate(None, b"\0")
     head = "" if comment is None else f"# {comment}\n"
-    return head + header + "\n" + rows.decode()
+    return _csv(head + header, [_cells(c) for c in columns])
+
+
+def _csv(head: str, blocks: list) -> str:
+    """`head`, then one row per sample of the column blocks of `_cells`,
+    joined with ',' and without their NUL padding."""
+    n = len(blocks[0])
+    parts = [blocks[0]]
+    for block in blocks[1:]:
+        parts += [np.full((n, 1), ord(","), np.uint8), block]
+    parts.append(np.full((n, 1), ord("\n"), np.uint8))
+    rows = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+    return head + "\n" + rows.decode()
 
 
 def default_omega_grid(n: int = 1024, w_max: float = 10.0) -> np.ndarray:
@@ -209,16 +189,10 @@ def default_omega_grid(n: int = 1024, w_max: float = 10.0) -> np.ndarray:
 
 
 def _square(x):
-    """x**2 by libm's pow, for a float as Python computes it and for an
-    array alike (numpy's ** squares an array as x*x, which differs in the
-    last bit for about 1e-3 of x), so array entries equal scalar results."""
-    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
-
-
-def _where(cond, a, b):
-    """`np.where` for an array condition, a plain choice for a scalar one."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (
-        a if cond else b)
+    """x**2 by libm's pow, as Python squares a float (numpy's ** squares an
+    array as x*x, which differs in the last bit for about 1e-3 of x), so
+    every entry equals one mode's scalar arithmetic."""
+    return np.float_power(x, 2)
 
 
 def _shifts(l: int | np.ndarray, flat: FlatStateBranches,
@@ -240,17 +214,10 @@ def _shifts(l: int | np.ndarray, flat: FlatStateBranches,
     return g**2, xi2, m
 
 
-def lineshape_omega_grid(shape: LineShape, kappa: float) -> np.ndarray:
-    """Per-mode lineshape window: a symmetric omega/kappa grid, widened to
-    cover the maxima of a double-peaked lineshape.  OMEGA_POINTS - 1 is
-    odd, so no point lies near 0 and `default_omega_grid` drops none."""
-    window = max(OMEGA_WINDOW, shape.peak_frequencies[-1] / kappa + 10.0)
-    return default_omega_grid(OMEGA_POINTS, window)
-
-
 def spontaneous_spectrum(l: int, flat: FlatStateBranches,
-                         omega_grid: np.ndarray | None = None) -> SpectrumSeries:
-    """Output photon-flux spectral density of sidemode l (dimensionless).
+                         omega_grid: np.ndarray) -> SpectrumSeries:
+    """Output photon-flux spectral density of sidemode l (dimensionless)
+    on `omega_grid` (units of kappa).
 
     S_l(omega) = 4 rho kappa^2 g^2 /
                  ([kappa^2 - g^2 + xi_l^2 - omega^2]^2 + 4 kappa^2 omega^2)
@@ -258,42 +225,63 @@ def spontaneous_spectrum(l: int, flat: FlatStateBranches,
     """
     p = flat.params
     g2, xi2, _ = _shifts(l, flat, NearThresholdError)
-    if omega_grid is None:
-        omega_grid = lineshape_omega_grid(classify_lineshape(l, flat), p.kappa)
     w = omega_grid * p.kappa
     denom = (p.kappa**2 - g2 + xi2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
     values = 4.0 * p.rho * p.kappa**2 * g2 / denom
     return SpectrumSeries(np.asarray(omega_grid, dtype=float), values)
 
 
-def _peak(l: int | np.ndarray, flat: FlatStateBranches) -> tuple:
-    """(excess = xi_l^2 - kappa^2 - g^2, peak) of sidemode l, an int or an
-    integer array: the spectrum peaks at omega = 0 with 4 rho kappa^2 g^2 /
-    m_l^2 where excess <= 0, else at +/- sqrt(excess) with
-    rho g^2 / (xi_l^2 - g^2)."""
+def _peak(ls: np.ndarray, flat: FlatStateBranches) -> tuple:
+    """(kind, peak, w_m) of the sidemodes ls, an integer array: the
+    lineshape kind (a `LineShapeKind` value), the peak spectral density
+    and the peak frequency (rad/s).
+
+    The spectrum is single-peaked, with its maximum 4 rho kappa^2 g^2 /
+    m_l^2 at omega = 0 (w_m = 0), iff xi_l^2 <= kappa^2 + g^2; otherwise
+    its maxima rho g^2 / (xi_l^2 - g^2) sit at +/- w_m,
+    w_m = sqrt(xi_l^2 - kappa^2 - g^2).  Raises NearThresholdError,
+    naming the first such l, on m_l = 0, where the single peak diverges.
+    """
     p = flat.params
-    g2, xi2, _ = _shifts(l, flat, NearThresholdError)
+    g2, xi2, _ = _shifts(ls, flat, NearThresholdError)
     excess = xi2 - p.kappa**2 - g2
     double = excess > 0.0
     single = 4.0 * p.rho * p.kappa**2 * g2 / _square(p.kappa**2 - g2 + xi2)
     # xi_l^2 = g^2 can occur only where the single form applies
-    return excess, _where(
-        double, p.rho * g2 / _where(double, xi2 - g2, 1.0), single)
+    peak = np.where(double, p.rho * g2 / np.where(double, xi2 - g2, 1.0),
+                    single)
+    kind = np.where(double, LineShapeKind.DOUBLE_PEAKED.value,
+                    LineShapeKind.SINGLE_PEAKED.value)
+    return kind, peak, np.sqrt(np.maximum(excess, 0.0))
 
 
-def classify_lineshape(l: int, flat: FlatStateBranches) -> LineShape:
-    """Single- vs double-peaked spectrum of sidemode l.
+def mode_spectra(modes: list[int], flat: FlatStateBranches):
+    """The per-mode spectrum product: for each sidemode l of `modes`, in
+    order, (l, lineshape kind, peak frequencies over kappa, spectrum CSV).
 
-    The spectrum is single-peaked (maximum at omega = 0) iff
-    xi_l^2 <= kappa^2 + g^2; otherwise the peaks sit at
-    omega_m = +/- sqrt(xi_l^2 - kappa^2 - g^2).  Raises NearThresholdError
-    on m_l = 0, where the single peak diverges.
+    One `_peak` evaluation over the modes gives each kind and w_m.  A
+    mode's spectrum is sampled on OMEGA_POINTS points over
+    +/- max(OMEGA_WINDOW, w_m/kappa + 10), which covers both maxima of a
+    double-peaked lineshape; OMEGA_POINTS - 1 is odd, so no point lies
+    near 0 and `default_omega_grid` drops none.  Modes on one window share
+    its grid and its formatted omega/kappa column.  A mode on m_l = 0
+    raises NearThresholdError before any mode is yielded.
     """
-    excess, peak = _peak(l, flat)
-    if excess <= 0.0:
-        return LineShape(LineShapeKind.SINGLE_PEAKED, (0.0,), float(peak))
-    w_m = math.sqrt(excess)
-    return LineShape(LineShapeKind.DOUBLE_PEAKED, (-w_m, w_m), float(peak))
+    ls = np.asarray(modes, dtype=int)
+    kinds, _, w_m = _peak(ls, flat)
+    w = w_m / flat.params.kappa
+    windows = np.maximum(OMEGA_WINDOW, w + 10.0)
+    grids = {}                      # window -> (grid, its column's cells)
+    for l, kind, w_l, window in zip(ls.tolist(), kinds.tolist(), w.tolist(),
+                                    windows.tolist()):
+        if window not in grids:
+            grid = default_omega_grid(OMEGA_POINTS, window)
+            grids[window] = grid, _cells(grid)
+        grid, column = grids[window]
+        values = spontaneous_spectrum(l, flat, grid).values
+        peaks = ([-w_l, w_l] if kind == LineShapeKind.DOUBLE_PEAKED.value
+                 else [0.0])
+        yield l, kind, peaks, _csv("omega/kappa,S", [column, _cells(values)])
 
 
 def envelope_peaks(flat: FlatStateBranches) -> tuple[int, ...]:
@@ -329,9 +317,9 @@ def sidemode_flux(l: int | np.ndarray, flat: FlatStateBranches) -> tuple:
     weak = margin > 0.0
     R = p.rho * p.kappa * g2 / margin
     if g2 > p.kappa**2:                 # else every mode is weak
-        R = _where(weak, R, p.rho * p.kappa**2 * g2 / (
+        R = np.where(weak, R, p.rho * p.kappa**2 * g2 / (
             math.sqrt(g2 - p.kappa**2) * (g2 - p.kappa**2 - xi2)))
-    return R, HBAR * p.omega_L * R, _where(weak, "weak", "strong")
+    return R, HBAR * p.omega_L * R, np.where(weak, "weak", "strong")
 
 
 def very_weak_flux(l: int | np.ndarray,
@@ -401,9 +389,7 @@ def spectrum_csv(series: SpectrumSeries) -> str:
 def envelope_csv(l_range: np.ndarray, flat: FlatStateBranches) -> str:
     """Envelope (peak spectral density) and lineshape kind per mode."""
     ls = np.asarray(l_range, dtype=int)
-    excess, peak = _peak(ls, flat)
-    kind = np.where(excess > 0.0, LineShapeKind.DOUBLE_PEAKED.value,
-                    LineShapeKind.SINGLE_PEAKED.value)
+    kind, peak, _ = _peak(ls, flat)
     return csv_text("l,S_env,kind", [ls, peak, kind])
 
 

@@ -432,17 +432,17 @@ def seed_dark_soliton(params: ModalParams, K: int) -> np.ndarray:
 
 def find_steady_state(params: ModalParams, kind: str = "roll",
                       K: int | None = None, seed: int = 0,
-                      horizon: float = 3000.0, target_order: int | None = None,
-                      initial: np.ndarray | None = None) -> CombState:
+                      horizon: float = 3000.0,
+                      target_order: int | None = None) -> CombState:
     """Relax from a pattern-appropriate seed, then Newton-polish.
 
-    `kind` selects the seed: "roll", "bright_soliton" or "dark_soliton";
-    `initial` replaces the seed.  With kind "flat" and no `initial` the
-    lower flat branch is refined and returned, with no relaxation.
-    Otherwise one loop relaxes a chunk, refines the field (`refine`) and
-    classifies the root; the first chunk lasts RELAX_FIRST / kappa and each
-    later one as long as all before it, up to RELAX_CHUNK / kappa, so the
-    trials run after 0.5, 1, 2, 4 and 8/kappa and then every 16/kappa.  The
+    `kind` selects the seed: "roll", "bright_soliton" or "dark_soliton".
+    With kind "flat" the lower flat branch is refined and returned, with
+    no relaxation.  Otherwise one loop relaxes a chunk, refines the field
+    (`refine`) and classifies the root; the first chunk lasts RELAX_FIRST /
+    kappa and each later one as long as all before it, up to RELAX_CHUNK /
+    kappa, so the trials run after 0.5, 1, 2, 4 and 8/kappa and then every
+    16/kappa.  The
     root is returned once it classifies as `kind` and is stable
     (`linearization.is_stable`), and otherwise relaxation resumes.
     `horizon` (units of 1/kappa) is thus a cap: the field at the horizon,
@@ -450,18 +450,14 @@ def find_steady_state(params: ModalParams, kind: str = "roll",
     exactly as one propagate call over the whole horizon followed by
     `refine`, and returned whatever its kind or stability.  Every step
     checks the field against the energy bound of the seed
-    (`_runaway_limit`).  `refine` rotates every field, an asymmetric
-    `initial` too, and projects it onto A_{-l} = A_l: such a field is
-    projected, not refused.  Returns a classified CombState with
-    A_{-l} = A_l whose residual meets NEWTON_TOL, or raises
-    RefinementError / DivergenceError.
+    (`_runaway_limit`).  `refine` rotates every field, an asymmetric one
+    too, and projects it onto A_{-l} = A_l: such a field is projected, not
+    refused.  Returns a classified CombState with A_{-l} = A_l whose
+    residual meets NEWTON_TOL, or raises RefinementError / DivergenceError.
     """
     if K is None:
         K = default_mode_cutoff(params, kind)
-    if initial is not None:
-        a = initial.astype(complex)
-        K = (len(a) - 1) // 2
-    elif kind == "flat":
+    if kind == "flat":
         a, res = refine(_flat_vector(solve_flat_state(params).lower, K),
                         params)
         return CombState(a, params, res, *classify(a, params))

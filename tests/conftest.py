@@ -104,20 +104,35 @@ def reference_csv(header, columns, comment=None):
     return head + header + "\n" + row * len(columns[0]) % tuple(cells)
 
 
+def _per_mode_rows(ls: np.ndarray, flat, error: type[Exception]) -> list:
+    """`python_mode_row` of each l in turn; the first l on m_l = 0 raises
+    `error` with the message of `spontaneous`."""
+    p = flat.params
+    g = p.g0 * abs(flat.lower) ** 2
+    rows = []
+    for l in ls.tolist():
+        xi = p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
+        if abs(p.kappa**2 + xi**2 - g**2) <= sp.SINGULAR_RTOL * p.kappa**2:
+            raise error(f"mode l={l} sits on m_l = kappa^2 + xi_l^2 - g^2 "
+                        "= 0, where linearized below-threshold theory "
+                        "diverges")
+        rows.append(python_mode_row(l, flat))
+    return rows
+
+
 def per_mode_envelope_csv(l_range, flat) -> str:
-    """envelope.csv built one mode at a time from `classify_lineshape(l)`:
-    the oracle of the array form behind `envelope_csv`."""
+    """envelope.csv built one mode at a time from `python_mode_row`: the
+    oracle of the array form behind `envelope_csv`."""
     ls = np.asarray(l_range, dtype=int)
-    shapes = [sp.classify_lineshape(int(l), flat) for l in ls]
-    return sp.csv_text("l,S_env,kind", [ls, [s.peak_value for s in shapes],
-                                        [s.kind.value for s in shapes]])
+    peak, kind, *_ = zip(*_per_mode_rows(ls, flat, sp.NearThresholdError))
+    return sp.csv_text("l,S_env,kind", [ls, peak, kind])
 
 
 def per_mode_flux_csv(l_range, flat) -> str:
-    """flux_table.csv built one mode at a time from `sidemode_flux(l)`: the
+    """flux_table.csv built one mode at a time from `python_mode_row`: the
     oracle of the array form behind `flux_table_csv`."""
     ls = np.asarray(l_range, dtype=int)
-    R, P, regime = zip(*(sp.sidemode_flux(int(l), flat) for l in ls))
+    *_, R, P, regime = zip(*_per_mode_rows(ls, flat, sp.RegimeBoundaryError))
     return sp.csv_text("l,R_out,P_out_watts,regime", [ls, R, P, regime])
 
 

@@ -65,24 +65,23 @@ def test_03_envelope_peak_positions():
     assert sp.envelope_peaks(half_blue) == (-12, 12)
     red, _ = make_flat(0.1, -5.0, 0.01, rho=0.5)
     assert sp.envelope_peaks(red) == (0,)
-    assert all(sp.classify_lineshape(l, red).kind
-               is sp.LineShapeKind.DOUBLE_PEAKED for l in ls)
+    kind, _, _ = sp._peak(ls, red)
+    assert set(kind) == {sp.LineShapeKind.DOUBLE_PEAKED.value}
 
 
 def test_04_lineshape_classification_and_peak_positions():
     flat, A0 = make_flat(0.1, 0.5, 0.01, rho=0.5)
     p = flat.params
     g = p.g0 * abs(A0) ** 2
-    for l in (1, -1):
-        assert sp.classify_lineshape(l, flat).kind \
-            is sp.LineShapeKind.SINGLE_PEAKED
+    ls = np.array([1, -1, 25, -25, 50, -50])
+    kinds, _, peak_frequencies = sp._peak(ls, flat)
+    assert kinds.tolist() == [sp.LineShapeKind.SINGLE_PEAKED.value] * 2 + [
+        sp.LineShapeKind.DOUBLE_PEAKED.value] * 4
     positions = {}
-    for l in (25, -25, 50, -50):
-        shape = sp.classify_lineshape(l, flat)
-        assert shape.kind is sp.LineShapeKind.DOUBLE_PEAKED
+    for l, w in zip(ls[2:].tolist(), peak_frequencies[2:]):
         xi = p.sigma - p.zeta2 * l**2 / 2.0 + 2.0 * g
         w_m = math.sqrt(xi**2 - p.kappa**2 - g**2)
-        assert shape.peak_frequencies[-1] == pytest.approx(w_m, abs=1e-10)
+        assert w == pytest.approx(w_m, abs=1e-10)
         positions[abs(l)] = w_m
         # the closed-form position must coincide with a fine-grid argmax
         grid = np.linspace(0.0, 2.0 * w_m / p.kappa, 20001)

@@ -453,17 +453,20 @@ class TestBelowThresholdRun:
             assert p1["sha256"] == p2["sha256"]
             assert (out1 / p1["file"]).read_bytes() == (out2 / p2["file"]).read_bytes()
 
-    def test_classifies_each_mode_once(self, tmp_path, monkeypatch):
-        # the spectrum product classifies each of its modes once; the
-        # envelope evaluates its peaks and kinds over the whole l array
-        calls = []
-        classify = spontaneous.classify_lineshape
-        monkeypatch.setattr(spontaneous, "classify_lineshape",
-                            lambda *a: calls.append(a[0]) or classify(*a))
-        raw = below_scenario(outputs=["spectrum", "envelope"])
+    def test_formats_each_grid_once(self, tmp_path, monkeypatch):
+        # l = 80 sits on a 29.2 kappa window, l = 1 and l = 2 on the 20
+        # kappa one: two omega/kappa columns formatted for three files
+        columns = []
+        cells = spontaneous._cells
+        monkeypatch.setattr(spontaneous, "_cells",
+                            lambda c: columns.append(c) or cells(c))
+        raw = below_scenario(outputs=["spectrum"], modes=[1, 80, 2])
         assert cli.run_scenario(raw, tmp_path) == 0
-        assert sorted(calls) == [1, 25]
-        assert (tmp_path / "envelope.csv").read_text().count("\n") == 122
+        assert len(list(tmp_path.glob("spectrum_l*.csv"))) == 3
+        # three S columns, all positive, and the grids, which start at -window
+        assert len(columns) == 5
+        grids = [c for c in columns if c[0] < 0.0]
+        assert [-c[0] for c in grids] == pytest.approx([20.0, 29.2], abs=0.05)
 
     def test_spectra_on_alternating_grids(self, tmp_path):
         # l = 80 peaks at 19.2 kappa, so its window is 29.2 kappa and its
@@ -471,9 +474,22 @@ class TestBelowThresholdRun:
         raw = below_scenario(outputs=["spectrum"], modes=[1, 80, 2])
         assert cli.run_scenario(raw, tmp_path) == 0
         flat = ss.solve_flat_state(cli.build_config(raw["resonator"]))
+        p = flat.params
+        g = p.g0 * abs(flat.lower) ** 2
+        products = json.loads((tmp_path / "report.json").read_text())[
+            "products"]
         lasts = set()
-        for l in raw["modes"]:
-            series = spontaneous.spontaneous_spectrum(l, flat)
+        for l, product in zip(raw["modes"], products):
+            xi = p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
+            excess = xi**2 - p.kappa**2 - g**2
+            w_m = math.sqrt(max(excess, 0.0)) / p.kappa
+            assert product["lineshape"] == (
+                "double_peaked" if excess > 0.0 else "single_peaked")
+            assert product["peak_frequencies_over_kappa"] == (
+                [-w_m, w_m] if excess > 0.0 else [0.0])
+            window = max(20.0, w_m + 10.0)
+            grid = np.linspace(-window, window, 2048)
+            series = spontaneous.spontaneous_spectrum(l, flat, grid)
             lasts.add(series.x[-1])
             assert (tmp_path / f"spectrum_l{l}.csv").read_text() == \
                 reference_csv("omega/kappa,S", [series.x, series.values])
