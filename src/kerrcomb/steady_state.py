@@ -24,6 +24,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from . import _modal
 from .units import ModalParams, default_mode_cutoff
@@ -220,10 +221,12 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
     zero outside the 2K+1 modes, which drops the out-of-band power.  The
     grid size is a power of two, so scaling only the forward transform by
     1/n rounds exactly like a scaled inverse transform multiplied by n.
-    A step allocates nothing: both transforms write into fixed buffers,
-    and the Kerr phase g0 dt |A|^2 goes into the imaginary part of a
-    buffer whose real part stays zero, the same numbers that the complex
-    product i g0 dt |A|^2 gives.
+    A step allocates nothing: both transforms write into fixed buffers
+    and call numpy's pocketfft gufuncs with the factors that `np.fft`'s
+    norm="forward" passes them (1 inverse, 1/n forward), the same kernel
+    and rounding without its per-call wrapper; the Kerr phase g0 dt |A|^2
+    goes into the imaginary part of a buffer whose real part stays zero,
+    the same numbers that the complex product i g0 dt |A|^2 gives.
     """
     K = (len(amps) - 1) // 2
     n = _fft_size(K)
@@ -249,12 +252,12 @@ def propagate(amps: np.ndarray, params: ModalParams, horizon: float,
     for i in range(n_steps):
         spec *= half
         spec[0] += pump_half
-        np.fft.ifft(spec, norm="forward", out=field)
+        _pocketfft_umath.ifft(spec, 1.0, out=field)
         np.abs(field, out=intensity)
         np.square(intensity, out=intensity)
         np.multiply(kerr, intensity, out=phase.imag)
         field *= np.exp(phase, out=rotation)
-        np.fft.fft(field, norm="forward", out=spec)
+        _pocketfft_umath.fft(field, 1.0 / n, out=spec)
         spec *= half
         spec[0] += pump_half
         if not np.vdot(spec, spec).real <= limit2:   # also catches inf, nan

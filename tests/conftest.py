@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from kerrcomb.squeezing import PairSpectralBlocks
 TWO_PI = 2.0 * math.pi
 #: Pump carrier near 1550 nm (rad/s), for hand-built ModalParams.
 OMEGA_L = 1.2153e15
+#: The shipped scenario files.
+SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
 
 
 def caf2_config(pump_power: float = 2.5e-3, zeta2: float = TWO_PI * 2.9e3,

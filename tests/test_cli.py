@@ -18,9 +18,7 @@ import pytest
 
 from kerrcomb import _blas, cli, linearization, spontaneous, squeezing
 from kerrcomb import steady_state as ss
-from conftest import reference_csv
-
-SCENARIOS = Path(__file__).resolve().parents[1] / "scripts" / "scenarios"
+from conftest import SCENARIOS, reference_csv
 
 #: sha256 of every product of the closed-form shipped scenarios at seed 0;
 #: a change that alters any of these bytes changes a published result.

@@ -381,13 +381,17 @@ class TestQuadratureJacobian:
     def test_pair_phases_match_the_per_pair_loop(self, K, layout, theta,
                                                  data):
         def loop(state):
-            # the per-pair form, with its wrap to (-pi, pi]
+            # the per-pair form, with its wrap to (-pi, pi]; the floor test
+            # reads the field's one intensity array, as the peak does: a
+            # scalar abs may round |A| one ulp away from numpy's array abs
             a = state.amplitudes
-            floor = ss.PATTERN_FLOOR * float(np.max(np.abs(a) ** 2))
+            intensity = np.abs(a) ** 2
+            floor = ss.PATTERN_FLOOR * float(np.max(intensity))
             phis = np.zeros(state.K)
             for l in range(1, state.K + 1):
                 ap, am = a[state.K + l], a[state.K - l]
-                if abs(ap) ** 2 <= floor or abs(am) ** 2 <= floor:
+                if (intensity[state.K + l] <= floor
+                        or intensity[state.K - l] <= floor):
                     continue
                 phi = math.remainder(0.5 * (np.angle(ap) + np.angle(am)),
                                      2 * math.pi)

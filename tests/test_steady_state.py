@@ -5,18 +5,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar
 
 from kerrcomb import _modal
+from kerrcomb import cli
 from kerrcomb import linearization as lin
 from kerrcomb import squeezing as sq
 from kerrcomb import steady_state as ss
 from kerrcomb import units
 
-from conftest import (OMEGA_L, TWO_PI, caf2_config, make_flat,
+from conftest import (OMEGA_L, SCENARIOS, TWO_PI, caf2_config, make_flat,
                       propagate_allocating)
 
 
@@ -161,6 +163,12 @@ class TestBufferedPropagate:
            A_in=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
     @example(K=4, step=5e-2, steps=300, kappa=1.0, amplifying=True,
              sigma=0.0, zeta2=0.0, g0=1e-3, A_in=1.0, seed=0)
+    # the shipped sizes: rolls at K = 72 (n = 512), solitons at K = 128
+    # (n = 1024)
+    @example(K=72, step=5e-2, steps=300, kappa=1.0, amplifying=False,
+             sigma=-1.0, zeta2=0.01, g0=0.5, A_in=1.0, seed=1)
+    @example(K=128, step=5e-2, steps=300, kappa=1.0, amplifying=True,
+             sigma=-2.0, zeta2=-0.01, g0=0.5, A_in=2.0, seed=2)
     @settings(max_examples=80, deadline=None)
     def test_matches_allocating_loop(self, K, step, steps, kappa, amplifying,
                                      sigma, zeta2, g0, A_in, seed):
@@ -178,6 +186,47 @@ class TestBufferedPropagate:
         assert error == want_error          # the same step, if any
         assert res == want_res
         assert np.array_equal(amps, want_amps)
+
+    def test_roll_solve_matches_allocating_loop(self, monkeypatch):
+        # roll_power_sweep's 1.1 P_th point at seed 0: 3520 steps at
+        # n = 512 to a roll 20, with the same bits through either loop
+        scenario = cli.load_scenario(SCENARIOS / "roll_power_sweep.json")
+        params = cli.build_config({**scenario["resonator"],
+                                   "pump_power_over_threshold": 1.1})
+        steps = []
+
+        def counted(run):
+            def propagate(amps, params, horizon, step, limit):
+                steps.append(round(horizon / step))
+                return run(amps, params, horizon, step, limit)
+            return propagate
+
+        solved = []
+        for run in (ss.propagate, propagate_allocating):
+            monkeypatch.setattr(ss, "propagate", counted(run))
+            solved.append(ss.find_steady_state(params, kind="roll", seed=0))
+        buffered, allocating = solved
+        assert (buffered.pattern, buffered.roll_order) == (
+            ss.PatternKind.ROLL, 20)
+        assert sum(steps) == 2 * 3520
+        assert buffered.residual_norm == allocating.residual_norm
+        assert np.array_equal(buffered.amplitudes, allocating.amplitudes)
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(4, 12)])
+def test_pocketfft_kernels_round_like_np_fft(n):
+    # propagate calls numpy's pocketfft gufuncs with the factors np.fft
+    # passes them for norm="forward"; a numpy that changes the private
+    # gufuncs or those factors fails here
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for kernel, fct, transform in (
+            (_pocketfft_umath.ifft, 1.0, np.fft.ifft),
+            (_pocketfft_umath.fft, 1.0 / n, np.fft.fft)):
+        assert np.array_equal(kernel(x, fct, out=np.empty_like(x)),
+                              transform(x, norm="forward")), (
+            f"_pocketfft_umath.{kernel.__name__} at n = {n} differs from "
+            f"np.fft.{transform.__name__} on numpy {np.__version__}")
 
 
 class TestRefine:
