@@ -1,15 +1,15 @@
-"""Scenario runner: parse a JSON scenario, compute, write CSVs + report.
+"""Scenario runner: parse a JSON scenario, compute, write products + report.
 
 Scenario schema (version 1), JSON with the following top-level keys:
 
     schema      int, must be 1
     name        str
     mode        "below_threshold" | "above_threshold" | "hamiltonian_audit"
-    resonator   section mapping to ResonatorConfig; detuning may be given
-                as "detuning" (rad/s) or "detuning_over_kappa"; pump power
-                as "pump_power" (W) or "pump_power_over_threshold" (one
-                of each pair, never both); a null value counts as not
-                given
+    resonator   (below and above threshold) section mapping to
+                ResonatorConfig; detuning may be given as "detuning"
+                (rad/s) or "detuning_over_kappa"; pump power as
+                "pump_power" (W) or "pump_power_over_threshold" (one of
+                each pair, never both); a null value counts as not given
     state       (above threshold) {"kind": "roll" | "bright_soliton" |
                 "dark_soliton" | "flat", "K", "horizon", "target_order"};
                 K and target_order ints >= 1, horizon a positive number
@@ -26,28 +26,33 @@ Scenario schema (version 1), JSON with the following top-level keys:
     outputs     list of distinct products: spectrum, envelope, flux_table,
                 total_power (below threshold); quadrature_spectrum,
                 number_difference, stability (above threshold); audit
-    modes       one or more distinct sidemode indices l (ints) for
-                per-mode spectra (default [1])
-    pairs       one or more distinct pair indices (ints >= 1, <= state.K
-                or else the default mode cutoff) for quadrature_spectrum
-                and number_difference, one CSV each per pair; number_difference
-                needs a mean field in the pair (default: the realized roll
-                order for a roll state, [1] otherwise)
-    l_max       envelope/flux-table half-range, int >= 0 (default 100)
-    audit_K     Hamiltonian-audit truncation, int in 0..6 (default 3)
+    modes       (below threshold) one or more distinct sidemode indices
+                l (ints) for per-mode spectra (default [1])
+    pairs       (above threshold) one or more distinct pair indices
+                (ints >= 1, <= state.K or else the default mode cutoff)
+                for quadrature_spectrum and number_difference, one CSV
+                each per pair; number_difference needs a mean field in
+                the pair (default: the realized roll order for a roll
+                state, [1] otherwise)
+    l_max       (below threshold) envelope/flux-table half-range,
+                int >= 0 (default 100)
+    audit_K     (hamiltonian audit) truncation, int in 0..6 (default 3)
     seed        integer >= 0 (default 0)
-    sweep       optional {"path": "<resonator key>", "values": [...]}
-                with at least one value, each resolved at validate; not
-                valid in hamiltonian_audit mode
+    sweep       (below and above threshold) optional {"path": "<resonator
+                key>", "values": [...]} with at least one value, each
+                resolved at validate
 
-Any other top-level key is rejected.
+Any other top-level key, one tagged with other modes only among them,
+is rejected with its name and the scenario's mode.
 
-Every product writes one CSV plus a metadata record in report.json; all
+Every product writes one file plus a metadata record in report.json; all
 output frequencies are in units of kappa, powers in watts.  Runs are
-deterministic for a given scenario + seed.
+deterministic for a given scenario + seed.  `run_products` is the one
+product table: its branches name each file, header, comment and report
+field, and write the arrays of the numerical layers through `io.csv_text`.
 
 `validate` and `report` load no numpy: validation reads only `units` and
-`hamiltonian_audit`, and numpy, the one runtime dependency, and the
+`hamiltonian_audit`, and numpy, the one runtime dependency, `io` and the
 numerical layers load at the first run.
 """
 
@@ -67,10 +72,14 @@ from . import _blas, hamiltonian_audit, units
 
 SCHEMA_VERSION = 1
 
-TOP_KEYS = {"schema", "name", "mode", "resonator", "state", "angle",
-            "outputs", "modes", "pairs", "l_max", "audit_K", "seed", "sweep"}
-
-MODES = ("below_threshold", "above_threshold", "hamiltonian_audit")
+#: The top-level keys each mode reads, besides the ones every mode reads.
+MODE_KEYS = {
+    "below_threshold": {"resonator", "modes", "l_max", "sweep"},
+    "above_threshold": {"resonator", "state", "angle", "pairs", "sweep"},
+    "hamiltonian_audit": {"audit_K"},
+}
+COMMON_KEYS = {"schema", "name", "mode", "outputs", "seed"}
+MODES = tuple(MODE_KEYS)
 PRODUCTS_BY_MODE = {
     "below_threshold": {"spectrum", "envelope", "flux_table",
                         "total_power"},
@@ -105,16 +114,17 @@ def load_scenario(path: str | Path) -> dict:
 def validate_scenario(raw: dict) -> None:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    unknown = sorted(set(raw) - TOP_KEYS)
-    if unknown:
-        raise ScenarioError(f"unknown top-level keys {unknown} "
-                            f"(allowed: {sorted(TOP_KEYS)})")
     if raw.get("schema") != SCHEMA_VERSION:
         raise ScenarioError(f"field 'schema': expected {SCHEMA_VERSION}, "
                             f"got {raw.get('schema')!r}")
     mode = raw.get("mode")
     if mode not in MODES:
         raise ScenarioError(f"field 'mode': expected one of {MODES}, got {mode!r}")
+    unread = sorted(set(raw) - COMMON_KEYS - MODE_KEYS[mode])
+    if unread:
+        raise ScenarioError(
+            f"top-level keys {unread}: mode {mode!r} does not read them "
+            f"(it reads {sorted(COMMON_KEYS | MODE_KEYS[mode])})")
     if "name" in raw and not isinstance(raw["name"], str):
         raise ScenarioError("field 'name': expected a string, "
                             f"got {raw['name']!r}")
@@ -192,9 +202,6 @@ def validate_scenario(raw: dict) -> None:
         raise ScenarioError("field 'sweep': expected {path: <resonator key>, "
                             "values: [one or more values]}")
     if mode == "hamiltonian_audit":
-        if sweep is not None:
-            raise ScenarioError("field 'sweep': sweeps a resonator key, and "
-                                "mode 'hamiltonian_audit' has no resonator")
         return
     res = raw.get("resonator")
     if not isinstance(res, dict):
@@ -290,10 +297,9 @@ def build_config(res: dict) -> units.ModalParams:
         raise ScenarioError(f"field 'resonator': {exc}") from exc
 
 
-def _write(outdir: Path, name: str, text: str, products: list,
+def _write(outdir: Path, name: str, data: bytes, products: list,
            t0: float, **extra) -> None:
     """Write one product file; `seconds` runs from `t0`, its own start."""
-    data = text.encode()
     (outdir / name).write_bytes(data)
     products.append({"file": name, "sha256": hashlib.sha256(data).hexdigest(),
                      "seconds": round(time.perf_counter() - t0, 6), **extra})
@@ -328,7 +334,7 @@ def run_products(scenario: dict, outdir: Path, seed: int,
     numerical layers load here, at the first run."""
     import numpy as np
 
-    from . import linearization, spontaneous, squeezing
+    from . import io, linearization, spontaneous, squeezing
     from . import steady_state as ss
 
     mode = scenario["mode"]
@@ -365,26 +371,35 @@ def run_products(scenario: dict, outdir: Path, seed: int,
     for product in outputs:
         t0 = time.perf_counter()
         if product == "spectrum":
-            for l, kind, peaks, text in spontaneous.mode_spectra(
+            # each distinct omega/kappa grid formatted once: mode_spectra
+            # yields one grid array per window, alive while it runs
+            columns = {}
+            for l, kind, peaks, series in spontaneous.mode_spectra(
                     scenario.get("modes", [1]), flat):
-                _write(outdir, f"spectrum_l{l}.csv", text, products, t0,
+                key = id(series.x)
+                if key not in columns:
+                    columns[key] = io._cells(series.x)
+                data = io._csv("omega/kappa,S",
+                               [columns[key], io._cells(series.values)])
+                _write(outdir, f"spectrum_l{l}.csv", data, products, t0,
                        product=product, l=l, lineshape=kind,
                        peak_frequencies_over_kappa=peaks)
                 t0 = time.perf_counter()
         elif product == "envelope":
-            _write(outdir, "envelope.csv",
-                   spontaneous.envelope_csv(ls, flat), products, t0,
-                   product=product,
+            kind, peak, _ = spontaneous.lineshape_peaks(ls, flat)
+            data = io.csv_text("l,S_env,kind", [ls, peak, kind])
+            _write(outdir, "envelope.csv", data, products, t0, product=product,
                    peak_modes=list(spontaneous.envelope_peaks(flat)))
         elif product == "flux_table":
-            _write(outdir, "flux_table.csv",
-                   spontaneous.flux_table_csv(ls, flat), products, t0,
+            data = io.csv_text("l,R_out,P_out_watts,regime",
+                               [ls, *spontaneous.sidemode_flux(ls, flat)])
+            _write(outdir, "flux_table.csv", data, products, t0,
                    product=product)
         elif product == "total_power":
             closed, discrete = spontaneous.total_spontaneous_power(params)
-            text = spontaneous.csv_text(
-                "closed_form_watts,discrete_sum_watts", [[closed], [discrete]])
-            _write(outdir, "total_power.csv", text, products, t0,
+            data = io.csv_text("closed_form_watts,discrete_sum_watts",
+                               [[closed], [discrete]])
+            _write(outdir, "total_power.csv", data, products, t0,
                    product=product)
         elif product == "number_difference":
             I = state.intensities
@@ -394,30 +409,34 @@ def run_products(scenario: dict, outdir: Path, seed: int,
                     raise ValueError(f"number_difference: pair l={l} has no "
                                      "mean field, so no linear fluctuation")
                 series = squeezing.quadrature_spectrum(optimum(l).blocks, 0.0)
-                _write(outdir, f"number_difference_l{l}.csv",
-                       spontaneous.spectrum_csv(series), products, t0,
-                       product=product, l=l)
+                data = io.csv_text("omega/kappa,S", [series.x, series.values])
+                _write(outdir, f"number_difference_l{l}.csv", data, products,
+                       t0, product=product, l=l)
         elif product == "stability":
             eig = linearization.stability_spectrum(state)
             kappa = state.params.kappa
-            text = spontaneous.csv_text("re_over_kappa,im_over_kappa",
-                                        [eig.real / kappa, eig.imag / kappa])
-            _write(outdir, "stability.csv", text, products, t0,
+            data = io.csv_text("re_over_kappa,im_over_kappa",
+                               [eig.real / kappa, eig.imag / kappa])
+            _write(outdir, "stability.csv", data, products, t0,
                    product=product, stable=linearization.is_stable(eig, kappa))
         elif product == "quadrature_spectrum":
             for l in pairs:
                 t0 = time.perf_counter()
                 opt = optimum(l)
-                _write(outdir, f"quadrature_l{l}.csv",
-                       squeezing.spectrum_csv(opt), products,
-                       t0, product=product,
-                       **squeezing.optimum_report(opt))
+                data = io.csv_text(
+                    "omega_over_kappa,S", [opt.spectrum.x, opt.spectrum.values],
+                    comment=f"pair l={l}, phi={opt.delta_Phi:.6f} rad "
+                            "(pair frame)")
+                _write(outdir, f"quadrature_l{l}.csv", data, products, t0,
+                       product=product, l=l, Phi_l=opt.Phi_l,
+                       delta_Phi=opt.delta_Phi, objective=opt.objective,
+                       flags={"degenerate": opt.degenerate})
         elif product == "audit":
             K = scenario.get("audit_K", 3)
             mset = hamiltonian_audit.enumerate_monomials(K)
             counts = {t.value: c for t, c in mset.counts_by_tag().items()}
-            _write(outdir, "audit_monomials.txt", mset.dump(), products, t0,
-                   product=product, K=K,
+            _write(outdir, "audit_monomials.txt", mset.dump().encode(),
+                   products, t0, product=product, K=K,
                    ordered_count=mset.ordered_count,
                    expected=hamiltonian_audit.expected_total(K),
                    counts_by_tag=counts)

@@ -35,6 +35,9 @@ squeezing-optimal angle is solved in closed form (`solve_quadrature_angle`).
 With A_l = A_-l = |A_l| e^{i Phi_l}, delta(N_+l - N_-l) = |A_l| (e^{-i Phi_l}
 D_l + h.c.), so C11 (`AngleOptimum.blocks`) is also the normalized
 photon-number-difference spectrum of pair l.
+
+Nothing here builds text: `cli.run_products` writes the pair products
+and their report records from an `AngleOptimum` through `io.csv_text`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linearization import EigenForm, build_quadrature_jacobian
-from .spontaneous import SpectrumSeries, csv_text, default_omega_grid
+from .spontaneous import SpectrumSeries, default_omega_grid
 from .steady_state import CombState
 from .units import OBJECTIVES
 
@@ -218,19 +221,3 @@ def optimize_quadrature_angle(state: CombState, l: int,
                         quadrature_spectrum(blocks, delta), degenerate,
                         blocks)
 
-
-def spectrum_csv(opt: AngleOptimum) -> str:
-    return csv_text("omega_over_kappa,S",
-                    [opt.spectrum.x, opt.spectrum.values],
-                    comment=f"pair l={opt.l}, phi={opt.delta_Phi:.6f} rad "
-                            "(pair frame)")
-
-
-def optimum_report(opt: AngleOptimum) -> dict:
-    return {
-        "l": opt.l,
-        "Phi_l": opt.Phi_l,
-        "delta_Phi": opt.delta_Phi,
-        "objective": opt.objective,
-        "flags": {"degenerate": opt.degenerate},
-    }

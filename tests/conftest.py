@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kerrcomb import _modal
+from kerrcomb import _modal, io
 from kerrcomb import hamiltonian_audit as ha
 from kerrcomb import spontaneous as sp
 from kerrcomb import steady_state as ss
@@ -97,14 +97,15 @@ def flux_parseval_oracle(l: int, flat) -> float:
     return total / (2.0 * math.pi)
 
 
-def reference_csv(header, columns, comment=None):
-    """The per-value % formatting that `csv_text` must reproduce."""
+def reference_csv(header, columns, comment=None) -> bytes:
+    """The per-value % formatting that `io.csv_text` must reproduce."""
     columns = [np.asarray(c) for c in columns]
     spec = {"i": "%d", "u": "%d", "U": "%s", "O": "%s"}
     row = ",".join(spec.get(c.dtype.kind, "%.12e") for c in columns) + "\n"
     cells = [v for r in zip(*(c.tolist() for c in columns)) for v in r]
     head = "" if comment is None else f"# {comment}\n"
-    return head + header + "\n" + row * len(columns[0]) % tuple(cells)
+    text = head + header + "\n" + row * len(columns[0]) % tuple(cells)
+    return text.encode()
 
 
 def _per_mode_rows(ls: np.ndarray, flat, error: type[Exception]) -> list:
@@ -123,20 +124,20 @@ def _per_mode_rows(ls: np.ndarray, flat, error: type[Exception]) -> list:
     return rows
 
 
-def per_mode_envelope_csv(l_range, flat) -> str:
+def per_mode_envelope_csv(l_range, flat) -> bytes:
     """envelope.csv built one mode at a time from `python_mode_row`: the
-    oracle of the array form behind `envelope_csv`."""
+    oracle of the envelope product's array form."""
     ls = np.asarray(l_range, dtype=int)
     peak, kind, *_ = zip(*_per_mode_rows(ls, flat, sp.NearThresholdError))
-    return sp.csv_text("l,S_env,kind", [ls, peak, kind])
+    return io.csv_text("l,S_env,kind", [ls, peak, kind])
 
 
-def per_mode_flux_csv(l_range, flat) -> str:
+def per_mode_flux_csv(l_range, flat) -> bytes:
     """flux_table.csv built one mode at a time from `python_mode_row`: the
-    oracle of the array form behind `flux_table_csv`."""
+    oracle of the flux table's array form."""
     ls = np.asarray(l_range, dtype=int)
     *_, R, P, regime = zip(*_per_mode_rows(ls, flat, sp.RegimeBoundaryError))
-    return sp.csv_text("l,R_out,P_out_watts,regime", [ls, R, P, regime])
+    return io.csv_text("l,R_out,P_out_watts,regime", [ls, R, P, regime])
 
 
 def python_mode_row(l: int, flat) -> tuple[float, str, float, float, str]:

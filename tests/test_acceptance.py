@@ -65,7 +65,7 @@ def test_03_envelope_peak_positions():
     assert sp.envelope_peaks(half_blue) == (-12, 12)
     red, _ = make_flat(0.1, -5.0, 0.01, rho=0.5)
     assert sp.envelope_peaks(red) == (0,)
-    kind, _, _ = sp._peak(ls, red)
+    kind, _, _ = sp.lineshape_peaks(ls, red)
     assert set(kind) == {sp.LineShapeKind.DOUBLE_PEAKED.value}
 
 
@@ -74,7 +74,7 @@ def test_04_lineshape_classification_and_peak_positions():
     p = flat.params
     g = p.g0 * abs(A0) ** 2
     ls = np.array([1, -1, 25, -25, 50, -50])
-    kinds, _, peak_frequencies = sp._peak(ls, flat)
+    kinds, _, peak_frequencies = sp.lineshape_peaks(ls, flat)
     assert kinds.tolist() == [sp.LineShapeKind.SINGLE_PEAKED.value] * 2 + [
         sp.LineShapeKind.DOUBLE_PEAKED.value] * 4
     positions = {}

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerrcomb import _blas, cli, linearization, spontaneous, squeezing
+from kerrcomb import _blas, cli, io, linearization, spontaneous, squeezing
 from kerrcomb import steady_state as ss
 from conftest import SCENARIOS, reference_csv
 
@@ -107,6 +107,13 @@ def roll_above_scenario(**over):
         name="roll-above-demo", resonator=resonator,
         state={"kind": "roll", "K": 6, "target_order": 2}, pairs=[2],
         outputs=["stability", "quadrature_spectrum", "number_difference"])
+    raw.update(over)
+    return raw
+
+
+def audit_scenario(**over):
+    raw = {"schema": 1, "name": "audit-demo", "mode": "hamiltonian_audit",
+           "outputs": ["audit"], "audit_K": 2}
     raw.update(over)
     return raw
 
@@ -298,12 +305,37 @@ class TestValidate:
         ("outputs", ["stability", "stability"]), ("outputs", [["stability"]]),
         ("modes", []), ("pairs", [])])
     def test_field_types_rejected(self, tmp_path, capsys, key, value):
-        # the flat scenario's state has K = 6, which bounds the pairs; a
-        # roll's target order is bounded by K, or else by the default mode
-        # cutoff, and other kinds take none
-        path = write_scenario(tmp_path, flat_above_scenario(**{key: value}))
+        # each key in a mode that reads it: the flat scenario's state has
+        # K = 6, which bounds the pairs; a roll's target order is bounded
+        # by K, or else by the default mode cutoff, and other kinds take
+        # none
+        make = {"modes": below_scenario, "l_max": below_scenario,
+                "audit_K": audit_scenario}.get(key, flat_above_scenario)
+        path = write_scenario(tmp_path, make(**{key: value}))
         assert cli.main(["validate", str(path)]) == 1
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make, key, value", [
+        (below_scenario, "pairs", [1]),
+        (below_scenario, "state", {"kind": "flat", "K": 6}),
+        (below_scenario, "angle", {"objective": "min"}),
+        (flat_above_scenario, "modes", [1]),
+        (flat_above_scenario, "l_max", 10),
+        (flat_above_scenario, "audit_K", 2),
+        (audit_scenario, "modes", [1]),
+        (audit_scenario, "pairs", [1]),
+        (audit_scenario, "state", {"kind": "flat"}),
+        (audit_scenario, "resonator", RESONATOR),
+        (audit_scenario, "sweep", {"path": "pump_power", "values": [1e-6]}),
+        (below_scenario, "audit_K", 2)])
+    def test_keys_the_mode_never_reads_rejected(self, tmp_path, capsys, make,
+                                                key, value):
+        # well-formed values, each in a mode that would ignore it
+        raw = make(**{key: value})
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"keys ['{key}']: mode {raw['mode']!r} does not read" in err
 
     @pytest.mark.parametrize("key, value", [
         ("pump_power", math.nan), ("pump_power", math.inf),
@@ -455,8 +487,8 @@ class TestBelowThresholdRun:
         # l = 80 sits on a 29.2 kappa window, l = 1 and l = 2 on the 20
         # kappa one: two omega/kappa columns formatted for three files
         columns = []
-        cells = spontaneous._cells
-        monkeypatch.setattr(spontaneous, "_cells",
+        cells = io._cells
+        monkeypatch.setattr(io, "_cells",
                             lambda c: columns.append(c) or cells(c))
         raw = below_scenario(outputs=["spectrum"], modes=[1, 80, 2])
         assert cli.run_scenario(raw, tmp_path) == 0
@@ -489,7 +521,7 @@ class TestBelowThresholdRun:
             grid = np.linspace(-window, window, 2048)
             series = spontaneous.spontaneous_spectrum(l, flat, grid)
             lasts.add(series.x[-1])
-            assert (tmp_path / f"spectrum_l{l}.csv").read_text() == \
+            assert (tmp_path / f"spectrum_l{l}.csv").read_bytes() == \
                 reference_csv("omega/kappa,S", [series.x, series.values])
         assert len(lasts) == 2
 
@@ -584,6 +616,12 @@ class TestAboveThresholdRun:
             "-5.000000000000e-01,8.003540870290e-01\n"
             "2.500000000000e-01,5.013278263586e-01\n"
             "1.000000000000e+00,5.947278529445e-01\n")
+        record = next(p for p in json.loads(
+            (out / "report.json").read_text())["products"]
+            if p["file"] == "quadrature_l2.csv")
+        assert set(record) == {"file", "sha256", "seconds", "product", "l",
+                               "Phi_l", "delta_Phi", "objective", "flags"}
+        assert (record["l"], record["flags"]) == (2, {"degenerate": False})
         assert (out / "stability.csv").read_text() == (
             "re_over_kappa,im_over_kappa\n"
             "-5.000000000000e-01,2.000000000000e+00\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar
 
+from kerrcomb import cli, io
 from kerrcomb import spontaneous as sp
+from kerrcomb import steady_state as ss
 from kerrcomb import units
-from conftest import (OMEGA_L, caf2_config, flux_parseval_oracle, make_flat,
-                      per_mode_envelope_csv, per_mode_flux_csv,
+from conftest import (OMEGA_L, SCENARIOS, caf2_config, flux_parseval_oracle,
+                      make_flat, per_mode_envelope_csv, per_mode_flux_csv,
                       python_mode_row, reference_csv)
 
 # Synthetic parameter set used in the source material's lineshape figures:
@@ -27,7 +30,7 @@ def flat_ls():
 
 def lineshape(l: int, flat) -> tuple:
     """(kind, peak value, w_m in rad/s) of sidemode l."""
-    kind, peak, w_m = sp._peak(np.array([l]), flat)
+    kind, peak, w_m = sp.lineshape_peaks(np.array([l]), flat)
     return sp.LineShapeKind(kind[0]), peak[0], w_m[0]
 
 
@@ -36,6 +39,16 @@ def lineshape_grid(l: int, flat) -> np.ndarray:
     w_m = lineshape(l, flat)[2]
     window = max(sp.OMEGA_WINDOW, w_m / flat.params.kappa + 10.0)
     return sp.default_omega_grid(sp.OMEGA_POINTS, window)
+
+
+def run_map(flat, l_max: int, outputs: list, out, monkeypatch) -> dict:
+    """The report of the CLI's below-threshold products `outputs` over
+    l = -l_max..l_max, written into `out`, with `flat` as the flat state."""
+    monkeypatch.setattr(ss, "solve_flat_state", lambda params: flat)
+    raw = json.loads((SCENARIOS / "below_threshold_caf2.json").read_text())
+    raw.update(outputs=outputs, l_max=int(l_max))
+    cli.run_scenario(raw, out)
+    return json.loads((out / "report.json").read_text())
 
 
 class TestSpectrum:
@@ -111,7 +124,7 @@ class TestLineshapeClassification:
 def envelope_argmax(flat, l_max=100):
     """|l| of the largest envelope value, peak spectral density per mode."""
     ls = np.arange(-l_max, l_max + 1)
-    return abs(ls[np.argmax(sp._peak(ls, flat)[1])])
+    return abs(ls[np.argmax(sp.lineshape_peaks(ls, flat)[1])])
 
 
 class TestEnvelope:
@@ -127,7 +140,7 @@ class TestEnvelope:
     def test_single_maximum_red_detuned(self):
         branches, _ = make_flat(0.1, -5.0, 0.01, rho=0.5)
         assert sp.envelope_peaks(branches) == (0,)
-        kind, _, _ = sp._peak(np.arange(-100, 101), branches)
+        kind, _, _ = sp.lineshape_peaks(np.arange(-100, 101), branches)
         assert set(kind) == {sp.LineShapeKind.DOUBLE_PEAKED.value}
 
     def test_zero_dispersion_names_zeta2(self):
@@ -163,7 +176,7 @@ class TestFluxes:
         with pytest.raises(sp.NearThresholdError):
             next(sp.mode_spectra([0], branches))
         with pytest.raises(sp.NearThresholdError):
-            sp.envelope_csv(np.arange(-2, 3), branches)
+            sp.lineshape_peaks(np.arange(-2, 3), branches)
         with pytest.raises(sp.RegimeBoundaryError):
             sp.sidemode_flux(0, branches)
 
@@ -275,7 +288,7 @@ class TestAddDrop:
 class TestCsv:
     def test_spectrum_csv_digits(self, flat_ls):
         s = sp.spontaneous_spectrum(1, flat_ls, np.array([0.0, 1.0]))
-        text = sp.spectrum_csv(s)
+        text = io.csv_text("omega/kappa,S", [s.x, s.values]).decode()
         lines = text.strip().split("\n")
         assert lines[0] == "omega/kappa,S"
         mantissa = lines[1].split(",")[1].split("e")[0]
@@ -294,7 +307,7 @@ class TestCsv:
     @settings(max_examples=300, deadline=None)
     def test_real_column_matches_reference(self, values):
         column = np.array(values, dtype=float)
-        assert sp.csv_text("x", [column]) == reference_csv("x", [column])
+        assert io.csv_text("x", [column]) == reference_csv("x", [column])
 
     def test_real_column_edge_cases(self):
         powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
@@ -307,7 +320,7 @@ class TestCsv:
                             np.nextafter(powers, np.inf), near_ties,
                             carries, ties, [np.inf, np.nan]])
         x = np.concatenate([x, -x])
-        assert sp.csv_text("x", [x]) == reference_csv("x", [x])
+        assert io.csv_text("x", [x]) == reference_csv("x", [x])
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_mixed_columns_match_reference(self, n):
@@ -319,14 +332,14 @@ class TestCsv:
                    rng.normal(size=n).astype(np.float32),
                    ["weak", "strong", "\u00e9", "x", "y"][:n], objects]
         for comment in (None, "pair l=1"):
-            assert (sp.csv_text("a,b,c,d,e,f,g", columns, comment)
+            assert (io.csv_text("a,b,c,d,e,f,g", columns, comment)
                     == reference_csv("a,b,c,d,e,f,g", columns, comment))
 
     def test_unformattable_cells_raise(self):
         with pytest.raises(TypeError):
-            sp.csv_text("z", [np.array([1.0 + 2.0j])])
+            io.csv_text("z", [np.array([1.0 + 2.0j])])
         with pytest.raises(ValueError):
-            sp.csv_text("s", [["a\0b"]])
+            io.csv_text("s", [["a\0b"]])
 
     @pytest.mark.parametrize("header, columns", [
         ("a,b", [np.arange(3.0)]),                  # a field with no column
@@ -338,7 +351,7 @@ class TestCsv:
     ])
     def test_malformed_input_raises_naming_the_header(self, header, columns):
         with pytest.raises(ValueError, match=f"header '{header}'"):
-            sp.csv_text(header, columns)
+            io.csv_text(header, columns)
 
     def test_first_columns_match_reference(self):
         a = np.linspace(-20.0, 20.0, 2048)
@@ -352,31 +365,34 @@ class TestCsv:
                   a]
         for x in firsts:
             y = np.arange(len(x)) * 1e-3
-            assert sp.csv_text("x,y", [x, y]) == reference_csv("x,y", [x, y])
+            assert io.csv_text("x,y", [x, y]) == reference_csv("x,y", [x, y])
 
-    def test_envelope_csv_matches_envelope_and_kinds(self):
+    def test_envelope_csv_matches_envelope_and_kinds(self, tmp_path,
+                                                      monkeypatch):
         # a blue-detuned map mixes single- and double-peaked modes
         branches, _ = make_flat(0.1, 5.0, 0.01, rho=0.5)
         ls = np.arange(-40, 41)
         shapes = [python_mode_row(l, branches) for l in ls.tolist()]
+        run_map(branches, 40, ["envelope"], tmp_path, monkeypatch)
         rows = [r.split(",") for r in
-                sp.envelope_csv(ls, branches).splitlines()[1:]]
+                (tmp_path / "envelope.csv").read_text().splitlines()[1:]]
         assert [int(r[0]) for r in rows] == ls.tolist()
         assert [r[1] for r in rows] == [f"{s[0]:.12e}" for s in shapes]
         kinds = [s[1] for s in shapes]
         assert [r[2] for r in rows] == kinds
         assert len(set(kinds)) == 2
 
-    def test_flux_table(self, flat_ls):
-        text = sp.flux_table_csv(np.arange(-3, 4), flat_ls)
+    def test_flux_table(self, flat_ls, tmp_path, monkeypatch):
+        run_map(flat_ls, 3, ["flux_table"], tmp_path, monkeypatch)
+        text = (tmp_path / "flux_table.csv").read_text()
         assert text.splitlines()[0] == "l,R_out,P_out_watts,regime"
         assert len(text.splitlines()) == 8
 
 
 class TestArrayForms:
-    """envelope_csv and flux_table_csv evaluate the closed forms over the
-    whole l array; each row must equal one mode's Python-float arithmetic
-    (`python_mode_row`)."""
+    """The envelope and flux-table products evaluate the closed forms over
+    the whole l array; each row must equal one mode's Python-float
+    arithmetic (`python_mode_row`)."""
 
     @pytest.mark.parametrize("g, sigma, ls", [
         (0.1, 0.5, np.arange(-60, 61)),      # the lineshape figures' map
@@ -384,12 +400,17 @@ class TestArrayForms:
         (1.2, 0.0, np.arange(-30, 31)),      # strong rows at |l| 19..24
         (0.0, 0.5, np.arange(-12, 13)),      # no pump, xi_10 = g = 0
     ])
-    def test_rows_match_per_mode_forms(self, g, sigma, ls):
+    def test_rows_match_per_mode_forms(self, g, sigma, ls, tmp_path,
+                                       monkeypatch):
         branches, _ = make_flat(g, sigma, 0.01, rho=0.5)
-        envelope = per_mode_envelope_csv(ls, branches)
-        assert sp.envelope_csv(ls, branches) == envelope
-        assert sp.flux_table_csv(ls, branches) == per_mode_flux_csv(ls, branches)
-        kind, peak, _ = sp._peak(ls, branches)
+        report = run_map(branches, ls[-1], ["envelope", "flux_table"],
+                         tmp_path, monkeypatch)
+        assert report["errors"] == []
+        assert ((tmp_path / "envelope.csv").read_bytes()
+                == per_mode_envelope_csv(ls, branches))
+        assert ((tmp_path / "flux_table.csv").read_bytes()
+                == per_mode_flux_csv(ls, branches))
+        kind, peak, _ = sp.lineshape_peaks(ls, branches)
         R, P, regime = sp.sidemode_flux(ls, branches)
         kinds = kind.tolist()
         rows = list(zip(peak.tolist(), kinds, R.tolist(), P.tolist(),
@@ -417,7 +438,8 @@ class TestArrayForms:
 
     @pytest.mark.parametrize("ls, l_bad", [(np.arange(-2, 3), 0),
                                            (np.arange(-12, 13), -10)])
-    def test_singular_mode_names_the_first(self, ls, l_bad):
+    def test_singular_mode_names_the_first(self, ls, l_bad, tmp_path,
+                                           monkeypatch):
         # g = kappa, sigma = -2 kappa puts m_0 on 0 (see
         # TestFluxes.test_singular_point_raises_everywhere); for the second
         # case zeta2 moves the zero to |l| = 10, so l = -10 comes first
@@ -429,12 +451,13 @@ class TestArrayForms:
             zeta2 = 2.0 * (p.sigma + 2.0 * g - math.sqrt(g**2 - p.kappa**2)) / 100
             branches = dataclasses.replace(
                 branches, params=dataclasses.replace(p, zeta2=zeta2))
-        for emit, oracle, error in (
-                (sp.envelope_csv, per_mode_envelope_csv, sp.NearThresholdError),
-                (sp.flux_table_csv, per_mode_flux_csv, sp.RegimeBoundaryError)):
-            with pytest.raises(error) as array_form:
-                emit(ls, branches)
+        for product, oracle, error in (
+                ("envelope", per_mode_envelope_csv, sp.NearThresholdError),
+                ("flux_table", per_mode_flux_csv, sp.RegimeBoundaryError)):
+            (array_form,) = run_map(branches, ls[-1], [product],
+                                    tmp_path / product, monkeypatch)["errors"]
             with pytest.raises(error) as per_mode:
                 oracle(ls, branches)
-            assert str(array_form.value) == str(per_mode.value)
-            assert str(array_form.value).startswith(f"mode l={l_bad} sits on")
+            assert array_form == {"type": error.__name__,
+                                  "message": str(per_mode.value)}
+            assert array_form["message"].startswith(f"mode l={l_bad} sits on")

@@ -506,24 +506,3 @@ class TestAngleOptimization:
         with pytest.raises(ValueError):
             sq.optimize_quadrature_angle(state, 1, objective="deepest")
 
-
-class TestCsv:
-    def test_spectrum_csv_digits(self):
-        series = sq.SpectrumSeries(np.array([0.5]), np.array([1.0 / 3.0]))
-        blocks = sq.PairSpectralBlocks(series.x, series.values,
-                                       series.values, np.zeros(1))
-        opt = sq.AngleOptimum(l=2, Phi_l=0.0, delta_Phi=0.1, objective=0.0,
-                              spectrum=series, degenerate=False,
-                              blocks=blocks)
-        text = sq.spectrum_csv(opt)
-        assert "3.333333333333e-01" in text
-        assert text.splitlines()[1] == "omega_over_kappa,S"
-
-    def test_optimum_report_fields(self, three_mode):
-        state, _ = three_mode
-        opt = sq.optimize_quadrature_angle(
-            state, state.roll_order, omega_grid=sq.default_omega_grid(128))
-        rep = sq.optimum_report(opt)
-        assert set(rep) == {"l", "Phi_l", "delta_Phi", "objective", "flags"}
-        assert rep["flags"] == {"degenerate": False}
-        assert rep["l"] == state.roll_order
