@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from kerrcomb import cli
 from kerrcomb import linearization as lin
 from kerrcomb import spontaneous as sp
 from kerrcomb import squeezing as sq
@@ -506,3 +508,55 @@ class TestAngleOptimization:
         with pytest.raises(ValueError):
             sq.optimize_quadrature_angle(state, 1, objective="deepest")
 
+
+
+def _quadrature_run(tmp_path, **over):
+    # the quadrature product as the CLI writes it: a weak-pump flat
+    # state at K = 6 is cheap to solve and reaches the pair products
+    raw = {"schema": 1, "name": "quadrature-csv", "mode": "above_threshold",
+           "resonator": {"pump_wavelength": 1550e-9, "main_radius": 2.5e-3,
+                         "group_index": 1.43, "intrinsic_Q": 1e9,
+                         "through_Q": 0.25e9, "pump_power": 1e-6,
+                         "detuning": 0.0, "gamma": 0.001,
+                         "zeta2": 2.0 * math.pi * 2.9e3},
+           "state": {"kind": "flat", "K": 6},
+           "outputs": ["quadrature_spectrum"]}
+    raw.update(over)
+    assert cli.run_scenario(raw, tmp_path) == 0
+    (record,) = json.loads((tmp_path / "report.json").read_text())["products"]
+    return (tmp_path / record["file"]).read_text(), record
+
+
+class TestCsv:
+    def test_spectrum_csv_digits(self, tmp_path, monkeypatch):
+        series = sq.SpectrumSeries(np.array([0.5]), np.array([1.0 / 3.0]))
+        blocks = sq.PairSpectralBlocks(series.x, series.values,
+                                       series.values, np.zeros(1))
+        opt = sq.AngleOptimum(l=1, Phi_l=0.0, delta_Phi=0.1, objective=0.0,
+                              spectrum=series, degenerate=False,
+                              blocks=blocks)
+        monkeypatch.setattr(sq, "optimize_quadrature_angle",
+                            lambda state, l, **angle: opt)
+        text, _ = _quadrature_run(tmp_path, pairs=[1])
+        assert "3.333333333333e-01" in text
+        comment, header = text.splitlines()[:2]
+        assert comment == "# pair l=1, phi=0.100000 rad (pair frame)"
+        assert header == "omega_over_kappa,S"
+
+    def test_optimum_report_fields(self, three_mode, tmp_path, monkeypatch):
+        # the three-mode roll stands in for the solved state; pairs
+        # default to its roll order
+        state, _ = three_mode
+        monkeypatch.setattr(ss, "find_steady_state",
+                            lambda params, seed, **kw: state)
+        optimize = sq.optimize_quadrature_angle
+        monkeypatch.setattr(sq, "optimize_quadrature_angle",
+                            lambda state, l, **angle: optimize(
+                                state, l,
+                                omega_grid=sq.default_omega_grid(128),
+                                **angle))
+        _, rep = _quadrature_run(tmp_path)
+        assert set(rep) - {"file", "sha256", "seconds", "product"} == {
+            "l", "Phi_l", "delta_Phi", "objective", "flags"}
+        assert rep["flags"] == {"degenerate": False}
+        assert rep["l"] == state.roll_order
