@@ -27,7 +27,6 @@ symbols are missing, it does nothing.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 from collections.abc import Iterator
 
@@ -43,6 +42,8 @@ SYMBOLS = [(f"{prefix}_get_num_threads{suffix}",
 def pool() -> tuple | None:
     """(get, set) thread-count functions of the OpenBLAS that `np.linalg`
     calls, or None where none is found."""
+    import ctypes
+
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)

@@ -50,6 +50,11 @@ output frequencies are in units of kappa, powers in watts.  Runs are
 deterministic for a given scenario + seed.  `run_products` is the one
 product table: its branches name each file, header, comment and report
 field, and write the arrays of the numerical layers through `io.csv_text`.
+One writer thread per `run_scenario` call (`_writer`) creates every file,
+products and reports alike, while the next product is computed; every
+file is complete when `run_scenario` returns, and a failed write is
+raised from it.  A product's `seconds` times computing, formatting and
+hashing it, not the write.
 
 `validate` and `report` load no numpy: validation reads only `units` and
 `hamiltonian_audit`, and numpy, the one runtime dependency, `io` and the
@@ -58,10 +63,9 @@ numerical layers load at the first run.
 
 from __future__ import annotations
 
-import argparse
+import contextlib
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -297,12 +301,68 @@ def build_config(res: dict) -> units.ModalParams:
         raise ScenarioError(f"field 'resonator': {exc}") from exc
 
 
+#: Files handed to the writer thread and not yet written, at most.
+WRITE_QUEUE = 4
+
+#: Hands (path, bytes) to the writer thread of the running `run_scenario`
+#: (`_writer`); None between runs.  A process runs one scenario at a time,
+#: as the BLAS thread count that `_blas.one_thread` sets is global too.
+_submit = None
+
+
+@contextlib.contextmanager
+def _writer():
+    """The scope of one writer thread, which creates the files handed to
+    `_submit` in order while the caller computes the next one.
+
+    The thread does file I/O only.  After its first failed write it writes
+    nothing more: `_submit` raises that error from then on, and so does
+    the scope's exit, once the thread has drained the queue and ended.
+    """
+    import queue
+    import threading
+
+    global _submit
+    pending = queue.Queue(WRITE_QUEUE)
+    failed = []
+
+    def drain() -> None:
+        while (item := pending.get()) is not None:
+            if not failed:
+                try:
+                    item[0].write_bytes(item[1])
+                # any error, so the thread drains the queue to the end and
+                # a blocked `submit` can return
+                except Exception as exc:  # noqa: BLE001 - raised by the run
+                    failed.append(exc)
+
+    def submit(path: Path, data: bytes) -> None:
+        if failed:
+            raise failed[0]
+        pending.put((path, data))
+
+    thread = threading.Thread(target=drain, name="kerrcomb-writer")
+    thread.start()
+    _submit = submit
+    try:
+        yield
+    finally:
+        _submit = None
+        pending.put(None)
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
 def _write(outdir: Path, name: str, data: bytes, products: list,
            t0: float, **extra) -> None:
-    """Write one product file; `seconds` runs from `t0`, its own start."""
-    (outdir / name).write_bytes(data)
+    """Record one product file and hand it to the writer thread; `seconds`
+    runs from `t0`, its own start, to its hash, before the write."""
+    import hashlib
+
     products.append({"file": name, "sha256": hashlib.sha256(data).hexdigest(),
                      "seconds": round(time.perf_counter() - t0, 6), **extra})
+    _submit(outdir / name, data)
 
 
 def derived_quantities(p: units.ModalParams) -> dict:
@@ -444,25 +504,28 @@ def run_products(scenario: dict, outdir: Path, seed: int,
 
 def run_scenario(scenario: dict, outdir: Path, seed: int | None = None) -> int:
     """Run one scenario (including sweeps); returns process exit status:
-    1 if any run recorded an error, else 0."""
+    1 if any run recorded an error, else 0.  Every file is complete on
+    return: the run's writer thread (`_writer`) ends before it, and its
+    first failed write is raised here."""
     outdir.mkdir(parents=True, exist_ok=True)
     seed = scenario.get("seed", 0) if seed is None else seed
     sweep = scenario.get("sweep")
-    if not sweep:
-        return 1 if _run_point(scenario, outdir, seed)["errors"] else 0
-    report = {"scenario": scenario, "seed": seed, "sub_runs": []}
-    for i, value in enumerate(sweep["values"]):
-        sub = {k: v for k, v in scenario.items() if k != "sweep"}
-        sub["resonator"] = {**sub["resonator"], sweep["path"]: value}
-        subdir = outdir / f"sweep_{i:02d}"
-        subdir.mkdir(parents=True, exist_ok=True)
-        sub_report = _run_point(sub, subdir, seed)
-        report["sub_runs"].append({
-            "dir": subdir.name, "value": value,
-            "state": sub_report.get("state"),
-            "errors": sub_report["errors"],
-        })
-    (outdir / "report.json").write_text(json.dumps(report, indent=2))
+    with _writer():
+        if not sweep:
+            return 1 if _run_point(scenario, outdir, seed)["errors"] else 0
+        report = {"scenario": scenario, "seed": seed, "sub_runs": []}
+        for i, value in enumerate(sweep["values"]):
+            sub = {k: v for k, v in scenario.items() if k != "sweep"}
+            sub["resonator"] = {**sub["resonator"], sweep["path"]: value}
+            subdir = outdir / f"sweep_{i:02d}"
+            subdir.mkdir(parents=True, exist_ok=True)
+            sub_report = _run_point(sub, subdir, seed)
+            report["sub_runs"].append({
+                "dir": subdir.name, "value": value,
+                "state": sub_report.get("state"),
+                "errors": sub_report["errors"],
+            })
+        _submit(outdir / "report.json", json.dumps(report, indent=2).encode())
     return 1 if any(run["errors"] for run in report["sub_runs"]) else 0
 
 
@@ -478,11 +541,13 @@ def _run_point(scenario: dict, outdir: Path, seed: int) -> dict:
     except (ScenarioError, ValueError, ArithmeticError, RuntimeError) as exc:
         report["errors"].append({"type": type(exc).__name__,
                                  "message": str(exc)})
-    (outdir / "report.json").write_text(json.dumps(report, indent=2))
+    _submit(outdir / "report.json", json.dumps(report, indent=2).encode())
     return report
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="kerrcomb",
         description="Kerr comb quantum-dynamics scenario runner")

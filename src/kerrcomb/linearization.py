@@ -127,7 +127,8 @@ def _vacuum_gram(V: np.ndarray) -> np.ndarray:
 def eigen_form(J_q: np.ndarray, kappa: float) -> EigenForm:
     """J_q = V diag(lam) V^-1 for a real J_q of order n = 2K, with the
     state-only part of every pair's pole sums (`squeezing`); a V too close
-    to singular is refused (`_vacuum_gram`).
+    to singular is refused (`_vacuum_gram`), unless J_q is -kappa I to
+    within n eps kappa, which is served as V = I, lam = diag(J_q).
 
     With P = `_vacuum_gram(V)` and mu = lam / kappa, the pole weights are
     E_jk = P_jk (2 + 4 / (mu_j + conj mu_k)) where |mu_j + conj mu_k| >
@@ -140,7 +141,17 @@ def eigen_form(J_q: np.ndarray, kappa: float) -> EigenForm:
     if np.iscomplexobj(J_q):
         raise ValueError("J_q must be real for (J_q - i w I)^-1 = conj G_+")
     lam, V = np.linalg.eig(J_q)
-    P = _vacuum_gram(V)
+    try:
+        P = _vacuum_gram(V)
+    except ValueError:
+        # -kappa I to rounding (no pump, no detuning, no dispersion) has a
+        # full eigenbasis, whichever near-parallel vectors LAPACK returns
+        n = len(J_q)
+        offset = float(np.max(np.abs(J_q + kappa * np.eye(n))))
+        if not offset <= n * np.finfo(float).eps * kappa:
+            raise
+        lam, V = J_q.diagonal().copy(), np.eye(n)
+        P = _vacuum_gram(V)
     mu = lam / kappa
     mu_sum = mu[:, None] + mu.conj()[None, :]
     double = np.abs(mu_sum) <= STABILITY_TOL

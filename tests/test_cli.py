@@ -11,6 +11,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -575,11 +577,14 @@ class TestAboveThresholdRun:
     def test_number_difference_needs_a_mean_field(self, tmp_path):
         # a flat state's pair has no mean field, so its photon-number
         # difference has no linear fluctuation to report; the products
-        # written before it keep their records and the state its report
+        # handed to the writer thread before it are on disk as recorded,
+        # the state keeps its report, and the thread ends with the run
         raw = flat_above_scenario(outputs=["stability", "quadrature_spectrum",
                                            "number_difference"])
         out = tmp_path / "out"
+        threads = threading.active_count()
         assert cli.run_scenario(raw, out) == 1
+        assert threading.active_count() == threads
         report = json.loads((out / "report.json").read_text())
         (error,) = report["errors"]
         assert error["type"] == "ValueError"
@@ -766,6 +771,48 @@ class TestShippedScenarios:
             assert (tmp_path / f"quadrature_l{l}.csv").is_file()
             assert (tmp_path / f"number_difference_l{l}.csv").is_file() is (
                 "number_difference" in scenario["outputs"])
+
+    def test_a_failed_write_ends_the_run(self, tmp_path, monkeypatch):
+        # a directory in the way of envelope.csv, whose write is held back
+        # long enough for the run to hand over the later files: the writer
+        # thread writes none of them, report.json included, the run raises
+        # its error, and no thread outlives the run
+        write_bytes = Path.write_bytes
+
+        def held_back(path, data):
+            if path.name == "envelope.csv":
+                time.sleep(0.2)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", held_back)
+        scenario = cli.load_scenario(SCENARIOS / "below_threshold_caf2.json")
+        (tmp_path / "envelope.csv").mkdir()
+        threads = threading.active_count()
+        with pytest.raises(IsADirectoryError):
+            cli.run_scenario(scenario, tmp_path)
+        assert threading.active_count() == threads
+        written = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
+        assert written == ["spectrum_l1.csv", "spectrum_l12.csv",
+                           "spectrum_l25.csv"]
+
+    def test_files_as_recorded_at_a_short_switch_interval(self, tmp_path):
+        # the run and its writer thread trade the interpreter lock about
+        # every microsecond: still, each file that report.json lists is
+        # complete when the run returns, with the sha256 it lists
+        scenario = cli.load_scenario(SCENARIOS / "below_threshold_caf2.json")
+        scenario["modes"] = list(range(1, 41))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert cli.run_scenario(scenario, tmp_path) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        products = json.loads((tmp_path / "report.json").read_text())[
+            "products"]
+        assert len(products) == 43
+        for p in products:
+            data = (tmp_path / p["file"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == p["sha256"]
 
     def test_total_power_closed_form_matches_sum(self, tmp_path):
         scenario = cli.load_scenario(SCENARIOS / "below_threshold_caf2.json")
@@ -1026,7 +1073,8 @@ def test_benchmark_entry_points_resolve(tmp_path, monkeypatch):
 def test_numpy_and_scipy_load_only_to_compute(tmp_path):
     # the import, validate and report load neither numpy nor scipy; the
     # first run loads numpy, and no run, above threshold either, loads any
-    # scipy. A fresh interpreter, since conftest imports both here
+    # scipy. A fresh interpreter, since conftest imports both here, and
+    # the modules the import adds to a bare interpreter are checked too
     below = write_scenario(tmp_path, below_scenario(), "below.json")
     audit = write_scenario(tmp_path, {"schema": 1, "mode": "hamiltonian_audit",
                                       "outputs": ["audit"], "audit_K": 2},
@@ -1044,9 +1092,12 @@ def test_numpy_and_scipy_load_only_to_compute(tmp_path):
         closed_form += [["run", str(path), "--out", out], ["report", out]]
     above = [["run", str(roll), "--out", str(tmp_path / "roll")]]
     code = (
-        "import contextlib, io, json, sys\n"
+        "import sys\n"
+        "bare = set(sys.modules)\n"
         "import kerrcomb\n"
         "from kerrcomb import cli\n"
+        "added = sorted(set(sys.modules) - bare)\n"
+        "import contextlib, io, json\n"
         "loaded = []\n"
         "for stage in json.loads(sys.argv[1]):\n"
         "    for argv in stage:\n"
@@ -1056,7 +1107,7 @@ def test_numpy_and_scipy_load_only_to_compute(tmp_path):
         "    loaded.append([m for m in sys.modules\n"
         "                   if m.partition('.')[0] in ('numpy', 'scipy')])\n"
         "exported = {n: getattr(kerrcomb, n) for n in kerrcomb.__all__}\n"
-        "print(json.dumps([loaded, [\n"
+        "print(json.dumps([added, loaded, [\n"
         "    name for name, obj in exported.items()\n"
         "    if getattr(sys.modules[obj.__module__], name) is not obj]]))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -1064,8 +1115,15 @@ def test_numpy_and_scipy_load_only_to_compute(tmp_path):
         [sys.executable, "-c", code,
          json.dumps([[], checked, closed_form, above])],
         env=env, check=True, capture_output=True, text=True).stdout
-    (imported, after_checks, after_closed_form, after_above), stray = (
+    added, (imported, after_checks, after_closed_form, after_above), stray = (
         json.loads(out))
+    # what the import itself must not load: the writer's thread and queue
+    # start with a run, the hash with a product, the parser with `main`
+    # and ctypes with numpy's BLAS
+    assert not [m for m in added
+                if m.partition(".")[0] in ("queue", "concurrent", "hashlib",
+                                           "argparse", "ctypes")]
+    assert "kerrcomb.cli" in added
     assert imported == after_checks == []
     assert "numpy" in after_closed_form
     assert not [m for m in after_closed_form

@@ -453,8 +453,9 @@ class TestMirrorSymmetry:
     # -kappa I plus a Hamiltonian matrix, so its spectrum is mirrored
     # about Re lambda = -kappa, lambda <-> -2 kappa - conj(lambda), and its
     # trace is -n kappa, n its order.  At g, sigma ~ 0 both blocks are
-    # -kappa I to rounding, and `eigen_form` may refuse the eigenvectors
-    # LAPACK picks for that near multiple eigenvalue (cond_2(V) ~ 1e17)
+    # -kappa I to rounding: LAPACK's eigenvectors for that near multiple
+    # eigenvalue can have cond_2(V) ~ 1e17 (the pinned example), and
+    # `eigen_form` serves such a J_q with V = I rather than refuse it
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 8),
            kappa=st.floats(0.1, 10.0), sigma=st.floats(-5.0, 5.0),
            zeta2=st.floats(-0.1, 0.1), g=st.floats(0.0, 2.0))
@@ -479,13 +480,22 @@ class TestMirrorSymmetry:
             eig = np.linalg.eigvals(M)
             assert np.trace(M) == pytest.approx(-len(M) * kappa, rel=1e-12)
             _assert_same_spectrum(eig, -2.0 * kappa - eig.conj())
-        # J_q is the antisymmetric block up to the pair rotation
+        # J_q is the antisymmetric block up to the pair rotation; only a
+        # J_q that is not -kappa I to rounding may be refused
+        A, B = _modal.reflection_block(a, params, -1)
+        rot = np.exp(1j * lin.pair_phases(state))
+        J_q = _modal.real_jacobian(A * (rot[None, :] / rot[:, None]),
+                                   B / (rot[None, :] * rot[:, None]))
+        minus_kappa = (np.max(np.abs(J_q + kappa * np.eye(2 * K)))
+                       <= 2 * K * np.finfo(float).eps * kappa)
         try:
             lam = lin.build_quadrature_jacobian(state).eigen.lam
         except ValueError as exc:
             assert re.search(r"cond_2\(V\) = .* exceeds", str(exc))
+            assert not minus_kappa
         else:
             _assert_same_spectrum(lam, eig)
+            _assert_same_spectrum(lam, -2.0 * kappa - lam.conj())
 
 
 def _near_jordan_Jq(delta, n, seed=0):
