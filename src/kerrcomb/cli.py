@@ -45,16 +45,18 @@ Scenario schema (version 1), JSON with the following top-level keys:
 Any other top-level key, one tagged with other modes only among them,
 is rejected with its name and the scenario's mode.
 
-Every product writes one file plus a metadata record in report.json; all
+Every product is one file plus a metadata record in report.json; all
 output frequencies are in units of kappa, powers in watts.  Runs are
 deterministic for a given scenario + seed.  `run_products` is the one
 product table: its branches name each file, header, comment and report
-field, and write the arrays of the numerical layers through `io.csv_text`.
-One writer thread per `run_scenario` call (`_writer`) creates every file,
-products and reports alike, while the next product is computed; every
-file is complete when `run_scenario` returns, and a failed write is
-raised from it.  A product's `seconds` times computing, formatting and
-hashing it, not the write.
+field, and yield the arrays of the numerical layers as `io.csv_text`
+formats them.  `_run_point` is the one recording site: it hashes and
+times each yielded file, records it, and hands it to the run's writer
+thread (`_writer`), which creates every file, products and reports
+alike, while the next product is computed; every file is complete when
+`run_scenario` returns, and a failed write is raised from it.  A
+product's `seconds` times computing, formatting and hashing it, not the
+state solve and not the write.
 
 `validate` and `report` load no numpy: validation reads only `units` and
 `hamiltonian_audit`, and numpy, the one runtime dependency, `io` and the
@@ -70,6 +72,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import _blas, hamiltonian_audit, units
@@ -304,25 +307,20 @@ def build_config(res: dict) -> units.ModalParams:
 #: Files handed to the writer thread and not yet written, at most.
 WRITE_QUEUE = 4
 
-#: Hands (path, bytes) to the writer thread of the running `run_scenario`
-#: (`_writer`); None between runs.  A process runs one scenario at a time,
-#: as the BLAS thread count that `_blas.one_thread` sets is global too.
-_submit = None
-
 
 @contextlib.contextmanager
 def _writer():
-    """The scope of one writer thread, which creates the files handed to
-    `_submit` in order while the caller computes the next one.
+    """The scope of one writer thread: yields `submit(path, data)`, which
+    queues a file for the thread; the thread creates the files in order
+    while the caller computes the next one.
 
     The thread does file I/O only.  After its first failed write it writes
-    nothing more: `_submit` raises that error from then on, and so does
+    nothing more: `submit` raises that error from then on, and so does
     the scope's exit, once the thread has drained the queue and ended.
     """
     import queue
     import threading
 
-    global _submit
     pending = queue.Queue(WRITE_QUEUE)
     failed = []
 
@@ -343,26 +341,13 @@ def _writer():
 
     thread = threading.Thread(target=drain, name="kerrcomb-writer")
     thread.start()
-    _submit = submit
     try:
-        yield
+        yield submit
     finally:
-        _submit = None
         pending.put(None)
         thread.join()
     if failed:
         raise failed[0]
-
-
-def _write(outdir: Path, name: str, data: bytes, products: list,
-           t0: float, **extra) -> None:
-    """Record one product file and hand it to the writer thread; `seconds`
-    runs from `t0`, its own start, to its hash, before the write."""
-    import hashlib
-
-    products.append({"file": name, "sha256": hashlib.sha256(data).hexdigest(),
-                     "seconds": round(time.perf_counter() - t0, 6), **extra})
-    _submit(outdir / name, data)
 
 
 def derived_quantities(p: units.ModalParams) -> dict:
@@ -386,12 +371,11 @@ def derived_quantities(p: units.ModalParams) -> dict:
     }
 
 
-def run_products(scenario: dict, outdir: Path, seed: int,
-                 report: dict) -> None:
-    """Compute every requested product, recording the derived quantities,
-    the state and each product in `report` as soon as they exist, so that
-    a failure keeps the record of what came before it.  numpy and the
-    numerical layers load here, at the first run."""
+def run_products(scenario: dict, seed: int, report: dict) -> Iterator:
+    """Yield (file name, bytes, report fields) for every requested product,
+    after one bare yield once the derived quantities and the state are in
+    `report`, so the first product's clock starts after the state solve.
+    numpy and the numerical layers load here, at the first run."""
     import numpy as np
 
     from . import io, linearization, spontaneous, squeezing
@@ -399,7 +383,6 @@ def run_products(scenario: dict, outdir: Path, seed: int,
 
     mode = scenario["mode"]
     outputs = scenario.get("outputs", [])
-    products = report["products"]
 
     params = None
     if mode != "hamiltonian_audit":
@@ -428,8 +411,8 @@ def run_products(scenario: dict, outdir: Path, seed: int,
         # one angle solve per pair, shared by both pair products
         optimum = functools.cache(
             lambda l: squeezing.optimize_quadrature_angle(state, l, **angle))
+    yield
     for product in outputs:
-        t0 = time.perf_counter()
         if product == "spectrum":
             # each distinct omega/kappa grid formatted once: mode_spectra
             # yields one grid array per window, alive while it runs
@@ -441,107 +424,115 @@ def run_products(scenario: dict, outdir: Path, seed: int,
                     columns[key] = io._cells(series.x)
                 data = io._csv("omega/kappa,S",
                                [columns[key], io._cells(series.values)])
-                _write(outdir, f"spectrum_l{l}.csv", data, products, t0,
-                       product=product, l=l, lineshape=kind,
-                       peak_frequencies_over_kappa=peaks)
-                t0 = time.perf_counter()
+                yield f"spectrum_l{l}.csv", data, dict(
+                    product=product, l=l, lineshape=kind,
+                    peak_frequencies_over_kappa=peaks)
         elif product == "envelope":
             kind, peak, _ = spontaneous.lineshape_peaks(ls, flat)
             data = io.csv_text("l,S_env,kind", [ls, peak, kind])
-            _write(outdir, "envelope.csv", data, products, t0, product=product,
-                   peak_modes=list(spontaneous.envelope_peaks(flat)))
+            yield "envelope.csv", data, dict(
+                product=product,
+                peak_modes=list(spontaneous.envelope_peaks(flat)))
         elif product == "flux_table":
             data = io.csv_text("l,R_out,P_out_watts,regime",
                                [ls, *spontaneous.sidemode_flux(ls, flat)])
-            _write(outdir, "flux_table.csv", data, products, t0,
-                   product=product)
+            yield "flux_table.csv", data, dict(product=product)
         elif product == "total_power":
             closed, discrete = spontaneous.total_spontaneous_power(params)
             data = io.csv_text("closed_form_watts,discrete_sum_watts",
                                [[closed], [discrete]])
-            _write(outdir, "total_power.csv", data, products, t0,
-                   product=product)
+            yield "total_power.csv", data, dict(product=product)
         elif product == "number_difference":
             I = state.intensities
             for l in pairs:
-                t0 = time.perf_counter()
                 if I[state.K + l] <= ss.PATTERN_FLOOR * I.max():
                     raise ValueError(f"number_difference: pair l={l} has no "
                                      "mean field, so no linear fluctuation")
                 series = squeezing.quadrature_spectrum(optimum(l).blocks, 0.0)
                 data = io.csv_text("omega/kappa,S", [series.x, series.values])
-                _write(outdir, f"number_difference_l{l}.csv", data, products,
-                       t0, product=product, l=l)
+                yield f"number_difference_l{l}.csv", data, dict(
+                    product=product, l=l)
         elif product == "stability":
             eig = linearization.stability_spectrum(state)
             kappa = state.params.kappa
             data = io.csv_text("re_over_kappa,im_over_kappa",
                                [eig.real / kappa, eig.imag / kappa])
-            _write(outdir, "stability.csv", data, products, t0,
-                   product=product, stable=linearization.is_stable(eig, kappa))
+            yield "stability.csv", data, dict(
+                product=product, stable=linearization.is_stable(eig, kappa))
         elif product == "quadrature_spectrum":
             for l in pairs:
-                t0 = time.perf_counter()
                 opt = optimum(l)
                 data = io.csv_text(
                     "omega_over_kappa,S", [opt.spectrum.x, opt.spectrum.values],
                     comment=f"pair l={l}, phi={opt.delta_Phi:.6f} rad "
                             "(pair frame)")
-                _write(outdir, f"quadrature_l{l}.csv", data, products, t0,
-                       product=product, l=l, Phi_l=opt.Phi_l,
-                       delta_Phi=opt.delta_Phi, objective=opt.objective,
-                       flags={"degenerate": opt.degenerate})
+                yield f"quadrature_l{l}.csv", data, dict(
+                    product=product, l=l, Phi_l=opt.Phi_l,
+                    delta_Phi=opt.delta_Phi, objective=opt.objective,
+                    flags={"degenerate": opt.degenerate})
         elif product == "audit":
             K = scenario.get("audit_K", 3)
             mset = hamiltonian_audit.enumerate_monomials(K)
             counts = {t.value: c for t, c in mset.counts_by_tag().items()}
-            _write(outdir, "audit_monomials.txt", mset.dump().encode(),
-                   products, t0, product=product, K=K,
-                   ordered_count=mset.ordered_count,
-                   expected=hamiltonian_audit.expected_total(K),
-                   counts_by_tag=counts)
+            yield "audit_monomials.txt", mset.dump().encode(), dict(
+                product=product, K=K, ordered_count=mset.ordered_count,
+                expected=hamiltonian_audit.expected_total(K),
+                counts_by_tag=counts)
 
 
 def run_scenario(scenario: dict, outdir: Path, seed: int | None = None) -> int:
     """Run one scenario (including sweeps); returns process exit status:
-    1 if any run recorded an error, else 0.  Every file is complete on
-    return: the run's writer thread (`_writer`) ends before it, and its
-    first failed write is raised here."""
+    1 if any run recorded an error, else 0.  The run computes on one BLAS
+    thread, and every file is complete on return: the run's writer thread
+    (`_writer`) ends before it, and its first failed write is raised
+    here."""
     outdir.mkdir(parents=True, exist_ok=True)
     seed = scenario.get("seed", 0) if seed is None else seed
     sweep = scenario.get("sweep")
-    with _writer():
+    with _blas.one_thread(), _writer() as submit:
         if not sweep:
-            return 1 if _run_point(scenario, outdir, seed)["errors"] else 0
+            report = _run_point(scenario, outdir, seed, submit)
+            return 1 if report["errors"] else 0
         report = {"scenario": scenario, "seed": seed, "sub_runs": []}
         for i, value in enumerate(sweep["values"]):
             sub = {k: v for k, v in scenario.items() if k != "sweep"}
             sub["resonator"] = {**sub["resonator"], sweep["path"]: value}
             subdir = outdir / f"sweep_{i:02d}"
             subdir.mkdir(parents=True, exist_ok=True)
-            sub_report = _run_point(sub, subdir, seed)
+            sub_report = _run_point(sub, subdir, seed, submit)
             report["sub_runs"].append({
                 "dir": subdir.name, "value": value,
                 "state": sub_report.get("state"),
                 "errors": sub_report["errors"],
             })
-        _submit(outdir / "report.json", json.dumps(report, indent=2).encode())
+        submit(outdir / "report.json", json.dumps(report, indent=2).encode())
     return 1 if any(run["errors"] for run in report["sub_runs"]) else 0
 
 
-def _run_point(scenario: dict, outdir: Path, seed: int) -> dict:
-    """Run a scenario with no sweep into the existing `outdir`, write its
-    report.json and return the report."""
+def _run_point(scenario: dict, outdir: Path, seed: int, submit) -> dict:
+    """Run a scenario with no sweep into the existing `outdir` and return
+    its report.  The one site that records each product file, as it comes,
+    and submits it: a product's `seconds` runs from the end of the one
+    before it, or of the state solve, to its hash."""
+    import hashlib
+
     report = {"scenario": scenario, "seed": seed, "schema": SCHEMA_VERSION,
               "products": [], "errors": []}
     try:
-        with _blas.one_thread():
-            run_products(scenario, outdir, seed, report)
+        files = run_products(scenario, seed, report)
+        next(files)
+        t0 = time.perf_counter()
+        for name, data, fields in files:
+            report["products"].append({
+                "file": name, "sha256": hashlib.sha256(data).hexdigest(),
+                "seconds": round(time.perf_counter() - t0, 6), **fields})
+            submit(outdir / name, data)
+            t0 = time.perf_counter()
     # numpy's LinAlgError is a ValueError
     except (ScenarioError, ValueError, ArithmeticError, RuntimeError) as exc:
         report["errors"].append({"type": type(exc).__name__,
                                  "message": str(exc)})
-    _submit(outdir / "report.json", json.dumps(report, indent=2).encode())
+    submit(outdir / "report.json", json.dumps(report, indent=2).encode())
     return report
 
 
@@ -574,8 +565,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"no report.json under {args.run_dir}", file=sys.stderr)
             return 1
         try:
-            report = json.loads(path.read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            report = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             print(f"unreadable {path}: {exc}", file=sys.stderr)
             return 1
         print(json.dumps(report, indent=2))
@@ -590,7 +581,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     outdir = Path(args.out) if args.out else Path(
         scenario.get("name", "run") + "_out")
-    return run_scenario(scenario, outdir, args.seed)
+    try:
+        return run_scenario(scenario, outdir, args.seed)
+    except OSError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """The text layer: every CSV product of the package is the bytes of
 `csv_text`, which formats integer, text and real columns byte for byte
 as Python's % operator does, real columns through a numpy '%.12e'
-kernel.  The headers, comments and report records are
-`cli.run_products`'; the physics modules return arrays.
+kernel.  `cli.run_products` names the headers, comments and report
+records and yields the files; the physics modules return arrays.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ and the total emitted power.
 Spectra are dimensionless and sampled on an omega/kappa grid
 (`default_omega_grid`); conversion to SI output power is left to the
 callers (P = hbar * omega_L * R).  Everything here returns numbers and
-arrays; `cli.run_products` turns them into product files through
+arrays; `cli.run_products` yields them as product files formatted by
 `io.csv_text`.
 """
 

@@ -36,7 +36,7 @@ With A_l = A_-l = |A_l| e^{i Phi_l}, delta(N_+l - N_-l) = |A_l| (e^{-i Phi_l}
 D_l + h.c.), so C11 (`AngleOptimum.blocks`) is also the normalized
 photon-number-difference spectrum of pair l.
 
-Nothing here builds text: `cli.run_products` writes the pair products
+Nothing here builds text: `cli.run_products` yields the pair products
 and their report records from an `AngleOptimum` through `io.csv_text`.
 """
 

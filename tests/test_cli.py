@@ -715,6 +715,19 @@ class TestAboveThresholdRun:
             assert (out / sub["dir"] / "stability.csv").exists()
             assert sub["errors"] == []
 
+    def test_product_seconds_leave_out_the_state_solve(self, tmp_path,
+                                                       monkeypatch):
+        # a state solve held back 0.2 s: report["state"] times it, and no
+        # product's seconds, the first one's included, counts it
+        solve = ss.find_steady_state
+        monkeypatch.setattr(ss, "find_steady_state",
+                            lambda *a, **k: time.sleep(0.2) or solve(*a, **k))
+        assert cli.run_scenario(flat_above_scenario(), tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["state"]["seconds"] >= 0.2
+        assert len(report["products"]) == 2
+        assert all(p["seconds"] < 0.2 for p in report["products"])
+
 
 class TestAuditRun:
     def test_audit_products(self, tmp_path):
@@ -728,6 +741,19 @@ class TestAuditRun:
         assert rec["ordered_count"] == 85
         assert rec["expected"] == 85
         assert (out / "audit_monomials.txt").exists()
+
+    def test_run_products_is_pure(self, tmp_path):
+        # outside any run it yields the bytes that a run records, and
+        # writes nothing
+        report = {"products": []}
+        files = [f for f in cli.run_products(audit_scenario(), 0, report) if f]
+        assert report == {"products": []}
+        assert list(tmp_path.iterdir()) == []
+        assert cli.run_scenario(audit_scenario(), tmp_path) == 0
+        recorded = json.loads((tmp_path / "report.json").read_text())
+        assert [(name, hashlib.sha256(data).hexdigest())
+                for name, data, _ in files] == [
+            (p["file"], p["sha256"]) for p in recorded["products"]]
 
 
 class TestShippedScenarios:
@@ -794,6 +820,14 @@ class TestShippedScenarios:
         written = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
         assert written == ["spectrum_l1.csv", "spectrum_l12.csv",
                            "spectrum_l25.csv"]
+
+    def test_a_run_into_a_file_is_one_line(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, audit_scenario())
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli.main(["run", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and len(err.splitlines()) == 1
 
     def test_files_as_recorded_at_a_short_switch_interval(self, tmp_path):
         # the run and its writer thread trade the interpreter lock about
@@ -995,19 +1029,22 @@ class TestBlasScope:
             assert cli.run_scenario(below_scenario(), tmp_path / run) == 0
         assert opened == [np.linalg._umath_linalg.__file__]
 
-    @pytest.mark.parametrize("raw", [
-        below_scenario(),
-        {"schema": 1, "mode": "hamiltonian_audit", "outputs": ["audit"],
-         "audit_K": 2}], ids=["below_threshold", "hamiltonian_audit"])
+    @pytest.mark.parametrize("raw, points", [
+        (below_scenario(), 1),
+        (below_scenario(sweep={"path": "pump_power", "values": [1e-6, 2e-6]}),
+         2),
+        (audit_scenario(), 1)],
+        ids=["below_threshold", "below_threshold_sweep", "hamiltonian_audit"])
     def test_closed_form_run_pins_and_restores(self, tmp_path, monkeypatch,
-                                               two_blas_threads, raw):
+                                               two_blas_threads, raw, points):
+        # one BLAS scope per run: every sweep point computes inside it
         seen = []
         run_products = cli.run_products
         monkeypatch.setattr(
             cli, "run_products",
             lambda *args: seen.append(blas_counts()) or run_products(*args))
         assert cli.run_scenario(raw, tmp_path) == 0
-        assert seen == [1]
+        assert seen == [1] * points
         assert blas_counts() == two_blas_threads
 
 
@@ -1027,6 +1064,12 @@ class TestReportCommand:
 
     def test_truncated_report(self, tmp_path, capsys):
         (tmp_path / "report.json").write_text('{"scenario": {"name"')
+        assert cli.main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "report.json" in err and len(err.splitlines()) == 1
+
+    def test_report_that_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "report.json").mkdir()
         assert cli.main(["report", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "report.json" in err and len(err.splitlines()) == 1
