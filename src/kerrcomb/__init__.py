@@ -7,11 +7,9 @@ add-through and add-drop coupling topologies.
 """
 
 from .units import (
-    LossBudget,
     ModalParams,
     ResonatorConfig,
     Topology,
-    derive_loss_budget,
     min_pump_power,
     modal_params,
     predicted_roll_order,
@@ -24,9 +22,9 @@ _STEADY_STATE = ("CombState", "FlatStateBranches", "PatternKind",
                  "find_steady_state", "solve_flat_state")
 
 __all__ = [
-    "LossBudget", "ModalParams", "ResonatorConfig", "Topology",
-    "derive_loss_budget", "min_pump_power", "modal_params",
-    "predicted_roll_order", "threshold_pump_power", *_STEADY_STATE,
+    "ModalParams", "ResonatorConfig", "Topology", "min_pump_power",
+    "modal_params", "predicted_roll_order", "threshold_pump_power",
+    *_STEADY_STATE,
 ]
 
 __version__ = "0.1.0"

@@ -5,8 +5,9 @@ Scenario schema (version 1), JSON with the following top-level keys:
     schema      int, must be 1
     name        str
     mode        "below_threshold" | "above_threshold" | "hamiltonian_audit"
-    resonator   (below and above threshold) section mapping to
-                ResonatorConfig; detuning may be given as "detuning"
+    resonator   (below and above threshold) section whose keys are
+                ResonatorConfig's fields, those with no default
+                required; detuning may be given as "detuning"
                 (rad/s) or "detuning_over_kappa"; pump power as
                 "pump_power" (W) or "pump_power_over_threshold" (one of
                 each pair, never both); a null value counts as not given
@@ -97,8 +98,6 @@ PRODUCTS_BY_MODE = {
 STATE_KEYS = {"kind", "K", "horizon", "target_order"}
 STATE_KINDS = ("flat", "roll", "bright_soliton", "dark_soliton")
 ANGLE_KEYS = {"half_width", "objective"}
-RESONATOR_REQUIRED = ("pump_wavelength", "main_radius", "group_index",
-                      "intrinsic_Q", "through_Q")
 
 
 class ScenarioError(ValueError):
@@ -265,7 +264,9 @@ def build_config(res: dict) -> units.ModalParams:
         if rel in res and abs_ in res:
             raise ScenarioError(f"field 'resonator': give either {rel!r} or "
                                 f"{abs_!r}, not both")
-    missing = [key for key in RESONATOR_REQUIRED if key not in res]
+    fields = dataclasses.fields(units.ResonatorConfig)
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in res]
     if missing:
         raise ScenarioError(f"field 'resonator': missing required keys "
                             f"{missing}")
@@ -276,30 +277,24 @@ def build_config(res: dict) -> units.ModalParams:
                             f"{topologies}, got {topology!r}")
     sigma_rel = res.pop("detuning_over_kappa", None)
     p_rel = res.pop("pump_power_over_threshold", None)
-    base = {key: res.pop(key) for key in RESONATOR_REQUIRED}
-    base.update(
-        topology=units.Topology(topology),
-        drop_Q=res.pop("drop_Q", None),
-        gamma=res.pop("gamma", None),
-        g0=res.pop("g0", None),
-        zeta2=res.pop("zeta2", None),
-        beta2=res.pop("beta2", None),
-        pump_power=res.pop("pump_power", 0.0),
-        detuning=res.pop("detuning", 0.0),
-    )
-    if res:
-        raise ScenarioError(f"field 'resonator': unknown keys {sorted(res)}")
+    unknown = sorted(set(res) - {f.name for f in fields})
+    if unknown:
+        raise ScenarioError(f"field 'resonator': unknown keys {unknown}")
     # any bad value from the file becomes a ScenarioError, at validate too
     try:
+        config = units.ResonatorConfig(topology=units.Topology(topology),
+                                       **res)
         # kappa and the threshold at a given sigma depend on neither pump
         # power nor detuning
-        params = units.modal_params(units.ResonatorConfig(**base))
+        params = units.modal_params(config)
         if sigma_rel is not None:
-            base["detuning"] = sigma_rel * params.kappa
+            config = dataclasses.replace(config,
+                                         detuning=sigma_rel * params.kappa)
         if p_rel is not None:
-            base["pump_power"] = p_rel * units.threshold_pump_power(
-                dataclasses.replace(params, sigma=base["detuning"]))
-        return units.modal_params(units.ResonatorConfig(**base))
+            config = dataclasses.replace(
+                config, pump_power=p_rel * units.threshold_pump_power(
+                    dataclasses.replace(params, sigma=config.detuning)))
+        return units.modal_params(config)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(f"field 'resonator': {exc}") from exc
 

@@ -36,13 +36,9 @@ SINGULAR_RTOL = 1e-6
 
 
 class NearThresholdError(FloatingPointError):
-    """Spectrum diverges: linearized fluctuation theory breaks down in the
-    regime of large quantum fluctuations just below threshold."""
-
-
-class RegimeBoundaryError(ValueError):
-    """Requested flux formula is evaluated on its regime boundary, where
-    the closed form has an unphysical divergence."""
+    """A pair sits on its own threshold m_l = 0, where its spectrum, its
+    lineshape peak and its flux diverge: linearized fluctuation theory
+    breaks down in the regime of large quantum fluctuations."""
 
 
 class LineShapeKind(enum.Enum):
@@ -72,22 +68,23 @@ def _square(x):
     return np.float_power(x, 2)
 
 
-def _shifts(l: int | np.ndarray, flat: FlatStateBranches,
-            error: type[Exception]) -> tuple:
+def _shifts(l: int | np.ndarray, flat: FlatStateBranches) -> tuple:
     """(g^2, xi_l^2, m_l = kappa^2 + xi_l^2 - g^2) of sidemode l, with
     g = g0 |A0|^2 and xi_l = sigma - zeta2 l^2/2 + 2g on the lower flat
     branch (the state a pump ramp from zero reaches); `l` is an int or an
-    integer array.  Raises `error`, naming the first such l, on m_l = 0,
-    where the omega = 0 spectrum, the lineshape peak and the flux diverge."""
+    integer array.  Raises NearThresholdError, naming the first such l, on
+    m_l = 0, pair l's own threshold, where the omega = 0 spectrum, the
+    lineshape peak and the flux diverge."""
     p = flat.params
     g = p.g0 * abs(flat.lower) ** 2
     xi2 = _square(p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g)
     m = p.kappa**2 + xi2 - g**2
     singular = abs(m) <= SINGULAR_RTOL * p.kappa**2
     if np.count_nonzero(singular):
-        raise error(f"mode l={np.ravel(l)[np.argmax(singular)]} sits on "
-                    "m_l = kappa^2 + xi_l^2 - g^2 = 0, "
-                    "where linearized below-threshold theory diverges")
+        l_0 = np.ravel(l)[np.argmax(singular)]
+        raise NearThresholdError(f"mode l={l_0} sits on m_l = kappa^2 + "
+                                 "xi_l^2 - g^2 = 0, where linearized "
+                                 "below-threshold theory diverges")
     return g**2, xi2, m
 
 
@@ -101,7 +98,7 @@ def spontaneous_spectrum(l: int, flat: FlatStateBranches,
     diverges at omega = 0 on m_l = 0, and there raises NearThresholdError.
     """
     p = flat.params
-    g2, xi2, _ = _shifts(l, flat, NearThresholdError)
+    g2, xi2, _ = _shifts(l, flat)
     w = omega_grid * p.kappa
     denom = (p.kappa**2 - g2 + xi2 - w**2) ** 2 + 4.0 * p.kappa**2 * w**2
     values = 4.0 * p.rho * p.kappa**2 * g2 / denom
@@ -120,7 +117,7 @@ def lineshape_peaks(ls: np.ndarray, flat: FlatStateBranches) -> tuple:
     naming the first such l, on m_l = 0, where the single peak diverges.
     """
     p = flat.params
-    g2, xi2, _ = _shifts(ls, flat, NearThresholdError)
+    g2, xi2, _ = _shifts(ls, flat)
     excess = xi2 - p.kappa**2 - g2
     double = excess > 0.0
     single = 4.0 * p.rho * p.kappa**2 * g2 / _square(p.kappa**2 - g2 + xi2)
@@ -183,11 +180,11 @@ def sidemode_flux(l: int | np.ndarray, flat: FlatStateBranches) -> tuple:
     Returns (R in photons/s, P_out in W, regime tag); `l` may be an int or
     an integer array, and each result takes its shape.  The weak-pumping
     form holds for g^2 < kappa^2 + xi_l^2 and the strong-pumping form for
-    g^2 > kappa^2 + xi_l^2; the boundary itself is a removable-looking
-    but unphysical divergence of both closed forms: RegimeBoundaryError.
+    g^2 > kappa^2 + xi_l^2; on the boundary m_l = 0 between them, pair
+    l's own threshold, both closed forms diverge: NearThresholdError.
     """
     p = flat.params
-    g2, xi2, margin = _shifts(l, flat, RegimeBoundaryError)
+    g2, xi2, margin = _shifts(l, flat)
     weak = margin > 0.0
     R = p.rho * p.kappa * g2 / margin
     if g2 > p.kappa**2:                 # else every mode is weak

@@ -68,7 +68,6 @@ class PairSpectralBlocks:
 
 @dataclass(frozen=True)
 class AngleOptimum:
-    l: int
     Phi_l: float
     delta_Phi: float
     objective: float
@@ -217,7 +216,7 @@ def optimize_quadrature_angle(state: CombState, l: int,
                                   l)
     delta, obj, degenerate = solve_quadrature_angle(blocks, half_width,
                                                     objective)
-    return AngleOptimum(l, float(flow.pair_rotation[l - 1]), delta, obj,
+    return AngleOptimum(float(flow.pair_rotation[l - 1]), delta, obj,
                         quadrature_spectrum(blocks, delta), degenerate,
                         blocks)
 

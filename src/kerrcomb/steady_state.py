@@ -129,10 +129,6 @@ class CombState:
         return (len(self.amplitudes) - 1) // 2
 
     @property
-    def mode_numbers(self) -> np.ndarray:
-        return _modal.mode_numbers(self.K)
-
-    @property
     def photon_number(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 

@@ -4,6 +4,12 @@ All rates are stored internally as half-linewidths kappa (rad/s); full
 linewidths 2*kappa only appear at I/O boundaries.  The detuning sigma is
 the pump laser angular frequency minus the pumped-mode resonance.
 
+`ResonatorConfig` is the one schema of a resonator: its fields are the
+keys of a scenario's resonator section.  `modal_params` is the one
+conversion of it to `ModalParams`, the rates every layer downstream
+reads; `g0_from_gamma`, `zeta2_from_beta2` and `kappa_from_Q` are the
+named formulas it applies.
+
 This module imports no numpy.  Besides the conversions it holds what a
 scenario's validation needs of the numerical layers, the default mode
 cutoff and the squeezing objectives, so `kerrcomb validate` loads none
@@ -47,8 +53,8 @@ class ResonatorConfig:
     group_index: float
     intrinsic_Q: float
     through_Q: float
-    pump_power: float               # W
-    detuning: float                 # rad/s, sigma = omega_L - omega_0
+    pump_power: float = 0.0         # W
+    detuning: float = 0.0           # rad/s, sigma = omega_L - omega_0
     topology: Topology = Topology.ADD_THROUGH
     drop_Q: float | None = None
     gamma: float | None = None      # W^-1 m^-1
@@ -83,37 +89,9 @@ class ResonatorConfig:
         return 2.0 * math.pi * C_LIGHT / self.pump_wavelength
 
     @property
-    def group_velocity(self) -> float:
-        return C_LIGHT / self.group_index
-
-    @property
     def fsr(self) -> float:
         """Free spectral range (rad/s)."""
-        return self.group_velocity / self.main_radius
-
-    def nonlinear_gain(self) -> float:
-        """Per-photon Kerr gain g0 (rad/s), derived from gamma if needed."""
-        if self.g0 is not None:
-            return self.g0
-        return g0_from_gamma(self.gamma, self.main_radius, self.group_index,
-                             self.omega_L)
-
-    def dispersion_zeta2(self) -> float:
-        """Modal second-order dispersion zeta2 (rad/s)."""
-        if self.zeta2 is not None:
-            return self.zeta2
-        return zeta2_from_beta2(self.beta2, self.group_index, self.fsr)
-
-
-@dataclass(frozen=True)
-class LossBudget:
-    """Half-linewidths per port plus the out-coupling ratio rho."""
-
-    kappa_t: float
-    kappa_i: float
-    kappa_d: float
-    kappa: float
-    rho: float
+        return C_LIGHT / self.group_index / self.main_radius
 
 
 @dataclass(frozen=True)
@@ -149,24 +127,33 @@ def kappa_from_Q(Q: float, omega_L: float) -> float:
     return omega_L / (2.0 * Q)
 
 
-# operations ------------------------------------------------------------
-
-def derive_loss_budget(config: ResonatorConfig) -> LossBudget:
-    """Per-port half-linewidths, total loss and squeezing factor rho."""
+def modal_params(config: ResonatorConfig) -> ModalParams:
+    """The one conversion of a resonator description to the modal-equation
+    parameters, at the config's P and sigma.  kappa sums the half-linewidths
+    of every port, rho is the out-coupled port's share of it (the drop
+    port in the add-drop topology, else the through port), and g0 and
+    zeta2 are taken as given or derived from gamma and beta2."""
     omega_L = config.omega_L
-    kappa_i = kappa_from_Q(config.intrinsic_Q, omega_L)
     kappa_t = kappa_from_Q(config.through_Q, omega_L)
+    kappa = kappa_t + kappa_from_Q(config.intrinsic_Q, omega_L)
+    out = kappa_t
     if config.topology is Topology.ADD_DROP:
-        kappa_d = kappa_from_Q(config.drop_Q, omega_L)
-        kappa = kappa_t + kappa_i + kappa_d
-        rho = kappa_d / kappa
-    else:
-        kappa_d = 0.0
-        kappa = kappa_t + kappa_i
-        rho = kappa_t / kappa
-    return LossBudget(kappa_t=kappa_t, kappa_i=kappa_i, kappa_d=kappa_d,
-                      kappa=kappa, rho=rho)
+        out = kappa_from_Q(config.drop_Q, omega_L)
+        kappa += out
+    g0 = config.g0
+    if g0 is None:
+        g0 = g0_from_gamma(config.gamma, config.main_radius,
+                           config.group_index, omega_L)
+    zeta2 = config.zeta2
+    if zeta2 is None:
+        zeta2 = zeta2_from_beta2(config.beta2, config.group_index, config.fsr)
+    return ModalParams(kappa=kappa, kappa_t=kappa_t, sigma=config.detuning,
+                       zeta2=zeta2, g0=g0,
+                       A_in=math.sqrt(config.pump_power / (HBAR * omega_L)),
+                       rho=out / kappa, omega_L=omega_L)
 
+
+# operations ------------------------------------------------------------
 
 def min_pump_power(p: ModalParams) -> float:
     """Absolute minimum pump power (W) for comb generation.
@@ -212,15 +199,3 @@ def default_mode_cutoff(params: ModalParams, kind: str) -> int:
     except NoRollOrderError:
         L = 16
     return max(4 * L, 64)
-
-
-def modal_params(config: ResonatorConfig) -> ModalParams:
-    """The one conversion of a resonator description to the modal-equation
-    parameters (loss budget included), at the config's P and sigma."""
-    budget = derive_loss_budget(config)
-    return ModalParams(kappa=budget.kappa, kappa_t=budget.kappa_t,
-                       sigma=config.detuning, zeta2=config.dispersion_zeta2(),
-                       g0=config.nonlinear_gain(),
-                       A_in=math.sqrt(config.pump_power
-                                      / (HBAR * config.omega_L)),
-                       rho=budget.rho, omega_L=config.omega_L)

@@ -108,18 +108,18 @@ def reference_csv(header, columns, comment=None) -> bytes:
     return text.encode()
 
 
-def _per_mode_rows(ls: np.ndarray, flat, error: type[Exception]) -> list:
+def _per_mode_rows(ls: np.ndarray, flat) -> list:
     """`python_mode_row` of each l in turn; the first l on m_l = 0 raises
-    `error` with the message of `spontaneous`."""
+    NearThresholdError with the message of `spontaneous`."""
     p = flat.params
     g = p.g0 * abs(flat.lower) ** 2
     rows = []
     for l in ls.tolist():
         xi = p.sigma - 0.5 * p.zeta2 * l**2 + 2.0 * g
         if abs(p.kappa**2 + xi**2 - g**2) <= sp.SINGULAR_RTOL * p.kappa**2:
-            raise error(f"mode l={l} sits on m_l = kappa^2 + xi_l^2 - g^2 "
-                        "= 0, where linearized below-threshold theory "
-                        "diverges")
+            raise sp.NearThresholdError(
+                f"mode l={l} sits on m_l = kappa^2 + xi_l^2 - g^2 = 0, "
+                "where linearized below-threshold theory diverges")
         rows.append(python_mode_row(l, flat))
     return rows
 
@@ -128,7 +128,7 @@ def per_mode_envelope_csv(l_range, flat) -> bytes:
     """envelope.csv built one mode at a time from `python_mode_row`: the
     oracle of the envelope product's array form."""
     ls = np.asarray(l_range, dtype=int)
-    peak, kind, *_ = zip(*_per_mode_rows(ls, flat, sp.NearThresholdError))
+    peak, kind, *_ = zip(*_per_mode_rows(ls, flat))
     return io.csv_text("l,S_env,kind", [ls, peak, kind])
 
 
@@ -136,7 +136,7 @@ def per_mode_flux_csv(l_range, flat) -> bytes:
     """flux_table.csv built one mode at a time from `python_mode_row`: the
     oracle of the flux table's array form."""
     ls = np.asarray(l_range, dtype=int)
-    *_, R, P, regime = zip(*_per_mode_rows(ls, flat, sp.RegimeBoundaryError))
+    *_, R, P, regime = zip(*_per_mode_rows(ls, flat))
     return io.csv_text("l,R_out,P_out_watts,regime", [ls, R, P, regime])
 
 
@@ -468,7 +468,7 @@ def _timed(solve):
 
 @pytest.fixture(scope="session")
 def vi_c_budget():
-    return units.derive_loss_budget(caf2_config())
+    return units.modal_params(caf2_config())
 
 
 @pytest.fixture(scope="session")

@@ -47,9 +47,8 @@ def test_01_threshold_power_value_and_runtime(vi_c_budget):
 
 
 def test_02_roll_order_prediction_and_realized_pattern(roll20, vi_c_budget):
-    cfg = caf2_config()
     L = units.predicted_roll_order(-vi_c_budget.kappa, vi_c_budget.kappa,
-                                   cfg.dispersion_zeta2())
+                                   vi_c_budget.zeta2)
     assert L == 18
     state, seconds = roll20
     assert state.pattern is ss.PatternKind.ROLL

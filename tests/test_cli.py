@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from kerrcomb import _blas, cli, io, linearization, spontaneous, squeezing
+from kerrcomb import units
 from kerrcomb import steady_state as ss
 from conftest import SCENARIOS, reference_csv
 
@@ -280,6 +281,40 @@ class TestValidate:
         with pytest.raises(cli.ScenarioError,
                            match=r"missing required keys \['pump_wavelength'\]"):
             cli.build_config({**RESONATOR, "pump_wavelength": None})
+
+    @pytest.mark.parametrize("field", dataclasses.fields(
+        units.ResonatorConfig), ids=lambda field: field.name)
+    def test_resonator_required_keys_are_config_fields(self, field):
+        # the resonator keys are ResonatorConfig's fields, and those with
+        # no default are required: dropping one names exactly that one
+        res = {key: v for key, v in RESONATOR.items() if key != field.name}
+        if field.default is dataclasses.MISSING:
+            with pytest.raises(cli.ScenarioError) as exc:
+                cli.build_config(res)
+            assert str(exc.value).endswith(
+                f"missing required keys ['{field.name}']")
+        else:
+            try:
+                cli.build_config(res)
+            except cli.ScenarioError as exc:
+                assert "missing required keys" not in str(exc)
+
+    def test_state_keys_are_find_steady_state_arguments(self):
+        # validate loads no numpy, so cli restates the solvers' arguments
+        arguments = inspect.signature(ss.find_steady_state).parameters
+        assert cli.STATE_KEYS == set(arguments) - {"params", "seed"}
+
+    def test_angle_keys_are_optimize_quadrature_angle_arguments(self):
+        arguments = inspect.signature(
+            squeezing.optimize_quadrature_angle).parameters
+        assert cli.ANGLE_KEYS == set(arguments) - {"state", "l",
+                                                   "omega_grid"}
+        assert arguments["objective"].default in units.OBJECTIVES
+
+    def test_state_kinds_are_classified_patterns(self):
+        assert cli.STATE_KINDS == tuple(
+            kind.value for kind in ss.PatternKind
+            if kind is not ss.PatternKind.UNCLASSIFIED)
 
     def test_sweep_point_rejected_at_validate(self, tmp_path, capsys):
         # each sweep value is resolved: the absolute key clashes with the

@@ -164,7 +164,7 @@ class TestFluxes:
         # a double root there, limiting the root accuracy to ~sqrt(eps)
         g = 1.0
         branches, _ = make_flat(g, -2.0 * g, 0.01, rho=0.5)
-        with pytest.raises(sp.RegimeBoundaryError):
+        with pytest.raises(sp.NearThresholdError):
             sp.sidemode_flux(0, branches)
 
     def test_singular_point_raises_everywhere(self):
@@ -177,7 +177,7 @@ class TestFluxes:
             next(sp.mode_spectra([0], branches))
         with pytest.raises(sp.NearThresholdError):
             sp.lineshape_peaks(np.arange(-2, 3), branches)
-        with pytest.raises(sp.RegimeBoundaryError):
+        with pytest.raises(sp.NearThresholdError):
             sp.sidemode_flux(0, branches)
 
     def test_strong_regime_tag(self):
@@ -451,13 +451,12 @@ class TestArrayForms:
             zeta2 = 2.0 * (p.sigma + 2.0 * g - math.sqrt(g**2 - p.kappa**2)) / 100
             branches = dataclasses.replace(
                 branches, params=dataclasses.replace(p, zeta2=zeta2))
-        for product, oracle, error in (
-                ("envelope", per_mode_envelope_csv, sp.NearThresholdError),
-                ("flux_table", per_mode_flux_csv, sp.RegimeBoundaryError)):
+        for product, oracle in (("envelope", per_mode_envelope_csv),
+                                ("flux_table", per_mode_flux_csv)):
             (array_form,) = run_map(branches, ls[-1], [product],
                                     tmp_path / product, monkeypatch)["errors"]
-            with pytest.raises(error) as per_mode:
+            with pytest.raises(sp.NearThresholdError) as per_mode:
                 oracle(ls, branches)
-            assert array_form == {"type": error.__name__,
+            assert array_form == {"type": "NearThresholdError",
                                   "message": str(per_mode.value)}
             assert array_form["message"].startswith(f"mode l={l_bad} sits on")

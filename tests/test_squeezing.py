@@ -532,7 +532,7 @@ class TestCsv:
         series = sq.SpectrumSeries(np.array([0.5]), np.array([1.0 / 3.0]))
         blocks = sq.PairSpectralBlocks(series.x, series.values,
                                        series.values, np.zeros(1))
-        opt = sq.AngleOptimum(l=1, Phi_l=0.0, delta_Phi=0.1, objective=0.0,
+        opt = sq.AngleOptimum(Phi_l=0.0, delta_Phi=0.1, objective=0.0,
                               spectrum=series, degenerate=False,
                               blocks=blocks)
         monkeypatch.setattr(sq, "optimize_quadrature_angle",

@@ -540,7 +540,8 @@ class TestSymmetrization:
         # rigid rotation keeps the state stationary but breaks A_{-l} = A_l;
         # refine rotates it back and stays in the symmetric subspace
         theta = 0.731
-        a_rot = state.amplitudes * np.exp(1j * state.mode_numbers * theta)
+        l = _modal.mode_numbers(state.K)
+        a_rot = state.amplitudes * np.exp(1j * l * theta)
         a, res = ss.refine(a_rot, state.params)
         assert np.array_equal(a[::-1], a)
         assert res <= ss.NEWTON_TOL

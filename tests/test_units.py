@@ -21,7 +21,7 @@ class TestConstants:
 
 class TestLossBudget:
     def test_linewidth_and_rho(self):
-        budget = units.derive_loss_budget(caf2_config())
+        budget = units.modal_params(caf2_config())
         assert 2 * budget.kappa / TWO_PI == pytest.approx(0.97e6, rel=5e-3)
         assert budget.rho == pytest.approx(0.8, abs=1e-12)
 
@@ -35,16 +35,19 @@ class TestLossBudget:
             intrinsic_Q=1e9, through_Q=0.5e9, drop_Q=0.5e9,
             topology=units.Topology.ADD_DROP, pump_power=1e-3,
             detuning=0.0, gamma=0.001, zeta2=1e4)
-        budget = units.derive_loss_budget(cfg)
+        budget = units.modal_params(cfg)
+        kappa_i, kappa_t, kappa_d = (
+            units.kappa_from_Q(Q, cfg.omega_L)
+            for Q in (cfg.intrinsic_Q, cfg.through_Q, cfg.drop_Q))
         # rho is the drop-port share of the total loss
-        assert budget.rho == pytest.approx(budget.kappa_d / budget.kappa)
-        assert budget.kappa == pytest.approx(
-            budget.kappa_i + budget.kappa_t + budget.kappa_d)
+        assert budget.kappa_t == kappa_t
+        assert budget.rho == pytest.approx(kappa_d / budget.kappa)
+        assert budget.kappa == pytest.approx(kappa_i + kappa_t + kappa_d)
 
 
 class TestNonlinearGain:
     def test_caf2_g0(self):
-        g0 = caf2_config().nonlinear_gain()
+        g0 = units.modal_params(caf2_config()).g0
         assert g0 / TWO_PI * 1e6 == pytest.approx(57.2, rel=5e-3)
 
 
@@ -85,9 +88,8 @@ class TestPumpThresholds:
 
 class TestRollOrder:
     def test_caf2_order(self, vi_c_budget):
-        zeta2 = caf2_config().dispersion_zeta2()
         L = units.predicted_roll_order(-vi_c_budget.kappa, vi_c_budget.kappa,
-                                       zeta2)
+                                       vi_c_budget.zeta2)
         assert L == 18
 
     def test_zero_radicand(self):
